@@ -82,8 +82,9 @@ std::vector<std::string> RunSixKinds(Crimson* session, TreeRef tree,
   for (size_t i = 0; i < leaves.size(); i += leaves.size() / 5 + 1) {
     set.emplace_back(gold.name(leaves[i]));
   }
-  PhyloTree pattern =
-      std::move(session->Project("yule", set)).value();
+  PhyloTree pattern = std::get<ProjectAnswer>(
+                          session->Execute(tree, ProjectQuery{set}).value())
+                          .projection;
   std::vector<QueryRequest> requests = {
       LcaQuery{set[0], set[1]},
       ProjectQuery{set},

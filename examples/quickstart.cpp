@@ -118,7 +118,7 @@ int main() {
   }
 
   // ---- Tree Viewer (Fig. 3): ASCII dendrogram of the projection --------
-  auto art = Unwrap(crimson->RenderTree("fig1"), "render");
+  auto art = Unwrap(crimson->RenderTree(tree), "render");
   printf("\nTree Viewer (ASCII dendrogram of the loaded tree):\n%s",
          art.c_str());
 

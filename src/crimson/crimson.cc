@@ -212,18 +212,14 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
   c->query_cache_ = std::make_unique<cache::QueryCache>(
       options.query_cache_bytes, c->metrics_.get());
   // Resolve the query-dispatch cells once; the hot path then touches
-  // only atomic cells (see obs/metrics.h design rules). The kind names
-  // track the QueryRequest variant order.
-  static constexpr const char* kKindNames[kQueryKindCount] = {
-      "lca",  "project",       "sample_uniform",
-      "sample_time", "clade", "pattern_match"};
+  // only atomic cells (see obs/metrics.h design rules).
   for (size_t i = 0; i < kQueryKindCount; ++i) {
-    c->kind_cells_[i].latency = c->metrics_->GetHistogram(
-        StrFormat("query.%s.latency_us", kKindNames[i]));
-    c->kind_cells_[i].count =
-        c->metrics_->GetCounter(StrFormat("query.%s.count", kKindNames[i]));
-    c->kind_cells_[i].result_bytes = c->metrics_->GetCounter(
-        StrFormat("query.%s.result_bytes", kKindNames[i]));
+    const std::string base = "query." + std::string(kQueryKindNames[i]);
+    c->kind_cells_[i].latency =
+        c->metrics_->GetHistogram(base + ".latency_us");
+    c->kind_cells_[i].count = c->metrics_->GetCounter(base + ".count");
+    c->kind_cells_[i].result_bytes =
+        c->metrics_->GetCounter(base + ".result_bytes");
   }
   for (size_t i = 0; i < obs::kStageCount; ++i) {
     c->stage_hists_[i] = c->metrics_->GetHistogram(StrFormat(
@@ -458,11 +454,6 @@ Result<const PhyloTree*> Crimson::GetTree(TreeRef tree) const {
   return &handle->tree;
 }
 
-Result<const PhyloTree*> Crimson::GetTree(const std::string& name) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(name));
-  return GetTree(ref);
-}
-
 // -- query execution --------------------------------------------------------
 
 Result<std::vector<NodeId>> Crimson::ResolveSpecies(
@@ -484,6 +475,15 @@ Result<std::vector<NodeId>> Crimson::ResolveSpecies(
 Result<QueryResult> Crimson::ExecuteOnHandle(const TreeHandle& handle,
                                              const QueryRequest& request,
                                              uint64_t ticket) const {
+  Rng rng(QuerySeed(options_.seed, ticket));
+  auto sampled =
+      [&](Result<std::vector<NodeId>> nodes) -> Result<QueryResult> {
+    if (!nodes.ok()) return nodes.status();
+    SampleAnswer answer;
+    answer.species.reserve(nodes->size());
+    for (NodeId n : *nodes) answer.species.emplace_back(handle.tree.name(n));
+    return QueryResult(std::move(answer));
+  };
   return std::visit(
       Overloaded{
           [&](const LcaQuery& q) -> Result<QueryResult> {
@@ -504,27 +504,11 @@ Result<QueryResult> Crimson::ExecuteOnHandle(const TreeHandle& handle,
             return QueryResult(ProjectAnswer{std::move(projection)});
           },
           [&](const SampleUniformQuery& q) -> Result<QueryResult> {
-            Rng rng(QuerySeed(options_.seed, ticket));
-            CRIMSON_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
-                                     handle.sampler->SampleUniform(q.k, &rng));
-            SampleAnswer answer;
-            answer.species.reserve(nodes.size());
-            for (NodeId n : nodes) {
-              answer.species.emplace_back(handle.tree.name(n));
-            }
-            return QueryResult(std::move(answer));
+            return sampled(handle.sampler->SampleUniform(q.k, &rng));
           },
           [&](const SampleTimeQuery& q) -> Result<QueryResult> {
-            Rng rng(QuerySeed(options_.seed, ticket));
-            CRIMSON_ASSIGN_OR_RETURN(
-                std::vector<NodeId> nodes,
+            return sampled(
                 handle.sampler->SampleWithRespectToTime(q.k, q.time, &rng));
-            SampleAnswer answer;
-            answer.species.reserve(nodes.size());
-            for (NodeId n : nodes) {
-              answer.species.emplace_back(handle.tree.name(n));
-            }
-            return QueryResult(std::move(answer));
           },
           [&](const CladeQuery& q) -> Result<QueryResult> {
             CRIMSON_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
@@ -593,6 +577,14 @@ void Crimson::RecordQuery(std::string_view kind, const std::string& params,
   }
 }
 
+void Crimson::RecordQuery(const std::string& tree_name,
+                          const QueryRequest& request,
+                          const Result<QueryResult>& result) {
+  if (!result.ok()) return;
+  RecordQuery(QueryKindName(request), EncodeQueryParams(tree_name, request),
+              SummarizeResult(*result));
+}
+
 void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
                                const std::string& tree_name,
                                const QueryRequest& request,
@@ -629,177 +621,80 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
   ctx->Reset();
 }
 
-Result<QueryResult> Crimson::Execute(TreeRef tree,
-                                     const QueryRequest& request) {
-  // Installs a fresh trace context, or adopts the connection thread's
-  // (which already carries the admission wait). FinishQueryTrace
-  // publishes and resets it on every result path below.
+Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
+                                      const QueryRequest& request,
+                                      uint64_t ticket, bool record_history) {
+  // Installs a fresh trace context, or adopts the thread's (a server
+  // connection thread's already carries the admission wait).
+  // FinishQueryTrace publishes and resets it on every result path.
   obs::ScopedTrace trace;
-  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
-                           HandleFor(tree));
-  // The ticket is consumed unconditionally -- even on a cache hit --
-  // so a session with the cache on draws the same sampling streams as
-  // one with it off (cache-on/off byte identity).
-  const uint64_t ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
+  const std::string& tree_name = handle.info.name;
   const bool cacheable =
       query_cache_->enabled() && cache::QueryCache::IsCacheable(request);
+  if (query_cache_->enabled() && !cacheable) query_cache_->NoteBypass();
   std::string key;
-  if (cacheable) {
-    key = cache::QueryCache::KeyFor(handle->info.name, request);
-    std::optional<QueryResult> hit;
-    {
-      obs::SpanTimer span(obs::Stage::kCacheLookup);
-      hit = query_cache_->Lookup(handle->info.name, key);
-    }
-    if (hit) {
-      RecordQuery(QueryKindName(request),
-                  EncodeQueryParams(handle->info.name, request),
-                  SummarizeResult(*hit));
-      Result<QueryResult> result(std::move(*hit));
-      FinishQueryTrace(trace.context(), handle->info.name, request, result);
-      return result;
-    }
-  } else if (query_cache_->enabled()) {
-    query_cache_->NoteBypass();
-  }
-  // Stamp strictly before execution: if a mutation overlaps the run,
-  // the stamp ages out and Insert drops the result.
+  std::optional<QueryResult> hit;
   cache::ReadStamp stamp;
   if (cacheable) {
-    stamp = query_cache_->Stamp(handle->info.name, db_->committed_epoch());
-  }
-  Result<QueryResult> result = [&] {
-    obs::SpanTimer span(obs::Stage::kExecute);
-    return ExecuteOnHandle(*handle, request, ticket);
-  }();
-  if (result.ok()) {
-    if (cacheable) {
-      query_cache_->Insert(handle->info.name, key, stamp, *result);
+    key = cache::QueryCache::KeyFor(tree_name, request);
+    {
+      obs::SpanTimer span(obs::Stage::kCacheLookup);
+      hit = query_cache_->Lookup(tree_name, key);
     }
-    RecordQuery(QueryKindName(request),
-                EncodeQueryParams(handle->info.name, request),
-                SummarizeResult(*result));
+    // Stamp strictly before execution: if a mutation overlaps the run,
+    // the stamp ages out and Insert drops the result.
+    if (!hit) stamp = query_cache_->Stamp(tree_name, db_->committed_epoch());
   }
-  FinishQueryTrace(trace.context(), handle->info.name, request, result);
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    if (hit) return std::move(*hit);
+    obs::SpanTimer span(obs::Stage::kExecute);
+    return ExecuteOnHandle(handle, request, ticket);
+  }();
+  if (cacheable && !hit && result.ok()) {
+    query_cache_->Insert(tree_name, key, stamp, *result);
+  }
+  if (record_history) RecordQuery(tree_name, request, result);
+  FinishQueryTrace(trace.context(), tree_name, request, result);
   return result;
+}
+
+Result<QueryResult> Crimson::Execute(TreeRef tree,
+                                     const QueryRequest& request) {
+  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
+                           HandleFor(tree));
+  // The ticket is taken even when the cache answers, so cache-on and
+  // cache-off sessions draw the same sampling streams.
+  return RunQuery(*handle, request,
+                  ticket_.fetch_add(1, std::memory_order_relaxed),
+                  /*record_history=*/true);
 }
 
 std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
     TreeRef tree, Span<const QueryRequest> requests) {
   const size_t n = requests.size();
-  std::vector<Result<QueryResult>> results(
-      n, Result<QueryResult>(Status::Internal("query not executed")));
-  if (n == 0) return results;
   Result<std::shared_ptr<const TreeHandle>> handle_or = HandleFor(tree);
-  if (!handle_or.ok()) {
-    for (auto& r : results) r = handle_or.status();
-    return results;
-  }
+  std::vector<Result<QueryResult>> results(
+      n, handle_or.ok() ? Status::Internal("query not executed")
+                        : handle_or.status());
+  if (!handle_or.ok() || n == 0) return results;
   const TreeHandle& handle = **handle_or;
   // Tickets are assigned in request order *before* dispatch, so the
   // i-th request draws exactly what it would draw under sequential
   // Execute calls -- batched results are byte-identical.
   const uint64_t base = ticket_.fetch_add(n, std::memory_order_relaxed);
-  const bool cache_on = query_cache_->enabled();
+  // Workers install their own trace context; the calling thread (which
+  // ParallelFor includes) keeps its pre-installed one, so a server's
+  // admission wait lands on the query that thread runs first.
   pool_->ParallelFor(n, [&](size_t i) {
-    const QueryRequest& request = requests[i];
-    // Workers install their own context; the calling thread (which
-    // ParallelFor includes) keeps its pre-installed one, so a server's
-    // admission wait lands on the query that thread runs first.
-    obs::ScopedTrace trace;
-    auto finish = [&] {
-      FinishQueryTrace(trace.context(), handle.info.name, request, results[i]);
-    };
-    if (cache_on && cache::QueryCache::IsCacheable(request)) {
-      const std::string key =
-          cache::QueryCache::KeyFor(handle.info.name, request);
-      std::optional<QueryResult> hit;
-      {
-        obs::SpanTimer span(obs::Stage::kCacheLookup);
-        hit = query_cache_->Lookup(handle.info.name, key);
-      }
-      if (hit) {
-        results[i] = QueryResult(std::move(*hit));
-        finish();
-        return;
-      }
-      cache::ReadStamp stamp =
-          query_cache_->Stamp(handle.info.name, db_->committed_epoch());
-      {
-        obs::SpanTimer span(obs::Stage::kExecute);
-        results[i] = ExecuteOnHandle(handle, request, base + i);
-      }
-      if (results[i].ok()) {
-        query_cache_->Insert(handle.info.name, key, stamp, *results[i]);
-      }
-      finish();
-      return;
-    }
-    if (cache_on) query_cache_->NoteBypass();
-    {
-      obs::SpanTimer span(obs::Stage::kExecute);
-      results[i] = ExecuteOnHandle(handle, request, base + i);
-    }
-    finish();
+    results[i] = RunQuery(handle, requests[i], base + i,
+                          /*record_history=*/false);
   });
   // History is written after the barrier, in request order, keeping the
   // Query Repository deterministic under concurrency.
   for (size_t i = 0; i < n; ++i) {
-    if (!results[i].ok()) continue;
-    RecordQuery(QueryKindName(requests[i]),
-                EncodeQueryParams(handle.info.name, requests[i]),
-                SummarizeResult(*results[i]));
+    RecordQuery(handle.info.name, requests[i], results[i]);
   }
   return results;
-}
-
-// -- legacy named wrappers --------------------------------------------------
-
-Result<Crimson::LcaAnswer> Crimson::Lca(const std::string& tree_name,
-                                        const std::string& a,
-                                        const std::string& b) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, LcaQuery{a, b}));
-  return std::get<LcaAnswer>(std::move(r));
-}
-
-Result<PhyloTree> Crimson::Project(const std::string& tree_name,
-                                   const std::vector<std::string>& species) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, ProjectQuery{species}));
-  return std::get<ProjectAnswer>(std::move(r)).projection;
-}
-
-Result<std::vector<std::string>> Crimson::SampleUniform(
-    const std::string& tree_name, size_t k) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r,
-                           Execute(ref, SampleUniformQuery{k}));
-  return std::get<SampleAnswer>(std::move(r)).species;
-}
-
-Result<std::vector<std::string>> Crimson::SampleWithRespectToTime(
-    const std::string& tree_name, size_t k, double time) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r,
-                           Execute(ref, SampleTimeQuery{k, time}));
-  return std::get<SampleAnswer>(std::move(r)).species;
-}
-
-Result<Crimson::CladeAnswer> Crimson::MinimalClade(
-    const std::string& tree_name, const std::vector<std::string>& species) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, CladeQuery{species}));
-  return std::get<CladeAnswer>(std::move(r));
-}
-
-Result<Crimson::PatternAnswer> Crimson::MatchPattern(
-    const std::string& tree_name, const std::string& pattern_newick,
-    bool match_weights) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(
-      QueryResult r, Execute(ref, PatternQuery{pattern_newick, match_weights}));
-  return std::get<PatternAnswer>(std::move(r));
 }
 
 // -- the Experiment API -----------------------------------------------------
@@ -1058,9 +953,9 @@ Result<ExperimentReport> Crimson::RunExperiment(TreeRef tree,
   CRIMSON_RETURN_IF_ERROR(PersistExperiment(&report));
   RecordQuery("experiment",
               StrFormat("tree=%s&id=%lld&spec=%s",
-                        report.tree_name.c_str(),
+                        EscapeParam(report.tree_name).c_str(),
                         static_cast<long long>(report.experiment_id),
-                        EncodeExperimentSpec(spec).c_str()),
+                        EscapeParam(EncodeExperimentSpec(spec)).c_str()),
               SummarizeExperiment(report));
   return report;
 }
@@ -1129,11 +1024,11 @@ Result<BenchmarkRun> Crimson::Benchmark(
   // a raw algorithm reference, so its name never went through spec
   // validation: if it (or a species list) cannot be encoded, record
   // the legacy keys only rather than a corrupt spec.
-  std::string params =
-      StrFormat("tree=%s&algorithm=%s&k=%zu", tree_name.c_str(),
-                run.algorithm.c_str(), run.sample_size);
+  std::string params = StrFormat(
+      "tree=%s&algorithm=%s&k=%zu", EscapeParam(tree_name).c_str(),
+      EscapeParam(run.algorithm).c_str(), run.sample_size);
   if (ValidateExperimentSpec(spec).ok()) {
-    params += "&spec=" + EncodeExperimentSpec(spec);
+    params += "&spec=" + EscapeParam(EncodeExperimentSpec(spec));
   }
   RecordQuery(
       "benchmark", params,
@@ -1262,17 +1157,6 @@ Result<std::string> Crimson::RenderTree(TreeRef tree, size_t max_nodes) {
   AsciiRenderOptions options;
   options.max_nodes = max_nodes;
   return RenderAscii(handle->tree, options);
-}
-
-Result<std::string> Crimson::ExportNexus(const std::string& tree_name) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  return ExportNexus(ref);
-}
-
-Result<std::string> Crimson::RenderTree(const std::string& tree_name,
-                                        size_t max_nodes) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  return RenderTree(ref, max_nodes);
 }
 
 Status Crimson::Flush() {

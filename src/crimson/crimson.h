@@ -6,15 +6,20 @@
 // CLI programs (see DESIGN.md substitutions).
 //
 // Session model: trees are bound once to an opaque TreeRef handle
-// (LoadNewick/LoadNexus/LoadTree/OpenTree); every structure query is a
-// typed QueryRequest executed through the single Execute dispatch,
-// which also records the query history. ExecuteBatch runs independent
-// read queries concurrently on a worker pool. Evaluation follows the
-// same shape: RunExperiment executes a serializable ExperimentSpec
-// (algorithm registry names x selection grid x replicates) on the
-// worker pool against per-tree cached evaluation state, persists the
-// spec and scores, and RerunExperiment replays stored workloads
-// byte-identically. The session is thread-safe AND read-concurrent:
+// (LoadNewick/LoadNexus/LoadTree/OpenTree), and queries, exports and
+// renders take that handle. Every structure query is a typed
+// QueryRequest run through one private per-query pipeline: canonical
+// key -> cache probe -> stamp -> execute -> cache insert -> trace
+// publish. Execute runs it on the calling thread and appends the
+// history row inside the query's trace; ExecuteBatch runs it per
+// request on the worker pool and appends the rows in request order
+// after the barrier. Evaluation follows the same shape: RunExperiment
+// executes a serializable ExperimentSpec (algorithm registry names x
+// selection grid x replicates) on the worker pool against per-tree
+// cached evaluation state, persists the spec and scores, and
+// RerunExperiment replays stored workloads byte-identically.
+//
+// The session is thread-safe AND read-concurrent:
 // the handle cache is guarded by a shared_mutex, storage writes hold
 // the storage lock exclusively, while storage *reads* (cold OpenTree
 // binds, label-scheme loads, sequence fetches, history/experiment
@@ -185,13 +190,12 @@ class Crimson {
   /// or the tree is dropped (DropTree frees the handle's state once
   /// the last in-flight query over it finishes).
   [[nodiscard]] Result<const PhyloTree*> GetTree(TreeRef tree) const;
-  [[nodiscard]] Result<const PhyloTree*> GetTree(const std::string& name);
 
-  // -- the typed query layer (paper §2 queries, one dispatch path) ---------
+  // -- the typed query layer (paper §2 queries, one pipeline) --------------
 
-  /// Executes one typed query against a bound tree. This is the single
-  /// code path for all six query kinds: history recording and
-  /// RerunQuery replay both hang off it.
+  /// Executes one typed query against a bound tree on the calling
+  /// thread and records it in the query history (RerunQuery replays
+  /// through here).
   [[nodiscard]] Result<QueryResult> Execute(TreeRef tree,
                                             const QueryRequest& request);
 
@@ -201,31 +205,6 @@ class Crimson {
   /// assigned its query ticket in list order before dispatch.
   std::vector<Result<QueryResult>> ExecuteBatch(
       TreeRef tree, Span<const QueryRequest> requests);
-
-  // -- legacy named wrappers over Execute ----------------------------------
-  //
-  // Back-compat shims for the string-keyed facade; each resolves the
-  // name to a TreeRef and forwards one typed request. New code should
-  // bind a TreeRef once and call Execute directly.
-
-  using LcaAnswer = ::crimson::LcaAnswer;
-  using CladeAnswer = ::crimson::CladeAnswer;
-  using PatternAnswer = ::crimson::PatternAnswer;
-
-  [[nodiscard]] Result<LcaAnswer> Lca(const std::string& tree_name,
-                                      const std::string& a,
-                                      const std::string& b);
-  [[nodiscard]] Result<PhyloTree> Project(
-      const std::string& tree_name, const std::vector<std::string>& species);
-  [[nodiscard]] Result<std::vector<std::string>> SampleUniform(
-      const std::string& tree_name, size_t k);
-  [[nodiscard]] Result<std::vector<std::string>> SampleWithRespectToTime(
-      const std::string& tree_name, size_t k, double time);
-  [[nodiscard]] Result<CladeAnswer> MinimalClade(
-      const std::string& tree_name, const std::vector<std::string>& species);
-  [[nodiscard]] Result<PatternAnswer> MatchPattern(
-      const std::string& tree_name, const std::string& pattern_newick,
-      bool match_weights = false);
 
   // -- the Experiment API (paper §2.2 Benchmark Manager) -------------------
 
@@ -292,12 +271,6 @@ class Crimson {
   [[nodiscard]] Result<std::string> RenderTree(TreeRef tree,
                                                size_t max_nodes = 512);
 
-  // Name-keyed shims over the TreeRef overloads above.
-  [[nodiscard]] Result<std::string> ExportNexus(
-      const std::string& tree_name);
-  [[nodiscard]] Result<std::string> RenderTree(const std::string& tree_name,
-                                               size_t max_nodes = 512);
-
   /// Persists all state to disk (no-op for in-memory databases). With
   /// durability on this is a full checkpoint. Also invoked on session
   /// destruction, so a dropped session never loses dirty pages.
@@ -361,6 +334,13 @@ class Crimson {
   Result<QueryResult> ExecuteOnHandle(const TreeHandle& handle,
                                       const QueryRequest& request,
                                       uint64_t ticket) const;
+  /// The per-query pipeline behind Execute and ExecuteBatch: key, cache
+  /// probe, stamp, ExecuteOnHandle, insert, then FinishQueryTrace. With
+  /// `record_history` the history row is appended inside the trace;
+  /// ExecuteBatch appends its rows itself, in request order.
+  Result<QueryResult> RunQuery(const TreeHandle& handle,
+                               const QueryRequest& request, uint64_t ticket,
+                               bool record_history);
   /// Cached-or-built evaluation state for a bound tree;
   /// FailedPrecondition when the tree has no species data.
   Result<std::shared_ptr<const EvalState>> EvalStateFor(TreeRef tree);
@@ -386,6 +366,9 @@ class Crimson {
       const TreeHandle& handle, const std::vector<std::string>& species);
   void RecordQuery(std::string_view kind, const std::string& params,
                    const std::string& summary);
+  /// History row for a structure query; failed queries leave none.
+  void RecordQuery(const std::string& tree_name, const QueryRequest& request,
+                   const Result<QueryResult>& result);
   /// Publishes one finished query's trace: per-kind latency/count/
   /// result-bytes, per-stage histograms, and -- past the slow-query
   /// threshold -- the structured slow line. Resets `ctx` afterwards so

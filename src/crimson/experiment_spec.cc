@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "crimson/query_request.h"
 
 namespace crimson {
 
@@ -160,14 +161,9 @@ Result<ExperimentSpec> DecodeExperimentSpec(std::string_view encoded) {
 
 Result<DecodedExperimentParams> DecodeExperimentParams(
     std::string_view params) {
-  std::map<std::string, std::string, std::less<>> kv;
-  for (std::string_view pair : StrSplit(params, '&')) {
-    size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) continue;
-    kv[std::string(pair.substr(0, eq))] = std::string(pair.substr(eq + 1));
-  }
+  std::map<std::string, std::string, std::less<>> kv = SplitParams(params);
   DecodedExperimentParams out;
-  out.tree_name = kv["tree"];
+  out.tree_name = UnescapeParam(kv["tree"]);
   if (out.tree_name.empty()) {
     return Status::InvalidArgument(
         StrFormat("experiment params missing tree name: '%.*s'",
@@ -178,7 +174,8 @@ Result<DecodedExperimentParams> DecodeExperimentParams(
     out.experiment_id = id;
   }
   if (auto it = kv.find("spec"); it != kv.end()) {
-    CRIMSON_ASSIGN_OR_RETURN(out.spec, DecodeExperimentSpec(it->second));
+    CRIMSON_ASSIGN_OR_RETURN(out.spec,
+                             DecodeExperimentSpec(UnescapeParam(it->second)));
     return out;
   }
   // Pre-Experiment-API "benchmark" row: algorithm name + uniform k.
@@ -193,7 +190,7 @@ Result<DecodedExperimentParams> DecodeExperimentParams(
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
   sel.k = static_cast<size_t>(sample_k);
-  out.spec.algorithms = {alg->second};
+  out.spec.algorithms = {UnescapeParam(alg->second)};
   out.spec.selections = {sel};
   out.spec.replicates = 1;
   out.spec.compute_triplets = false;

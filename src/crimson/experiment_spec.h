@@ -78,8 +78,7 @@ Status ValidateExperimentSpec(const ExperimentSpec& spec);
 /// t:16:0.5|l:Syn,Lla`. Selection grammar: `u:<k>` uniform, `t:<k>:
 /// <time>` with-respect-to-time, `l:<sp1>,<sp2>,...` user list.
 /// Algorithm names must not contain ',' or ';'; species names must not
-/// contain ',', ';' or '|' (the same CSV limitation the query history
-/// encoding has).
+/// contain ',', ';' or '|'.
 std::string EncodeExperimentSpec(const ExperimentSpec& spec);
 
 /// Inverse of EncodeExperimentSpec.

@@ -10,19 +10,33 @@ namespace crimson {
 
 namespace {
 
-std::string JoinSpecies(const std::vector<std::string>& species) {
-  std::string out;
-  for (size_t i = 0; i < species.size(); ++i) {
-    if (i) out.push_back(',');
-    out += species[i];
+void AppendEscaped(std::string* out, std::string_view value,
+                   bool list_element) {
+  for (char c : value) {
+    if (c == '%') {
+      out->append("%25");
+    } else if (c == '&') {
+      out->append("%26");
+    } else if (c == ',' && list_element) {
+      out->append("%2C");
+    } else {
+      out->push_back(c);
+    }
   }
-  return out;
+}
+
+void AppendSpeciesList(std::string* out,
+                       const std::vector<std::string>& species) {
+  for (size_t i = 0; i < species.size(); ++i) {
+    if (i) out->push_back(',');
+    AppendEscaped(out, species[i], /*list_element=*/true);
+  }
 }
 
 std::vector<std::string> SplitSpecies(std::string_view joined) {
   std::vector<std::string> out;
   for (std::string_view s : StrSplit(joined, ',')) {
-    if (!s.empty()) out.emplace_back(s);
+    if (!s.empty()) out.push_back(UnescapeParam(s));
   }
   return out;
 }
@@ -30,22 +44,7 @@ std::vector<std::string> SplitSpecies(std::string_view joined) {
 }  // namespace
 
 std::string_view QueryKindName(const QueryRequest& request) {
-  return std::visit(
-      Overloaded{
-          [](const LcaQuery&) { return std::string_view("lca"); },
-          [](const ProjectQuery&) { return std::string_view("project"); },
-          [](const SampleUniformQuery&) {
-            return std::string_view("sample_uniform");
-          },
-          [](const SampleTimeQuery&) {
-            return std::string_view("sample_time");
-          },
-          [](const CladeQuery&) { return std::string_view("clade"); },
-          [](const PatternQuery&) {
-            return std::string_view("pattern_match");
-          },
-      },
-      request);
+  return kQueryKindNames[request.index()];
 }
 
 std::string SummarizeResult(const QueryResult& result) {
@@ -73,101 +72,118 @@ std::string SummarizeResult(const QueryResult& result) {
 }
 
 std::string RenderResult(const QueryResult& result) {
-  return std::visit(
-      Overloaded{
-          [](const LcaAnswer& a) {
-            return StrFormat("lca node=%u name=%s", a.node, a.name.c_str());
-          },
-          [](const ProjectAnswer& a) { return WriteNewick(a.projection); },
-          [](const SampleAnswer& a) { return JoinSpecies(a.species); },
-          [](const CladeAnswer& a) {
-            return StrFormat("clade root=%u nodes=%zu", a.root, a.node_count);
-          },
-          [](const PatternAnswer& a) {
-            return StrFormat("exact=%d rf=%.4f", a.exact ? 1 : 0,
-                             a.rf_normalized);
-          },
-      },
-      result);
+  if (const auto* p = std::get_if<ProjectAnswer>(&result)) {
+    return WriteNewick(p->projection);
+  }
+  if (const auto* s = std::get_if<SampleAnswer>(&result)) {
+    return StrJoin(s->species, ",");
+  }
+  if (const auto* c = std::get_if<CladeAnswer>(&result)) {
+    return StrFormat("clade root=%u nodes=%zu", c->root, c->node_count);
+  }
+  return SummarizeResult(result);  // LCA and pattern render as summaries
 }
 
-std::string EncodeQueryParams(const std::string& tree_name,
-                              const QueryRequest& request) {
-  return std::visit(
-      Overloaded{
-          [&](const LcaQuery& q) {
-            return StrFormat("tree=%s&a=%s&b=%s", tree_name.c_str(),
-                             q.a.c_str(), q.b.c_str());
-          },
-          [&](const ProjectQuery& q) {
-            return StrFormat("tree=%s&species=%s", tree_name.c_str(),
-                             JoinSpecies(q.species).c_str());
-          },
-          [&](const SampleUniformQuery& q) {
-            return StrFormat("tree=%s&k=%zu", tree_name.c_str(), q.k);
-          },
-          [&](const SampleTimeQuery& q) {
-            return StrFormat("tree=%s&k=%zu&time=%.17g", tree_name.c_str(),
-                             q.k, q.time);
-          },
-          [&](const CladeQuery& q) {
-            return StrFormat("tree=%s&species=%s", tree_name.c_str(),
-                             JoinSpecies(q.species).c_str());
-          },
-          [&](const PatternQuery& q) {
-            return StrFormat("tree=%s&pattern=%s&weights=%d",
-                             tree_name.c_str(), q.pattern_newick.c_str(),
-                             q.match_weights ? 1 : 0);
-          },
-      },
-      request);
+std::string EscapeParam(std::string_view value) {
+  std::string out;
+  AppendEscaped(&out, value, /*list_element=*/false);
+  return out;
 }
 
-Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
-    const std::string& kind, const std::string& params) {
-  std::map<std::string, std::string> kv;
+std::string UnescapeParam(std::string_view value) {
+  std::string out;
+  for (size_t i = 0; i < value.size(); ++i) {
+    const std::string_view next = value.substr(i, 3);
+    char c = value[i];
+    if (next == "%25" || next == "%26" || next == "%2C") {
+      c = next == "%25" ? '%' : next == "%26" ? '&' : ',';
+      i += 2;
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::map<std::string, std::string, std::less<>> SplitParams(
+    std::string_view params) {
+  std::map<std::string, std::string, std::less<>> kv;
   for (std::string_view pair : StrSplit(params, '&')) {
     size_t eq = pair.find('=');
     if (eq == std::string_view::npos) continue;
     kv[std::string(pair.substr(0, eq))] = std::string(pair.substr(eq + 1));
   }
-  std::string tree = kv["tree"];
+  return kv;
+}
+
+std::string EncodeQueryParams(const std::string& tree_name,
+                              const QueryRequest& request) {
+  std::string out = "tree=";
+  AppendEscaped(&out, tree_name, /*list_element=*/false);
+  std::visit(
+      Overloaded{
+          [&](const LcaQuery& q) {
+            out += "&a=";
+            AppendEscaped(&out, q.a, /*list_element=*/false);
+            out += "&b=";
+            AppendEscaped(&out, q.b, /*list_element=*/false);
+          },
+          [&](const ProjectQuery& q) {
+            out += "&species=";
+            AppendSpeciesList(&out, q.species);
+          },
+          [&](const SampleUniformQuery& q) {
+            out += StrFormat("&k=%zu", q.k);
+          },
+          [&](const SampleTimeQuery& q) {
+            out += StrFormat("&k=%zu&time=%.17g", q.k, q.time);
+          },
+          [&](const CladeQuery& q) {
+            out += "&species=";
+            AppendSpeciesList(&out, q.species);
+          },
+          [&](const PatternQuery& q) {
+            out += "&pattern=";
+            AppendEscaped(&out, q.pattern_newick, /*list_element=*/false);
+            out += q.match_weights ? "&weights=1" : "&weights=0";
+          },
+      },
+      request);
+  return out;
+}
+
+Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
+    const std::string& kind, const std::string& params) {
+  std::map<std::string, std::string, std::less<>> kv = SplitParams(params);
+  auto value = [&](std::string_view key) {
+    auto it = kv.find(key);
+    return it == kv.end() ? std::string() : UnescapeParam(it->second);
+  };
+  std::string tree = value("tree");
   if (tree.empty()) {
     return Status::InvalidArgument(
         StrFormat("query params missing tree name: '%s'", params.c_str()));
   }
+  QueryRequest request;
   if (kind == "lca") {
-    return std::make_pair(std::move(tree),
-                          QueryRequest(LcaQuery{kv["a"], kv["b"]}));
+    request = LcaQuery{value("a"), value("b")};
+  } else if (kind == "project") {
+    request = ProjectQuery{SplitSpecies(kv["species"])};
+  } else if (kind == "sample_uniform") {
+    CRIMSON_ASSIGN_OR_RETURN(int64_t k, ParseInt64(value("k")));
+    request = SampleUniformQuery{static_cast<size_t>(k)};
+  } else if (kind == "sample_time") {
+    CRIMSON_ASSIGN_OR_RETURN(int64_t k, ParseInt64(value("k")));
+    CRIMSON_ASSIGN_OR_RETURN(double t, ParseDouble(value("time")));
+    request = SampleTimeQuery{static_cast<size_t>(k), t};
+  } else if (kind == "clade") {
+    request = CladeQuery{SplitSpecies(kv["species"])};
+  } else if (kind == "pattern_match") {
+    request = PatternQuery{value("pattern"), value("weights") == "1"};
+  } else {
+    return Status::Unimplemented(
+        StrFormat("cannot decode query kind '%s'", kind.c_str()));
   }
-  if (kind == "project") {
-    return std::make_pair(
-        std::move(tree), QueryRequest(ProjectQuery{SplitSpecies(kv["species"])}));
-  }
-  if (kind == "sample_uniform") {
-    CRIMSON_ASSIGN_OR_RETURN(int64_t k, ParseInt64(kv["k"]));
-    return std::make_pair(
-        std::move(tree),
-        QueryRequest(SampleUniformQuery{static_cast<size_t>(k)}));
-  }
-  if (kind == "sample_time") {
-    CRIMSON_ASSIGN_OR_RETURN(int64_t k, ParseInt64(kv["k"]));
-    CRIMSON_ASSIGN_OR_RETURN(double t, ParseDouble(kv["time"]));
-    return std::make_pair(
-        std::move(tree),
-        QueryRequest(SampleTimeQuery{static_cast<size_t>(k), t}));
-  }
-  if (kind == "clade") {
-    return std::make_pair(
-        std::move(tree), QueryRequest(CladeQuery{SplitSpecies(kv["species"])}));
-  }
-  if (kind == "pattern_match") {
-    return std::make_pair(
-        std::move(tree),
-        QueryRequest(PatternQuery{kv["pattern"], kv["weights"] == "1"}));
-  }
-  return Status::Unimplemented(
-      StrFormat("cannot decode query kind '%s'", kind.c_str()));
+  return std::make_pair(std::move(tree), std::move(request));
 }
 
 }  // namespace crimson

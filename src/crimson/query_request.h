@@ -1,14 +1,17 @@
 // The typed query layer of the Crimson session API. Every structure
-// query is a value in the QueryRequest sum type; the facade executes
-// all of them through one dispatch path (Crimson::Execute), which is
-// also the single place where query history is recorded. Because the
-// request itself is stored (serialized) in the Query Repository,
-// RerunQuery replays the typed value instead of re-parsing per-kind
-// strings.
+// query is a value in the QueryRequest sum type; the session runs all
+// of them through one per-query pipeline (behind Crimson::Execute and
+// Crimson::ExecuteBatch), which is also the single place where query
+// history is recorded. Because the request itself is stored
+// (serialized) in the Query Repository, RerunQuery replays the typed
+// value instead of re-parsing per-kind strings.
 
 #ifndef CRIMSON_CRIMSON_QUERY_REQUEST_H_
 #define CRIMSON_CRIMSON_QUERY_REQUEST_H_
 
+#include <functional>
+#include <iterator>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,9 +62,16 @@ using QueryRequest =
     std::variant<LcaQuery, ProjectQuery, SampleUniformQuery, SampleTimeQuery,
                  CladeQuery, PatternQuery>;
 
-/// Stable kind tag ("lca", "project", "sample_uniform", "sample_time",
-/// "clade", "pattern_match") -- the Query Repository key, unchanged
-/// from the string-API era so old histories stay replayable.
+/// Stable kind tags, indexed by QueryRequest alternative -- the Query
+/// Repository key, unchanged from the string-API era so old histories
+/// stay replayable, and the <kind> of the query.<kind>.* metrics.
+inline constexpr std::string_view kQueryKindNames[] = {
+    "lca", "project", "sample_uniform", "sample_time", "clade",
+    "pattern_match"};
+static_assert(std::size(kQueryKindNames) ==
+              std::variant_size_v<QueryRequest>);
+
+/// The request's kind tag (see kQueryKindNames).
 std::string_view QueryKindName(const QueryRequest& request);
 
 // -- results ----------------------------------------------------------------
@@ -104,10 +114,30 @@ std::string SummarizeResult(const QueryResult& result);
 std::string RenderResult(const QueryResult& result);
 
 // -- history (de)serialization ----------------------------------------------
+//
+// History rows store parameters as "k=v&k=v". Values are percent-
+// escaped so every name round-trips: '%' -> %25 and '&' -> %26 in every
+// value, plus ',' -> %2C inside species-list elements (the list itself
+// is comma-joined; Newick patterns keep their commas). A value without
+// these bytes is stored unchanged, so rows and cache keys written
+// before escaping existed keep their bytes; decoding turns only these
+// three escapes back into bytes and leaves any other '%' literal.
 
-/// Encodes a request as the history "k=v&k=v" parameter string,
-/// byte-compatible with the strings the string-keyed facade wrote, so
-/// databases written before the session API replay unchanged.
+/// Escapes one scalar (non-list) parameter value.
+std::string EscapeParam(std::string_view value);
+
+/// Inverse of the escaping above, for scalars and list elements alike.
+std::string UnescapeParam(std::string_view value);
+
+/// Splits "k=v&k=v" at '&' and each pair's first '='. Values come back
+/// still escaped: unescape scalars with UnescapeParam; split a species
+/// list at ',' first.
+std::map<std::string, std::string, std::less<>> SplitParams(
+    std::string_view params);
+
+/// Encodes a request as the history parameter string. The canonical
+/// encoding: it is also the result-cache key (after the kind) and the
+/// slow-query log's params field.
 std::string EncodeQueryParams(const std::string& tree_name,
                               const QueryRequest& request);
 

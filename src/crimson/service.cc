@@ -44,12 +44,6 @@ Result<std::vector<QueryRepository::Entry>> SessionService::History(
   return session_->QueryHistory(limit);
 }
 
-Result<QueryResult> SessionService::Execute(const std::string& tree_name,
-                                            const QueryRequest& request) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, session_->OpenTree(tree_name));
-  return session_->Execute(ref, request);
-}
-
 std::vector<Result<QueryResult>> SessionService::ExecuteBatch(
     const std::string& tree_name, Span<const QueryRequest> requests) {
   Result<TreeRef> ref = session_->OpenTree(tree_name);

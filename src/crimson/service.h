@@ -1,10 +1,11 @@
 // SessionService: the server-facing dispatch seam over a Crimson
 // session. The network layer (src/net) speaks in tree *names* and
 // typed QueryRequest values; this seam resolves names to TreeRef
-// handles and forwards to the session's single Execute/ExecuteBatch
-// path, so a remote query takes exactly the code path an in-process
-// one does -- same handle cache, same ticketing, same history
-// recording -- and wire results are byte-identical to local ones.
+// handles and forwards to the session's ExecuteBatch, which runs the
+// same per-query pipeline as Execute. A remote query therefore takes
+// exactly the code path an in-process one does -- same handle cache,
+// same ticketing, same history recording -- and wire results are
+// byte-identical to local ones.
 //
 // Keeping the seam in src/crimson (not src/net) means the transport
 // can change (another protocol, sharded fan-out, replication) without
@@ -62,10 +63,6 @@ class SessionService {
 
   [[nodiscard]] Result<std::vector<QueryRepository::Entry>> History(
       size_t limit) const;
-
-  /// One typed query against a named tree.
-  [[nodiscard]] Result<QueryResult> Execute(const std::string& tree_name,
-                                            const QueryRequest& request);
 
   /// A pipelined run of queries against one named tree, executed on
   /// the session worker pool. Results are byte-identical to executing

@@ -112,6 +112,61 @@ TEST(CacheSessionTest, SamplingBypassesTheCacheButKeepsTicketParity) {
   EXPECT_EQ(uncached->GetCacheStats().hits, 0u);
 }
 
+TEST(CacheSessionTest, SeparatorBytesInNamesNeitherCollideNorSplit) {
+  // Newick quoted labels may carry the history encoding's separators.
+  // The species "A,B" must not share a cache key with the pair {A, B},
+  // a replay must not split it, and a tree named with '&' or '%' must
+  // round-trip through its history rows.
+  constexpr char kQuoted[] = "(('A,B':1,A:1):1,(B:1,C:1):1);";
+  const std::vector<QueryRequest> requests = {
+      QueryRequest(ProjectQuery{{"A,B"}}),
+      QueryRequest(ProjectQuery{{"A", "B"}}),
+      QueryRequest(CladeQuery{{"A,B", "C"}}),
+      QueryRequest(CladeQuery{{"A", "B", "C"}}),
+      QueryRequest(LcaQuery{"A,B", "A"}),
+      QueryRequest(LcaQuery{"A", "B"}),
+      QueryRequest(PatternQuery{"('A,B',B);", false}),
+      QueryRequest(PatternQuery{"(A,B);", false}),
+  };
+  for (const std::string& name : {"t", "t&u=v%2C%"}) {
+    SCOPED_TRACE(name);
+    auto cached = OpenSession(5, 8ull << 20);
+    auto uncached = OpenSession(5, 0);
+    auto ct = cached->LoadNewick(name, kQuoted);
+    auto ut = uncached->LoadNewick(name, kQuoted);
+    ASSERT_TRUE(ct.ok()) << ct.status();
+    ASSERT_TRUE(ut.ok()) << ut.status();
+    std::vector<std::string> rendered;
+    for (const QueryRequest& request : requests) {
+      auto a = cached->Execute(ct->ref, request);
+      auto b = uncached->Execute(ut->ref, request);
+      ASSERT_TRUE(a.ok()) << a.status();
+      ASSERT_TRUE(b.ok()) << b.status();
+      EXPECT_EQ(RenderResult(*a), RenderResult(*b))
+          << "cache on/off differ for request " << rendered.size();
+      rendered.push_back(RenderResult(*b));
+    }
+    EXPECT_EQ(rendered[0], "'A,B';");
+    EXPECT_EQ(rendered[1], "(A:2,B:2);");
+
+    // Every history row replays to the answer it recorded.
+    auto history = cached->QueryHistory(rendered.size());
+    ASSERT_TRUE(history.ok()) << history.status();
+    ASSERT_EQ(history->size(), rendered.size());
+    for (size_t i = 0; i < rendered.size(); ++i) {
+      const QueryRepository::Entry& row = (*history)[rendered.size() - 1 - i];
+      auto replay = cached->RerunQuery(row.query_id);
+      ASSERT_TRUE(replay.ok()) << row.params << ": " << replay.status();
+      EXPECT_EQ(*replay, rendered[i]) << row.params;
+      auto decoded = DecodeQueryRequest(row.kind, row.params);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_EQ(decoded->first, name);
+      EXPECT_EQ(EncodeQueryParams(decoded->first, decoded->second),
+                row.params);
+    }
+  }
+}
+
 TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
   // Drive two same-seed sessions (cache on / cache off) through an
   // identical pseudo-random schedule of queries, tree stores, species

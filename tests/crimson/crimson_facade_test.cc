@@ -26,9 +26,15 @@ class CrimsonFacadeTest : public ::testing::Test {
     crimson_ = std::move(c).value();
     auto report = crimson_->LoadNewick("fig1", kFig1Newick);
     ASSERT_TRUE(report.ok()) << report.status();
+    ref_ = report->ref;
+  }
+
+  Result<QueryResult> Run(const QueryRequest& request) {
+    return crimson_->Execute(ref_, request);
   }
 
   std::unique_ptr<Crimson> crimson_;
+  TreeRef ref_;
 };
 
 TEST_F(CrimsonFacadeTest, ListAndGetTree) {
@@ -37,75 +43,77 @@ TEST_F(CrimsonFacadeTest, ListAndGetTree) {
   ASSERT_EQ(list->size(), 1u);
   EXPECT_EQ((*list)[0].name, "fig1");
   EXPECT_EQ((*list)[0].n_nodes, 8);
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(ref_);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(PhyloTree::Equal(**tree, MakePaperFigure1Tree(), 1e-9,
                                /*ordered=*/false));
 }
 
 TEST_F(CrimsonFacadeTest, LcaQuery) {
-  auto a = crimson_->Lca("fig1", "Lla", "Spy");
+  auto a = Run(LcaQuery{"Lla", "Spy"});
   ASSERT_TRUE(a.ok()) << a.status();
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(ref_);
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(a->node, (*tree)->parent((*tree)->FindByName("Lla")));
-  auto b = crimson_->Lca("fig1", "Lla", "Syn");
+  EXPECT_EQ(std::get<LcaAnswer>(*a).node,
+            (*tree)->parent((*tree)->FindByName("Lla")));
+  auto b = Run(LcaQuery{"Lla", "Syn"});
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->name, "root");
-  EXPECT_TRUE(crimson_->Lca("fig1", "Lla", "Zzz").status().IsNotFound());
-  EXPECT_TRUE(crimson_->Lca("ghost", "A", "B").status().IsNotFound());
+  EXPECT_EQ(std::get<LcaAnswer>(*b).name, "root");
+  EXPECT_TRUE(Run(LcaQuery{"Lla", "Zzz"}).status().IsNotFound());
+  EXPECT_TRUE(crimson_->OpenTree("ghost").status().IsNotFound());
 }
 
 TEST_F(CrimsonFacadeTest, ProjectQueryMatchesFigure2) {
-  auto proj = crimson_->Project("fig1", {"Bha", "Lla", "Syn"});
+  auto proj = Run(ProjectQuery{{"Bha", "Lla", "Syn"}});
   ASSERT_TRUE(proj.ok()) << proj.status();
   auto expected = ParseNewick("((Lla:1.5,Bha:1.5):0.75,Syn:2.5)root;");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(PhyloTree::Equal(*proj, *expected, 1e-9, /*ordered=*/false));
+  EXPECT_TRUE(PhyloTree::Equal(std::get<ProjectAnswer>(*proj).projection,
+                               *expected, 1e-9, /*ordered=*/false));
 }
 
 TEST_F(CrimsonFacadeTest, SamplingQueries) {
-  auto uniform = crimson_->SampleUniform("fig1", 3);
+  auto uniform = Run(SampleUniformQuery{3});
   ASSERT_TRUE(uniform.ok());
-  EXPECT_EQ(uniform->size(), 3u);
-  auto timed = crimson_->SampleWithRespectToTime("fig1", 4, 1.0);
+  EXPECT_EQ(std::get<SampleAnswer>(*uniform).species.size(), 3u);
+  auto timed = Run(SampleTimeQuery{4, 1.0});
   ASSERT_TRUE(timed.ok());
-  std::set<std::string> names(timed->begin(), timed->end());
+  const std::vector<std::string>& drawn =
+      std::get<SampleAnswer>(*timed).species;
+  std::set<std::string> names(drawn.begin(), drawn.end());
   EXPECT_TRUE(names.count("Bha"));
   EXPECT_TRUE(names.count("Syn"));
   EXPECT_TRUE(names.count("Bsu"));
 }
 
 TEST_F(CrimsonFacadeTest, CladeQuery) {
-  auto clade = crimson_->MinimalClade("fig1", {"Lla", "Spy"});
+  auto clade = Run(CladeQuery{{"Lla", "Spy"}});
   ASSERT_TRUE(clade.ok());
-  EXPECT_EQ(clade->node_count, 3u);
-  EXPECT_EQ(clade->leaf_count, 2u);
-  auto wide = crimson_->MinimalClade("fig1", {"Lla", "Bsu"});
+  EXPECT_EQ(std::get<CladeAnswer>(*clade).node_count, 3u);
+  EXPECT_EQ(std::get<CladeAnswer>(*clade).leaf_count, 2u);
+  auto wide = Run(CladeQuery{{"Lla", "Bsu"}});
   ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide->node_count, 8u);
+  EXPECT_EQ(std::get<CladeAnswer>(*wide).node_count, 8u);
 }
 
 TEST_F(CrimsonFacadeTest, PatternMatchQuery) {
-  auto hit =
-      crimson_->MatchPattern("fig1", "((Bha:1.5,Lla:1.5):0.75,Syn:2.5);",
-                             /*match_weights=*/true);
+  auto hit = Run(PatternQuery{"((Bha:1.5,Lla:1.5):0.75,Syn:2.5);",
+                              /*match_weights=*/true});
   ASSERT_TRUE(hit.ok()) << hit.status();
-  EXPECT_TRUE(hit->exact);
+  EXPECT_TRUE(std::get<PatternAnswer>(*hit).exact);
   // Non-match with 4 leaves so unrooted RF is informative (3-leaf
   // unrooted trees have no non-trivial splits).
-  auto miss = crimson_->MatchPattern(
-      "fig1", "((Bha:1,Lla:1):1,(Spy:1,Syn:1):1);",
-      /*match_weights=*/false);
+  auto miss = Run(PatternQuery{"((Bha:1,Lla:1):1,(Spy:1,Syn:1):1);",
+                               /*match_weights=*/false});
   ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->exact);
-  EXPECT_GT(miss->rf_normalized, 0.0);
+  EXPECT_FALSE(std::get<PatternAnswer>(*miss).exact);
+  EXPECT_GT(std::get<PatternAnswer>(*miss).rf_normalized, 0.0);
 }
 
 TEST_F(CrimsonFacadeTest, QueryHistoryRecordsEverything) {
-  ASSERT_TRUE(crimson_->Lca("fig1", "Lla", "Spy").ok());
-  ASSERT_TRUE(crimson_->Project("fig1", {"Bha", "Syn"}).ok());
-  ASSERT_TRUE(crimson_->SampleUniform("fig1", 2).ok());
+  ASSERT_TRUE(Run(LcaQuery{"Lla", "Spy"}).ok());
+  ASSERT_TRUE(Run(ProjectQuery{{"Bha", "Syn"}}).ok());
+  ASSERT_TRUE(Run(SampleUniformQuery{2}).ok());
   auto history = crimson_->QueryHistory();
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 3u);
@@ -116,7 +124,7 @@ TEST_F(CrimsonFacadeTest, QueryHistoryRecordsEverything) {
 }
 
 TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
-  auto first = crimson_->Lca("fig1", "Lla", "Syn");
+  auto first = Run(LcaQuery{"Lla", "Syn"});
   ASSERT_TRUE(first.ok());
   auto history = crimson_->QueryHistory(1);
   ASSERT_TRUE(history.ok());
@@ -125,7 +133,7 @@ TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
   ASSERT_TRUE(rerun.ok()) << rerun.status();
   EXPECT_NE(rerun->find("root"), std::string::npos);
   // Projection reruns return Newick.
-  ASSERT_TRUE(crimson_->Project("fig1", {"Bha", "Lla", "Syn"}).ok());
+  ASSERT_TRUE(Run(ProjectQuery{{"Bha", "Lla", "Syn"}}).ok());
   history = crimson_->QueryHistory(1);
   auto proj_rerun = crimson_->RerunQuery((*history)[0].query_id);
   ASSERT_TRUE(proj_rerun.ok());
@@ -134,13 +142,14 @@ TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
   EXPECT_EQ(reparsed->LeafCount(), 3u);
 }
 
-TEST_F(CrimsonFacadeTest, WrappersShareTheTypedExecutePath) {
-  // A legacy wrapper call and the equivalent typed Execute produce
-  // identical history entries -- they are one dispatch path.
-  ASSERT_TRUE(crimson_->Lca("fig1", "Lla", "Spy").ok());
-  auto ref = crimson_->OpenTree("fig1");
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(crimson_->Execute(*ref, LcaQuery{"Lla", "Spy"}).ok());
+TEST_F(CrimsonFacadeTest, ExecuteAndBatchShareOnePipeline) {
+  // Execute and a one-request ExecuteBatch produce identical history
+  // entries -- they run the same per-query pipeline.
+  ASSERT_TRUE(Run(LcaQuery{"Lla", "Spy"}).ok());
+  const std::vector<QueryRequest> one = {LcaQuery{"Lla", "Spy"}};
+  auto batch = crimson_->ExecuteBatch(ref_, one);
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(batch[0].ok());
   auto history = crimson_->QueryHistory(2);
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 2u);
@@ -161,7 +170,7 @@ TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
 
 TEST_F(CrimsonFacadeTest, BenchmarkWithLoadedSequences) {
   // Attach simulated sequences, then benchmark NJ end to end.
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(ref_);
   ASSERT_TRUE(tree.ok());
   SeqEvolveOptions opts;
   opts.seq_length = 400;
@@ -191,8 +200,9 @@ TEST(CrimsonPersistenceTest, OnDiskLifecycle) {
     opts.f = 3;
     auto c = Crimson::Open(opts);
     ASSERT_TRUE(c.ok());
-    ASSERT_TRUE((*c)->LoadNewick("fig1", kFig1Newick).ok());
-    ASSERT_TRUE((*c)->Lca("fig1", "Lla", "Spy").ok());
+    auto load = (*c)->LoadNewick("fig1", kFig1Newick);
+    ASSERT_TRUE(load.ok());
+    ASSERT_TRUE((*c)->Execute(load->ref, LcaQuery{"Lla", "Spy"}).ok());
     ASSERT_TRUE((*c)->Flush().ok());
   }
   {
@@ -209,9 +219,11 @@ TEST(CrimsonPersistenceTest, OnDiskLifecycle) {
     ASSERT_EQ(history->size(), 1u);
     EXPECT_EQ((*history)[0].kind, "lca");
     // And the tree still answers queries.
-    auto a = (*c)->Lca("fig1", "Lla", "Syn");
+    auto ref = (*c)->OpenTree("fig1");
+    ASSERT_TRUE(ref.ok());
+    auto a = (*c)->Execute(*ref, LcaQuery{"Lla", "Syn"});
     ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a->name, "root");
+    EXPECT_EQ(std::get<LcaAnswer>(*a).name, "root");
   }
   RemoveFile(path);
 }
@@ -234,16 +246,16 @@ TEST(CrimsonViewerTest, ExportNexusAndRender) {
   opts.f = 3;
   auto c = Crimson::Open(opts);
   ASSERT_TRUE(c.ok());
-  ASSERT_TRUE(
+  auto load =
       (*c)->LoadNewick("fig1",
                        "(Syn:2.5,((Lla:1,Spy:1):0.5,Bha:1.5):0.75,Bsu:1.25)"
-                       "root;")
-          .ok());
+                       "root;");
+  ASSERT_TRUE(load.ok());
   std::map<std::string, std::string> seqs = {{"Syn", "ACGT"},
                                              {"Bha", "TTTT"}};
   ASSERT_TRUE((*c)->AppendSpeciesData("fig1", seqs).ok());
 
-  auto nexus = (*c)->ExportNexus("fig1");
+  auto nexus = (*c)->ExportNexus(load->ref);
   ASSERT_TRUE(nexus.ok()) << nexus.status();
   EXPECT_NE(nexus->find("#NEXUS"), std::string::npos);
   EXPECT_NE(nexus->find("TAXLABELS"), std::string::npos);
@@ -256,11 +268,11 @@ TEST(CrimsonViewerTest, ExportNexusAndRender) {
   EXPECT_TRUE(PhyloTree::Equal(doc->trees[0].tree, MakePaperFigure1Tree(),
                                1e-9, /*ordered=*/false));
 
-  auto art = (*c)->RenderTree("fig1");
+  auto art = (*c)->RenderTree(load->ref);
   ASSERT_TRUE(art.ok());
   EXPECT_NE(art->find("Lla:1"), std::string::npos);
   EXPECT_NE(art->find("└──"), std::string::npos);
-  EXPECT_TRUE((*c)->RenderTree("ghost").status().IsNotFound());
+  EXPECT_TRUE((*c)->OpenTree("ghost").status().IsNotFound());
 }
 
 TEST(CrimsonDuplicateBind, PreexistingDuplicateTreeBindsFirstOccurrence) {
@@ -297,10 +309,11 @@ TEST(CrimsonDuplicateBind, PreexistingDuplicateTreeBindsFirstOccurrence) {
   // "Dup" resolves to node 2 (the first occurrence), so LCA(Dup, C) is
   // their shared parent -- not the root that the shadowed node 4 would
   // produce.
-  auto lca = (*c)->Lca("legacy_dups", "Dup", "C");
+  auto lca = (*c)->Execute(*ref, LcaQuery{"Dup", "C"});
   ASSERT_TRUE(lca.ok()) << lca.status();
-  EXPECT_EQ(lca->node, (*tree)->parent((*tree)->FindByName("Dup")));
-  EXPECT_NE(lca->node, (*tree)->root());
+  EXPECT_EQ(std::get<LcaAnswer>(*lca).node,
+            (*tree)->parent((*tree)->FindByName("Dup")));
+  EXPECT_NE(std::get<LcaAnswer>(*lca).node, (*tree)->root());
   std::remove(db_path);
 }
 

@@ -152,6 +152,96 @@ TEST(ObsSessionTest, HugeThresholdLogsNothing) {
   EXPECT_EQ(crimson->SnapshotMetrics().counter("query.slow"), 0u);
 }
 
+TEST(ObsSessionTest, SequentialExecuteMatchesOneBatch) {
+  // Execute and ExecuteBatch run one per-query pipeline: N sequential
+  // Execute calls and one ExecuteBatch of the same N requests leave the
+  // same results (sampling draws included), the same history rows, and
+  // the same per-kind and cache counters, with the cache on and off.
+  for (uint64_t cache_bytes : {uint64_t{1} << 20, uint64_t{0}}) {
+    SCOPED_TRACE(cache_bytes);
+    CrimsonOptions opts;
+    opts.query_cache_bytes = cache_bytes;
+    auto seq = OpenSession(opts);
+    auto batch = OpenSession(opts);
+    auto rs = seq->LoadNewick("fig1", kFig1Newick);
+    auto rb = batch->LoadNewick("fig1", kFig1Newick);
+    ASSERT_TRUE(rs.ok());
+    ASSERT_TRUE(rb.ok());
+    // Warm two cacheable kinds so the measured run mixes hits, misses
+    // and bypasses. The measured list repeats no cacheable request:
+    // concurrent batch workers would race for the first insert.
+    const std::vector<QueryRequest> warm = {LcaQuery{"Lla", "Syn"},
+                                            ProjectQuery{{"Bha", "Lla", "Syn"}}};
+    for (const QueryRequest& request : warm) {
+      ASSERT_TRUE(seq->Execute(rs->ref, request).ok());
+      ASSERT_TRUE(batch->Execute(rb->ref, request).ok());
+    }
+    std::vector<QueryRequest> requests = SixKinds();
+    requests.push_back(SampleUniformQuery{3});
+    requests.push_back(SampleTimeQuery{2, 0.5});
+    requests.push_back(LcaQuery{"Spy", "Bsu"});
+    const obs::MetricsSnapshot seq_before = seq->SnapshotMetrics();
+    const obs::MetricsSnapshot batch_before = batch->SnapshotMetrics();
+
+    std::vector<Result<QueryResult>> sequential;
+    for (const QueryRequest& request : requests) {
+      sequential.push_back(seq->Execute(rs->ref, request));
+    }
+    std::vector<Result<QueryResult>> batched =
+        batch->ExecuteBatch(rb->ref, requests);
+    ASSERT_EQ(batched.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(sequential[i].ok()) << sequential[i].status();
+      ASSERT_TRUE(batched[i].ok()) << batched[i].status();
+      EXPECT_EQ(RenderResult(*sequential[i]), RenderResult(*batched[i])) << i;
+      EXPECT_EQ(SummarizeResult(*sequential[i]),
+                SummarizeResult(*batched[i]))
+          << i;
+    }
+    auto seq_rows = seq->QueryHistory(64);
+    auto batch_rows = batch->QueryHistory(64);
+    ASSERT_TRUE(seq_rows.ok());
+    ASSERT_TRUE(batch_rows.ok());
+    ASSERT_EQ(seq_rows->size(), warm.size() + requests.size());
+    ASSERT_EQ(batch_rows->size(), seq_rows->size());
+    for (size_t i = 0; i < seq_rows->size(); ++i) {
+      const QueryRepository::Entry& a = (*seq_rows)[i];
+      const QueryRepository::Entry& b = (*batch_rows)[i];
+      EXPECT_EQ(a.query_id, b.query_id) << i;
+      EXPECT_EQ(a.kind, b.kind) << i;
+      EXPECT_EQ(a.params, b.params) << i;
+      EXPECT_EQ(a.summary, b.summary) << i;
+    }
+    // Newest first: the last request is the newest row.
+    EXPECT_EQ((*batch_rows)[0].kind, "lca");
+    EXPECT_EQ((*batch_rows)[0].params, "tree=fig1&a=Spy&b=Bsu");
+
+    const obs::MetricsSnapshot seq_after = seq->SnapshotMetrics();
+    const obs::MetricsSnapshot batch_after = batch->SnapshotMetrics();
+    auto delta = [](const obs::MetricsSnapshot& before,
+                    const obs::MetricsSnapshot& after,
+                    const std::string& name) {
+      return after.counter(name) - before.counter(name);
+    };
+    for (const char* name :
+         {"query.lca.count", "query.project.count",
+          "query.sample_uniform.count", "query.sample_time.count",
+          "query.clade.count", "query.pattern_match.count", "cache.hits",
+          "cache.misses", "cache.bypassed"}) {
+      EXPECT_EQ(delta(seq_before, seq_after, name),
+                delta(batch_before, batch_after, name))
+          << name;
+    }
+    const bool cache_on = cache_bytes > 0;
+    EXPECT_EQ(delta(batch_before, batch_after, "cache.hits"),
+              cache_on ? 2u : 0u);
+    EXPECT_EQ(delta(batch_before, batch_after, "cache.misses"),
+              cache_on ? 3u : 0u);
+    EXPECT_EQ(delta(batch_before, batch_after, "cache.bypassed"),
+              cache_on ? 4u : 0u);
+  }
+}
+
 TEST(ObsSessionTest, SessionsDoNotShareCounters) {
   auto a = OpenSession();
   auto b = OpenSession();

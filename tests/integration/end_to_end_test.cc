@@ -84,26 +84,30 @@ TEST_F(EndToEndTest, FullPipeline) {
   auto c = Crimson::Open(opts);
   ASSERT_TRUE(c.ok());
 
-  auto tree = (*c)->GetTree("gold");
+  auto ref = (*c)->OpenTree("gold");
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  auto tree = (*c)->GetTree(*ref);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(PhyloTree::Equal(**tree, gold_, 1e-9, /*ordered=*/true));
 
   // LCA sanity against the in-memory oracle.
-  auto lca = (*c)->Lca("gold", "S0", "S100");
+  auto lca = (*c)->Execute(*ref, LcaQuery{"S0", "S100"});
   ASSERT_TRUE(lca.ok());
-  EXPECT_EQ(lca->node,
+  EXPECT_EQ(std::get<LcaAnswer>(*lca).node,
             gold_.NaiveLca(gold_.FindByName("S0"), gold_.FindByName("S100")));
 
   // Projection of a handful of species is a valid tree over them.
-  auto proj = (*c)->Project("gold", {"S1", "S7", "S42", "S99", "S150"});
+  auto proj =
+      (*c)->Execute(*ref, ProjectQuery{{"S1", "S7", "S42", "S99", "S150"}});
   ASSERT_TRUE(proj.ok());
-  EXPECT_EQ(proj->LeafCount(), 5u);
-  EXPECT_TRUE(proj->Validate().ok());
+  const PhyloTree& projection = std::get<ProjectAnswer>(*proj).projection;
+  EXPECT_EQ(projection.LeafCount(), 5u);
+  EXPECT_TRUE(projection.Validate().ok());
 
   // Time sampling draws below the frontier.
-  auto sample = (*c)->SampleWithRespectToTime("gold", 32, 0.1);
+  auto sample = (*c)->Execute(*ref, SampleTimeQuery{32, 0.1});
   ASSERT_TRUE(sample.ok()) << sample.status();
-  EXPECT_EQ(sample->size(), 32u);
+  EXPECT_EQ(std::get<SampleAnswer>(*sample).species.size(), 32u);
 
   // ---- benchmark both algorithms --------------------------------------
   SelectionSpec sel;
@@ -154,7 +158,7 @@ TEST_F(EndToEndTest, NexusExportImportCycle) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->nodes_loaded, gold_.size());
   EXPECT_EQ(report->species_loaded, kLeaves);
-  auto tree = (*c)->GetTree("gold");
+  auto tree = (*c)->GetTree(report->ref);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(PhyloTree::Equal(**tree, gold_, 1e-6, /*ordered=*/true));
 }
