@@ -209,7 +209,7 @@ PhaseResult RunPhase(const std::string& path, uint64_t cache_bytes,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   out.ops_per_sec = schedule.size() / out.seconds;
-  out.hits = session->GetCacheStats().hits;
+  out.hits = session->SnapshotMetrics().counter("cache.hits");
   out.renders.reserve(raw.size());
   for (const QueryResult& r : raw) out.renders.push_back(RenderResult(r));
 

@@ -105,7 +105,10 @@ void BM_IndexRangeScan(benchmark::State& state) {
 void BM_PointLookupVsPoolSize(benchmark::State& state) {
   // Fixed 200k-row table; buffer pool from ample to starved.
   auto db = BuildDb(200000, static_cast<size_t>(state.range(0)));
-  db->db->buffer_pool()->ResetStats();
+  // The pool counters are cumulative registry cells: measure the
+  // lookup loop as a before/after delta.
+  const obs::MetricsRegistry* reg = db->db->metrics();
+  const obs::MetricsSnapshot before = reg->Snapshot();
   Rng rng(14);
   for (auto _ : state) {
     int64_t id = static_cast<int64_t>(rng.Uniform(200000));
@@ -113,11 +116,14 @@ void BM_PointLookupVsPoolSize(benchmark::State& state) {
     if (!hits.ok()) state.SkipWithError("lookup failed");
     benchmark::DoNotOptimize(hits);
   }
-  const BufferPoolStats& stats = db->db->stats();
-  double total = static_cast<double>(stats.hits + stats.misses);
+  const obs::MetricsSnapshot after = reg->Snapshot();
+  auto delta = [&](const char* name) {
+    return static_cast<double>(after.counter(name) - before.counter(name));
+  };
+  const double hits = delta("storage.pool.hits");
+  const double total = hits + delta("storage.pool.misses");
   state.counters["pool_pages"] = static_cast<double>(state.range(0));
-  state.counters["hit_rate"] =
-      total > 0 ? static_cast<double>(stats.hits) / total : 0;
+  state.counters["hit_rate"] = total > 0 ? hits / total : 0;
 }
 
 BENCHMARK(BM_IndexPointLookup)->Arg(10000)->Arg(100000)->Arg(400000);

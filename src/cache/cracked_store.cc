@@ -40,12 +40,11 @@ CrackedSequenceStore::CrackedSequenceStore(std::vector<std::string> names,
   if (!names_.empty()) {
     pieces_.emplace(0, Piece{names_.size(), false});
   }
-  if (metrics != nullptr) {
-    fetches_ctr_ = metrics->GetCounter("crack.fetches");
-    batches_ctr_ = metrics->GetCounter("crack.batches");
-    piece_hits_ctr_ = metrics->GetCounter("crack.piece_hits");
-    sequences_loaded_ctr_ = metrics->GetCounter("crack.sequences_loaded");
-  }
+  if (metrics == nullptr) metrics = &obs::MetricsRegistry::Default();
+  fetches_ = metrics->GetCounter("crack.fetches");
+  batches_ = metrics->GetCounter("crack.batches");
+  piece_hits_ = metrics->GetCounter("crack.piece_hits");
+  sequences_loaded_ = metrics->GetCounter("crack.sequences_loaded");
 }
 
 size_t CrackedSequenceStore::AlignDown(size_t ordinal) const {
@@ -81,8 +80,7 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
                                    names_.begin() + cut_hi);
     auto fetched = fetch_(slice);
     if (!fetched.ok()) return fetched.status();
-    ++fetches_;
-    if (fetches_ctr_) fetches_ctr_->Increment();
+    fetches_->Increment();
     for (size_t ord = cut_lo; ord < cut_hi; ++ord) {
       auto fit = fetched->find(names_[ord]);
       if (fit == fetched->end()) {
@@ -91,8 +89,8 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
         sequences_[ord] = fit->second;
         state_[ord] = kHave;
       }
-      ++sequences_loaded_;
-      if (sequences_loaded_ctr_) sequences_loaded_ctr_->Increment();
+      ++sequences_resident_;
+      sequences_loaded_->Increment();
     }
     // Split: [begin, cut_lo) stays cold, [cut_lo, cut_hi) is hot,
     // [cut_hi, end) stays cold.
@@ -114,8 +112,7 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
 Result<std::map<std::string, std::string>> CrackedSequenceStore::GetBatch(
     const std::vector<std::string>& names) const {
   std::lock_guard<std::mutex> lock(mu_);
-  ++batches_;
-  if (batches_ctr_) batches_ctr_->Increment();
+  batches_->Increment();
   // Resolve names to ordinals (the domain is sorted).
   std::vector<size_t> ordinals;
   ordinals.reserve(names.size());
@@ -129,7 +126,9 @@ Result<std::map<std::string, std::string>> CrackedSequenceStore::GetBatch(
   std::vector<size_t> sorted = ordinals;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const uint64_t fetches_before = fetches_;
+  // Every fetch loads exactly one piece, so an unchanged piece count
+  // means the batch was served without touching storage.
+  const uint64_t loaded_before = loaded_pieces_;
   size_t i = 0;
   while (i < sorted.size()) {
     size_t j = i;
@@ -139,10 +138,7 @@ Result<std::map<std::string, std::string>> CrackedSequenceStore::GetBatch(
     CRIMSON_RETURN_IF_ERROR(EnsureLoadedLocked(sorted[i], sorted[j] + 1));
     i = j + 1;
   }
-  if (fetches_ == fetches_before) {
-    ++piece_hits_;
-    if (piece_hits_ctr_) piece_hits_ctr_->Increment();
-  }
+  if (loaded_pieces_ == loaded_before) piece_hits_->Increment();
   // Assemble in request order so the first missing name reported
   // matches the eager path's error exactly.
   std::map<std::string, std::string> out;
@@ -159,11 +155,8 @@ CrackedStoreStats CrackedSequenceStore::stats() const {
   CrackedStoreStats stats;
   stats.pieces = pieces_.size();
   stats.loaded_pieces = loaded_pieces_;
-  stats.sequences_loaded = sequences_loaded_;
+  stats.sequences_resident = sequences_resident_;
   stats.sequences_total = names_.size();
-  stats.fetches = fetches_;
-  stats.batches = batches_;
-  stats.piece_hits = piece_hits_;
   return stats;
 }
 

@@ -65,14 +65,14 @@ class MapSequenceSource final : public SequenceSource {
   const std::map<std::string, std::string>* map_;
 };
 
+/// Live residency levels of one store. The cumulative traffic counts
+/// (crack.fetches, crack.batches, crack.piece_hits,
+/// crack.sequences_loaded) live only in the registry cells.
 struct CrackedStoreStats {
-  uint64_t pieces = 0;            // pieces in the map (loaded + not)
-  uint64_t loaded_pieces = 0;     // pieces materialized so far
-  uint64_t sequences_loaded = 0;  // ordinals fetched (present or missing)
-  uint64_t sequences_total = 0;   // the ordinal domain size
-  uint64_t fetches = 0;           // storage round trips
-  uint64_t batches = 0;           // GetBatch calls
-  uint64_t piece_hits = 0;        // GetBatch calls served with no fetch
+  uint64_t pieces = 0;              // pieces in the map (loaded + not)
+  uint64_t loaded_pieces = 0;       // pieces materialized so far
+  uint64_t sequences_resident = 0;  // ordinals fetched (present or missing)
+  uint64_t sequences_total = 0;     // the ordinal domain size
 };
 
 /// The cracked per-tree sequence store. Ordinals are indices into the
@@ -87,10 +87,9 @@ class CrackedSequenceStore final : public SequenceSource {
 
   /// `names` is the ordinal domain and must be sorted and unique.
   /// `min_piece` is the cracking granularity: fetched slices are
-  /// aligned out to multiples of it (0 behaves as 1). `metrics`
-  /// (optional) receives cumulative session-wide crack.* counter
-  /// mirrors -- unlike stats(), they survive this store being dropped
-  /// with its EvalState.
+  /// aligned out to multiples of it (0 behaves as 1). The cumulative
+  /// crack.* counters are cells in `metrics` (null = the process-wide
+  /// default registry), so they outlive this store and its EvalState.
   CrackedSequenceStore(std::vector<std::string> names, size_t min_piece,
                        FetchFn fetch, obs::MetricsRegistry* metrics = nullptr);
 
@@ -128,15 +127,12 @@ class CrackedSequenceStore final : public SequenceSource {
   mutable std::vector<std::string> sequences_;
   mutable std::vector<uint8_t> state_;
   mutable uint64_t loaded_pieces_ = 0;
-  mutable uint64_t sequences_loaded_ = 0;
-  mutable uint64_t fetches_ = 0;
-  mutable uint64_t batches_ = 0;
-  mutable uint64_t piece_hits_ = 0;
-  /// Telemetry mirrors (null without a registry).
-  obs::Counter* fetches_ctr_ = nullptr;
-  obs::Counter* batches_ctr_ = nullptr;
-  obs::Counter* piece_hits_ctr_ = nullptr;
-  obs::Counter* sequences_loaded_ctr_ = nullptr;
+  mutable uint64_t sequences_resident_ = 0;
+  /// Registry cells (resolved once in the ctor).
+  obs::Counter* fetches_;
+  obs::Counter* batches_;
+  obs::Counter* piece_hits_;
+  obs::Counter* sequences_loaded_;
 };
 
 }  // namespace cache

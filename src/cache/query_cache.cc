@@ -243,21 +243,5 @@ void QueryCache::NoteBypass() {
   bypassed_->Increment();
 }
 
-CacheStats QueryCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CacheStats stats;
-  stats.hits = hits_->value();
-  stats.misses = misses_->value();
-  stats.insertions = insertions_->value();
-  stats.evictions = evictions_->value();
-  stats.invalidations = invalidations_->value();
-  stats.stale_skips = stale_skips_->value();
-  stats.bypassed = bypassed_->value();
-  stats.entries = entries_.size();
-  stats.bytes_used = bytes_used_;
-  stats.budget_bytes = budget_;
-  return stats;
-}
-
 }  // namespace cache
 }  // namespace crimson

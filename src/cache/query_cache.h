@@ -58,32 +58,6 @@
 namespace crimson {
 namespace cache {
 
-/// Counters for the result cache plus the session's cracked sequence
-/// stores (the crack_* fields are aggregated across trees by
-/// Crimson::GetCacheStats; QueryCache::stats fills only its own).
-struct CacheStats {
-  // Result cache.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;      // byte-budget pressure
-  uint64_t invalidations = 0;  // entries dropped by the stamp check
-  uint64_t stale_skips = 0;    // computed results whose stamp aged out
-  uint64_t bypassed = 0;       // non-idempotent kinds (sampling)
-  uint64_t entries = 0;
-  uint64_t bytes_used = 0;
-  uint64_t budget_bytes = 0;
-  // Cracked sequence stores (aggregate over live EvalStates).
-  uint64_t crack_stores = 0;
-  uint64_t crack_pieces = 0;
-  uint64_t crack_loaded_pieces = 0;
-  uint64_t crack_sequences_loaded = 0;
-  uint64_t crack_sequences_total = 0;
-  uint64_t crack_fetches = 0;
-  uint64_t crack_batches = 0;
-  uint64_t crack_piece_hits = 0;
-};
-
 /// The validity stamp captured before a cacheable query executes.
 struct ReadStamp {
   uint64_t generation = 0;
@@ -101,7 +75,7 @@ class QueryCache {
   /// are registry-backed cells named after the wire keys (cache.hits,
   /// cache.misses, ...); when `metrics` is null the cache owns a
   /// private registry, so standalone instances keep isolated counts.
-  /// stats() reads the cells back -- one source of truth.
+  /// The cells are the only copy of these counts.
   explicit QueryCache(uint64_t budget_bytes,
                       obs::MetricsRegistry* metrics = nullptr);
 
@@ -158,9 +132,6 @@ class QueryCache {
   /// Counts a query that skipped the cache because its kind is not
   /// idempotent.
   void NoteBypass();
-
-  /// Snapshot of the result-cache counters (crack_* left zero).
-  CacheStats stats() const;
 
  private:
   enum class Segment : uint8_t { kProbation, kProtected };

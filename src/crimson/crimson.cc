@@ -228,6 +228,23 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
         obs::StageName(static_cast<obs::Stage>(i)).data()));
   }
   c->slow_queries_ = c->metrics_->GetCounter("query.slow");
+  // The cracked stores resolve their cumulative counters only when the
+  // first evaluation state is built; resolving them here too keeps the
+  // key set of a fresh session's snapshot stable.
+  obs::MetricsRegistry* reg = c->metrics_.get();
+  for (const char* name : {"crack.fetches", "crack.batches",
+                           "crack.piece_hits", "crack.sequences_loaded"}) {
+    reg->GetCounter(name);
+  }
+  c->live_.crack_stores = reg->GetGauge("crack.stores");
+  c->live_.crack_pieces = reg->GetGauge("crack.pieces");
+  c->live_.crack_loaded_pieces = reg->GetGauge("crack.loaded_pieces");
+  c->live_.crack_sequences_resident =
+      reg->GetGauge("crack.sequences_resident");
+  c->live_.crack_sequences_total = reg->GetGauge("crack.sequences_total");
+  c->live_.pages_live_versions = reg->GetGauge("pages.live_versions");
+  c->live_.pages_active_snapshots = reg->GetGauge("pages.active_snapshots");
+  c->live_.pages_committed_epoch = reg->GetGauge("pages.committed_epoch");
   return c;
 }
 
@@ -1175,47 +1192,34 @@ Status Crimson::Checkpoint() {
   return hist.ok() ? s : hist;
 }
 
-cache::CacheStats Crimson::GetCacheStats() const {
-  cache::CacheStats stats = query_cache_->stats();
-  // Snapshot the live states under eval_mu_, then read their store
-  // counters outside it (the stores take their own mutex; holding
-  // eval_mu_ across that would invert the fetch callback's
-  // store -> eval_mu_ order).
+obs::MetricsSnapshot Crimson::SnapshotMetrics() const {
+  // Refresh the live gauges first. Counters need no refresh; they are
+  // written at the event sites. The live states are copied under
+  // eval_mu_ and their stores read outside it (the stores take their
+  // own mutex; holding eval_mu_ across that would invert the fetch
+  // callback's store -> eval_mu_ order).
   std::vector<std::shared_ptr<const EvalState>> states;
   {
     std::lock_guard<std::mutex> lock(eval_mu_);
     states.reserve(eval_cache_.size());
     for (const auto& [id, state] : eval_cache_) states.push_back(state);
   }
+  cache::CrackedStoreStats sum;
   for (const auto& state : states) {
-    cache::CrackedStoreStats s = state->store->stats();
-    ++stats.crack_stores;
-    stats.crack_pieces += s.pieces;
-    stats.crack_loaded_pieces += s.loaded_pieces;
-    stats.crack_sequences_loaded += s.sequences_loaded;
-    stats.crack_sequences_total += s.sequences_total;
-    stats.crack_fetches += s.fetches;
-    stats.crack_batches += s.batches;
-    stats.crack_piece_hits += s.piece_hits;
+    const cache::CrackedStoreStats s = state->store->stats();
+    sum.pieces += s.pieces;
+    sum.loaded_pieces += s.loaded_pieces;
+    sum.sequences_resident += s.sequences_resident;
+    sum.sequences_total += s.sequences_total;
   }
-  return stats;
-}
-
-obs::MetricsSnapshot Crimson::SnapshotMetrics() const {
-  // Refresh the derived gauges first: live cracked-store aggregates
-  // (a walk over the current evaluation states -- unlike the crack.*
-  // counters, which are cumulative across state drops) and the MVCC
-  // chain levels. Counters need no refresh; they are written at the
-  // event sites.
-  cache::CacheStats cs = GetCacheStats();
-  metrics_->GetGauge("crack.stores")->Set(cs.crack_stores);
-  metrics_->GetGauge("crack.pieces")->Set(cs.crack_pieces);
-  metrics_->GetGauge("crack.loaded_pieces")->Set(cs.crack_loaded_pieces);
-  metrics_->GetGauge("crack.sequences_total")->Set(cs.crack_sequences_total);
-  PageVersions::Stats ps = db_->page_version_stats();
-  metrics_->GetGauge("pages.live_versions")->Set(ps.live_versions);
-  metrics_->GetGauge("pages.active_snapshots")->Set(ps.active_snapshots);
-  metrics_->GetGauge("pages.committed_epoch")->Set(ps.committed_epoch);
+  live_.crack_stores->Set(states.size());
+  live_.crack_pieces->Set(sum.pieces);
+  live_.crack_loaded_pieces->Set(sum.loaded_pieces);
+  live_.crack_sequences_resident->Set(sum.sequences_resident);
+  live_.crack_sequences_total->Set(sum.sequences_total);
+  live_.pages_live_versions->Set(db_->live_versions());
+  live_.pages_active_snapshots->Set(db_->active_snapshots());
+  live_.pages_committed_epoch->Set(db_->committed_epoch());
   return metrics_->Snapshot();
 }
 

@@ -281,19 +281,16 @@ class Crimson {
   /// with durability off (equivalent to Flush).
   Status Checkpoint();
 
-  /// Result-cache counters plus the aggregated cracked-store counters
-  /// of every live evaluation state (see cache::CacheStats).
-  cache::CacheStats GetCacheStats() const;
-
   /// The session's metrics registry. Every layer under this session --
   /// storage engine, result cache, cracked stores, query dispatch, and
   /// any server front door -- writes into it. Valid for the session's
   /// lifetime; callers may resolve and cache cells.
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
-  /// Point-in-time copy of every session metric, with the derived
-  /// gauges (live cracked-store aggregates, MVCC chain levels)
-  /// refreshed first. This is what the wire stats frame carries.
+  /// Point-in-time copy of every session metric, with the live gauges
+  /// (cracked-store residency summed over the live evaluation states,
+  /// MVCC chain levels) refreshed first. The wire stats frame carries
+  /// exactly this snapshot.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
   Database* database() { return db_.get(); }
@@ -454,6 +451,18 @@ class Crimson {
   KindCells kind_cells_[kQueryKindCount];
   obs::Histogram* stage_hists_[obs::kStageCount] = {};  // query.stage.<s>_us
   obs::Counter* slow_queries_ = nullptr;                // query.slow
+  /// Live-level gauges SnapshotMetrics refreshes; resolved at Open so
+  /// a fresh session's snapshot already carries every key.
+  struct LiveGauges {
+    obs::Gauge* crack_stores = nullptr;
+    obs::Gauge* crack_pieces = nullptr;
+    obs::Gauge* crack_loaded_pieces = nullptr;
+    obs::Gauge* crack_sequences_resident = nullptr;
+    obs::Gauge* crack_sequences_total = nullptr;
+    obs::Gauge* pages_live_versions = nullptr;
+    obs::Gauge* pages_active_snapshots = nullptr;
+    obs::Gauge* pages_committed_epoch = nullptr;
+  } live_;
 
   /// Guards the repos_ pointer swap/copy only (reopen vs. readers).
   mutable std::mutex repos_mu_;

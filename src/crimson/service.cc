@@ -57,12 +57,8 @@ Status SessionService::DropTree(const std::string& name) {
   return session_->DropTree(name);
 }
 
-SessionStats SessionService::Stats() const {
-  SessionStats stats;
-  stats.cache = session_->GetCacheStats();
-  stats.pages = session_->database()->page_version_stats();
-  stats.metrics = session_->SnapshotMetrics();
-  return stats;
+obs::MetricsSnapshot SessionService::Metrics() const {
+  return session_->SnapshotMetrics();
 }
 
 Status SessionService::Checkpoint() { return session_->Checkpoint(); }

@@ -24,17 +24,6 @@
 
 namespace crimson {
 
-/// Point-in-time server-side counters: the session's adaptive cache
-/// (result cache + cracked stores, shared across every connection)
-/// and the storage engine's MVCC side table, plus the full metrics
-/// snapshot (every layer: query, storage, cache, net) the kStats wire
-/// frame carries alongside the legacy structs.
-struct SessionStats {
-  cache::CacheStats cache;
-  PageVersions::Stats pages;
-  obs::MetricsSnapshot metrics;
-};
-
 /// Thread-safe (the underlying session is); one instance serves every
 /// server connection.
 class SessionService {
@@ -74,9 +63,10 @@ class SessionService {
   /// Drops a stored tree (rows, bound handle, cached state).
   [[nodiscard]] Status DropTree(const std::string& name);
 
-  /// Cache + MVCC counters (the kStats wire op; also the drain-time
-  /// summary crimson_server logs).
-  [[nodiscard]] SessionStats Stats() const;
+  /// The session's metrics snapshot, every layer (query, storage,
+  /// cache, net): Crimson::SnapshotMetrics, unchanged. The kStats wire
+  /// op carries it; crimson_server logs its drain summary from it.
+  [[nodiscard]] obs::MetricsSnapshot Metrics() const;
 
   /// Durable checkpoint; the server's graceful-drain hook.
   Status Checkpoint();

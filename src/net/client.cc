@@ -253,17 +253,12 @@ Result<std::vector<QueryRepository::Entry>> CrimsonClient::History(
   return DecodeHistoryEntries(&in);
 }
 
-Result<SessionStats> CrimsonClient::ServerStats() {
+Result<obs::MetricsSnapshot> CrimsonClient::ServerMetrics() {
   CRIMSON_ASSIGN_OR_RETURN(
       Frame frame,
       RoundTrip(MessageType::kStats, Slice(), MessageType::kStatsOk));
   Slice in(frame.payload);
-  return DecodeSessionStats(&in);
-}
-
-Result<obs::MetricsSnapshot> CrimsonClient::ServerMetrics() {
-  CRIMSON_ASSIGN_OR_RETURN(SessionStats stats, ServerStats());
-  return std::move(stats.metrics);
+  return DecodeMetricsSnapshot(&in);
 }
 
 Status CrimsonClient::Checkpoint() {

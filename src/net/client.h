@@ -114,12 +114,9 @@ class CrimsonClient {
   [[nodiscard]] Result<std::vector<QueryRepository::Entry>> History(
       size_t limit = 50);
 
-  /// The server's cache + MVCC counters (a point-in-time snapshot).
-  [[nodiscard]] Result<SessionStats> ServerStats();
-
-  /// The server's full metrics snapshot -- every layer (query kinds,
-  /// storage, cache, net) with latency histograms. Same wire exchange
-  /// as ServerStats; this accessor just returns the registry view.
+  /// The server's metrics snapshot -- every layer (query kinds,
+  /// storage, cache, net) with latency histograms: the server
+  /// session's Crimson::SnapshotMetrics, key for key.
   [[nodiscard]] Result<obs::MetricsSnapshot> ServerMetrics();
 
   /// Asks the server for a durable checkpoint.

@@ -462,92 +462,15 @@ Result<std::vector<QueryRepository::Entry>> DecodeHistoryEntries(Slice* in) {
   return out;
 }
 
-// -- session stats ----------------------------------------------------------
+// -- metrics snapshot -------------------------------------------------------
 
-namespace {
-
-/// Overlays the legacy fixed-key counters onto the merged dictionary.
-/// Applied after the registry snapshot so the structs stay the wire
-/// source of truth for these 24 names -- the registry's crack.*
-/// mirrors are cumulative across evaluation-state drops, while the
-/// struct aggregates walk the *live* states (the pre-registry wire
-/// semantics).
-void OverlayLegacyCounters(const SessionStats& stats,
-                           std::map<std::string, uint64_t>* counters) {
-  const cache::CacheStats& c = stats.cache;
-  const PageVersions::Stats& p = stats.pages;
-  const std::pair<const char*, uint64_t> legacy[] = {
-      {"cache.hits", c.hits},
-      {"cache.misses", c.misses},
-      {"cache.insertions", c.insertions},
-      {"cache.evictions", c.evictions},
-      {"cache.invalidations", c.invalidations},
-      {"cache.stale_skips", c.stale_skips},
-      {"cache.bypassed", c.bypassed},
-      {"cache.entries", c.entries},
-      {"cache.bytes_used", c.bytes_used},
-      {"cache.budget_bytes", c.budget_bytes},
-      {"crack.stores", c.crack_stores},
-      {"crack.pieces", c.crack_pieces},
-      {"crack.loaded_pieces", c.crack_loaded_pieces},
-      {"crack.sequences_loaded", c.crack_sequences_loaded},
-      {"crack.sequences_total", c.crack_sequences_total},
-      {"crack.fetches", c.crack_fetches},
-      {"crack.batches", c.crack_batches},
-      {"crack.piece_hits", c.crack_piece_hits},
-      {"pages.captured_pages", p.captured_pages},
-      {"pages.version_hits", p.version_hits},
-      {"pages.versions_dropped", p.versions_dropped},
-      {"pages.live_versions", p.live_versions},
-      {"pages.active_snapshots", p.active_snapshots},
-      {"pages.committed_epoch", p.committed_epoch},
-  };
-  for (const auto& [key, value] : legacy) (*counters)[key] = value;
-}
-
-/// Projects the legacy fixed keys out of the decoded dictionary into
-/// the structs (absent keys stay 0 -- the old decode contract).
-void FillLegacyStructs(SessionStats* stats) {
-  const obs::MetricsSnapshot& m = stats->metrics;
-  cache::CacheStats& c = stats->cache;
-  PageVersions::Stats& p = stats->pages;
-  c.hits = m.counter("cache.hits");
-  c.misses = m.counter("cache.misses");
-  c.insertions = m.counter("cache.insertions");
-  c.evictions = m.counter("cache.evictions");
-  c.invalidations = m.counter("cache.invalidations");
-  c.stale_skips = m.counter("cache.stale_skips");
-  c.bypassed = m.counter("cache.bypassed");
-  c.entries = m.counter("cache.entries");
-  c.bytes_used = m.counter("cache.bytes_used");
-  c.budget_bytes = m.counter("cache.budget_bytes");
-  c.crack_stores = m.counter("crack.stores");
-  c.crack_pieces = m.counter("crack.pieces");
-  c.crack_loaded_pieces = m.counter("crack.loaded_pieces");
-  c.crack_sequences_loaded = m.counter("crack.sequences_loaded");
-  c.crack_sequences_total = m.counter("crack.sequences_total");
-  c.crack_fetches = m.counter("crack.fetches");
-  c.crack_batches = m.counter("crack.batches");
-  c.crack_piece_hits = m.counter("crack.piece_hits");
-  p.captured_pages = m.counter("pages.captured_pages");
-  p.version_hits = m.counter("pages.version_hits");
-  p.versions_dropped = m.counter("pages.versions_dropped");
-  p.live_versions = m.counter("pages.live_versions");
-  p.active_snapshots = m.counter("pages.active_snapshots");
-  p.committed_epoch = m.counter("pages.committed_epoch");
-}
-
-}  // namespace
-
-void EncodeSessionStats(std::string* dst, const SessionStats& stats) {
-  // One sorted dictionary carrying every registry counter and gauge,
-  // with the 24 legacy fixed keys overlaid (see OverlayLegacyCounters).
+void EncodeMetricsSnapshot(std::string* dst,
+                           const obs::MetricsSnapshot& snapshot) {
+  // One sorted dictionary carrying every registry counter and gauge.
   // Sorted-map iteration makes the encoding deterministic: a decoded
   // snapshot re-encodes byte-identically.
-  std::map<std::string, uint64_t> counters = stats.metrics.counters;
-  OverlayLegacyCounters(stats, &counters);
-  PutVarint64(dst, counters.size());
-  for (const auto& [key, value] : counters) {
+  PutVarint64(dst, snapshot.counters.size());
+  for (const auto& [key, value] : snapshot.counters) {
     PutString(dst, key);
     PutVarint64(dst, value);
   }
@@ -556,8 +479,8 @@ void EncodeSessionStats(std::string* dst, const SessionStats& stats) {
   // decoder treats its absence as zero histograms -- no version bump.
   // Each histogram is self-describing: its inclusive upper bounds
   // (last one UINT64_MAX, the overflow bucket) travel with the counts.
-  PutVarint64(dst, stats.metrics.histograms.size());
-  for (const auto& [key, h] : stats.metrics.histograms) {
+  PutVarint64(dst, snapshot.histograms.size());
+  for (const auto& [key, h] : snapshot.histograms) {
     PutString(dst, key);
     PutVarint64(dst, h.bounds.size());
     for (size_t i = 0; i < h.bounds.size(); ++i) {
@@ -569,24 +492,22 @@ void EncodeSessionStats(std::string* dst, const SessionStats& stats) {
   }
 }
 
-Result<SessionStats> DecodeSessionStats(Slice* in) {
+Result<obs::MetricsSnapshot> DecodeMetricsSnapshot(Slice* in) {
   uint64_t n = 0;
   if (!GetVarint64(in, &n)) return Truncated("stats counter count");
   if (n > in->size()) return Truncated("stats counter count");
-  SessionStats stats;
+  obs::MetricsSnapshot snapshot;
   for (uint64_t i = 0; i < n; ++i) {
     std::string key;
     uint64_t value = 0;
     if (!GetString(in, &key) || !GetVarint64(in, &value)) {
       return Truncated("stats counter");
     }
-    // Every key is retained in the generic snapshot (unknown names
-    // included, so re-encoding reproduces the payload); the legacy
-    // structs are projected out below.
-    stats.metrics.counters[std::move(key)] = value;
+    // Every key is retained, unknown names included, so re-encoding
+    // reproduces the payload.
+    snapshot.counters[std::move(key)] = value;
   }
-  FillLegacyStructs(&stats);
-  if (in->empty()) return stats;  // Pre-histogram payload.
+  if (in->empty()) return snapshot;  // Pre-histogram payload.
   uint64_t hn = 0;
   if (!GetVarint64(in, &hn)) return Truncated("stats histogram count");
   if (hn > in->size()) return Truncated("stats histogram count");
@@ -611,9 +532,9 @@ Result<SessionStats> DecodeSessionStats(Slice* in) {
     if (!GetVarint64(in, &h.count) || !GetVarint64(in, &h.sum)) {
       return Truncated("stats histogram totals");
     }
-    stats.metrics.histograms.emplace(std::move(key), std::move(h));
+    snapshot.histograms.emplace(std::move(key), std::move(h));
   }
-  return stats;
+  return snapshot;
 }
 
 // -- status -----------------------------------------------------------------

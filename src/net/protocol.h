@@ -44,7 +44,7 @@
 #include "crimson/data_loader.h"
 #include "crimson/query_request.h"
 #include "crimson/repositories.h"
-#include "crimson/service.h"
+#include "obs/metrics.h"
 #include "tree/phylo_tree.h"
 
 namespace crimson {
@@ -156,17 +156,17 @@ Result<std::vector<QueryRepository::Entry>> DecodeHistoryEntries(Slice* in);
 
 /// kStatsOk payload: a self-describing counter dictionary (varint
 /// count, then per counter a length-prefixed dotted key and a varint
-/// value) followed by a histogram section (varint count, then per
-/// histogram a length-prefixed key, varint bucket count, (bound,
-/// count) varint pairs -- the last bound is UINT64_MAX, the overflow
-/// bucket -- and varint total count and sum). Decoders retain every
-/// counter key in SessionStats::metrics (unknown names included, so a
-/// decoded snapshot re-encodes byte-identically), project the legacy
-/// fixed keys into the cache/pages structs (absent keys stay 0), and
-/// treat a missing histogram section as empty -- so either side can
-/// gain counters or histograms without a version bump.
-void EncodeSessionStats(std::string* dst, const SessionStats& stats);
-Result<SessionStats> DecodeSessionStats(Slice* in);
+/// value; gauges ride here too) followed by a histogram section
+/// (varint count, then per histogram a length-prefixed key, varint
+/// bucket count, (bound, count) varint pairs -- the last bound is
+/// UINT64_MAX, the overflow bucket -- and varint total count and sum).
+/// Decoders retain every key (unknown names included, so a decoded
+/// snapshot re-encodes byte-identically) and treat a missing histogram
+/// section as empty -- so either side can gain counters or histograms
+/// without a version bump.
+void EncodeMetricsSnapshot(std::string* dst,
+                           const obs::MetricsSnapshot& snapshot);
+Result<obs::MetricsSnapshot> DecodeMetricsSnapshot(Slice* in);
 
 /// kError payload: status code + message + retry-after hint. The
 /// decoded Status reproduces code, message, and (for kUnavailable)

@@ -86,19 +86,6 @@ Status CrimsonServer::Shutdown() {
   return service_->Checkpoint();
 }
 
-ServerStats CrimsonServer::stats() const {
-  ServerStats s;
-  s.connections_accepted = connections_accepted_->value();
-  s.connections_rejected = connections_rejected_->value();
-  s.frames_received = frames_received_->value();
-  s.queries_executed = queries_executed_->value();
-  s.batches_executed = batches_executed_->value();
-  s.queries_rejected_unavailable = queries_rejected_->value();
-  s.protocol_errors = protocol_errors_->value();
-  s.retry_afters_sent = retry_afters_->value();
-  return s;
-}
-
 void CrimsonServer::JoinConnections(bool all) {
   std::vector<std::unique_ptr<Connection>> reaped;
   {
@@ -117,8 +104,12 @@ void CrimsonServer::JoinConnections(bool all) {
       }
     }
   }
+  // Only a joined slot's socket is closed: until then Shutdown may
+  // still half-close it from another thread, and closing earlier would
+  // race that call (and could hand it a recycled fd).
   for (auto& conn : reaped) {
     if (conn->thread.joinable()) conn->thread.join();
+    conn->socket.Close();
   }
 }
 
@@ -229,7 +220,9 @@ void CrimsonServer::ServeConnection(Connection* conn) {
       closing = true;
     }
   }
-  conn->socket.Close();
+  // Hang up (the peer sees EOF now) but leave the fd open:
+  // JoinConnections closes it after joining this thread.
+  conn->socket.ShutdownBoth();
   conn->done.store(true);
 }
 
@@ -415,7 +408,7 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
         return;
       }
       std::string payload;
-      EncodeSessionStats(&payload, service_->Stats());
+      EncodeMetricsSnapshot(&payload, service_->Metrics());
       AppendFrame(out, MessageType::kStatsOk, payload);
       return;
     }

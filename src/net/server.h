@@ -90,21 +90,6 @@ struct ServerOptions {
   int inject_query_delay_us = 0;
 };
 
-/// Monotonic counters, readable at any time (values are snapshots).
-/// Backed by the session registry's net.* cells (one source of truth:
-/// the same values ride the kStats wire frame), projected into this
-/// struct for existing callers.
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t frames_received = 0;
-  uint64_t queries_executed = 0;
-  uint64_t batches_executed = 0;
-  uint64_t queries_rejected_unavailable = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t retry_afters_sent = 0;
-};
-
 class CrimsonServer {
  public:
   /// Binds, starts the accept loop, and returns a running server. The
@@ -124,8 +109,6 @@ class CrimsonServer {
   /// Graceful drain: stop accepting, let in-flight requests finish and
   /// flush, join every connection, checkpoint the session. Idempotent.
   Status Shutdown();
-
-  ServerStats stats() const;
 
  private:
   CrimsonServer(SessionService* service, ServerOptions options);
@@ -174,9 +157,8 @@ class CrimsonServer {
   /// types without one (queries go through query_run_us_ instead).
   obs::Histogram* OpHistogram(MessageType type) const;
 
-  // Stats: net.* cells in the session registry, resolved once at
-  // construction (relaxed atomics; stats() snapshots them and the
-  // kStats frame carries them).
+  // net.* cells in the session registry, resolved once at
+  // construction (relaxed atomics; the kStats frame carries them).
   obs::Counter* connections_accepted_;
   obs::Counter* connections_rejected_;
   obs::Counter* frames_received_;

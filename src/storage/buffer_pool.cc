@@ -43,12 +43,11 @@ BufferPool::BufferPool(Pager* pager, size_t capacity, WalContext* wal_ctx,
                        PageVersions* versions, obs::MetricsRegistry* metrics)
     : pager_(pager), wal_ctx_(wal_ctx), versions_(versions) {
   assert(capacity >= 8 && "buffer pool needs at least 8 frames");
-  if (metrics != nullptr) {
-    hits_ctr_ = metrics->GetCounter("storage.pool.hits");
-    misses_ctr_ = metrics->GetCounter("storage.pool.misses");
-    evictions_ctr_ = metrics->GetCounter("storage.pool.evictions");
-    writebacks_ctr_ = metrics->GetCounter("storage.pool.dirty_writebacks");
-  }
+  if (metrics == nullptr) metrics = &obs::MetricsRegistry::Default();
+  hits_ = metrics->GetCounter("storage.pool.hits");
+  misses_ = metrics->GetCounter("storage.pool.misses");
+  evictions_ = metrics->GetCounter("storage.pool.evictions");
+  dirty_writebacks_ = metrics->GetCounter("storage.pool.dirty_writebacks");
   frames_.resize(capacity);
   free_frames_.reserve(capacity);
   for (size_t i = 0; i < capacity; ++i) {
@@ -135,8 +134,7 @@ Status BufferPool::WriteBack(Frame& frame) {
   }
   CRIMSON_RETURN_IF_ERROR(pager_->WritePage(frame.page_id, frame.data.data()));
   frame.dirty = false;
-  ++stats_.dirty_writebacks;
-  if (writebacks_ctr_) writebacks_ctr_->Increment();
+  dirty_writebacks_->Increment();
   return Status::OK();
 }
 
@@ -158,8 +156,7 @@ Result<size_t> BufferPool::GetVictimFrameLocked() {
     f.in_lru = false;
     page_table_.erase(f.page_id);
     f.valid = false;
-    ++stats_.evictions;
-    if (evictions_ctr_) evictions_ctr_->Increment();
+    evictions_->Increment();
     return idx;
   }
   return Status::ResourceExhausted(
@@ -227,8 +224,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id, PageIntent intent) {
     auto it = page_table_.find(id);
     if (it != page_table_.end()) {
       size_t idx = it->second;
-      ++stats_.hits;
-      if (hits_ctr_) hits_ctr_->Increment();
+      hits_->Increment();
       PageGuard guard = PinAndLatch(std::move(lock), idx, id, intent);
       // A pinned frame can only go invalid if its installer's disk
       // read failed while this thread waited on the latch (both reads
@@ -252,8 +248,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id, PageIntent intent) {
       }
       return guard;
     }
-    ++stats_.misses;
-    if (misses_ctr_) misses_ctr_->Increment();
+    misses_->Increment();
     CRIMSON_ASSIGN_OR_RETURN(size_t idx, InstallFrameLocked(id));
     Frame& f = frames_[idx];
     lock.unlock();
@@ -460,8 +455,7 @@ Status BufferPool::ForceTxnPages(const std::set<PageId>& pages) {
     if (!f.valid || !f.dirty) continue;
     CRIMSON_RETURN_IF_ERROR(pager_->WritePage(id, f.data.data()));
     f.dirty = false;
-    ++stats_.dirty_writebacks;
-    if (writebacks_ctr_) writebacks_ctr_->Increment();
+    dirty_writebacks_->Increment();
   }
   return Status::OK();
 }
@@ -500,16 +494,6 @@ Status BufferPool::FlushAll() {
     }
   }
   return Status::OK();
-}
-
-BufferPoolStats BufferPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void BufferPool::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = BufferPoolStats();
 }
 
 }  // namespace crimson

@@ -140,14 +140,6 @@ class PageGuard {
   std::shared_ptr<const std::vector<char>> snapshot_;
 };
 
-/// Cache statistics (cumulative).
-struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t dirty_writebacks = 0;
-};
-
 /// Page cache over a Pager. Thread-safe: any number of reader threads
 /// may Fetch concurrently (including cold misses); mutations assume
 /// the engine's single-writer discipline (Database writer epochs) but
@@ -166,9 +158,10 @@ class BufferPool {
   /// (durability off) and must outlive the pool. versions may be null
   /// (no snapshot reads: every Fetch sees live frames) and must
   /// outlive the pool; with it attached, the pool is the MVCC capture
-  /// and resolution point (see page_versions.h). `metrics` (optional)
-  /// receives cumulative storage.pool.* counter mirrors -- stats() and
-  /// ResetStats() keep their per-pool semantics regardless.
+  /// and resolution point (see page_versions.h). The cumulative
+  /// storage.pool.* counters (hits, misses, evictions,
+  /// dirty_writebacks) are cells in `metrics` (null = the process-wide
+  /// default registry), which must outlive the pool.
   BufferPool(Pager* pager, size_t capacity, WalContext* wal_ctx = nullptr,
              PageVersions* versions = nullptr,
              obs::MetricsRegistry* metrics = nullptr);
@@ -216,8 +209,6 @@ class BufferPool {
   /// fetches reread the committed bytes from disk.
   Status DiscardTxnPages();
 
-  BufferPoolStats stats() const;
-  void ResetStats();
   size_t capacity() const { return frames_.size(); }
   Pager* pager() { return pager_; }
 
@@ -268,7 +259,7 @@ class BufferPool {
   std::vector<Frame> frames_;
 
   /// Guards the frame table: page_table_, lru_, free_frames_, frame
-  /// metadata (pin counts, dirty/valid flags), and stats_. Held for
+  /// metadata (pin counts, dirty/valid flags). Held for
   /// map/list operations and for the write-back of a *dirty* eviction
   /// victim (a deliberate simplification: releasing mu_ mid-eviction
   /// would need an "evicting" frame state and a re-check; dirty
@@ -284,13 +275,11 @@ class BufferPool {
   std::unordered_map<PageId, size_t> page_table_;
   std::list<size_t> lru_;        // front = most recent
   std::vector<size_t> free_frames_;
-  BufferPoolStats stats_;
-  /// Telemetry mirrors (null without a registry); bumped under mu_
-  /// alongside stats_, never reset.
-  obs::Counter* hits_ctr_ = nullptr;
-  obs::Counter* misses_ctr_ = nullptr;
-  obs::Counter* evictions_ctr_ = nullptr;
-  obs::Counter* writebacks_ctr_ = nullptr;
+  /// Registry cells (resolved once in the ctor; bumped under mu_).
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
+  obs::Counter* dirty_writebacks_;
 };
 
 }  // namespace crimson

@@ -29,6 +29,15 @@ void Database::ReadTxn::End() {
   token_ = 0;
 }
 
+Database::Database(const DatabaseOptions& options)
+    : options_(options),
+      owned_metrics_(options.metrics == nullptr
+                         ? std::make_unique<obs::MetricsRegistry>()
+                         : nullptr),
+      metrics_(options.metrics == nullptr ? owned_metrics_.get()
+                                          : options.metrics),
+      versions_(metrics_) {}
+
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& path, const DatabaseOptions& options) {
   CRIMSON_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
@@ -48,8 +57,7 @@ Result<std::unique_ptr<Database>> Database::OpenInMemory(
 Result<std::unique_ptr<Database>> Database::Build(
     std::unique_ptr<File> file, const DatabaseOptions& options,
     const std::string& path) {
-  auto db = std::unique_ptr<Database>(new Database());
-  db->options_ = options;
+  auto db = std::unique_ptr<Database>(new Database(options));
   const bool want_wal =
       options.durability != Durability::kOff && !path.empty();
   if (!path.empty()) {
@@ -78,13 +86,10 @@ Result<std::unique_ptr<Database>> Database::Build(
   }
   CRIMSON_ASSIGN_OR_RETURN(
       db->pager_, Pager::Open(std::move(file), /*deferred_header=*/want_wal));
-  if (options.metrics != nullptr) {
-    db->versions_.BindMetrics(options.metrics);
-    if (db->wal_) db->wal_->BindMetrics(options.metrics);
-  }
+  if (db->wal_) db->wal_->BindMetrics(db->metrics_);
   db->pool_ = std::make_unique<BufferPool>(
       db->pager_.get(), options.buffer_pool_pages,
-      db->wal_ ? &db->wal_ctx_ : nullptr, &db->versions_, options.metrics);
+      db->wal_ ? &db->wal_ctx_ : nullptr, &db->versions_, db->metrics_);
   if (db->pager_->catalog_root() == kInvalidPageId) {
     CRIMSON_ASSIGN_OR_RETURN(Txn txn, db->Begin());
     CRIMSON_ASSIGN_OR_RETURN(BTree catalog, BTree::Create(db->pool_.get()));

@@ -68,10 +68,9 @@ struct DatabaseOptions {
   uint64_t wal_checkpoint_bytes = 16ull << 20;
   /// Filesystem hooks; tests substitute fault-injecting environments.
   StorageEnv env = PosixStorageEnv();
-  /// Observability registry the engine mirrors its cumulative counters
-  /// into (storage.pool.*, storage.wal.*, pages.*); null = not
-  /// mirrored. The struct accessors (stats(), page_version_stats())
-  /// stay per-instance either way. Must outlive the database.
+  /// Observability registry holding the engine's cumulative counters
+  /// (storage.pool.*, storage.wal.*, pages.*); null = the database owns
+  /// a private one. Must outlive the database.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -230,17 +229,20 @@ class Database {
 
   BufferPool* buffer_pool() { return pool_.get(); }
   Wal* wal() { return wal_.get(); }
-  BufferPoolStats stats() const { return pool_->stats(); }
-  /// MVCC side-table counters (captures, version hits, live chains).
-  PageVersions::Stats page_version_stats() const { return versions_.stats(); }
-  /// The committed epoch alone (no chain walk; the query cache stamps
+  /// The registry holding the engine's counters (options.metrics, or
+  /// the private one).
+  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// MVCC side-table live levels.
+  uint64_t live_versions() const { return versions_.live_versions(); }
+  uint64_t active_snapshots() const { return versions_.active_snapshots(); }
+  /// The committed epoch (no chain walk; the query cache stamps
   /// entries with it on every cacheable miss).
   uint64_t committed_epoch() const { return versions_.committed_epoch(); }
 
  private:
   friend class Txn;
 
-  Database() = default;
+  explicit Database(const DatabaseOptions& options);
 
   static Result<std::unique_ptr<Database>> Build(
       std::unique_ptr<File> file, const DatabaseOptions& options,
@@ -252,6 +254,10 @@ class Database {
   void ReleaseWriterEpoch();
 
   DatabaseOptions options_;
+  /// Backing registry when options.metrics was null; declared before
+  /// every component holding its cells.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<Wal> wal_;
   WalContext wal_ctx_;

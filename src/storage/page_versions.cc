@@ -21,6 +21,11 @@ thread_local std::vector<ThreadSnapshotEntry> t_snapshots;
 
 }  // namespace
 
+PageVersions::PageVersions(obs::MetricsRegistry* metrics)
+    : captured_pages_(metrics->GetCounter("pages.captured_pages")),
+      version_hits_(metrics->GetCounter("pages.version_hits")),
+      versions_dropped_(metrics->GetCounter("pages.versions_dropped")) {}
+
 void PageVersions::BeginTxn(uint32_t base_page_count) {
   std::lock_guard<std::mutex> lock(mu_);
   assert(!txn_active_ && "write transaction already open");
@@ -55,8 +60,7 @@ void PageVersions::DropTxn() {
     auto& chain = it->second;
     while (!chain.empty() && chain.back().valid_through == capture_epoch_) {
       chain.pop_back();
-      ++stats_.versions_dropped;
-      if (dropped_ctr_) dropped_ctr_->Increment();
+      versions_dropped_->Increment();
     }
     if (chain.empty()) versions_.erase(it);
   }
@@ -75,8 +79,7 @@ void PageVersions::MaybeCapture(PageId id, const char* data) {
   auto& chain = versions_[id];
   assert(chain.empty() || chain.back().valid_through < capture_epoch_);
   chain.push_back(std::move(v));
-  ++stats_.captured_pages;
-  if (captured_ctr_) captured_ctr_->Increment();
+  captured_pages_->Increment();
 }
 
 bool PageVersions::WouldCapture(PageId id) {
@@ -157,8 +160,7 @@ PageVersions::Resolution PageVersions::ResolveForThread(
   for (const Version& v : it->second) {
     if (v.valid_through >= epoch) {
       *out = v.data;
-      ++stats_.version_hits;
-      if (version_hits_ctr_) version_hits_ctr_->Increment();
+      version_hits_->Increment();
       return Resolution::kUseVersion;
     }
   }
@@ -178,8 +180,7 @@ void PageVersions::GcLocked() {
     size_t keep = 0;
     while (keep < chain.size() && chain[keep].valid_through < floor) ++keep;
     if (keep > 0) {
-      stats_.versions_dropped += keep;
-      if (dropped_ctr_) dropped_ctr_->Add(keep);
+      versions_dropped_->Add(keep);
       chain.erase(chain.begin(), chain.begin() + keep);
     }
     if (chain.empty()) {
@@ -190,21 +191,16 @@ void PageVersions::GcLocked() {
   }
 }
 
-void PageVersions::BindMetrics(obs::MetricsRegistry* registry) {
+uint64_t PageVersions::live_versions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  captured_ctr_ = registry->GetCounter("pages.captured_pages");
-  version_hits_ctr_ = registry->GetCounter("pages.version_hits");
-  dropped_ctr_ = registry->GetCounter("pages.versions_dropped");
+  uint64_t n = 0;
+  for (const auto& [id, chain] : versions_) n += chain.size();
+  return n;
 }
 
-PageVersions::Stats PageVersions::stats() const {
+uint64_t PageVersions::active_snapshots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.live_versions = 0;
-  for (const auto& [id, chain] : versions_) s.live_versions += chain.size();
-  s.active_snapshots = active_.size();
-  s.committed_epoch = committed_epoch_;
-  return s;
+  return active_.size();
 }
 
 }  // namespace crimson

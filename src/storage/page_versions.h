@@ -79,16 +79,11 @@ class PageVersions {
     kUseVersion,
   };
 
-  struct Stats {
-    uint64_t captured_pages = 0;   // pre-images copied, cumulative
-    uint64_t version_hits = 0;     // reads served from a version
-    uint64_t versions_dropped = 0; // GC'd entries, cumulative
-    uint64_t live_versions = 0;    // chain entries currently held
-    uint64_t active_snapshots = 0;
-    uint64_t committed_epoch = 0;
-  };
-
-  PageVersions() = default;
+  /// The cumulative counters -- pages.captured_pages (pre-images
+  /// copied), pages.version_hits (reads served from a version) and
+  /// pages.versions_dropped (GC'd entries) -- are cells in `metrics`,
+  /// which must outlive the table.
+  explicit PageVersions(obs::MetricsRegistry* metrics);
   PageVersions(const PageVersions&) = delete;
   PageVersions& operator=(const PageVersions&) = delete;
 
@@ -135,17 +130,13 @@ class PageVersions {
   Resolution ResolveForThread(PageId id,
                               std::shared_ptr<const std::vector<char>>* out);
 
-  Stats stats() const;
+  // -- live levels -----------------------------------------------------------
 
-  /// Mirrors the cumulative counters (pages.captured_pages,
-  /// pages.version_hits, pages.versions_dropped) into `registry` from
-  /// here on. Call before any capture/resolve traffic (Database::Build
-  /// does); stats() stays the per-instance source of truth either way.
-  void BindMetrics(obs::MetricsRegistry* registry);
-
-  /// The current committed epoch alone (cheaper than stats(), which
-  /// walks the chains; hot-path callers stamping cache entries use
-  /// this).
+  /// Chain entries currently held (walks the chains).
+  uint64_t live_versions() const;
+  uint64_t active_snapshots() const;
+  /// The current committed epoch (hot-path callers stamping cache
+  /// entries use this).
   uint64_t committed_epoch() const {
     std::lock_guard<std::mutex> lock(mu_);
     return committed_epoch_;
@@ -176,12 +167,10 @@ class PageVersions {
   std::thread::id writer_thread_{};
   std::set<PageId> txn_captured_;
 
-  Stats stats_;
-  /// Telemetry mirrors (null until BindMetrics): bumped alongside the
-  /// stats_ members so a session registry sees the same counts.
-  obs::Counter* captured_ctr_ = nullptr;
-  obs::Counter* version_hits_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
+  /// Registry cells (resolved once in the ctor).
+  obs::Counter* captured_pages_;
+  obs::Counter* version_hits_;
+  obs::Counter* versions_dropped_;
 };
 
 }  // namespace crimson

@@ -100,7 +100,7 @@ TEST(CrackedStoreTest, FirstTouchLoadsOnlyTheAlignedSlice) {
   EXPECT_EQ(backing.fetched_total(), 8u);
 
   CrackedStoreStats stats = store.stats();
-  EXPECT_EQ(stats.sequences_loaded, 8u);
+  EXPECT_EQ(stats.sequences_resident, 8u);
   EXPECT_EQ(stats.sequences_total, 100u);
   EXPECT_EQ(stats.loaded_pieces, 1u);
   EXPECT_GT(stats.pieces, 1u) << "cracking must have split the domain";
@@ -108,7 +108,8 @@ TEST(CrackedStoreTest, FirstTouchLoadsOnlyTheAlignedSlice) {
 
 TEST(CrackedStoreTest, RepeatQueriesAreServedWithoutFetching) {
   FakeBacking backing(100);
-  CrackedSequenceStore store(backing.names(), 8, backing.fetcher());
+  obs::MetricsRegistry reg;
+  CrackedSequenceStore store(backing.names(), 8, backing.fetcher(), &reg);
   ASSERT_TRUE(store.GetBatch({"s010", "s011"}).ok());
   const size_t calls_after_first = backing.fetch_calls();
 
@@ -119,7 +120,11 @@ TEST(CrackedStoreTest, RepeatQueriesAreServedWithoutFetching) {
   }
   EXPECT_EQ(backing.fetch_calls(), calls_after_first)
       << "the touched region is resident; repeats must not re-fetch";
-  EXPECT_EQ(store.stats().piece_hits, 5u);
+  const obs::MetricsSnapshot m = reg.Snapshot();
+  EXPECT_EQ(m.counter("crack.piece_hits"), 5u);
+  EXPECT_EQ(m.counter("crack.batches"), 6u);
+  EXPECT_EQ(m.counter("crack.fetches"), 1u);
+  EXPECT_EQ(m.counter("crack.sequences_loaded"), 8u);
 }
 
 TEST(CrackedStoreTest, DisjointTouchesCrackIndependentPieces) {
@@ -151,7 +156,7 @@ TEST(CrackedStoreTest, ScatteredWorkloadConvergesToFullResidency) {
   CrackedSequenceStore store(backing.names(), 4, backing.fetcher());
   std::vector<std::string> all = backing.names();
   ASSERT_TRUE(store.GetBatch(all).ok());
-  EXPECT_EQ(store.stats().sequences_loaded, 64u);
+  EXPECT_EQ(store.stats().sequences_resident, 64u);
   // Full residency: later batches never fetch again.
   ASSERT_TRUE(store.GetBatch(all).ok());
   EXPECT_EQ(backing.fetched_total(), 64u);
@@ -246,7 +251,7 @@ TEST(CrackedStoreStressTest, ConcurrentBatchesLoadEachSequenceOnce) {
           << name << " was fetched more than once";
     }
   }
-  EXPECT_LE(store.stats().sequences_loaded, 200u);
+  EXPECT_LE(store.stats().sequences_resident, 200u);
 }
 
 }  // namespace

@@ -15,6 +15,11 @@ namespace crimson {
 namespace cache {
 namespace {
 
+/// One cache.* cell's current value.
+uint64_t Cell(const obs::MetricsRegistry& reg, const std::string& name) {
+  return reg.Snapshot().counter(name);
+}
+
 QueryResult LcaResult(const std::string& name) {
   return QueryResult(LcaAnswer{0, name});
 }
@@ -45,7 +50,8 @@ TEST(CacheabilityTest, KeysSeparateKindsTreesAndParams) {
 }
 
 TEST(QueryCacheTest, InsertThenLookupHits) {
-  QueryCache cache(1 << 20);
+  obs::MetricsRegistry reg;
+  QueryCache cache(1 << 20, &reg);
   ReadStamp stamp = cache.Stamp("t", 5);
   cache.Insert("t", "k", stamp, LcaResult("root"));
   auto hit = cache.Lookup("t", "k");
@@ -53,25 +59,27 @@ TEST(QueryCacheTest, InsertThenLookupHits) {
   EXPECT_EQ(std::get<LcaAnswer>(*hit).name, "root");
   EXPECT_FALSE(cache.Lookup("t", "other").has_value());
 
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes_used, 0u);
+  const obs::MetricsSnapshot stats = reg.Snapshot();
+  EXPECT_EQ(stats.counter("cache.hits"), 1u);
+  EXPECT_EQ(stats.counter("cache.misses"), 1u);
+  EXPECT_EQ(stats.counter("cache.insertions"), 1u);
+  EXPECT_EQ(stats.counter("cache.entries"), 1u);
+  EXPECT_GT(stats.counter("cache.bytes_used"), 0u);
 }
 
 TEST(QueryCacheTest, ZeroBudgetDisablesEverything) {
-  QueryCache cache(0);
+  obs::MetricsRegistry reg;
+  QueryCache cache(0, &reg);
   EXPECT_FALSE(cache.enabled());
   ReadStamp stamp = cache.Stamp("t", 1);
   cache.Insert("t", "k", stamp, LcaResult("root"));
   EXPECT_FALSE(cache.Lookup("t", "k").has_value());
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(Cell(reg, "cache.entries"), 0u);
 }
 
 TEST(InvalidationTest, CommittedMutationInvalidatesOldStamps) {
-  QueryCache cache(1 << 20);
+  obs::MetricsRegistry reg;
+  QueryCache cache(1 << 20, &reg);
   ReadStamp stamp = cache.Stamp("t", 3);
   cache.Insert("t", "k", stamp, LcaResult("old"));
 
@@ -79,7 +87,7 @@ TEST(InvalidationTest, CommittedMutationInvalidatesOldStamps) {
   cache.CommitTreeMutation("t", 4);
 
   EXPECT_FALSE(cache.Lookup("t", "k").has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(Cell(reg, "cache.invalidations"), 1u);
   // Post-mutation stamps validate again.
   ReadStamp fresh = cache.Stamp("t", 4);
   cache.Insert("t", "k", fresh, LcaResult("new"));
@@ -153,7 +161,8 @@ TEST(InvalidationTest, EraseTreeDropsEntriesAndState) {
 }
 
 TEST(StalenessTest, InsertWithAgedStampIsSkipped) {
-  QueryCache cache(1 << 20);
+  obs::MetricsRegistry reg;
+  QueryCache cache(1 << 20, &reg);
   ReadStamp stamp = cache.Stamp("t", 1);
   // The mutation lands while the query is still executing.
   cache.BeginTreeMutation("t");
@@ -161,15 +170,16 @@ TEST(StalenessTest, InsertWithAgedStampIsSkipped) {
   cache.Insert("t", "k", stamp, LcaResult("stale"));
 
   EXPECT_FALSE(cache.Lookup("t", "k").has_value());
-  EXPECT_EQ(cache.stats().stale_skips, 1u);
-  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(Cell(reg, "cache.stale_skips"), 1u);
+  EXPECT_EQ(Cell(reg, "cache.insertions"), 0u);
 }
 
 TEST(ReplacementTest, BudgetEvictsProbationBeforeProtected) {
   // Budget fits ~4 entries of this size. "hot" is promoted to the
   // protected segment by a re-reference; the cold fill that follows
   // must evict only probation entries.
-  QueryCache cache(4096);
+  obs::MetricsRegistry reg;
+  QueryCache cache(4096, &reg);
   const ReadStamp stamp = cache.Stamp("t", 1);
   cache.Insert("t", "hot", stamp, ResultOfSize(500));
   ASSERT_TRUE(cache.Lookup("t", "hot").has_value());  // promote
@@ -177,28 +187,31 @@ TEST(ReplacementTest, BudgetEvictsProbationBeforeProtected) {
   for (int i = 0; i < 16; ++i) {
     cache.Insert("t", "cold" + std::to_string(i), stamp, ResultOfSize(500));
   }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_LE(cache.stats().bytes_used, 4096u);
+  EXPECT_GT(Cell(reg, "cache.evictions"), 0u);
+  EXPECT_LE(Cell(reg, "cache.bytes_used"), 4096u);
   EXPECT_TRUE(cache.Lookup("t", "hot").has_value())
       << "a burst of one-shot inserts must not flush the re-referenced entry";
 }
 
 TEST(ReplacementTest, OversizedEntryIsRejectedNotLooped) {
-  QueryCache cache(1024);
+  obs::MetricsRegistry reg;
+  QueryCache cache(1024, &reg);
   cache.Insert("t", "huge", cache.Stamp("t", 1), ResultOfSize(64 * 1024));
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(Cell(reg, "cache.entries"), 0u);
   EXPECT_FALSE(cache.Lookup("t", "huge").has_value());
 }
 
 TEST(ReplacementTest, BypassCounterTracksSamplingKinds) {
-  QueryCache cache(1 << 20);
+  obs::MetricsRegistry reg;
+  QueryCache cache(1 << 20, &reg);
   cache.NoteBypass();
   cache.NoteBypass();
-  EXPECT_EQ(cache.stats().bypassed, 2u);
+  EXPECT_EQ(Cell(reg, "cache.bypassed"), 2u);
 }
 
 TEST(QueryCacheStressTest, ConcurrentMixedTrafficStaysConsistent) {
-  QueryCache cache(64 * 1024);
+  obs::MetricsRegistry reg;
+  QueryCache cache(64 * 1024, &reg);
   constexpr int kThreads = 8;
   constexpr int kOps = 400;
   std::vector<std::thread> threads;
@@ -230,9 +243,9 @@ TEST(QueryCacheStressTest, ConcurrentMixedTrafficStaysConsistent) {
   }
   for (auto& t : threads) t.join();
 
-  CacheStats stats = cache.stats();
-  EXPECT_LE(stats.bytes_used, 64u * 1024u);
-  EXPECT_EQ(stats.hits + stats.misses,
+  const obs::MetricsSnapshot stats = reg.Snapshot();
+  EXPECT_LE(stats.counter("cache.bytes_used"), 64u * 1024u);
+  EXPECT_EQ(stats.counter("cache.hits") + stats.counter("cache.misses"),
             static_cast<uint64_t>(kThreads) * kOps);
 }
 

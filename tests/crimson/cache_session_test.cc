@@ -76,10 +76,10 @@ TEST(CacheSessionTest, RepeatedQueriesHitAndStayByteIdentical) {
       EXPECT_EQ(RenderResult(*r), first[i]) << "round " << round << " req " << i;
     }
   }
-  cache::CacheStats stats = crimson->GetCacheStats();
-  EXPECT_EQ(stats.hits, 12u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.entries, 4u);
+  const obs::MetricsSnapshot stats = crimson->SnapshotMetrics();
+  EXPECT_EQ(stats.counter("cache.hits"), 12u);
+  EXPECT_EQ(stats.counter("cache.misses"), 4u);
+  EXPECT_EQ(stats.counter("cache.entries"), 4u);
 
   // Cached executions are still recorded in history like uncached ones.
   auto history = crimson->QueryHistory(32);
@@ -106,10 +106,12 @@ TEST(CacheSessionTest, SamplingBypassesTheCacheButKeepsTicketParity) {
           << "round " << round << " kind " << QueryKindName(request);
     }
   }
-  cache::CacheStats stats = cached->GetCacheStats();
-  EXPECT_EQ(stats.bypassed, 8u) << "two sampling kinds x four rounds";
-  EXPECT_EQ(stats.hits, 12u) << "four cacheable kinds x three repeat rounds";
-  EXPECT_EQ(uncached->GetCacheStats().hits, 0u);
+  const obs::MetricsSnapshot stats = cached->SnapshotMetrics();
+  EXPECT_EQ(stats.counter("cache.bypassed"), 8u)
+      << "two sampling kinds x four rounds";
+  EXPECT_EQ(stats.counter("cache.hits"), 12u)
+      << "four cacheable kinds x three repeat rounds";
+  EXPECT_EQ(uncached->SnapshotMetrics().counter("cache.hits"), 0u);
 }
 
 TEST(CacheSessionTest, SeparatorBytesInNamesNeitherCollideNorSplit) {
@@ -229,7 +231,7 @@ TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
     }
   }
   // The schedule above must actually have exercised the cache.
-  EXPECT_GT(cached->GetCacheStats().hits, 0u);
+  EXPECT_GT(cached->SnapshotMetrics().counter("cache.hits"), 0u);
 }
 
 TEST(CacheSessionTest, AppendSpeciesDataInvalidatesThatTreeOnly) {
@@ -249,16 +251,16 @@ TEST(CacheSessionTest, AppendSpeciesDataInvalidatesThatTreeOnly) {
   TreeRef yule = crimson->LoadTree("gold", *gold).value().ref;
   ASSERT_TRUE(crimson->Execute(fig, LcaQuery{"Lla", "Syn"}).ok());
   ASSERT_TRUE(crimson->Execute(yule, LcaQuery{"S1", "S5"}).ok());
-  ASSERT_EQ(crimson->GetCacheStats().entries, 2u);
+  ASSERT_EQ(crimson->SnapshotMetrics().counter("cache.entries"), 2u);
 
   ASSERT_TRUE(crimson->AppendSpeciesData("gold", *sequences).ok());
 
   // fig1's entry still hits; gold's was invalidated by the append.
   ASSERT_TRUE(crimson->Execute(fig, LcaQuery{"Lla", "Syn"}).ok());
   ASSERT_TRUE(crimson->Execute(yule, LcaQuery{"S1", "S5"}).ok());
-  cache::CacheStats stats = crimson->GetCacheStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 3u);
+  const obs::MetricsSnapshot stats = crimson->SnapshotMetrics();
+  EXPECT_EQ(stats.counter("cache.hits"), 1u);
+  EXPECT_EQ(stats.counter("cache.misses"), 3u);
 }
 
 TEST(DropTreeTest, ReStoredSameNameTreeNeverServesStaleState) {
@@ -319,10 +321,10 @@ TEST(DropTreeTest, DropEvictsEvalStateForExperiments) {
   spec.replicates = 1;
   spec.compute_triplets = false;
   ASSERT_TRUE(crimson->RunExperiment(ref, spec).ok());
-  EXPECT_GT(crimson->GetCacheStats().crack_stores, 0u);
+  EXPECT_GT(crimson->SnapshotMetrics().counter("crack.stores"), 0u);
 
   ASSERT_TRUE(crimson->DropTree("g").ok());
-  EXPECT_EQ(crimson->GetCacheStats().crack_stores, 0u)
+  EXPECT_EQ(crimson->SnapshotMetrics().counter("crack.stores"), 0u)
       << "DropTree must evict the resident EvalState eagerly";
 
   // Re-store the same name with no sequences: the experiment must now
@@ -455,9 +457,10 @@ TEST(CacheSessionStressTest, ConcurrentMixedKindsMatchSequentialSession) {
   writer.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  cache::CacheStats stats = noisy->GetCacheStats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_LE(stats.bytes_used, stats.budget_bytes);
+  const obs::MetricsSnapshot stats = noisy->SnapshotMetrics();
+  EXPECT_GT(stats.counter("cache.hits"), 0u);
+  EXPECT_LE(stats.counter("cache.bytes_used"),
+            stats.counter("cache.budget_bytes"));
 }
 
 }  // namespace

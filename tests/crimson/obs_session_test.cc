@@ -14,7 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/metrics.h"
+#include "sim/seq_evolve.h"
+#include "sim/tree_sim.h"
 
 namespace crimson {
 namespace {
@@ -254,6 +257,85 @@ TEST(ObsSessionTest, SessionsDoNotShareCounters) {
   }
   EXPECT_EQ(a->SnapshotMetrics().counter("query.lca.count"), 5u);
   EXPECT_EQ(b->SnapshotMetrics().counter("query.lca.count"), 0u);
+}
+
+TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
+  // The cache, cracked-store and MVCC keys are resolved at Open, so a
+  // session that has served nothing (and built no evaluation state)
+  // already reports every one of them -- the kStats key set does not
+  // depend on the traffic a server has seen.
+  CrimsonOptions opts;
+  opts.query_cache_bytes = 1 << 20;
+  auto crimson = OpenSession(opts);
+  const obs::MetricsSnapshot m = crimson->SnapshotMetrics();
+  for (const char* key :
+       {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
+        "cache.invalidations", "cache.stale_skips", "cache.bypassed",
+        "cache.entries", "cache.bytes_used", "crack.stores", "crack.pieces",
+        "crack.loaded_pieces", "crack.sequences_loaded",
+        "crack.sequences_resident", "crack.sequences_total",
+        "crack.fetches", "crack.batches", "crack.piece_hits"}) {
+    ASSERT_EQ(m.counters.count(key), 1u) << key;
+    EXPECT_EQ(m.counter(key), 0u) << key;
+  }
+  EXPECT_EQ(m.counter("cache.budget_bytes"), uint64_t{1} << 20);
+  for (const char* key :
+       {"pages.captured_pages", "pages.version_hits",
+        "pages.versions_dropped", "pages.live_versions",
+        "pages.active_snapshots", "pages.committed_epoch"}) {
+    EXPECT_EQ(m.counters.count(key), 1u) << key;
+  }
+  EXPECT_EQ(m.counter("pages.active_snapshots"), 0u);
+  EXPECT_EQ(m.counter("pages.committed_epoch"),
+            crimson->database()->committed_epoch());
+}
+
+TEST(ObsSessionTest, CrackCountersStayCumulativeResidencyIsLive) {
+  // One name, one meaning: crack.fetches / crack.sequences_loaded
+  // count every fetch ever made, while crack.sequences_resident and
+  // crack.stores describe the evaluation states alive right now.
+  auto crimson = OpenSession();
+  Rng rng(0xC0FFEE);
+  YuleOptions yule;
+  yule.n_leaves = 24;
+  auto gold = SimulateYule(yule, &rng);
+  ASSERT_TRUE(gold.ok());
+  SeqEvolveOptions seq_opts;
+  seq_opts.seq_length = 48;
+  auto sequences =
+      SequenceEvolver::Create(seq_opts)->EvolveLeaves(*gold, &rng);
+  ASSERT_TRUE(sequences.ok());
+  auto loaded = crimson->LoadTree("gold", *gold);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(crimson->AppendSpeciesData("gold", *sequences).ok());
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
+  SelectionSpec sel;
+  sel.kind = SelectionSpec::Kind::kUniform;
+  sel.k = 8;
+  spec.selections = {sel};
+  spec.replicates = 2;
+  spec.compute_triplets = false;
+  ASSERT_TRUE(crimson->RunExperiment(loaded->ref, spec).ok());
+
+  const obs::MetricsSnapshot live = crimson->SnapshotMetrics();
+  EXPECT_EQ(live.counter("crack.stores"), 1u);
+  EXPECT_GT(live.counter("crack.fetches"), 0u);
+  EXPECT_GT(live.counter("crack.sequences_resident"), 0u);
+  EXPECT_EQ(live.counter("crack.sequences_resident"),
+            live.counter("crack.sequences_loaded"))
+      << "one state, never dropped: resident == ever loaded";
+  EXPECT_EQ(live.counter("crack.sequences_total"), 24u);
+
+  ASSERT_TRUE(crimson->DropTree("gold").ok());
+  const obs::MetricsSnapshot dropped = crimson->SnapshotMetrics();
+  EXPECT_EQ(dropped.counter("crack.stores"), 0u);
+  EXPECT_EQ(dropped.counter("crack.sequences_resident"), 0u);
+  EXPECT_EQ(dropped.counter("crack.sequences_total"), 0u);
+  for (const char* key : {"crack.fetches", "crack.batches",
+                          "crack.piece_hits", "crack.sequences_loaded"}) {
+    EXPECT_EQ(dropped.counter(key), live.counter(key)) << key;
+  }
 }
 
 TEST(ObsSessionStress, BatchesRaceSnapshotsWithoutLosingCounts) {

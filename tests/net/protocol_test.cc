@@ -494,69 +494,68 @@ TEST(StatusCodecTest, TruncatedStatusFailsCleanly) {
 }
 
 TEST(StatsCodecTest, EveryCounterRoundTrips) {
-  SessionStats stats;
-  stats.cache.hits = 101;
-  stats.cache.misses = 7;
-  stats.cache.insertions = 6;
-  stats.cache.evictions = 5;
-  stats.cache.invalidations = 4;
-  stats.cache.stale_skips = 3;
-  stats.cache.bypassed = 2;
-  stats.cache.entries = 9;
-  stats.cache.bytes_used = 48000;
-  stats.cache.budget_bytes = 1 << 20;
-  stats.cache.crack_stores = 11;
-  stats.cache.crack_pieces = 12;
-  stats.cache.crack_loaded_pieces = 13;
-  stats.cache.crack_sequences_loaded = 14;
-  stats.cache.crack_sequences_total = 15;
-  stats.cache.crack_fetches = 16;
-  stats.cache.crack_batches = 17;
-  stats.cache.crack_piece_hits = 18;
-  stats.pages.captured_pages = 21;
-  stats.pages.version_hits = 22;
-  stats.pages.versions_dropped = 23;
-  stats.pages.live_versions = 24;
-  stats.pages.active_snapshots = 25;
-  stats.pages.committed_epoch = 26;
+  obs::MetricsSnapshot snapshot;
+  uint64_t value = 100;
+  for (const char* key :
+       {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
+        "cache.invalidations", "cache.stale_skips", "cache.bypassed",
+        "cache.entries", "cache.bytes_used", "cache.budget_bytes",
+        "crack.stores", "crack.pieces", "crack.loaded_pieces",
+        "crack.sequences_loaded", "crack.sequences_resident",
+        "crack.sequences_total", "crack.fetches", "crack.batches",
+        "crack.piece_hits", "pages.captured_pages", "pages.version_hits",
+        "pages.versions_dropped", "pages.live_versions",
+        "pages.active_snapshots", "pages.committed_epoch"}) {
+    snapshot.counters[key] = value++;
+  }
+  snapshot.counters["cache.bytes_used"] = uint64_t{1} << 40;  // multi-byte
 
   std::string bytes;
-  EncodeSessionStats(&bytes, stats);
+  EncodeMetricsSnapshot(&bytes, snapshot);
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
-
-  EXPECT_EQ(decoded->cache.hits, stats.cache.hits);
-  EXPECT_EQ(decoded->cache.misses, stats.cache.misses);
-  EXPECT_EQ(decoded->cache.insertions, stats.cache.insertions);
-  EXPECT_EQ(decoded->cache.evictions, stats.cache.evictions);
-  EXPECT_EQ(decoded->cache.invalidations, stats.cache.invalidations);
-  EXPECT_EQ(decoded->cache.stale_skips, stats.cache.stale_skips);
-  EXPECT_EQ(decoded->cache.bypassed, stats.cache.bypassed);
-  EXPECT_EQ(decoded->cache.entries, stats.cache.entries);
-  EXPECT_EQ(decoded->cache.bytes_used, stats.cache.bytes_used);
-  EXPECT_EQ(decoded->cache.budget_bytes, stats.cache.budget_bytes);
-  EXPECT_EQ(decoded->cache.crack_stores, stats.cache.crack_stores);
-  EXPECT_EQ(decoded->cache.crack_pieces, stats.cache.crack_pieces);
-  EXPECT_EQ(decoded->cache.crack_loaded_pieces,
-            stats.cache.crack_loaded_pieces);
-  EXPECT_EQ(decoded->cache.crack_sequences_loaded,
-            stats.cache.crack_sequences_loaded);
-  EXPECT_EQ(decoded->cache.crack_sequences_total,
-            stats.cache.crack_sequences_total);
-  EXPECT_EQ(decoded->cache.crack_fetches, stats.cache.crack_fetches);
-  EXPECT_EQ(decoded->cache.crack_batches, stats.cache.crack_batches);
-  EXPECT_EQ(decoded->cache.crack_piece_hits, stats.cache.crack_piece_hits);
-  EXPECT_EQ(decoded->pages.captured_pages, stats.pages.captured_pages);
-  EXPECT_EQ(decoded->pages.version_hits, stats.pages.version_hits);
-  EXPECT_EQ(decoded->pages.versions_dropped, stats.pages.versions_dropped);
-  EXPECT_EQ(decoded->pages.live_versions, stats.pages.live_versions);
-  EXPECT_EQ(decoded->pages.active_snapshots, stats.pages.active_snapshots);
-  EXPECT_EQ(decoded->pages.committed_epoch, stats.pages.committed_epoch);
+  EXPECT_EQ(decoded->counters, snapshot.counters);
+  EXPECT_TRUE(decoded->histograms.empty());
 }
 
-TEST(StatsCodecTest, UnknownKeysAreSkippedAbsentKeysDefaultToZero) {
+TEST(StatsCodecTest, EncodingMatchesTheDocumentedLayout) {
+  // The kStatsOk layout is a wire contract: a peer built from an older
+  // tree decodes these exact bytes. Build them by hand from the
+  // documented layout and compare.
+  obs::MetricsSnapshot snapshot;
+  snapshot.counters["cache.hits"] = 3;
+  snapshot.counters["a.gauge"] = 300;
+  obs::HistogramSnapshot h;
+  h.bounds = {10, UINT64_MAX};
+  h.counts = {2, 1};
+  h.count = 3;
+  h.sum = 40;
+  snapshot.histograms["net.op.ping_us"] = h;
+
+  std::string expected;
+  PutVarint64(&expected, 2);  // counters, in sorted key order
+  PutLengthPrefixedSlice(&expected, Slice("a.gauge"));
+  PutVarint64(&expected, 300);
+  PutLengthPrefixedSlice(&expected, Slice("cache.hits"));
+  PutVarint64(&expected, 3);
+  PutVarint64(&expected, 1);  // histograms
+  PutLengthPrefixedSlice(&expected, Slice("net.op.ping_us"));
+  PutVarint64(&expected, 2);  // buckets: (bound, count) pairs
+  PutVarint64(&expected, 10);
+  PutVarint64(&expected, 2);
+  PutVarint64(&expected, UINT64_MAX);
+  PutVarint64(&expected, 1);
+  PutVarint64(&expected, 3);   // count
+  PutVarint64(&expected, 40);  // sum
+
+  std::string bytes;
+  EncodeMetricsSnapshot(&bytes, snapshot);
+  EXPECT_EQ(bytes, expected);
+}
+
+TEST(StatsCodecTest, UnknownKeysAreKeptAbsentKeysReadZero) {
   // A "future server" payload: one known counter, one unknown.
   std::string bytes;
   PutVarint64(&bytes, 2);
@@ -566,40 +565,39 @@ TEST(StatsCodecTest, UnknownKeysAreSkippedAbsentKeysDefaultToZero) {
   PutVarint64(&bytes, 7);
 
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
-  EXPECT_EQ(decoded->cache.hits, 42u);
-  EXPECT_EQ(decoded->cache.misses, 0u);
-  EXPECT_EQ(decoded->pages.committed_epoch, 0u);
+  EXPECT_EQ(decoded->counter("cache.hits"), 42u);
+  EXPECT_EQ(decoded->counter("cache.some_future_counter"), 7u);
+  EXPECT_EQ(decoded->counter("cache.misses"), 0u);
+  EXPECT_EQ(decoded->counter("pages.committed_epoch"), 0u);
 }
 
 TEST(StatsCodecTest, RegistryCountersAndHistogramsRoundTrip) {
-  SessionStats stats;
-  stats.metrics.counters["query.lca.count"] = 17;
-  stats.metrics.counters["storage.pool.hits"] = 900;
-  // The 24 legacy keys are encoded from the structs (struct wins over
-  // any same-named registry counter).
-  stats.cache.hits = 3;
-  stats.metrics.counters["cache.hits"] = 999;
+  obs::MetricsSnapshot snapshot;
+  snapshot.counters["query.lca.count"] = 17;
+  snapshot.counters["storage.pool.hits"] = 900;
+  snapshot.counters["cache.hits"] = 999;
   obs::HistogramSnapshot h;
   h.bounds = {10, 100, UINT64_MAX};
   h.counts = {5, 2, 1};
   h.count = 8;
   h.sum = 1234;
-  stats.metrics.histograms["query.lca.latency_us"] = h;
+  snapshot.histograms["query.lca.latency_us"] = h;
 
   std::string bytes;
-  EncodeSessionStats(&bytes, stats);
+  EncodeMetricsSnapshot(&bytes, snapshot);
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
-  EXPECT_EQ(decoded->metrics.counter("query.lca.count"), 17u);
-  EXPECT_EQ(decoded->metrics.counter("storage.pool.hits"), 900u);
-  EXPECT_EQ(decoded->cache.hits, 3u);  // legacy struct filled from the dict
+  EXPECT_EQ(decoded->counter("query.lca.count"), 17u);
+  EXPECT_EQ(decoded->counter("storage.pool.hits"), 900u);
+  // The registry value is carried as is: nothing overlays it.
+  EXPECT_EQ(decoded->counter("cache.hits"), 999u);
   const obs::HistogramSnapshot* dh =
-      decoded->metrics.histogram("query.lca.latency_us");
+      decoded->histogram("query.lca.latency_us");
   ASSERT_NE(dh, nullptr);
   EXPECT_EQ(dh->bounds, h.bounds);
   EXPECT_EQ(dh->counts, h.counts);
@@ -608,26 +606,26 @@ TEST(StatsCodecTest, RegistryCountersAndHistogramsRoundTrip) {
 }
 
 TEST(StatsCodecTest, DecodedSnapshotReEncodesByteIdentically) {
-  SessionStats stats;
-  stats.cache.hits = 42;
-  stats.pages.committed_epoch = 9;
-  stats.metrics.counters["net.frames_received"] = 55;
-  stats.metrics.counters["zz.some_gauge"] = 1;
+  obs::MetricsSnapshot snapshot;
+  snapshot.counters["cache.hits"] = 42;
+  snapshot.counters["pages.committed_epoch"] = 9;
+  snapshot.counters["net.frames_received"] = 55;
+  snapshot.counters["zz.some_gauge"] = 1;
   obs::HistogramSnapshot h;
   h.bounds = {1, 2, 4, UINT64_MAX};
   h.counts = {1, 0, 3, 0};
   h.count = 4;
   h.sum = 13;
-  stats.metrics.histograms["net.op.ping_us"] = h;
-  stats.metrics.histograms["query.stage.execute_us"] = h;
+  snapshot.histograms["net.op.ping_us"] = h;
+  snapshot.histograms["query.stage.execute_us"] = h;
 
   std::string bytes;
-  EncodeSessionStats(&bytes, stats);
+  EncodeMetricsSnapshot(&bytes, snapshot);
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   std::string again;
-  EncodeSessionStats(&again, *decoded);
+  EncodeMetricsSnapshot(&again, *decoded);
   EXPECT_EQ(again, bytes);
 }
 
@@ -641,17 +639,16 @@ TEST(StatsCodecTest, CounterOnlyPayloadStillDecodes) {
   PutVarint64(&bytes, 5);
 
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
-  EXPECT_EQ(decoded->cache.hits, 5u);
-  EXPECT_TRUE(decoded->metrics.histograms.empty());
+  EXPECT_EQ(decoded->counter("cache.hits"), 5u);
+  EXPECT_TRUE(decoded->histograms.empty());
 }
 
 TEST(StatsCodecTest, UnknownHistogramKeysAreCarriedNotFatal) {
   // A "future server" histogram under an unknown name must decode
-  // cleanly (and survive a proxy re-encode) without touching any
-  // legacy struct field.
+  // cleanly (and survive a proxy re-encode).
   std::string bytes;
   PutVarint64(&bytes, 0);  // no counters
   PutVarint64(&bytes, 1);  // one histogram
@@ -665,27 +662,30 @@ TEST(StatsCodecTest, UnknownHistogramKeysAreCarriedNotFatal) {
   PutVarint64(&bytes, 33);  // sum
 
   Slice in(bytes);
-  auto decoded = DecodeSessionStats(&in);
+  auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
-  EXPECT_EQ(decoded->cache.hits, 0u);
+  EXPECT_TRUE(decoded->counters.empty());
   const obs::HistogramSnapshot* h =
-      decoded->metrics.histogram("future.subsystem.latency_us");
+      decoded->histogram("future.subsystem.latency_us");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 4u);
   EXPECT_EQ(h->sum, 33u);
   ASSERT_EQ(h->bounds.size(), 2u);
   EXPECT_EQ(h->bounds[1], UINT64_MAX);
+  std::string again;
+  EncodeMetricsSnapshot(&again, *decoded);
+  EXPECT_EQ(again, bytes);
 }
 
 TEST(StatsCodecTest, TruncatedStatsFailCleanly) {
-  SessionStats stats;
-  stats.cache.hits = 5;
+  obs::MetricsSnapshot snapshot;
+  snapshot.counters["cache.hits"] = 5;
   std::string bytes;
-  EncodeSessionStats(&bytes, stats);
+  EncodeMetricsSnapshot(&bytes, snapshot);
   for (size_t n = 0; n + 1 < bytes.size(); ++n) {
     Slice in(bytes.data(), n);
-    auto decoded = DecodeSessionStats(&in);
+    auto decoded = DecodeMetricsSnapshot(&in);
     if (!decoded.ok()) {
       EXPECT_TRUE(decoded.status().IsInvalidArgument());
     }

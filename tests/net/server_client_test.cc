@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
 #include "tree/newick.h"
 
@@ -229,9 +231,9 @@ TEST(ServerClientTest, PipelinedBatchMatchesSequentialByteForByte) {
     EXPECT_EQ(batched_bytes, one_bytes) << "query " << i;
   }
   // Coalescing actually happened: fewer batches than queries.
-  auto stats = pipelined.server->stats();
-  EXPECT_EQ(stats.queries_executed, requests.size());
-  EXPECT_LT(stats.batches_executed, requests.size());
+  const obs::MetricsSnapshot m = pipelined.session->SnapshotMetrics();
+  EXPECT_EQ(m.counter("net.queries_executed"), requests.size());
+  EXPECT_LT(m.counter("net.batches_executed"), requests.size());
 }
 
 TEST(ServerClientTest, PipelinedErrorsPreserveOrder) {
@@ -282,7 +284,7 @@ TEST(ServerClientTest, SaturationRejectsWithRetryAfter) {
   auto retried = client->ExecuteWithRetry(
       "fig1", QueryRequest(LcaQuery{"Lla", "Syn"}), /*max_attempts=*/100);
   EXPECT_TRUE(retried.ok()) << retried.status();
-  EXPECT_GT(t.server->stats().queries_rejected_unavailable, 0u);
+  EXPECT_GT(t.session->SnapshotMetrics().counter("net.queries_rejected"), 0u);
 }
 
 TEST(ServerClientTest, ConnectionPoolBoundRejectsExtraConnections) {
@@ -334,7 +336,7 @@ TEST(ServerClientTest, GarbageBytesGetTypedErrorThenDisconnect) {
   // ...but the server itself is fine.
   auto client = t.Connect();
   EXPECT_TRUE(client->Ping("alive").ok());
-  EXPECT_GT(t.server->stats().protocol_errors, 0u);
+  EXPECT_GT(t.session->SnapshotMetrics().counter("net.protocol_errors"), 0u);
 }
 
 TEST(ServerClientTest, OversizedFrameIsRejectedNotBuffered) {
@@ -466,18 +468,18 @@ TEST(ServerClientTest, ShutdownDrainsAndCheckpoints) {
   if (late.ok()) EXPECT_FALSE((*late)->Ping("too late").ok());
 }
 
-TEST(ServerClientTest, ServerStatsReflectCacheTraffic) {
+TEST(ServerClientTest, ServerMetricsReflectCacheTraffic) {
   TestServer t = TestServer::Start(16);
   auto client = t.Connect();
   ASSERT_TRUE(client->StoreNewick("fig1", kFig1Newick).ok());
 
   // Fresh server: no cache traffic yet, but the budget is visible and
   // the MVCC epoch has advanced past the store.
-  auto before = client->ServerStats();
+  auto before = client->ServerMetrics();
   ASSERT_TRUE(before.ok()) << before.status();
-  EXPECT_EQ(before->cache.hits, 0u);
-  EXPECT_GT(before->cache.budget_bytes, 0u);
-  EXPECT_GT(before->pages.committed_epoch, 0u);
+  EXPECT_EQ(before->counter("cache.hits"), 0u);
+  EXPECT_GT(before->counter("cache.budget_bytes"), 0u);
+  EXPECT_GT(before->counter("pages.committed_epoch"), 0u);
 
   // Same cacheable query three times: one miss, two hits -- and the
   // remote counters match what the in-process session reports.
@@ -487,19 +489,91 @@ TEST(ServerClientTest, ServerStatsReflectCacheTraffic) {
   }
   ASSERT_TRUE(client->Execute("fig1",
                               QueryRequest(SampleUniformQuery{3})).ok());
-  auto after = client->ServerStats();
+  auto after = client->ServerMetrics();
   ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_EQ(after->cache.hits, 2u);
-  EXPECT_EQ(after->cache.misses, 1u);
-  EXPECT_EQ(after->cache.entries, 1u);
-  EXPECT_EQ(after->cache.bypassed, 1u);
+  EXPECT_EQ(after->counter("cache.hits"), 2u);
+  EXPECT_EQ(after->counter("cache.misses"), 1u);
+  EXPECT_EQ(after->counter("cache.entries"), 1u);
+  EXPECT_EQ(after->counter("cache.bypassed"), 1u);
 
-  cache::CacheStats local = t.session->GetCacheStats();
-  EXPECT_EQ(after->cache.hits, local.hits);
-  EXPECT_EQ(after->cache.misses, local.misses);
-  EXPECT_EQ(after->cache.bytes_used, local.bytes_used);
-  EXPECT_EQ(after->pages.committed_epoch,
-            t.session->database()->page_version_stats().committed_epoch);
+  const obs::MetricsSnapshot local = t.session->SnapshotMetrics();
+  EXPECT_EQ(after->counter("cache.hits"), local.counter("cache.hits"));
+  EXPECT_EQ(after->counter("cache.misses"), local.counter("cache.misses"));
+  EXPECT_EQ(after->counter("cache.bytes_used"),
+            local.counter("cache.bytes_used"));
+  EXPECT_EQ(after->counter("pages.committed_epoch"),
+            t.session->database()->committed_epoch());
+}
+
+TEST(ServerClientTest, WireMetricsEqualSnapshotMetrics) {
+  // The kStats frame carries the session registry unchanged. Drive
+  // every layer -- wire queries (cache hits and misses), then an
+  // in-process experiment whose evaluation state DropTree discards --
+  // and, with the server quiescent, the wire snapshot must equal the
+  // in-process one key for key. The crack.* counters are the sharp
+  // edge: they stay cumulative after the state that counted them is
+  // gone.
+  TestServer t = TestServer::Start(23);
+  auto client = t.Connect();
+  ASSERT_TRUE(client->StoreNewick("fig1", kFig1Newick).ok());
+  for (int round = 0; round < 2; ++round) {
+    for (const QueryRequest& request : SixKinds()) {
+      ASSERT_TRUE(client->Execute("fig1", request).ok());
+    }
+  }
+
+  Rng rng(0x5EED);
+  YuleOptions yule;
+  yule.n_leaves = 24;
+  auto gold = SimulateYule(yule, &rng);
+  ASSERT_TRUE(gold.ok());
+  SeqEvolveOptions seq_opts;
+  seq_opts.seq_length = 48;
+  auto sequences =
+      SequenceEvolver::Create(seq_opts)->EvolveLeaves(*gold, &rng);
+  ASSERT_TRUE(sequences.ok());
+  auto loaded = t.session->LoadTree("gold", *gold);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(t.session->AppendSpeciesData("gold", *sequences).ok());
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
+  SelectionSpec sel;
+  sel.kind = SelectionSpec::Kind::kUniform;
+  sel.k = 8;
+  spec.selections = {sel};
+  spec.replicates = 2;
+  spec.compute_triplets = false;
+  ASSERT_TRUE(t.session->RunExperiment(loaded->ref, spec).ok());
+  ASSERT_TRUE(t.session->DropTree("gold").ok());
+
+  auto wire = client->ServerMetrics();
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  const obs::MetricsSnapshot local = t.session->SnapshotMetrics();
+  ASSERT_GT(local.counter("crack.fetches"), 0u);
+  EXPECT_EQ(local.counter("crack.stores"), 0u);
+
+  std::set<std::string> keys;
+  for (const auto& [key, value] : local.counters) keys.insert(key);
+  for (const auto& [key, value] : wire->counters) keys.insert(key);
+  for (const std::string& key : keys) {
+    EXPECT_EQ(wire->counters.count(key), local.counters.count(key)) << key;
+    EXPECT_EQ(wire->counter(key), local.counter(key)) << key;
+  }
+  // net.op.stats_us is observed after the stats response is encoded,
+  // so the wire copy is one observation behind by construction.
+  std::set<std::string> hist_keys;
+  for (const auto& [key, h] : local.histograms) hist_keys.insert(key);
+  for (const auto& [key, h] : wire->histograms) hist_keys.insert(key);
+  for (const std::string& key : hist_keys) {
+    const obs::HistogramSnapshot* w = wire->histogram(key);
+    const obs::HistogramSnapshot* l = local.histogram(key);
+    ASSERT_TRUE(w != nullptr && l != nullptr) << key;
+    if (key == "net.op.stats_us") continue;
+    EXPECT_EQ(w->bounds, l->bounds) << key;
+    EXPECT_EQ(w->counts, l->counts) << key;
+    EXPECT_EQ(w->count, l->count) << key;
+    EXPECT_EQ(w->sum, l->sum) << key;
+  }
 }
 
 TEST(ServerClientTest, ServerMetricsRoundTripsEveryLayer) {
@@ -528,13 +602,9 @@ TEST(ServerClientTest, ServerMetricsRoundTripsEveryLayer) {
                 metrics->counter("storage.pool.misses"),
             0u);
 
-  // Cache layer: one miss, two hits, and the values match the legacy
-  // struct counters on the same wire response.
+  // Cache layer: one miss, two hits.
   EXPECT_EQ(metrics->counter("cache.hits"), 2u);
   EXPECT_EQ(metrics->counter("cache.misses"), 1u);
-  auto stats = client->ServerStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(metrics->counter("cache.hits"), stats->cache.hits);
 
   // Net layer: this connection's frames and queries, plus per-op
   // latency histograms, all counted by the server front door.

@@ -15,7 +15,17 @@ class BufferPoolTest : public ::testing::Test {
     pager_ = std::move(r).value();
   }
 
+  /// A pool whose storage.pool.* cells land in this test's registry.
+  std::unique_ptr<BufferPool> CountedPool(size_t capacity) {
+    return std::make_unique<BufferPool>(pager_.get(), capacity, nullptr,
+                                        nullptr, &metrics_);
+  }
+  uint64_t Cell(const char* name) const {
+    return metrics_.Snapshot().counter(name);
+  }
+
   std::unique_ptr<Pager> pager_;
+  obs::MetricsRegistry metrics_;
 };
 
 TEST_F(BufferPoolTest, NewPageIsZeroedAndPinned) {
@@ -30,7 +40,8 @@ TEST_F(BufferPoolTest, NewPageIsZeroedAndPinned) {
 }
 
 TEST_F(BufferPoolTest, FetchHitAfterNew) {
-  BufferPool pool(pager_.get(), 8);
+  auto owned = CountedPool(8);
+  BufferPool& pool = *owned;
   PageId id;
   {
     auto g = pool.New(&id);
@@ -41,12 +52,13 @@ TEST_F(BufferPoolTest, FetchHitAfterNew) {
   auto g2 = pool.Fetch(id);
   ASSERT_TRUE(g2.ok());
   EXPECT_EQ(memcmp(g2->data(), "cached", 6), 0);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
+  EXPECT_EQ(Cell("storage.pool.hits"), 1u);
+  EXPECT_EQ(Cell("storage.pool.misses"), 0u);
 }
 
 TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
-  BufferPool pool(pager_.get(), 8);
+  auto owned = CountedPool(8);
+  BufferPool& pool = *owned;
   std::vector<PageId> ids;
   // Create more pages than frames; earlier ones must be evicted and
   // written back.
@@ -58,8 +70,8 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
     g->MarkDirty();
     ids.push_back(id);
   }
-  EXPECT_GT(pool.stats().evictions, 0u);
-  EXPECT_GT(pool.stats().dirty_writebacks, 0u);
+  EXPECT_GT(Cell("storage.pool.evictions"), 0u);
+  EXPECT_GT(Cell("storage.pool.dirty_writebacks"), 0u);
   // Every page still reads back correctly (possibly from disk).
   for (int i = 0; i < 20; ++i) {
     auto g = pool.Fetch(ids[i]);
@@ -71,7 +83,8 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
 }
 
 TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
-  BufferPool pool(pager_.get(), 8);
+  auto owned = CountedPool(8);
+  BufferPool& pool = *owned;
   std::vector<PageId> ids(8);
   for (int i = 0; i < 8; ++i) {
     auto g = pool.New(&ids[i]);
@@ -81,11 +94,13 @@ TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   { auto g = pool.Fetch(ids[0]); ASSERT_TRUE(g.ok()); }
   PageId id9;
   { auto g = pool.New(&id9); ASSERT_TRUE(g.ok()); }
-  pool.ResetStats();
+  const uint64_t hits = Cell("storage.pool.hits");
+  const uint64_t misses = Cell("storage.pool.misses");
   { auto g = pool.Fetch(ids[0]); ASSERT_TRUE(g.ok()); }
-  EXPECT_EQ(pool.stats().hits, 1u);  // still resident
+  EXPECT_EQ(Cell("storage.pool.hits") - hits, 1u);  // still resident
+  EXPECT_EQ(Cell("storage.pool.misses") - misses, 0u);
   { auto g = pool.Fetch(ids[1]); ASSERT_TRUE(g.ok()); }
-  EXPECT_EQ(pool.stats().misses, 1u);  // was evicted
+  EXPECT_EQ(Cell("storage.pool.misses") - misses, 1u);  // was evicted
 }
 
 TEST_F(BufferPoolTest, AllFramesPinnedExhaustsPool) {

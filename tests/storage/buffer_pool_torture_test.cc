@@ -145,7 +145,9 @@ TEST(BufferPoolTortureTest, StressPinMutateUnderTinyPool) {
 
 TEST(BufferPoolTortureTest, PinnedFramesSurviveEvictionChurn) {
   auto pager = std::move(Pager::Open(NewMemFile())).value();
-  BufferPool pool(pager.get(), /*capacity=*/8);
+  obs::MetricsRegistry metrics;
+  BufferPool pool(pager.get(), /*capacity=*/8, /*wal_ctx=*/nullptr,
+                  /*versions=*/nullptr, &metrics);
 
   constexpr int kPinned = 3;
   constexpr int kChurnPages = 40;
@@ -164,6 +166,8 @@ TEST(BufferPoolTortureTest, PinnedFramesSurviveEvictionChurn) {
     g->MarkDirty();
   }
 
+  const uint64_t evictions_before =
+      metrics.Snapshot().counter("storage.pool.evictions");
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   // Holders keep long-lived read pins and verify the frame content
@@ -205,7 +209,9 @@ TEST(BufferPoolTortureTest, PinnedFramesSurviveEvictionChurn) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(metrics.Snapshot().counter("storage.pool.evictions"),
+            evictions_before)
+      << "the churners must have forced evictions";
 }
 
 TEST(BufferPoolTortureTest, ReadersShareFramesWithActiveWalTransaction) {

@@ -236,12 +236,18 @@ TEST(SnapshotReadTest, VersionChainsServeSnapshotsAcrossSeveralEpochs) {
   r1.Run([&] { read1.End(); });
 
   // All snapshots gone and the epoch sealed: the side table drains.
-  EXPECT_EQ(db->page_version_stats().live_versions, 0u);
+  EXPECT_EQ(db->live_versions(), 0u);
 }
 
 TEST(SnapshotReadTest, StatsCountCapturesAndVersionHits) {
   auto db = std::move(Database::OpenInMemory()).value();
   SeedRows(db.get(), 100);
+  // The pages.* counters are cumulative registry cells (seeding
+  // already captured pages): measure this test's traffic as deltas.
+  const obs::MetricsSnapshot before = db->metrics()->Snapshot();
+  auto delta = [&](const char* name) {
+    return db->metrics()->Snapshot().counter(name) - before.counter(name);
+  };
 
   ReaderThread reader;
   Database::ReadTxn read;
@@ -256,21 +262,18 @@ TEST(SnapshotReadTest, StatsCountCapturesAndVersionHits) {
       ASSERT_TRUE(table->Insert({id, Payload(id)}).ok());
     }
   }
-  PageVersions::Stats mid = db->page_version_stats();
-  EXPECT_GT(mid.captured_pages, 0u);
-  EXPECT_GT(mid.live_versions, 0u);
-  EXPECT_EQ(mid.active_snapshots, 1u);
+  EXPECT_GT(delta("pages.captured_pages"), 0u);
+  EXPECT_GT(db->live_versions(), 0u);
+  EXPECT_EQ(db->active_snapshots(), 1u);
 
   reader.Run([&] { ExpectRows(db.get(), 100); });
-  PageVersions::Stats after_read = db->page_version_stats();
-  EXPECT_GT(after_read.version_hits, 0u);
+  EXPECT_GT(delta("pages.version_hits"), 0u);
 
   ASSERT_TRUE(txn->Commit().ok());
   reader.Run([&] { read.End(); });
-  PageVersions::Stats final_stats = db->page_version_stats();
-  EXPECT_EQ(final_stats.live_versions, 0u);
-  EXPECT_EQ(final_stats.active_snapshots, 0u);
-  EXPECT_GT(final_stats.versions_dropped, 0u);
+  EXPECT_EQ(db->live_versions(), 0u);
+  EXPECT_EQ(db->active_snapshots(), 0u);
+  EXPECT_GT(delta("pages.versions_dropped"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +313,7 @@ TEST(SnapshotReadTest, WalAbortDropsCapturedVersionsAndRestoresState) {
     Database::ReadTxn fresh = db->BeginRead();
     ExpectRows(db.get(), 100);
   });
-  EXPECT_EQ(db->page_version_stats().live_versions, 0u);
+  EXPECT_EQ(db->live_versions(), 0u);
 }
 
 TEST(SnapshotReadTest, DurabilityOffAbortCommitsVisibilityWise) {
@@ -360,29 +363,29 @@ TEST(SnapshotReadTest, ReadTxnSelfMoveDoubleEndAndMoveTransfer) {
   Database::ReadTxn& alias = read;
   read = std::move(alias);
   EXPECT_TRUE(read.active());
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 1u);
+  EXPECT_EQ(db->active_snapshots(), 1u);
 
   // Move transfers the registration instead of duplicating it.
   Database::ReadTxn moved = std::move(read);
   EXPECT_FALSE(read.active());
   EXPECT_TRUE(moved.active());
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 1u);
+  EXPECT_EQ(db->active_snapshots(), 1u);
 
   // End is idempotent; a second End (and the destructor after it) must
   // not unregister someone else's token.
   moved.End();
   moved.End();
   EXPECT_FALSE(moved.active());
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 0u);
+  EXPECT_EQ(db->active_snapshots(), 0u);
 
   // Move-assigning over a live handle releases the overwritten one.
   Database::ReadTxn a = db->BeginRead();
   Database::ReadTxn b = db->BeginRead();
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 2u);
+  EXPECT_EQ(db->active_snapshots(), 2u);
   a = std::move(b);
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 1u);
+  EXPECT_EQ(db->active_snapshots(), 1u);
   a.End();
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 0u);
+  EXPECT_EQ(db->active_snapshots(), 0u);
 }
 
 TEST(SnapshotReadTest, EndFromAnotherThreadReleasesTheSnapshot) {
@@ -400,7 +403,7 @@ TEST(SnapshotReadTest, EndFromAnotherThreadReleasesTheSnapshot) {
   // the registration is dropped immediately (GC proceeds), and the
   // origin thread's stale stack slot is purged on its next read.
   read.End();
-  EXPECT_EQ(db->page_version_stats().active_snapshots, 0u);
+  EXPECT_EQ(db->active_snapshots(), 0u);
 
   CommitRows(db.get(), 20, 40);
   reader.Run([&] {
@@ -567,7 +570,7 @@ void RunSnapshotStress(int batches, int batch_size, int reader_threads,
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(db->page_version_stats().live_versions, 0u);
+  EXPECT_EQ(db->live_versions(), 0u);
 }
 
 TEST(SnapshotReadTest, ReadersAlwaysLandOnCommittedBoundaries) {

@@ -176,32 +176,25 @@ int main(int argc, char** argv) {
   printf("signal received; draining...\n");
   fflush(stdout);
   crimson::Status drained = server->Shutdown();
-  auto stats = server->stats();
+  // The service outlives the server, so the session's registry is
+  // still live here: every line below reads one snapshot of it.
+  const crimson::obs::MetricsSnapshot m = service.Metrics();
+  auto v = [&m](const char* name) {
+    return static_cast<unsigned long long>(m.counter(name));
+  };
   printf("drained: %llu connections served, %llu queries "
          "(%llu rejected), checkpoint %s\n",
-         static_cast<unsigned long long>(stats.connections_accepted),
-         static_cast<unsigned long long>(stats.queries_executed),
-         static_cast<unsigned long long>(stats.queries_rejected_unavailable),
+         v("net.connections_accepted"), v("net.queries_executed"),
+         v("net.queries_rejected"),
          drained.ok() ? "ok" : drained.ToString().c_str());
-  // The service outlives the server, so the session's counters are
-  // still live here: one line of cache + MVCC telemetry for operators
-  // tailing the log.
-  crimson::SessionStats session_stats = service.Stats();
   printf("cache: %llu hits / %llu misses (%llu entries, %llu bytes), "
-         "%llu invalidations; crack: %llu/%llu sequences loaded across "
+         "%llu invalidations; crack: %llu/%llu sequences resident across "
          "%llu stores; mvcc: epoch %llu, %llu live versions\n",
-         static_cast<unsigned long long>(session_stats.cache.hits),
-         static_cast<unsigned long long>(session_stats.cache.misses),
-         static_cast<unsigned long long>(session_stats.cache.entries),
-         static_cast<unsigned long long>(session_stats.cache.bytes_used),
-         static_cast<unsigned long long>(session_stats.cache.invalidations),
-         static_cast<unsigned long long>(
-             session_stats.cache.crack_sequences_loaded),
-         static_cast<unsigned long long>(
-             session_stats.cache.crack_sequences_total),
-         static_cast<unsigned long long>(session_stats.cache.crack_stores),
-         static_cast<unsigned long long>(session_stats.pages.committed_epoch),
-         static_cast<unsigned long long>(session_stats.pages.live_versions));
+         v("cache.hits"), v("cache.misses"), v("cache.entries"),
+         v("cache.bytes_used"), v("cache.invalidations"),
+         v("crack.sequences_resident"), v("crack.sequences_total"),
+         v("crack.stores"), v("pages.committed_epoch"),
+         v("pages.live_versions"));
   fflush(stdout);
   return drained.ok() ? 0 : 1;
 }
