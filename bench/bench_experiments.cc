@@ -138,7 +138,7 @@ void BM_ExperimentSweep_Cached(benchmark::State& state) {
 /// The pre-Experiment-API path: every evaluation refetches the
 /// sequence map from storage and rebuilds the BenchmarkManager
 /// (relabel + sampler init), one replicate at a time on one thread --
-/// what the old Crimson::Benchmark did per call.
+/// the per-call cost before evaluation state was cached.
 void BM_ExperimentSweep_RebuildPerCall(benchmark::State& state) {
   Fixture fx = MakeFixture(/*workers=*/1);
   auto spec = SweepSpec();

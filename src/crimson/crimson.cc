@@ -140,8 +140,6 @@ Status Crimson::ReopenRepositoriesLocked() {
   CRIMSON_ASSIGN_OR_RETURN(Txn txn, db_->Begin());
   auto repos = std::make_shared<RepoSet>();
   CRIMSON_ASSIGN_OR_RETURN(repos->trees, TreeRepository::Open(db_.get()));
-  repos->trees->set_bulk_load_threshold(options_.bulk_load_threshold);
-  repos->trees->set_persist_labels(options_.persist_labels);
   CRIMSON_ASSIGN_OR_RETURN(repos->species, SpeciesRepository::Open(db_.get()));
   CRIMSON_ASSIGN_OR_RETURN(repos->queries, QueryRepository::Open(db_.get()));
   CRIMSON_ASSIGN_OR_RETURN(repos->experiments,
@@ -168,11 +166,6 @@ Status Crimson::ReopenRepositoriesLocked() {
 
 Crimson::StorageReadGuard Crimson::AcquireStorageRead() const {
   StorageReadGuard guard;
-  if (options_.serialize_storage_reads) {
-    // Bench baseline: pre-MVCC behavior, reads queue behind the writer
-    // (and each other) on the exclusive lock.
-    guard.exclusive = std::unique_lock<std::shared_mutex>(db_mu_);
-  }
   guard.repos = Repos();
   guard.epoch = db_->BeginRead();
   return guard;
@@ -824,9 +817,8 @@ Result<ExperimentReport> Crimson::RunExperimentJobs(
       jobs, Result<BenchmarkRun>(Status::Internal("run not executed")));
   WallTimer timer;
   // Tickets were assigned to jobs in spec order before dispatch, so
-  // every replicate draws exactly what it would draw under the
-  // sequential legacy Benchmark loop -- any worker count produces
-  // byte-identical runs.
+  // every replicate draws exactly what it would draw walking the grid
+  // sequentially -- any worker count produces byte-identical runs.
   pool_->ParallelFor(jobs, [&](size_t i) {
     const size_t algorithm = i / per_algorithm;
     const size_t selection = (i % per_algorithm) / spec.replicates;
@@ -1011,47 +1003,6 @@ Result<std::vector<ExperimentRepository::ExperimentRow>>
 Crimson::ListExperiments() const {
   StorageReadGuard read = AcquireStorageRead();
   return read.repos->experiments->ListExperiments();
-}
-
-// -- benchmarking (legacy wrapper) ------------------------------------------
-
-Result<BenchmarkRun> Crimson::Benchmark(
-    const std::string& tree_name, const ReconstructionAlgorithm& algorithm,
-    const SelectionSpec& selection, bool compute_triplets) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  ExperimentSpec spec;
-  spec.algorithms = {algorithm.name()};
-  spec.selections = {selection};
-  spec.replicates = 1;
-  spec.compute_triplets = compute_triplets;
-  const uint64_t base = ticket_.fetch_add(1, std::memory_order_relaxed);
-  Result<ExperimentReport> ran = Status::Internal("benchmark not executed");
-  for (int attempt = 0; attempt < kMaxEvalRetries; ++attempt) {
-    CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const EvalState> eval,
-                             EvalStateFor(ref));
-    ran = RunExperimentJobs(*eval, spec, {&algorithm}, options_.seed, base);
-    if (ran.ok() || !ran.status().IsUnavailable()) break;
-  }
-  if (!ran.ok()) return ran.status();
-  ExperimentReport report = std::move(*ran);
-  BenchmarkRun run = std::move(report.runs[0]);
-  // History row: the pre-Experiment-API keys plus the encoded spec, so
-  // the entry replays through the experiment path (the algorithm name
-  // must be registered for the replay to resolve it). Benchmark takes
-  // a raw algorithm reference, so its name never went through spec
-  // validation: if it (or a species list) cannot be encoded, record
-  // the legacy keys only rather than a corrupt spec.
-  std::string params = StrFormat(
-      "tree=%s&algorithm=%s&k=%zu", EscapeParam(tree_name).c_str(),
-      EscapeParam(run.algorithm).c_str(), run.sample_size);
-  if (ValidateExperimentSpec(spec).ok()) {
-    params += "&spec=" + EscapeParam(EncodeExperimentSpec(spec));
-  }
-  RecordQuery(
-      "benchmark", params,
-      StrFormat("rf=%zu/%zu normalized=%.4f", run.rf.distance,
-                run.rf.splits_a + run.rf.splits_b, run.rf.normalized));
-  return run;
 }
 
 // -- query history ----------------------------------------------------------

@@ -71,14 +71,6 @@ struct CrimsonOptions {
   size_t buffer_pool_pages = 4096;
   /// Layered-Dewey bound f used when indexing loaded trees.
   uint32_t f = 8;
-  /// Trees with at least this many nodes take the bulk-load storage
-  /// path on ingest (batch row encoding + bottom-up index builds).
-  /// SIZE_MAX forces per-row inserts, 0 always bulk-loads.
-  size_t bulk_load_threshold = 512;
-  /// Persist the serialized layered-Dewey labels alongside each stored
-  /// tree so the first OpenTree bind deserializes them (O(n) reads)
-  /// instead of relabeling from scratch.
-  bool persist_labels = true;
   /// Deterministic seed for sampling queries. Every query draws from
   /// its own Rng seeded by (seed, query ticket), so results are
   /// reproducible regardless of whether queries run sequentially or
@@ -86,12 +78,6 @@ struct CrimsonOptions {
   uint64_t seed = 42;
   /// Worker threads backing ExecuteBatch (>= 1).
   size_t batch_workers = 4;
-  /// Benchmark baseline knob: route storage *reads* through the
-  /// exclusive writer lock instead of the snapshot read path,
-  /// restoring the pre-concurrency single-lock engine.
-  /// bench_concurrent_reads measures the snapshot path's speedup
-  /// against this.
-  bool serialize_storage_reads = false;
   /// Query-history entries buffered in memory before an opportunistic
   /// synchronous flush is attempted. History appends go to this buffer
   /// (read-only queries never enter the writer path for them); the
@@ -236,19 +222,6 @@ class Crimson {
   [[nodiscard]] Result<std::vector<ExperimentRepository::ExperimentRow>>
   ListExperiments() const;
 
-  // -- benchmarking (legacy wrapper over the Experiment API) ---------------
-
-  /// Evaluates a reconstruction algorithm against a loaded gold tree;
-  /// sequences come from the species repository. `compute_triplets`
-  /// adds the O(k^3) triplet-distance score; pass false for
-  /// RF-only sweeps. Thin wrapper over a 1-replicate, 1-cell
-  /// experiment (same cached evaluation state and RNG ticketing; no
-  /// experiment row is persisted). New code should build an
-  /// ExperimentSpec and call RunExperiment.
-  [[nodiscard]] Result<BenchmarkRun> Benchmark(
-      const std::string& tree_name, const ReconstructionAlgorithm& algorithm,
-      const SelectionSpec& selection, bool compute_triplets = true);
-
   // -- query history (paper §2.1 Query Repository) -------------------------
 
   [[nodiscard]] Result<std::vector<QueryRepository::Entry>> QueryHistory(
@@ -259,7 +232,8 @@ class Crimson {
   /// rendering. Supported kinds: lca, project, sample_uniform,
   /// sample_time, clade, pattern_match -- plus "experiment" entries
   /// (replayed exactly via RerunExperiment) and "benchmark" entries
-  /// (re-run as a 1-replicate experiment through RunExperiment).
+  /// written by older databases (re-run as a 1-replicate experiment
+  /// through RunExperiment).
   [[nodiscard]] Result<std::string> RerunQuery(int64_t query_id);
 
   /// Exports a bound tree (and any stored sequences) as a NEXUS
@@ -392,12 +366,9 @@ class Crimson {
   /// Storage-read section: the current repositories plus a Database
   /// read snapshot. Lock-free against the writer -- a reader neither
   /// waits for nor stalls a concurrent StoreTree; its repository reads
-  /// resolve against the snapshot's committed page images. With
-  /// serialize_storage_reads the section instead takes db_mu_
-  /// exclusive (bench baseline, pre-MVCC behavior).
+  /// resolve against the snapshot's committed page images.
   struct StorageReadGuard {
     std::shared_ptr<const RepoSet> repos;
-    std::unique_lock<std::shared_mutex> exclusive;
     Database::ReadTxn epoch;
     /// Attributes the section's lifetime to the active query trace
     /// (no-op off the query path).
@@ -471,9 +442,7 @@ class Crimson {
   /// The storage *write* lock. Writers (loads, experiment persistence,
   /// history flushes -- everything around TransactLocked) hold it
   /// exclusive. Snapshot reads do not take it at all (see
-  /// AcquireStorageRead); with serialize_storage_reads they take it
-  /// exclusive as the bench baseline. Never held while executing query
-  /// compute.
+  /// AcquireStorageRead). Never held while executing query compute.
   mutable std::shared_mutex db_mu_;
 
   /// In-memory query-history buffer (see history_buffer_cap). Entries

@@ -169,7 +169,6 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
   // Batch-encode all node and subtree rows. Node keys pack
   // (tree_id << 32 | node), so arena order already emits sorted key
   // runs for the point-access index -- exactly what BulkAppend wants.
-  const bool bulk = tree.size() >= bulk_load_threshold_;
   std::vector<double> weights = tree.RootPathWeights();
   std::vector<Row> node_rows;
   node_rows.reserve(tree.size());
@@ -195,18 +194,9 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
                                              : static_cast<int64_t>(src)),
          static_cast<int64_t>(0)});
   }
-  if (bulk) {
-    CRIMSON_RETURN_IF_ERROR(nodes_->BulkAppend(node_rows).status());
-    CRIMSON_RETURN_IF_ERROR(subtrees_->BulkAppend(subtree_rows).status());
-  } else {
-    for (const Row& row : node_rows) {
-      CRIMSON_RETURN_IF_ERROR(nodes_->Insert(row).status());
-    }
-    for (const Row& row : subtree_rows) {
-      CRIMSON_RETURN_IF_ERROR(subtrees_->Insert(row).status());
-    }
-  }
-  if (persist_labels_) {
+  CRIMSON_RETURN_IF_ERROR(nodes_->BulkAppend(node_rows).status());
+  CRIMSON_RETURN_IF_ERROR(subtrees_->BulkAppend(subtree_rows).status());
+  {
     std::string blob;
     scheme.EncodeTo(&blob);
     Row row = {tree_id, std::move(blob)};

@@ -37,7 +37,7 @@
 // Thread safety: the repositories inherit the storage engine's
 // single-writer / multi-reader semantics. The Crimson session holds
 // its storage lock exclusive (plus a Database writer epoch) around
-// every repository *write*, and shared (plus a read epoch) around
+// every repository *write*, and only a Database read snapshot around
 // repository *reads* -- so reads from any number of threads proceed
 // in parallel through the latched buffer pool (see crimson.h and
 // DESIGN.md "Concurrency").
@@ -91,27 +91,16 @@ class TreeRepository {
   static Result<std::unique_ptr<TreeRepository>> Open(Database* db);
 
   /// Persists a tree (structure + labeling) under a unique name.
-  /// Returns the assigned tree id. Trees with at least
-  /// bulk_load_threshold nodes take the bulk ingest path: rows are
+  /// Returns the assigned tree id. Node and subtree rows are
   /// batch-encoded and appended through Table::BulkAppend (sorted key
-  /// runs, bottom-up index builds) instead of per-row Insert.
+  /// runs, bottom-up index builds), and the serialized layered-Dewey
+  /// scheme is stored alongside so OpenTree can skip relabeling.
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
 
-  /// Node count at which StoreTree switches to the bulk path. Set to
-  /// SIZE_MAX to force per-row inserts (benchmarks baseline), 0 to
-  /// always bulk-load.
-  void set_bulk_load_threshold(size_t threshold) {
-    bulk_load_threshold_ = threshold;
-  }
-
-  /// Whether StoreTree also persists the serialized layered-Dewey
-  /// scheme so OpenTree can skip relabeling (on by default).
-  void set_persist_labels(bool persist) { persist_labels_ = persist; }
-
   /// The serialized labeling persisted by StoreTree, decoded. NotFound
-  /// for trees stored without labels (pre-upgrade databases or
-  /// persist_labels=false).
+  /// for trees stored without labels (databases written before labels
+  /// were persisted).
   Result<LayeredDeweyScheme> LoadScheme(int64_t tree_id) const;
 
   /// The raw persisted label blob (callers that hold the storage lock
@@ -166,8 +155,6 @@ class TreeRepository {
   std::unique_ptr<Table> subtrees_;
   std::unique_ptr<Table> labels_;
   std::unique_ptr<Table> tree_blobs_;
-  size_t bulk_load_threshold_ = 512;
-  bool persist_labels_ = true;
 };
 
 /// Stores species data (gene sequences) keyed by species name.

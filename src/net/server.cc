@@ -289,12 +289,6 @@ void CrimsonServer::ExecuteQueryRun(const std::string& tree_name,
     admission_wait_us_->Observe(
         static_cast<uint64_t>(wait_timer.ElapsedMicros()));
   }
-  if (options_.inject_query_delay_us > 0) {
-    // Deterministic stand-in for query compute (bench/test only).
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<int64_t>(options_.inject_query_delay_us) *
-        static_cast<int64_t>(n)));
-  }
   std::vector<Result<QueryResult>> results = service_->ExecuteBatch(
       tree_name, Span<const QueryRequest>(run.data(), run.size()));
   ReleaseExecSlot();

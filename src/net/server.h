@@ -83,11 +83,6 @@ struct ServerOptions {
   /// Granularity at which blocked connection reads re-check the stop
   /// flag.
   int poll_interval_ms = 100;
-  /// Deterministic per-query execution delay (microseconds), injected
-  /// inside an execution slot. Test/bench knob modelling query compute
-  /// so saturation behavior is reproducible across machines; 0 in
-  /// production.
-  int inject_query_delay_us = 0;
 };
 
 class CrimsonServer {

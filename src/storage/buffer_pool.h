@@ -19,9 +19,10 @@
 //  - A cold miss installs the mapping first: the installer claims the
 //    victim frame's latch exclusively under the table mutex, then
 //    releases the mutex and reads from disk straight into the frame.
-//    Misses from different threads overlap -- the property
-//    bench_concurrent_reads gates on -- while threads that find the
-//    in-flight mapping block on the latch until the content lands.
+//    Misses from different threads overlap (snapshot_session_test's
+//    ColdMissesFromTwoThreadsOverlapInThePager pins this) while
+//    threads that find the in-flight mapping block on the latch until
+//    the content lands.
 //  - Structural multi-step mutations (New/Free and the transaction
 //    hooks) additionally serialize behind a writer mutex; the engine
 //    above already guarantees a single writer via Database's epochs.

@@ -158,18 +158,26 @@ TEST_F(CrimsonFacadeTest, ExecuteAndBatchShareOnePipeline) {
   EXPECT_EQ((*history)[0].summary, (*history)[1].summary);
 }
 
-TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
+/// One NJ cell over a uniform k-species sample, one replicate.
+ExperimentSpec NjSpec(size_t k) {
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = 4;
-  auto nj = MakeNjAlgorithm();
-  EXPECT_TRUE(crimson_->Benchmark("fig1", *nj, sel)
+  sel.k = k;
+  spec.selections = {sel};
+  spec.replicates = 1;
+  return spec;
+}
+
+TEST_F(CrimsonFacadeTest, ExperimentRequiresSpeciesData) {
+  EXPECT_TRUE(crimson_->RunExperiment(ref_, NjSpec(4))
                   .status()
                   .IsFailedPrecondition());
 }
 
-TEST_F(CrimsonFacadeTest, BenchmarkWithLoadedSequences) {
-  // Attach simulated sequences, then benchmark NJ end to end.
+TEST_F(CrimsonFacadeTest, ExperimentWithLoadedSequences) {
+  // Attach simulated sequences, then evaluate NJ end to end.
   auto tree = crimson_->GetTree(ref_);
   ASSERT_TRUE(tree.ok());
   SeqEvolveOptions opts;
@@ -181,14 +189,13 @@ TEST_F(CrimsonFacadeTest, BenchmarkWithLoadedSequences) {
   ASSERT_TRUE(seqs.ok());
   ASSERT_TRUE(crimson_->AppendSpeciesData("fig1", *seqs).ok());
 
-  SelectionSpec sel;
-  sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = 5;
-  auto nj = MakeNjAlgorithm();
-  auto run = crimson_->Benchmark("fig1", *nj, sel);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run->sample_size, 5u);
-  EXPECT_EQ(run->reconstructed.LeafCount(), 5u);
+  auto report = crimson_->RunExperiment(ref_, NjSpec(5));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->runs.size(), 1u);
+  const BenchmarkRun& run = report->runs[0];
+  EXPECT_EQ(run.algorithm, "neighbor_joining");
+  EXPECT_EQ(run.sample_size, 5u);
+  EXPECT_EQ(run.reconstructed.LeafCount(), 5u);
 }
 
 TEST(CrimsonPersistenceTest, OnDiskLifecycle) {

@@ -1,5 +1,5 @@
 // Tests for the typed, handle-based Experiment API: spec round-trips,
-// the algorithm registry, parallel-vs-legacy-sequential byte identity,
+// the algorithm registry, worker-count byte identity,
 // persistence + exact replay on a reopened database, evaluation-state
 // caching, and replay of "benchmark"/"experiment" history entries.
 
@@ -201,47 +201,6 @@ TEST(AlgorithmRegistryTest, UserFactoriesRegisterOnce) {
 
 // -- RunExperiment ----------------------------------------------------------
 
-TEST(ExperimentTest, ParallelRunMatchesLegacySequentialBenchmarkLoop) {
-  // Session A runs the whole grid through RunExperiment on 4 workers;
-  // session B (same seed, fresh tickets) walks the same grid through
-  // the sequential legacy Benchmark wrapper. Every run must be
-  // byte-identical, including the sampled projections and
-  // reconstructed topologies.
-  const ExperimentSpec spec = GridSpec();
-  auto a = OpenSessionWithGold(/*seed=*/77, /*workers=*/4);
-  auto ref_a = a->OpenTree("gold");
-  ASSERT_TRUE(ref_a.ok());
-  auto report = a->RunExperiment(*ref_a, spec);
-  ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->runs.size(), spec.job_count());
-  EXPECT_GT(report->experiment_id, 0);
-
-  auto b = OpenSessionWithGold(/*seed=*/77, /*workers=*/4);
-  auto nj = MakeNjAlgorithm();
-  auto upgma = MakeUpgmaAlgorithm();
-  const ReconstructionAlgorithm* instances[] = {nj.get(), upgma.get()};
-  size_t job = 0;
-  for (const ReconstructionAlgorithm* algorithm : instances) {
-    for (const SelectionSpec& selection : spec.selections) {
-      for (size_t rep = 0; rep < spec.replicates; ++rep, ++job) {
-        auto run = b->Benchmark("gold", *algorithm, selection,
-                                spec.compute_triplets);
-        ASSERT_TRUE(run.ok()) << "job " << job << ": " << run.status();
-        ExpectRunsEqual(report->runs[job], *run,
-                        "job " + std::to_string(job));
-      }
-    }
-  }
-
-  // The aggregates cover every cell of the grid.
-  ASSERT_EQ(report->cells.size(),
-            spec.algorithms.size() * spec.selections.size());
-  for (const ExperimentCell& cell : report->cells) {
-    EXPECT_EQ(cell.replicates, spec.replicates);
-    EXPECT_GE(cell.max_rf_normalized, cell.min_rf_normalized);
-  }
-}
-
 TEST(ExperimentTest, WorkerCountDoesNotChangeResults) {
   const ExperimentSpec spec = GridSpec();
   auto one = OpenSessionWithGold(/*seed=*/5, /*workers=*/1);
@@ -254,9 +213,19 @@ TEST(ExperimentTest, WorkerCountDoesNotChangeResults) {
   auto r8 = many->RunExperiment(*ref_many, spec);
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r8.ok()) << r8.status();
-  ASSERT_EQ(r1->runs.size(), r8->runs.size());
+  ASSERT_EQ(r1->runs.size(), spec.job_count());
+  ASSERT_EQ(r8->runs.size(), spec.job_count());
+  EXPECT_GT(r1->experiment_id, 0);
   for (size_t i = 0; i < r1->runs.size(); ++i) {
     ExpectRunsEqual(r1->runs[i], r8->runs[i], "job " + std::to_string(i));
+  }
+
+  // The aggregates cover every cell of the grid.
+  ASSERT_EQ(r8->cells.size(),
+            spec.algorithms.size() * spec.selections.size());
+  for (const ExperimentCell& cell : r8->cells) {
+    EXPECT_EQ(cell.replicates, spec.replicates);
+    EXPECT_GE(cell.max_rf_normalized, cell.min_rf_normalized);
   }
 }
 
@@ -394,7 +363,31 @@ TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
 // -- history replay ---------------------------------------------------------
 
 TEST(ExperimentTest, HistoryEntriesReplayThroughTheExperimentPath) {
-  auto session = OpenSessionWithGold(/*seed=*/31, /*workers=*/4);
+  // A "benchmark" history row, as databases written before the
+  // Experiment API hold them, is seeded straight into the queries
+  // table before the session opens.
+  const std::string path = testing::TempDir() + "/crimson_history_replay.db";
+  RemoveFile(path);
+  int64_t benchmark_id = 0;
+  {
+    auto db = Database::Open(path, {});
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto queries = QueryRepository::Open(db->get());
+    ASSERT_TRUE(queries.ok()) << queries.status();
+    auto id = (*queries)->Record("benchmark",
+                                 "tree=gold&algorithm=neighbor_joining&k=6",
+                                 "rf=0/0 normalized=0.0000");
+    ASSERT_TRUE(id.ok()) << id.status();
+    benchmark_id = *id;
+    ASSERT_TRUE(db.value()->Checkpoint().ok());
+  }
+  CrimsonOptions opts;
+  opts.db_path = path;
+  opts.seed = 31;
+  auto session = std::move(Crimson::Open(opts)).value();
+  ASSERT_TRUE(session->LoadTree("gold", SharedGold().tree).ok());
+  ASSERT_TRUE(
+      session->AppendSpeciesData("gold", SharedGold().sequences).ok());
   auto ref = session->OpenTree("gold");
   ASSERT_TRUE(ref.ok());
 
@@ -405,23 +398,18 @@ TEST(ExperimentTest, HistoryEntriesReplayThroughTheExperimentPath) {
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 1u);
   EXPECT_EQ((*history)[0].kind, "experiment");
+  EXPECT_GT((*history)[0].query_id, benchmark_id);
   auto replayed = session->RerunQuery((*history)[0].query_id);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(*replayed, RenderExperimentReport(*report));
 
-  // A "benchmark" entry (the legacy wrapper) re-runs as a fresh
-  // 1-replicate experiment through the registry.
-  auto nj = MakeNjAlgorithm();
-  SelectionSpec sel;
-  sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = 6;
-  ASSERT_TRUE(session->Benchmark("gold", *nj, sel, false).ok());
-  history = session->QueryHistory(1);
-  ASSERT_TRUE(history.ok());
-  ASSERT_EQ((*history)[0].kind, "benchmark");
-  auto bench_replay = session->RerunQuery((*history)[0].query_id);
+  // The "benchmark" entry re-runs as a fresh 1-replicate experiment
+  // through the registry.
+  auto bench_replay = session->RerunQuery(benchmark_id);
   ASSERT_TRUE(bench_replay.ok()) << bench_replay.status();
   EXPECT_NE(bench_replay->find("neighbor_joining"), std::string::npos);
+  session.reset();
+  RemoveFile(path);
 }
 
 }  // namespace

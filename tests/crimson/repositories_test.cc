@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <utility>
+#include <vector>
 
 #include "sim/tree_sim.h"
 #include "storage/file.h"
+#include "tree/name_index.h"
 #include "tree/tree_builders.h"
 
 namespace crimson {
@@ -245,20 +247,13 @@ TEST_F(RepositoriesTest, LabelsRemovedWithTree) {
   EXPECT_TRUE(trees_->LoadScheme(id).status().IsNotFound());
 }
 
-TEST_F(RepositoriesTest, LabelsOptional) {
-  trees_->set_persist_labels(false);
-  int64_t id = StoreFig1("unlabeled");
-  EXPECT_TRUE(trees_->LoadScheme(id).status().IsNotFound());
-  // The tree itself still round-trips.
-  auto loaded = trees_->LoadTree(id);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(PhyloTree::Equal(*loaded, MakePaperFigure1Tree(), 1e-9,
-                               /*ordered=*/true));
-}
-
-/// Bulk-loaded and per-row stores must be observationally identical
-/// through every repository read path.
-void CheckBulkMatchesPerRowStore(uint32_t n_leaves, uint64_t seed) {
+/// Every repository read path answers from storage exactly what the
+/// in-memory tree says: GetNode against parent/name/edge length/
+/// RootPathWeights/the scheme's subtree and local depth,
+/// FindNodeByName against NameIndex, and NodesInTimeRange against a
+/// brute-force filter. The tree is stored after a neighbor tree, so
+/// its rows land in already-populated indexes.
+void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
   Rng rng(seed);
   YuleOptions opts;
   opts.n_leaves = n_leaves;
@@ -267,60 +262,79 @@ void CheckBulkMatchesPerRowStore(uint32_t n_leaves, uint64_t seed) {
   LayeredDeweyScheme scheme(8);
   ASSERT_TRUE(scheme.Build(*t).ok());
 
-  auto db_bulk = std::move(Database::OpenInMemory()).value();
-  auto bulk = std::move(TreeRepository::Open(db_bulk.get())).value();
-  bulk->set_bulk_load_threshold(0);
-  auto db_row = std::move(Database::OpenInMemory()).value();
-  auto per_row = std::move(TreeRepository::Open(db_row.get())).value();
-  per_row->set_bulk_load_threshold(std::numeric_limits<size_t>::max());
+  auto db = std::move(Database::OpenInMemory()).value();
+  auto trees = std::move(TreeRepository::Open(db.get())).value();
+  const PhyloTree neighbor = MakePaperFigure1Tree();
+  LayeredDeweyScheme neighbor_scheme(3);
+  ASSERT_TRUE(neighbor_scheme.Build(neighbor).ok());
+  auto neighbor_id = trees->StoreTree("fig1", neighbor, neighbor_scheme);
+  ASSERT_TRUE(neighbor_id.ok()) << neighbor_id.status();
+  auto id = trees->StoreTree("yule", *t, scheme);
+  ASSERT_TRUE(id.ok()) << id.status();
 
-  auto id_bulk = bulk->StoreTree("yule", *t, scheme);
-  auto id_row = per_row->StoreTree("yule", *t, scheme);
-  ASSERT_TRUE(id_bulk.ok() && id_row.ok());
-  ASSERT_EQ(*id_bulk, *id_row);
-
-  auto loaded_bulk = bulk->LoadTree(*id_bulk);
-  auto loaded_row = per_row->LoadTree(*id_row);
-  ASSERT_TRUE(loaded_bulk.ok() && loaded_row.ok());
-  EXPECT_TRUE(PhyloTree::Equal(*loaded_bulk, *t, 1e-9, /*ordered=*/true));
+  auto loaded = trees->LoadTree(*id);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(PhyloTree::Equal(*loaded, *t, 1e-9, /*ordered=*/true));
+  auto loaded_neighbor = trees->LoadTree(*neighbor_id);
+  ASSERT_TRUE(loaded_neighbor.ok());
   EXPECT_TRUE(
-      PhyloTree::Equal(*loaded_bulk, *loaded_row, 1e-9, /*ordered=*/true));
+      PhyloTree::Equal(*loaded_neighbor, neighbor, 1e-9, /*ordered=*/true));
 
-  for (int i = 0; i < 50; ++i) {
-    NodeId n = static_cast<NodeId>(rng.Uniform(t->size()));
-    auto row_a = bulk->GetNode(*id_bulk, n);
-    auto row_b = per_row->GetNode(*id_row, n);
-    ASSERT_TRUE(row_a.ok() && row_b.ok());
-    EXPECT_EQ(row_a->parent, row_b->parent);
-    EXPECT_EQ(row_a->name, row_b->name);
-    EXPECT_EQ(row_a->subtree, row_b->subtree);
-    EXPECT_DOUBLE_EQ(row_a->root_weight, row_b->root_weight);
+  const std::vector<double> weights = t->RootPathWeights();
+  for (NodeId n = 0; n < t->size(); ++n) {
+    auto row = trees->GetNode(*id, n);
+    ASSERT_TRUE(row.ok()) << "node " << n << ": " << row.status();
+    EXPECT_EQ(row->parent, t->parent(n)) << n;
+    EXPECT_EQ(row->name, t->name(n)) << n;
+    EXPECT_EQ(row->edge_length, t->edge_length(n)) << n;
+    EXPECT_EQ(row->root_weight, weights[n]) << n;
+    EXPECT_EQ(row->subtree, scheme.SubtreeOf(n)) << n;
+    EXPECT_EQ(row->local_depth, scheme.LocalDepth(n)) << n;
   }
-  for (int i = 0; i < 20; ++i) {
-    std::string name =
-        "S" + std::to_string(rng.Uniform(n_leaves));
-    auto n_a = bulk->FindNodeByName(*id_bulk, name);
-    auto n_b = per_row->FindNodeByName(*id_row, name);
-    ASSERT_TRUE(n_a.ok() && n_b.ok()) << name;
-    EXPECT_EQ(*n_a, *n_b) << name;
+  EXPECT_TRUE(trees->GetNode(*id, static_cast<NodeId>(t->size()))
+                  .status()
+                  .IsNotFound());
+
+  const NameIndex names = NameIndex::Build(*t);
+  for (NodeId n = 0; n < t->size(); ++n) {
+    const std::string name(t->name(n));
+    if (name.empty()) continue;
+    auto found = trees->FindNodeByName(*id, name);
+    ASSERT_TRUE(found.ok()) << name << ": " << found.status();
+    EXPECT_EQ(*found, names.Find(*t, name)) << name;
   }
-  auto range_a = bulk->NodesInTimeRange(*id_bulk, 0.5, 2.0);
-  auto range_b = per_row->NodesInTimeRange(*id_row, 0.5, 2.0);
-  ASSERT_TRUE(range_a.ok() && range_b.ok());
-  EXPECT_EQ(*range_a, *range_b);
+  // Names of the neighbor tree do not leak into this one.
+  EXPECT_TRUE(trees->FindNodeByName(*id, "Lla").status().IsNotFound());
+
+  const std::pair<double, double> ranges[] = {
+      {0.0, 0.25}, {0.5, 2.0}, {1.0, 1e9}, {weights[1], weights[1]}};
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<NodeId> expected;
+    for (NodeId n = 0; n < t->size(); ++n) {
+      if (weights[n] >= lo && weights[n] < hi) expected.push_back(n);
+    }
+    auto got = trees->NodesInTimeRange(*id, lo, hi);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected) << "[" << lo << ", " << hi << ")";
+  }
 }
 
-TEST(RepositoriesBulkTest, BulkStoreMatchesPerRowStore) {
-  CheckBulkMatchesPerRowStore(700, 0xB0B0);
+TEST(RepositoriesStoreTest, SmallTreeMatchesInMemoryTree) {
+  // Under 512 nodes: such trees once took a separate per-row path.
+  CheckStoreMatchesInMemoryTree(120, 0x5A11);
 }
 
-TEST(RepositoriesBulkStressTest, LargeBulkStoresMatchPerRow) {
+TEST(RepositoriesStoreTest, StoreMatchesInMemoryTree) {
+  CheckStoreMatchesInMemoryTree(700, 0xB0B0);
+}
+
+TEST(RepositoriesStoreStressTest, LargeStoresMatchInMemoryTree) {
   // Dialed-up version: ctest -C stress -L stress.
   Rng rng(0x57E5);
   for (int rep = 0; rep < 2; ++rep) {
-    CheckBulkMatchesPerRowStore(4000 + static_cast<uint32_t>(
-                                           rng.Uniform(4000)),
-                                rng.Next());
+    CheckStoreMatchesInMemoryTree(4000 + static_cast<uint32_t>(
+                                             rng.Uniform(4000)),
+                                  rng.Next());
   }
 }
 

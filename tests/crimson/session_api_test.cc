@@ -8,10 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <limits>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/string_util.h"
 #include "sim/seq_evolve.h"
@@ -313,45 +314,65 @@ TEST(SeedTest, EachQueryDrawsFromItsOwnTicketedRng) {
             std::get<SampleAnswer>(*sb).species);
 }
 
-TEST(BulkLoadPathTest, BulkAndPerRowSessionsAnswerIdentically) {
-  // A bulk-loaded tree (bottom-up index builds + persisted labels) must
-  // answer every query kind byte-identically to an insert-loaded one.
+TEST(StoredTreeTest, SmallTreeAnswersIdenticallyAfterReopen) {
+  // A tree under 512 nodes (such trees once took a separate per-row
+  // ingest path) answers all six query kinds the same from the handle
+  // bound at load and from a cold bind of the stored rows and labels
+  // after a Flush and an on-disk reopen. Both sessions start at ticket
+  // 0 with the same seed, so sampling draws must match too.
   Rng tree_rng(0xFACE);
   auto yule = SimulateYule([] {
     YuleOptions opts;
-    opts.n_leaves = 600;
+    opts.n_leaves = 200;
     return opts;
   }(), &tree_rng);
   ASSERT_TRUE(yule.ok());
+  ASSERT_LT(yule->size(), 512u);
+  const std::string path = testing::TempDir() + "/crimson_small_tree.db";
+  std::remove(path.c_str());
+  CrimsonOptions opts;
+  opts.db_path = path;
+  opts.seed = 0x5EED;
 
-  CrimsonOptions per_row_opts;
-  per_row_opts.bulk_load_threshold = std::numeric_limits<size_t>::max();
-  per_row_opts.persist_labels = false;
-  CrimsonOptions bulk_opts;
-  bulk_opts.bulk_load_threshold = 0;
-  bulk_opts.persist_labels = true;
-
-  auto per_row = std::move(Crimson::Open(per_row_opts)).value();
-  auto bulk = std::move(Crimson::Open(bulk_opts)).value();
-  TreeRef ref_a = per_row->LoadTree("yule", *yule).value().ref;
-  TreeRef ref_b = bulk->LoadTree("yule", *yule).value().ref;
-
-  std::vector<QueryRequest> requests = {
-      LcaQuery{"S10", "S500"},
-      ProjectQuery{{"S1", "S99", "S250", "S420"}},
+  const std::vector<QueryRequest> requests = {
+      LcaQuery{"S10", "S150"},
+      ProjectQuery{{"S1", "S99", "S120", "S180"}},
       SampleUniformQuery{12},
       SampleTimeQuery{12, 0.8},
       CladeQuery{{"S33", "S44", "S55"}},
       PatternQuery{"(S1,S2);", false},
   };
-  for (const QueryRequest& request : requests) {
-    auto a = per_row->Execute(ref_a, request);
-    auto b = bulk->Execute(ref_b, request);
-    ASSERT_EQ(a.ok(), b.ok()) << QueryKindName(request);
-    if (a.ok()) {
-      EXPECT_EQ(RenderResult(*a), RenderResult(*b)) << QueryKindName(request);
+  std::vector<std::string> before;
+  {
+    auto session = std::move(Crimson::Open(opts)).value();
+    auto load = session->LoadTree("yule", *yule);
+    ASSERT_TRUE(load.ok()) << load.status();
+    for (const QueryRequest& request : requests) {
+      auto r = session->Execute(load->ref, request);
+      ASSERT_TRUE(r.ok()) << QueryKindName(request) << ": " << r.status();
+      before.push_back(RenderResult(*r));
+    }
+    auto lca = session->Execute(load->ref, LcaQuery{"S10", "S150"});
+    ASSERT_TRUE(lca.ok());
+    EXPECT_EQ(std::get<LcaAnswer>(*lca).node,
+              yule->NaiveLca(yule->FindByName("S10"),
+                             yule->FindByName("S150")));
+    ASSERT_TRUE(session->Flush().ok());
+  }
+  {
+    auto session = std::move(Crimson::Open(opts)).value();
+    auto ref = session->OpenTree("yule");
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    auto tree = session->GetTree(*ref);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_TRUE(PhyloTree::Equal(**tree, *yule, 1e-9, /*ordered=*/true));
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto r = session->Execute(*ref, requests[i]);
+      ASSERT_TRUE(r.ok()) << QueryKindName(requests[i]) << ": " << r.status();
+      EXPECT_EQ(RenderResult(*r), before[i]) << QueryKindName(requests[i]);
     }
   }
+  std::remove(path.c_str());
 }
 
 TEST(TreeRefTest, ExportAndRenderTakeHandles) {

@@ -2,7 +2,8 @@
 // the pre-commit state byte-identically (cold OpenTree binds, all six
 // query kinds, NEXUS export), and the query-history buffer must keep
 // read-only queries off the writer path without losing entries or
-// replay order.
+// replay order. Cold binds from two threads must have their page
+// misses in flight at once.
 //
 // Identity protocol: the reader script is run once on a quiet session
 // (baseline) and once on a fresh session over an identically rebuilt
@@ -19,9 +20,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "common/string_util.h"
 #include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
+#include "storage/file.h"
 
 namespace crimson {
 namespace {
@@ -210,6 +214,134 @@ TEST(SnapshotSessionTest, StressReadersSeePreCommitStateDuring60kNodeStore) {
   // 30000 leaves -> ~60k nodes: the paper-scale tree of the issue.
   RunReaderVsBulkStoreTest(/*n_trees=*/3, /*n_leaves=*/128, /*iters=*/10,
                            /*writer_trees=*/2, /*writer_leaves=*/30000);
+}
+
+// ---------------------------------------------------------------------------
+// Cold misses overlap in the pager
+// ---------------------------------------------------------------------------
+
+/// Rendezvous on File::Read. Once armed, the first read blocks until a
+/// second read is in flight -- which can only come from another
+/// thread, since the first one is parked here -- or until a generous
+/// timeout, which counts as a miss. Either way it then disarms, so all
+/// later reads pass straight through.
+class ReadRendezvous {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+
+  void OnRead() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    if (++arrivals_ > 1) {
+      cv_.notify_all();
+      return;
+    }
+    met_ = cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return arrivals_ > 1; });
+    armed_ = false;
+  }
+
+  bool met() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return met_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int arrivals_ = 0;
+  bool met_ = false;
+};
+
+class RendezvousFile final : public File {
+ public:
+  RendezvousFile(std::unique_ptr<File> base, ReadRendezvous* rendezvous)
+      : base_(std::move(base)), rendezvous_(rendezvous) {}
+
+  Status Read(uint64_t offset, size_t n, char* scratch) const override {
+    rendezvous_->OnRead();
+    return base_->Read(offset, n, scratch);
+  }
+  Status Write(uint64_t offset, const char* data, size_t n) override {
+    return base_->Write(offset, data, n);
+  }
+  Status Sync() override { return base_->Sync(); }
+  uint64_t Size() const override { return base_->Size(); }
+  Status Truncate(uint64_t new_size) override {
+    return base_->Truncate(new_size);
+  }
+
+ private:
+  std::unique_ptr<File> base_;
+  ReadRendezvous* rendezvous_;
+};
+
+TEST(SnapshotSessionTest, ColdMissesFromTwoThreadsOverlapInThePager) {
+  // Two threads cold-bind different stored trees on a fresh session.
+  // Their page misses must be in flight at the same time: the first
+  // armed read waits at the rendezvous for the other thread's read, so
+  // any lock that serialized storage reads would starve it. No timing
+  // threshold is involved -- only whether both reads got there.
+  const std::string path = testing::TempDir() + "/crimson_cold_miss.db";
+  std::remove(path.c_str());
+  std::map<std::string, PhyloTree> stored;
+  {
+    CrimsonOptions opts;
+    opts.db_path = path;
+    auto session = std::move(Crimson::Open(opts)).value();
+    uint64_t seed = 0xC01D;
+    for (const char* name : {"warm", "a", "b"}) {
+      // ~4k nodes: each tree's packed image and label blob span their
+      // own overflow pages.
+      stored[name] =
+          MakeGold(2000, seed++, /*with_sequences=*/false).tree;
+      ASSERT_TRUE(session->LoadTree(name, stored[name]).ok());
+    }
+    ASSERT_TRUE(session->Flush().ok());
+  }
+
+  ReadRendezvous rendezvous;
+  CrimsonOptions opts;
+  opts.db_path = path;
+  const StorageEnv posix = PosixStorageEnv();
+  opts.storage_env = posix;
+  opts.storage_env.open_file =
+      [&](const std::string& file) -> Result<std::unique_ptr<File>> {
+    CRIMSON_ASSIGN_OR_RETURN(std::unique_ptr<File> base,
+                             posix.open_file(file));
+    return std::unique_ptr<File>(
+        new RendezvousFile(std::move(base), &rendezvous));
+  };
+  auto session = std::move(Crimson::Open(opts)).value();
+  // Binding a third tree warms the pages every bind shares (catalog,
+  // index roots, the heap pages holding the blob stubs), so the armed
+  // misses below are each thread's own overflow pages.
+  ASSERT_TRUE(session->OpenTree("warm").ok());
+  rendezvous.Arm();
+
+  Result<TreeRef> refs[2] = {Status::Internal("not bound"),
+                             Status::Internal("not bound")};
+  const char* names[2] = {"a", "b"};
+  std::vector<std::thread> binders;
+  for (int i = 0; i < 2; ++i) {
+    binders.emplace_back([&, i] { refs[i] = session->OpenTree(names[i]); });
+  }
+  for (auto& t : binders) t.join();
+  EXPECT_TRUE(rendezvous.met())
+      << "a cold miss never overlapped the other thread's";
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(refs[i].ok()) << refs[i].status();
+    auto tree = session->GetTree(*refs[i]);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_TRUE(
+        PhyloTree::Equal(**tree, stored[names[i]], 1e-9, /*ordered=*/true));
+  }
+  session.reset();
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 //      sequences along it (substitute for the CIPRes mega-tree).
 //   2. Load tree + species data into an on-disk relational database.
 //   3. Reopen, run structure queries through the facade.
-//   4. Benchmark NJ and UPGMA on sampled projections and verify the
-//      expected ordering (NJ is at least as accurate without a clock).
+//   4. Evaluate NJ and UPGMA on sampled projections in one experiment
+//      and verify the expected ordering (NJ is at least as accurate
+//      without a clock).
 
 #include <gtest/gtest.h>
 
@@ -109,23 +110,29 @@ TEST_F(EndToEndTest, FullPipeline) {
   ASSERT_TRUE(sample.ok()) << sample.status();
   EXPECT_EQ(std::get<SampleAnswer>(*sample).species.size(), 32u);
 
-  // ---- benchmark both algorithms --------------------------------------
+  // ---- evaluate both algorithms ---------------------------------------
+  // One spec: {nj, upgma} x one uniform selection x 3 replicates.
+  const size_t kReps = 3;
+  ExperimentSpec spec;
+  spec.algorithms = {"nj", "upgma"};
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
   sel.k = 48;
-  auto nj = MakeNjAlgorithm(DistanceCorrection::kJC69);
-  auto upgma = MakeUpgmaAlgorithm(DistanceCorrection::kJC69);
+  spec.selections = {sel};
+  spec.replicates = kReps;
+  auto report = (*c)->RunExperiment(*ref, spec);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->runs.size(), 2 * kReps);
   double nj_total = 0, upgma_total = 0;
-  const int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto nj_run = (*c)->Benchmark("gold", *nj, sel);
-    ASSERT_TRUE(nj_run.ok()) << nj_run.status();
-    auto up_run = (*c)->Benchmark("gold", *upgma, sel);
-    ASSERT_TRUE(up_run.ok()) << up_run.status();
-    nj_total += nj_run->rf.normalized;
-    upgma_total += up_run->rf.normalized;
-    EXPECT_EQ(nj_run->reference.LeafCount(), sel.k);
-    EXPECT_EQ(nj_run->reconstructed.LeafCount(), sel.k);
+  for (const BenchmarkRun& run : report->runs) {
+    EXPECT_EQ(run.reference.LeafCount(), sel.k);
+    EXPECT_EQ(run.reconstructed.LeafCount(), sel.k);
+    if (run.algorithm == "neighbor_joining") {
+      nj_total += run.rf.normalized;
+    } else {
+      ASSERT_EQ(run.algorithm, "upgma");
+      upgma_total += run.rf.normalized;
+    }
   }
   // The paper's benchmarking purpose: the harness distinguishes
   // algorithms. Without a clock NJ must not be worse than UPGMA.
@@ -134,9 +141,12 @@ TEST_F(EndToEndTest, FullPipeline) {
   EXPECT_LT(nj_total / kReps, 0.45);
 
   // ---- history captured the whole session ------------------------------
+  // Three structure queries, then the experiment as one entry.
   auto history = (*c)->QueryHistory(100);
   ASSERT_TRUE(history.ok());
-  EXPECT_GE(history->size(), 5u);
+  ASSERT_EQ(history->size(), 4u);
+  EXPECT_EQ((*history)[0].kind, "experiment");
+  EXPECT_EQ((*history)[3].kind, "lca");
 }
 
 TEST_F(EndToEndTest, NexusExportImportCycle) {

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -33,11 +35,52 @@ namespace {
 constexpr char kFig1Newick[] =
     "(Syn:2.5,((Lla:1,Spy:1):0.5,Bha:1.5):0.75,Bsu:1.25)root;";
 
-std::unique_ptr<Crimson> OpenSession(uint64_t seed) {
+/// Holds structure queries inside their execution slot until released.
+/// Installed as the session's slow-query sink under a 1us threshold:
+/// the sink runs on the query thread after the query executed but
+/// inside the server's ExecuteBatch call, so the slot stays taken
+/// while a query is held.
+class SlotLatch {
+ public:
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  /// True once a query is held; false if none arrives within a
+  /// generous timeout.
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return entered_; });
+  }
+
+  /// Lets every held (and every later) query through.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+std::unique_ptr<Crimson> OpenSession(
+    uint64_t seed, std::shared_ptr<SlotLatch> latch = nullptr) {
   CrimsonOptions opts;
   opts.f = 3;
   opts.seed = seed;
   opts.batch_workers = 2;
+  if (latch != nullptr) {
+    opts.slow_query_micros = 1;
+    opts.slow_query_sink = [latch](const std::string&) { latch->Hold(); };
+  }
   auto c = Crimson::Open(opts);
   EXPECT_TRUE(c.ok()) << c.status();
   return std::move(c).value();
@@ -48,10 +91,14 @@ struct TestServer {
   std::unique_ptr<Crimson> session;
   std::unique_ptr<SessionService> service;
   std::unique_ptr<CrimsonServer> server;
+  /// Set when started with hold_queries.
+  std::shared_ptr<SlotLatch> latch;
 
-  static TestServer Start(uint64_t seed, ServerOptions options = {}) {
+  static TestServer Start(uint64_t seed, ServerOptions options = {},
+                          bool hold_queries = false) {
     TestServer t;
-    t.session = OpenSession(seed);
+    if (hold_queries) t.latch = std::make_shared<SlotLatch>();
+    t.session = OpenSession(seed, t.latch);
     t.service = std::make_unique<SessionService>(t.session.get());
     auto server = CrimsonServer::Start(t.service.get(), options);
     EXPECT_TRUE(server.ok()) << server.status();
@@ -259,25 +306,29 @@ TEST(ServerClientTest, SaturationRejectsWithRetryAfter) {
   options.max_exec_concurrency = 1;
   options.max_inflight_queries = 1;
   options.retry_after_ms = 7;
-  options.inject_query_delay_us = 300 * 1000;  // each query holds 300ms
-  TestServer t = TestServer::Start(7, options);
+  TestServer t = TestServer::Start(7, options, /*hold_queries=*/true);
   auto slow_client = t.Connect();
   ASSERT_TRUE(slow_client->StoreNewick("fig1", kFig1Newick).ok());
 
-  // Occupy the single admission slot with a slow query...
+  // Occupy the single admission slot with a query the latch holds...
   std::thread slow([&] {
     auto r = slow_client->Execute("fig1", QueryRequest(LcaQuery{"Lla", "Syn"}));
     EXPECT_TRUE(r.ok()) << r.status();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool held = t.latch->WaitEntered();
 
   // ...then a second client must be turned away with the typed signal.
   auto client = t.Connect();
-  auto rejected = client->Execute("fig1", QueryRequest(LcaQuery{"Lla", "Syn"}));
+  Result<QueryResult> rejected = Status::Internal("not attempted");
+  if (held) {
+    rejected = client->Execute("fig1", QueryRequest(LcaQuery{"Lla", "Syn"}));
+  }
+  t.latch->Release();
+  slow.join();
+  ASSERT_TRUE(held) << "no query reached the execution slot";
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsUnavailable()) << rejected.status();
   EXPECT_EQ(rejected.status().retry_after_ms(), 7);
-  slow.join();
 
   // The rejection was bounded-queue behavior, not a broken server: the
   // canonical retry loop succeeds once the slot frees up.
@@ -443,21 +494,37 @@ TEST(ServerClientTest, StressRandomGarbageConnectionsNeverKillServer) {
 // -- graceful drain -----------------------------------------------------------
 
 TEST(ServerClientTest, ShutdownDrainsAndCheckpoints) {
-  ServerOptions options;
-  options.inject_query_delay_us = 100 * 1000;
-  TestServer t = TestServer::Start(14, options);
+  TestServer t = TestServer::Start(14, {}, /*hold_queries=*/true);
   auto client = t.Connect();
   ASSERT_TRUE(client->StoreNewick("fig1", kFig1Newick).ok());
 
-  // A query is in flight when the drain starts; its response must
-  // still arrive (read side closes, write side flushes).
+  // An idle, already-served connection: the drain hangs up on it, so
+  // its EOF tells the test that Shutdown has started.
+  auto idle = ConnectTcp("127.0.0.1", t.server->port());
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  std::string ping;
+  AppendFrame(&ping, MessageType::kPing, "idle");
+  ASSERT_TRUE(SendAll(*idle, ping.data(), ping.size()).ok());
+  ASSERT_EQ(ReadFrames(*idle, 1).size(), 1u);
+  ASSERT_TRUE(SetRecvTimeout(*idle, 30 * 1000).ok());
+
+  // A query is held in its execution slot when the drain starts; its
+  // response must still arrive (read side closes, write side flushes).
   std::thread in_flight([&] {
     auto r = client->Execute("fig1", QueryRequest(LcaQuery{"Lla", "Syn"}));
-    EXPECT_TRUE(r.ok()) << r.status();
+    ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(std::get<LcaAnswer>(*r).name, "root");
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_TRUE(t.latch->WaitEntered()) << "no query reached the execution slot";
+  std::thread releaser([&] {
+    char byte;
+    auto got = RecvSome(*idle, &byte, 1);
+    EXPECT_TRUE(got.ok() && *got == 0)
+        << "the drain never hung up on the idle connection";
+    t.latch->Release();
+  });
   EXPECT_TRUE(t.server->Shutdown().ok());
+  releaser.join();
   in_flight.join();
 
   // Shutdown is idempotent, and the port no longer accepts work.

@@ -6,7 +6,7 @@
 // that spill past the buffer pool.
 //
 // Session level: the crash-point suites run a real workload (StoreTree
-// per-row, bulk-load ingest, RunExperiment persistence) against a
+// ingest, RunExperiment persistence) against a
 // fault-injection disk, crash at *every* write/sync boundary, reopen,
 // and assert the database recovers to the pre- or post-commit state --
 // verified byte-for-byte through all six query kinds plus the
@@ -292,19 +292,17 @@ Gold MakeGold(uint32_t alpha_leaves, uint32_t beta_leaves) {
   return g;
 }
 
-enum class Phase2 { kStoreTreeRows, kStoreTreeBulk, kExperiment };
+enum class Phase2 { kStoreTree, kExperiment };
 enum class CrashPolicy { kKeepAllWrites, kDropUnsynced };
 
-CrimsonOptions SessionOptions(test::FaultInjectionEnv* env, Phase2 variant) {
+CrimsonOptions SessionOptions(test::FaultInjectionEnv* env) {
   CrimsonOptions opts;
   opts.db_path = kDbPath;
   opts.storage_env = env->env();
   opts.durability = Durability::kCommit;
-  opts.buffer_pool_pages = 64;  // small pool: bulk ingest must spill
+  opts.buffer_pool_pages = 64;  // small pool: ingest must spill
   opts.seed = 7;
   opts.batch_workers = 1;
-  opts.bulk_load_threshold =
-      variant == Phase2::kStoreTreeBulk ? 0 : SIZE_MAX;
   return opts;
 }
 
@@ -322,8 +320,7 @@ ExperimentSpec SmallSpec() {
 
 Status RunPhase2(Crimson* session, Phase2 variant, const Gold& gold) {
   switch (variant) {
-    case Phase2::kStoreTreeRows:
-    case Phase2::kStoreTreeBulk:
+    case Phase2::kStoreTree:
       return session->LoadTree("beta", gold.beta).status();
     case Phase2::kExperiment: {
       auto ref = session->OpenTree("alpha");
@@ -365,9 +362,9 @@ void FingerprintTree(Crimson* session, const std::string& name,
 /// Logical fingerprint of the whole database: tree metadata, all six
 /// query kinds per tree, and every persisted experiment row (scores,
 /// not timings).
-std::string DbFingerprint(test::FaultInjectionEnv* env, Phase2 variant) {
+std::string DbFingerprint(test::FaultInjectionEnv* env) {
   std::ostringstream out;
-  auto session = Crimson::Open(SessionOptions(env, variant));
+  auto session = Crimson::Open(SessionOptions(env));
   EXPECT_TRUE(session.ok()) << session.status();
   if (!session.ok()) return "<open failed>";
   auto trees = (*session)->ListTrees();
@@ -414,9 +411,8 @@ std::string DbFingerprint(test::FaultInjectionEnv* env, Phase2 variant) {
 }
 
 /// Loads the phase-1 state (tree alpha + sequences) and closes cleanly.
-void RunPhase1(test::FaultInjectionEnv* env, Phase2 variant,
-               const Gold& gold) {
-  auto session = Crimson::Open(SessionOptions(env, variant));
+void RunPhase1(test::FaultInjectionEnv* env, const Gold& gold) {
+  auto session = Crimson::Open(SessionOptions(env));
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE((*session)->LoadTree("alpha", gold.alpha).ok());
   ASSERT_TRUE((*session)->AppendSpeciesData("alpha", gold.alpha_seqs).ok());
@@ -435,18 +431,18 @@ void RunCrashPointSuite(Phase2 variant, CrashPolicy policy, bool torn,
   std::string post_print;
   {
     test::FaultInjectionEnv env;
-    RunPhase1(&env, variant, gold);
-    pre_print = DbFingerprint(&env, variant);
+    RunPhase1(&env, gold);
+    pre_print = DbFingerprint(&env);
   }
   {
     test::FaultInjectionEnv env;
-    RunPhase1(&env, variant, gold);
+    RunPhase1(&env, gold);
     {
-      auto session = Crimson::Open(SessionOptions(&env, variant));
+      auto session = Crimson::Open(SessionOptions(&env));
       ASSERT_TRUE(session.ok());
       ASSERT_TRUE(RunPhase2(session->get(), variant, gold).ok());
     }
-    post_print = DbFingerprint(&env, variant);
+    post_print = DbFingerprint(&env);
   }
   ASSERT_NE(pre_print, post_print);
 
@@ -456,11 +452,11 @@ void RunCrashPointSuite(Phase2 variant, CrashPolicy policy, bool torn,
   for (uint64_t fault = 1; !completed_without_fault; fault += fault_step) {
     ASSERT_LT(fault, 100000u) << "crash loop failed to terminate";
     test::FaultInjectionEnv env;
-    RunPhase1(&env, variant, gold);
+    RunPhase1(&env, gold);
     env.ResetOpCount();
     env.ArmFailPoint(fault, torn);
     {
-      auto session = Crimson::Open(SessionOptions(&env, variant));
+      auto session = Crimson::Open(SessionOptions(&env));
       if (session.ok()) {
         // The workload may fail (crash point hit) or succeed (fault
         // point beyond the workload); both are valid outcomes.
@@ -471,7 +467,7 @@ void RunCrashPointSuite(Phase2 variant, CrashPolicy policy, bool torn,
     env.Disarm();
     if (policy == CrashPolicy::kDropUnsynced) env.CrashToDurable();
 
-    std::string print = DbFingerprint(&env, variant);
+    std::string print = DbFingerprint(&env);
     if (print == pre_print) {
       ++pre_hits;
     } else if (print == post_print) {
@@ -492,23 +488,13 @@ void RunCrashPointSuite(Phase2 variant, CrashPolicy policy, bool torn,
   EXPECT_GT(post_hits, 0u);
 }
 
-TEST(RecoveryCrashPoints, StoreTreePerRowKeepAllWrites) {
-  RunCrashPointSuite(Phase2::kStoreTreeRows, CrashPolicy::kKeepAllWrites,
-                     /*torn=*/false, /*alpha=*/12, /*beta=*/20);
-}
-
-TEST(RecoveryCrashPoints, StoreTreePerRowDropUnsynced) {
-  RunCrashPointSuite(Phase2::kStoreTreeRows, CrashPolicy::kDropUnsynced,
-                     /*torn=*/false, /*alpha=*/12, /*beta=*/20);
-}
-
-TEST(RecoveryCrashPoints, BulkLoadKeepAllWrites) {
-  RunCrashPointSuite(Phase2::kStoreTreeBulk, CrashPolicy::kKeepAllWrites,
+TEST(RecoveryCrashPoints, StoreTreeKeepAllWrites) {
+  RunCrashPointSuite(Phase2::kStoreTree, CrashPolicy::kKeepAllWrites,
                      /*torn=*/false, /*alpha=*/12, /*beta=*/24);
 }
 
-TEST(RecoveryCrashPoints, BulkLoadDropUnsynced) {
-  RunCrashPointSuite(Phase2::kStoreTreeBulk, CrashPolicy::kDropUnsynced,
+TEST(RecoveryCrashPoints, StoreTreeDropUnsynced) {
+  RunCrashPointSuite(Phase2::kStoreTree, CrashPolicy::kDropUnsynced,
                      /*torn=*/false, /*alpha=*/12, /*beta=*/24);
 }
 
@@ -518,26 +504,20 @@ TEST(RecoveryCrashPoints, ExperimentPersistence) {
 }
 
 TEST(RecoveryCrashPoints, TornWrites) {
-  RunCrashPointSuite(Phase2::kStoreTreeRows, CrashPolicy::kKeepAllWrites,
+  RunCrashPointSuite(Phase2::kStoreTree, CrashPolicy::kKeepAllWrites,
                      /*torn=*/true, /*alpha=*/12, /*beta=*/20);
 }
 
-// Stress variants: bigger trees (bulk ingest spans many spilled
-// pages), a 2x2 experiment grid, every policy.
-TEST(RecoveryCrashPointsStress, StoreTreePerRowStress) {
-  RunCrashPointSuite(Phase2::kStoreTreeRows, CrashPolicy::kDropUnsynced,
-                     /*torn=*/false, /*alpha=*/24, /*beta=*/120,
-                     /*fault_step=*/3);
-}
-
-TEST(RecoveryCrashPointsStress, BulkLoadStress) {
-  RunCrashPointSuite(Phase2::kStoreTreeBulk, CrashPolicy::kDropUnsynced,
+// Stress variants: bigger trees (the ingest spans many spilled pages),
+// a 2x2 experiment grid, every policy.
+TEST(RecoveryCrashPointsStress, StoreTreeStress) {
+  RunCrashPointSuite(Phase2::kStoreTree, CrashPolicy::kDropUnsynced,
                      /*torn=*/false, /*alpha=*/24, /*beta=*/400,
                      /*fault_step=*/5);
 }
 
-TEST(RecoveryCrashPointsStress, BulkLoadTornStress) {
-  RunCrashPointSuite(Phase2::kStoreTreeBulk, CrashPolicy::kKeepAllWrites,
+TEST(RecoveryCrashPointsStress, StoreTreeTornStress) {
+  RunCrashPointSuite(Phase2::kStoreTree, CrashPolicy::kKeepAllWrites,
                      /*torn=*/true, /*alpha=*/24, /*beta=*/200,
                      /*fault_step=*/4);
 }
