@@ -359,58 +359,33 @@ Result<TreeRef> Crimson::OpenTree(const std::string& name) {
   // dispatch on already-open trees. A racing open may duplicate the
   // work; the insertion below double-checks and keeps one handle.
   auto handle = [&]() -> Result<std::shared_ptr<TreeHandle>> {
-    std::shared_ptr<TreeHandle> h;
-    Result<std::string> blob = Status::NotFound("labels not fetched");
+    auto h = std::make_shared<TreeHandle>();
+    std::string blob;
     {
       StorageReadGuard read = AcquireStorageRead();
-      CRIMSON_ASSIGN_OR_RETURN(TreeInfo info,
-                               read.repos->trees->GetTreeInfo(name));
-      h = std::make_shared<TreeHandle>(
-          static_cast<uint32_t>(info.f > 0 ? info.f : options_.f));
-      h->info = info;
+      CRIMSON_ASSIGN_OR_RETURN(h->info, read.repos->trees->GetTreeInfo(name));
       CRIMSON_ASSIGN_OR_RETURN(h->tree,
-                               read.repos->trees->LoadTree(info.tree_id));
+                               read.repos->trees->LoadTree(h->info.tree_id));
       h->tree.ShrinkToFit();  // handles are read-only; drop build slack
       // Fetch the persisted labeling here; the O(n) decode runs below,
       // outside the read snapshot.
-      blob = read.repos->trees->LoadSchemeBlob(info.tree_id);
+      CRIMSON_ASSIGN_OR_RETURN(
+          blob, read.repos->trees->LoadSchemeBlob(h->info.tree_id));
     }
-    // Label decode / index build is pure compute; no lock held. Prefer
-    // the persisted labeling (O(n) reads) and fall back to relabeling
-    // when it is absent, corrupt, or stale relative to the tree.
+    // Label decode / index build is pure compute; no lock held.
     obs::SpanTimer decode_span(obs::Stage::kLabelDecode);
-    bool have_labels = false;
-    if (blob.ok()) {
-      LayeredDeweyScheme stored;
-      Status decoded = stored.DecodeFrom(Slice(*blob));
-      if (decoded.ok() && stored.node_count() == h->tree.size()) {
-        h->scheme = std::move(stored);
-        have_labels = true;
-      } else {
-        CRIMSON_LOG(kWarning)
-            << "stored labels for '" << name << "' unusable ("
-            << (decoded.ok() ? Status::Corruption("node count mismatch")
-                             : decoded)
-            << "); relabeling";
-      }
-    } else if (!blob.status().IsNotFound()) {
-      CRIMSON_LOG(kWarning) << "stored labels for '" << name
-                            << "' unreadable (" << blob.status()
-                            << "); relabeling";
+    Status decoded = h->scheme.DecodeFrom(Slice(blob));
+    if (decoded.ok() && h->scheme.node_count() != h->tree.size()) {
+      decoded = Status::Corruption(
+          StrFormat("labels cover %zu nodes, the tree has %zu",
+                    h->scheme.node_count(), h->tree.size()));
     }
-    if (!have_labels) {
-      CRIMSON_RETURN_IF_ERROR(h->scheme.Build(h->tree));
+    if (!decoded.ok()) {
+      return Status::Corruption(StrFormat("stored labels of tree '%s': %s",
+                                          name.c_str(),
+                                          decoded.ToString().c_str()));
     }
     h->names = NameIndex::Build(h->tree);
-    if (h->names.has_duplicate_leaf_names()) {
-      // Stored trees from before the duplicate-name check (the loader
-      // now rejects them) keep working under a deterministic rule:
-      // every name-addressed lookup resolves to the first leaf in
-      // arena (insertion) order.
-      CRIMSON_LOG(kWarning)
-          << "tree '" << name << "' has duplicate leaf names; "
-          << "name-addressed queries resolve to the first occurrence";
-    }
     h->sampler = std::make_unique<Sampler>(&h->tree);
     h->projector = std::make_unique<TreeProjector>(&h->tree, &h->scheme);
     h->matcher =
@@ -1064,20 +1039,12 @@ Result<std::string> Crimson::RerunQuery(int64_t query_id) {
       CRIMSON_ASSIGN_OR_RETURN(entry, read.repos->queries->Get(query_id));
     }
   }
-  if (entry.kind == "experiment" || entry.kind == "benchmark") {
-    CRIMSON_ASSIGN_OR_RETURN(DecodedExperimentParams decoded,
-                             DecodeExperimentParams(entry.params));
-    if (decoded.experiment_id.has_value()) {
-      // Stored experiment: replay exactly (stored seed + tickets).
-      CRIMSON_ASSIGN_OR_RETURN(ExperimentReport report,
-                               RerunExperiment(*decoded.experiment_id));
-      return RenderExperimentReport(report);
-    }
-    // Legacy "benchmark" row: re-run as a fresh experiment through the
-    // registry (fresh tickets, so sampling selections may redraw).
-    CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(decoded.tree_name));
+  if (entry.kind == "experiment") {
+    // Replay exactly: the stored experiment carries its seed + tickets.
+    CRIMSON_ASSIGN_OR_RETURN(int64_t experiment_id,
+                             DecodeExperimentId(entry.params));
     CRIMSON_ASSIGN_OR_RETURN(ExperimentReport report,
-                             RunExperiment(ref, decoded.spec));
+                             RerunExperiment(experiment_id));
     return RenderExperimentReport(report);
   }
   auto decoded = DecodeQueryRequest(entry.kind, entry.params);

@@ -87,11 +87,12 @@ struct CrimsonOptions {
   /// is preserved across the buffer/storage boundary.
   size_t history_buffer_cap = 1024;
   /// Crash-durability discipline for on-disk databases (requires
-  /// db_path). kOff preserves the legacy behavior and file format;
-  /// kCommit wraps every repository write in a WAL transaction whose
-  /// commit fsyncs the log; kGroupCommit additionally coalesces
-  /// concurrent commit fsyncs. On open, a committed WAL prefix left by
-  /// a crash is replayed before any read.
+  /// db_path). kOff writes pages in place without a WAL (every mode
+  /// writes the same file format); kCommit wraps every repository
+  /// write in a WAL transaction whose commit fsyncs the log;
+  /// kGroupCommit additionally coalesces concurrent commit fsyncs. On
+  /// open, a committed WAL prefix left by a crash is replayed before
+  /// any read.
   Durability durability = Durability::kOff;
   /// Auto-checkpoint (flush + WAL truncation) once the log exceeds
   /// this many bytes; 0 = only explicit Checkpoint()/Flush() truncate.
@@ -231,9 +232,8 @@ class Crimson {
   /// decoded and replayed through Execute. Returns the fresh result
   /// rendering. Supported kinds: lca, project, sample_uniform,
   /// sample_time, clade, pattern_match -- plus "experiment" entries
-  /// (replayed exactly via RerunExperiment) and "benchmark" entries
-  /// written by older databases (re-run as a 1-replicate experiment
-  /// through RunExperiment).
+  /// (replayed exactly via RerunExperiment). Any other kind is
+  /// Unimplemented.
   [[nodiscard]] Result<std::string> RerunQuery(int64_t query_id);
 
   /// Exports a bound tree (and any stored sequences) as a NEXUS
@@ -289,8 +289,6 @@ class Crimson {
     std::unique_ptr<Sampler> sampler;
     std::unique_ptr<TreeProjector> projector;
     std::unique_ptr<PatternMatcher> matcher;
-
-    explicit TreeHandle(uint32_t f) : scheme(f) {}
   };
 
   /// Cached evaluation state for one gold tree: the sequence map plus

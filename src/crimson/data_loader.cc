@@ -1,10 +1,8 @@
 #include "crimson/data_loader.h"
 
 #include "common/log.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "labeling/layered_dewey.h"
-#include "tree/name_index.h"
 #include "tree/newick.h"
 
 namespace crimson {
@@ -13,22 +11,6 @@ Result<LoadReport> DataLoader::LoadTree(const std::string& name,
                                         const PhyloTree& tree,
                                         LoadProgressFn progress) {
   WallTimer timer;
-  // Duplicate leaf names would make every name-addressed query resolve
-  // silently to one arbitrary occurrence; reject them at ingest. Trees
-  // stored before this check still open (OpenTree applies a documented
-  // first-occurrence rule and warns).
-  {
-    NameIndex names = NameIndex::Build(tree);
-    if (names.has_duplicate_leaf_names()) {
-      std::vector<std::string> dups = names.DuplicateLeafNames(tree);
-      std::string sample = dups[0];
-      return Status::InvalidArgument(StrFormat(
-          "tree '%s' has %zu duplicate leaf name%s (e.g. '%s'); leaf names "
-          "must be unique for name-addressed queries",
-          name.c_str(), dups.size(), dups.size() == 1 ? "" : "s",
-          sample.c_str()));
-    }
-  }
   if (progress) progress("indexing", 0);
   LayeredDeweyScheme scheme(f_);
   CRIMSON_RETURN_IF_ERROR(scheme.Build(tree));

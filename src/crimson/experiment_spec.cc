@@ -159,42 +159,15 @@ Result<ExperimentSpec> DecodeExperimentSpec(std::string_view encoded) {
   return spec;
 }
 
-Result<DecodedExperimentParams> DecodeExperimentParams(
-    std::string_view params) {
+Result<int64_t> DecodeExperimentId(std::string_view params) {
   std::map<std::string, std::string, std::less<>> kv = SplitParams(params);
-  DecodedExperimentParams out;
-  out.tree_name = UnescapeParam(kv["tree"]);
-  if (out.tree_name.empty()) {
+  auto it = kv.find("id");
+  if (it == kv.end()) {
     return Status::InvalidArgument(
-        StrFormat("experiment params missing tree name: '%.*s'",
+        StrFormat("experiment params missing id: '%.*s'",
                   static_cast<int>(params.size()), params.data()));
   }
-  if (auto it = kv.find("id"); it != kv.end()) {
-    CRIMSON_ASSIGN_OR_RETURN(int64_t id, ParseInt64(it->second));
-    out.experiment_id = id;
-  }
-  if (auto it = kv.find("spec"); it != kv.end()) {
-    CRIMSON_ASSIGN_OR_RETURN(out.spec,
-                             DecodeExperimentSpec(UnescapeParam(it->second)));
-    return out;
-  }
-  // Pre-Experiment-API "benchmark" row: algorithm name + uniform k.
-  auto alg = kv.find("algorithm");
-  auto k = kv.find("k");
-  if (alg == kv.end() || k == kv.end()) {
-    return Status::InvalidArgument(
-        StrFormat("cannot decode experiment params '%.*s'",
-                  static_cast<int>(params.size()), params.data()));
-  }
-  CRIMSON_ASSIGN_OR_RETURN(int64_t sample_k, ParseInt64(k->second));
-  SelectionSpec sel;
-  sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = static_cast<size_t>(sample_k);
-  out.spec.algorithms = {UnescapeParam(alg->second)};
-  out.spec.selections = {sel};
-  out.spec.replicates = 1;
-  out.spec.compute_triplets = false;
-  return out;
+  return ParseInt64(it->second);
 }
 
 std::vector<ExperimentCell> AggregateCells(

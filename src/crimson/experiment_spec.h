@@ -12,7 +12,6 @@
 #define CRIMSON_CRIMSON_EXPERIMENT_SPEC_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,23 +83,9 @@ std::string EncodeExperimentSpec(const ExperimentSpec& spec);
 /// Inverse of EncodeExperimentSpec.
 Result<ExperimentSpec> DecodeExperimentSpec(std::string_view encoded);
 
-/// A decoded "benchmark" / "experiment" history entry.
-struct DecodedExperimentParams {
-  std::string tree_name;
-  /// Present for "experiment" entries: the persisted experiment to
-  /// replay exactly (stored seed + tickets).
-  std::optional<int64_t> experiment_id;
-  /// The spec to (re)run when no experiment id is stored.
-  ExperimentSpec spec;
-};
-
-/// Decodes the `k=v&k=v` history parameter string of a "benchmark" or
-/// "experiment" entry. Accepts both the current format (which embeds
-/// `spec=...`) and pre-Experiment-API "benchmark" rows
-/// (`tree=...&algorithm=...&k=...`), which map onto a 1-replicate
-/// uniform-selection spec.
-Result<DecodedExperimentParams> DecodeExperimentParams(
-    std::string_view params);
+/// The persisted experiment id in the `k=v&k=v` history parameter
+/// string of an "experiment" entry (`tree=...&id=...&spec=...`).
+Result<int64_t> DecodeExperimentId(std::string_view params);
 
 /// Per-cell aggregates of `runs` (which must be in `spec` job order).
 std::vector<ExperimentCell> AggregateCells(

@@ -4,60 +4,14 @@
 #include <chrono>
 
 #include "common/coding.h"
-#include "common/log.h"
 #include "common/string_util.h"
+#include "tree/name_index.h"
 
 namespace crimson {
 
 namespace {
 
-// Packed tree blob format version. Bump on layout changes; decoders
-// reject unknown versions and LoadTree falls back to the row scan.
-constexpr uint32_t kPackedTreeVersion = 1;
-
-}  // namespace
-
-void EncodePackedTree(const PhyloTree& tree, std::string* dst) {
-  const size_t n = tree.size();
-  PutVarint32(dst, kPackedTreeVersion);
-  PutVarint64(dst, n);
-  PutVarint64(dst, tree.name_arena().size());
-  dst->reserve(dst->size() + n * 16 + tree.name_arena().size());
-  for (NodeId p : tree.parents()) PutFixed32(dst, p);
-  for (double e : tree.edge_lengths()) PutDouble(dst, e);
-  for (uint32_t off : tree.name_offsets()) PutFixed32(dst, off);
-  dst->append(tree.name_arena());
-}
-
-Result<PhyloTree> DecodePackedTree(Slice blob) {
-  uint32_t version = 0;
-  uint64_t count = 0, arena_size = 0;
-  if (!GetVarint32(&blob, &version) || !GetVarint64(&blob, &count) ||
-      !GetVarint64(&blob, &arena_size)) {
-    return Status::Corruption("packed tree blob: truncated header");
-  }
-  if (version != kPackedTreeVersion) {
-    return Status::Corruption(
-        StrFormat("packed tree blob: unknown version %u", version));
-  }
-  // Fixed-width columns let the size check precede any allocation.
-  if (blob.size() != count * 16 + arena_size) {
-    return Status::Corruption("packed tree blob: size mismatch");
-  }
-  std::vector<NodeId> parents(count);
-  std::vector<double> edges(count);
-  std::vector<uint32_t> offsets(count);
-  for (uint64_t i = 0; i < count; ++i) GetFixed32(&blob, &parents[i]);
-  for (uint64_t i = 0; i < count; ++i) GetDouble(&blob, &edges[i]);
-  for (uint64_t i = 0; i < count; ++i) GetFixed32(&blob, &offsets[i]);
-  std::string arena(blob.data(), blob.size());
-  return PhyloTree::FromPacked(std::move(parents), std::move(edges),
-                               std::move(offsets), std::move(arena));
-}
-
-namespace {
-
-/// nodes/subtrees point-access key: (tree_id << 32) | local id.
+/// nodes point-access key: (tree_id << 32) | node id.
 int64_t PackKey(int64_t tree_id, uint32_t local) {
   return (tree_id << 32) | static_cast<int64_t>(local);
 }
@@ -115,17 +69,6 @@ Result<std::unique_ptr<TreeRepository>> TreeRepository::Open(Database* db) {
                     {"nodes_by_weight", "root_weight", /*unique=*/false}}));
   repo->nodes_ = std::make_unique<Table>(std::move(nodes));
 
-  Schema subtrees_schema({{"subtree_key", ColumnType::kInt64},
-                          {"tree_id", ColumnType::kInt64},
-                          {"source_node", ColumnType::kInt64},
-                          {"root_node", ColumnType::kInt64}});
-  CRIMSON_ASSIGN_OR_RETURN(
-      Table subtrees,
-      OpenOrCreate(db, "subtrees", subtrees_schema,
-                   {{"subtrees_by_key", "subtree_key", /*unique=*/true},
-                    {"subtrees_by_tree", "tree_id", /*unique=*/false}}));
-  repo->subtrees_ = std::make_unique<Table>(std::move(subtrees));
-
   Schema labels_schema({{"tree_id", ColumnType::kInt64},
                         {"scheme_blob", ColumnType::kBytes}});
   CRIMSON_ASSIGN_OR_RETURN(
@@ -150,6 +93,19 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
   if (tree.empty()) {
     return Status::InvalidArgument("cannot store an empty tree");
   }
+  // Duplicate leaf names would make every name-addressed query resolve
+  // silently to one arbitrary occurrence; no stored tree has them.
+  {
+    NameIndex names = NameIndex::Build(tree);
+    if (names.has_duplicate_leaf_names()) {
+      std::vector<std::string> dups = names.DuplicateLeafNames(tree);
+      return Status::InvalidArgument(StrFormat(
+          "tree '%s' has %zu duplicate leaf name%s (e.g. '%s'); leaf names "
+          "must be unique for name-addressed queries",
+          name.c_str(), dups.size(), dups.size() == 1 ? "" : "s",
+          dups[0].c_str()));
+    }
+  }
   // Allocate the next tree id (small table scan).
   int64_t tree_id = 1;
   CRIMSON_RETURN_IF_ERROR(
@@ -166,9 +122,9 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
               static_cast<int64_t>(tree.MaxDepth())};
   CRIMSON_RETURN_IF_ERROR(trees_->Insert(meta).status());
 
-  // Batch-encode all node and subtree rows. Node keys pack
-  // (tree_id << 32 | node), so arena order already emits sorted key
-  // runs for the point-access index -- exactly what BulkAppend wants.
+  // Batch-encode all node rows. Node keys pack (tree_id << 32 | node),
+  // so arena order already emits sorted key runs for the point-access
+  // index -- exactly what BulkAppend wants.
   std::vector<double> weights = tree.RootPathWeights();
   std::vector<Row> node_rows;
   node_rows.reserve(tree.size());
@@ -184,18 +140,7 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
          static_cast<int64_t>(scheme.SubtreeOf(n)),
          static_cast<int64_t>(scheme.LocalDepth(n))});
   }
-  std::vector<Row> subtree_rows;
-  subtree_rows.reserve(scheme.NumSubtrees(0));
-  for (uint32_t s = 0; s < scheme.NumSubtrees(0); ++s) {
-    NodeId src = scheme.SourceOfSubtree(s);
-    subtree_rows.push_back(
-        {PackKey(tree_id, s), tree_id,
-         static_cast<int64_t>(src == kNoNode ? -1
-                                             : static_cast<int64_t>(src)),
-         static_cast<int64_t>(0)});
-  }
   CRIMSON_RETURN_IF_ERROR(nodes_->BulkAppend(node_rows).status());
-  CRIMSON_RETURN_IF_ERROR(subtrees_->BulkAppend(subtree_rows).status());
   {
     std::string blob;
     scheme.EncodeTo(&blob);
@@ -204,7 +149,7 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
   }
   {
     // Packed tree image: LoadTree decodes this in two memcpy-ish
-    // passes instead of re-interning every name from node rows.
+    // passes instead of re-interning every name.
     std::string blob;
     EncodePackedTree(tree, &blob);
     Row row = {tree_id, std::move(blob)};
@@ -213,16 +158,38 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
   return tree_id;
 }
 
-Result<std::string> TreeRepository::LoadSchemeBlob(int64_t tree_id) const {
+Status TreeRepository::CorruptTree(int64_t tree_id,
+                                   const std::string& problem) const {
   CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           labels_->IndexLookup("labels_by_tree", tree_id));
+                           trees_->IndexLookup("trees_by_id", tree_id));
   if (rids.empty()) {
-    return Status::NotFound(StrFormat("no stored labels for tree %lld",
+    return Status::NotFound(StrFormat("no tree with id %lld",
                                       static_cast<long long>(tree_id)));
   }
   Row row;
-  CRIMSON_RETURN_IF_ERROR(labels_->Get(rids[0], &row));
+  CRIMSON_RETURN_IF_ERROR(trees_->Get(rids[0], &row));
+  return Status::Corruption(
+      StrFormat("tree '%s' (id %lld): %s",
+                std::get<std::string>(row[1]).c_str(),
+                static_cast<long long>(tree_id), problem.c_str()));
+}
+
+Result<std::string> TreeRepository::LoadBlob(const Table& table,
+                                             std::string_view index,
+                                             int64_t tree_id) const {
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                           table.IndexLookup(index, tree_id));
+  if (rids.empty()) {
+    return CorruptTree(tree_id,
+                       StrFormat("no %s row", table.def().name.c_str()));
+  }
+  Row row;
+  CRIMSON_RETURN_IF_ERROR(table.Get(rids[0], &row));
   return std::move(std::get<std::string>(row[1]));
+}
+
+Result<std::string> TreeRepository::LoadSchemeBlob(int64_t tree_id) const {
+  return LoadBlob(*labels_, "labels_by_tree", tree_id);
 }
 
 Result<LayeredDeweyScheme> TreeRepository::LoadScheme(int64_t tree_id) const {
@@ -271,57 +238,14 @@ Result<std::vector<TreeInfo>> TreeRepository::ListTrees() const {
 }
 
 Result<PhyloTree> TreeRepository::LoadTree(int64_t tree_id) const {
-  // Fast path: the packed blob written by StoreTree. Name bytes land in
-  // the arena via one append; no per-node string construction. Absent
-  // (pre-blob database) or unusable blobs fall through to the row scan.
-  {
-    Result<std::vector<RecordId>> rids =
-        tree_blobs_->IndexLookup("tree_blobs_by_tree", tree_id);
-    if (rids.ok() && !rids->empty()) {
-      Row row;
-      Status got = tree_blobs_->Get((*rids)[0], &row);
-      if (got.ok()) {
-        Result<PhyloTree> tree =
-            DecodePackedTree(Slice(std::get<std::string>(row[1])));
-        if (tree.ok()) return tree;
-        CRIMSON_LOG(kWarning)
-            << "packed blob for tree " << tree_id << " unusable ("
-            << tree.status() << "); rebuilding from node rows";
-      }
-    }
-  }
-  // Range scan the point-access index over this tree's key interval:
-  // keys are (tree_id << 32 | node), so nodes come back in arena order
-  // (parents before children) and the tree rebuilds in one pass.
-  std::string lower, upper;
-  CRIMSON_RETURN_IF_ERROR(
-      nodes_->EncodeKeyFor("nodes_by_key", PackKey(tree_id, 0), &lower));
-  CRIMSON_RETURN_IF_ERROR(
-      nodes_->EncodeKeyFor("nodes_by_key", PackKey(tree_id + 1, 0), &upper));
-  PhyloTree tree;
-  Status row_status;
-  Status scan_status = nodes_->IndexRangeScan(
-      "nodes_by_key", lower, upper, [&](const Slice&, RecordId rid) {
-        Row row;
-        row_status = nodes_->Get(rid, &row);
-        if (!row_status.ok()) return false;
-        int64_t parent = std::get<int64_t>(row[3]);
-        const std::string& nm = std::get<std::string>(row[2]);
-        double edge = std::get<double>(row[4]);
-        if (parent < 0) {
-          tree.AddRoot(nm, edge);
-        } else {
-          tree.AddChild(static_cast<NodeId>(parent), nm, edge);
-        }
-        return true;
-      });
-  CRIMSON_RETURN_IF_ERROR(row_status);
-  CRIMSON_RETURN_IF_ERROR(scan_status);
-  if (tree.empty()) {
-    return Status::NotFound(StrFormat("no tree with id %lld",
-                                      static_cast<long long>(tree_id)));
-  }
-  CRIMSON_RETURN_IF_ERROR(tree.Validate());
+  // Name bytes land in the arena via one append; no per-node string
+  // construction.
+  CRIMSON_ASSIGN_OR_RETURN(
+      std::string blob, LoadBlob(*tree_blobs_, "tree_blobs_by_tree", tree_id));
+  Slice in(blob);
+  Result<PhyloTree> tree = DecodePackedTree(&in);
+  if (!tree.ok()) return CorruptTree(tree_id, tree.status().ToString());
+  if (!in.empty()) return CorruptTree(tree_id, "tree blob has trailing bytes");
   return tree;
 }
 
@@ -402,11 +326,6 @@ Status TreeRepository::DropTree(int64_t tree_id) {
                            nodes_->IndexLookup("nodes_by_tree", tree_id));
   for (const RecordId& rid : node_rids) {
     CRIMSON_RETURN_IF_ERROR(nodes_->Delete(rid));
-  }
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> sub_rids,
-                           subtrees_->IndexLookup("subtrees_by_tree", tree_id));
-  for (const RecordId& rid : sub_rids) {
-    CRIMSON_RETURN_IF_ERROR(subtrees_->Delete(rid));
   }
   CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> label_rids,
                            labels_->IndexLookup("labels_by_tree", tree_id));

@@ -10,15 +10,13 @@
 //   nodes(tree_id*, node_key*, name*, parent, ordinal, edge_length,
 //         root_weight*, subtree, local_depth)
 //     - node_key packs (tree_id << 32 | node_id) for point access
-//   subtrees(tree_id*, subtree_id, source_node, root_node)
 //   labels(tree_id*, scheme_blob)
-//     - the serialized layered-Dewey scheme (all layers), so binding a
-//       stored tree deserializes labels instead of relabeling
+//     - the serialized layered-Dewey scheme (all layers, with every
+//       layer's subtree sources and roots); required for every tree
 //   tree_blobs(tree_id*, tree_blob)
-//     - the packed column-oriented tree image (parents, edge lengths,
-//       name offsets, one contiguous name arena), so OpenTree
-//       deserializes without re-interning names; LoadTree falls back
-//       to the nodes row scan for databases written before this table
+//     - the packed tree image (tree/phylo_tree.h EncodePackedTree);
+//       required for every tree, so OpenTree deserializes without
+//       re-interning names
 //   species(tree_id, species_name*, node_id, sequence)
 //   queries(query_id*, timestamp, kind, params, summary)
 //   experiments(experiment_id*, created, tree_name, spec, seed,
@@ -33,6 +31,9 @@
 //                    selection_index, replicates, rf aggregates,
 //                    mean_triplet, seconds)
 //   (* = indexed column)
+// A missing or undecodable labels / tree_blobs row is Corruption. The
+// layout is part of the file's format version (storage/page.h
+// kFormatVersion): a database of another version does not open.
 //
 // Thread safety: the repositories inherit the storage engine's
 // single-writer / multi-reader semantics. The Crimson session holds
@@ -50,6 +51,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -63,15 +65,6 @@ namespace crimson {
 /// timestamp source; the session's history buffer stamps entries with
 /// it at enqueue time so deferred flushes keep the original times).
 int64_t NowMicros();
-
-/// Serializes a tree's packed representation (version, parents, edge
-/// lengths, name offsets, raw name arena) into *dst. The inverse of
-/// DecodePackedTree; exposed for tests and offline tooling.
-void EncodePackedTree(const PhyloTree& tree, std::string* dst);
-
-/// Rebuilds a tree from EncodePackedTree output without re-interning
-/// names (links derive O(n) from the parent column).
-Result<PhyloTree> DecodePackedTree(Slice blob);
 
 /// Metadata row for a stored tree.
 struct TreeInfo {
@@ -91,16 +84,15 @@ class TreeRepository {
   static Result<std::unique_ptr<TreeRepository>> Open(Database* db);
 
   /// Persists a tree (structure + labeling) under a unique name.
-  /// Returns the assigned tree id. Node and subtree rows are
-  /// batch-encoded and appended through Table::BulkAppend (sorted key
-  /// runs, bottom-up index builds), and the serialized layered-Dewey
-  /// scheme is stored alongside so OpenTree can skip relabeling.
+  /// Returns the assigned tree id. InvalidArgument for an empty tree or
+  /// duplicate leaf names. Node rows are batch-encoded and appended
+  /// through Table::BulkAppend (sorted key runs, bottom-up index
+  /// builds); the labels and packed tree blobs are stored alongside.
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
 
-  /// The serialized labeling persisted by StoreTree, decoded. NotFound
-  /// for trees stored without labels (databases written before labels
-  /// were persisted).
+  /// The serialized labeling persisted by StoreTree, decoded.
+  /// Corruption when the tree's labels row is missing.
   Result<LayeredDeweyScheme> LoadScheme(int64_t tree_id) const;
 
   /// The raw persisted label blob (callers that hold the storage lock
@@ -113,9 +105,9 @@ class TreeRepository {
   /// All stored trees.
   Result<std::vector<TreeInfo>> ListTrees() const;
 
-  /// Reconstructs the full in-memory tree. Prefers the packed blob
-  /// written by StoreTree (no per-name re-interning); falls back to the
-  /// nodes row scan for pre-blob databases.
+  /// Reconstructs the full in-memory tree from the packed blob written
+  /// by StoreTree (no per-name re-interning). Corruption, naming the
+  /// tree, when the blob is missing or does not decode.
   Result<PhyloTree> LoadTree(int64_t tree_id) const;
 
   /// Point access: node id of a species by name within a tree (uses the
@@ -149,10 +141,17 @@ class TreeRepository {
  private:
   explicit TreeRepository(Database* db) : db_(db) {}
 
+  /// Corruption naming the stored tree, or NotFound when no tree has
+  /// this id (it was dropped).
+  Status CorruptTree(int64_t tree_id, const std::string& problem) const;
+
+  /// The blob column of the tree's row in a per-tree blob table.
+  Result<std::string> LoadBlob(const Table& table, std::string_view index,
+                               int64_t tree_id) const;
+
   Database* db_;
   std::unique_ptr<Table> trees_;
   std::unique_ptr<Table> nodes_;
-  std::unique_ptr<Table> subtrees_;
   std::unique_ptr<Table> labels_;
   std::unique_ptr<Table> tree_blobs_;
 };

@@ -165,12 +165,11 @@ Status LayeredDeweyScheme::DecodeFrom(Slice input) {
     return Status::Corruption("layered dewey blob: trailing bytes");
   }
   // Value/structure validation, so a parsable-but-corrupt blob (bit
-  // flips on disk) surfaces as Corruption here -- triggering the
-  // rebuild fallback -- rather than out-of-bounds indexing at query
-  // time. Build's invariants: parents precede children, subtree ids
-  // are dense and in range, local depths are bounded by f, each layer
-  // has one item per subtree of the layer below, and the top layer is
-  // a single subtree.
+  // flips on disk) surfaces as Corruption here -- failing OpenTree --
+  // rather than out-of-bounds indexing at query time. Build's
+  // invariants: parents precede children, subtree ids are dense and in
+  // range, local depths are bounded by f, each layer has one item per
+  // subtree of the layer below, and the top layer is a single subtree.
   for (size_t li = 0; li < layers.size(); ++li) {
     const Layer& layer = layers[li];
     size_t n = layer.parent.size();

@@ -73,7 +73,7 @@ class LayeredDeweyScheme final : public LabelingScheme {
   uint32_t LocalDepth(NodeId n) const { return layers_[0].local_depth[n]; }
 
   /// Serializes the built scheme (all layers) so a stored tree can be
-  /// re-bound without relabeling. The encoding is canonical: two
+  /// bound again without a fresh Build. The encoding is canonical: two
   /// schemes built over the same tree with the same f encode to the
   /// same bytes.
   void EncodeTo(std::string* dst) const;

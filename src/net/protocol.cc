@@ -216,66 +216,6 @@ Result<QueryEnvelope> DecodeQueryEnvelope(Slice* in) {
   return env;
 }
 
-// -- trees ------------------------------------------------------------------
-
-// Arena-order codec. AddChild both appends to the arena and appends to
-// the parent's sibling chain, so arena order always agrees with
-// sibling order -- rebuilding by arena index reproduces the tree
-// exactly (parents strictly precede children).
-void EncodeTree(std::string* dst, const PhyloTree& tree) {
-  PutVarint64(dst, tree.size());
-  for (NodeId n = 0; n < tree.size(); ++n) {
-    // parent+1 so the root's "no parent" encodes as 0.
-    PutVarint32(dst, tree.parent(n) == kNoNode ? 0 : tree.parent(n) + 1);
-    PutString(dst, tree.name(n));
-    PutDouble(dst, tree.edge_length(n));
-  }
-}
-
-Result<PhyloTree> DecodeTree(Slice* in) {
-  uint64_t count = 0;
-  if (!GetVarint64(in, &count)) return Truncated("tree node count");
-  // Each node needs >= 10 payload bytes (parent varint + empty name's
-  // length byte + 8-byte edge length); reject hostile counts before
-  // reserving anything.
-  if (count > in->size() / 10 + 1) {
-    return Status::InvalidArgument(
-        StrFormat("wire decode: tree claims %llu nodes, payload too small",
-                  static_cast<unsigned long long>(count)));
-  }
-  PhyloTree tree;
-  // The name arena can never exceed the remaining payload, so one
-  // up-front reservation covers both columns and label bytes.
-  tree.Reserve(count, in->size());
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t parent_plus1 = 0;
-    std::string name;
-    double edge = 0;
-    if (!GetVarint32(in, &parent_plus1) || !GetString(in, &name) ||
-        !GetDouble(in, &edge)) {
-      return Truncated("tree node");
-    }
-    if (name.find('\0') != std::string::npos) {
-      return Status::InvalidArgument(
-          "wire decode: tree node name contains NUL");
-    }
-    if (i == 0) {
-      if (parent_plus1 != 0) {
-        return Status::InvalidArgument("wire decode: tree root has a parent");
-      }
-      tree.AddRoot(std::move(name), edge);
-    } else {
-      if (parent_plus1 == 0 || parent_plus1 > i) {
-        return Status::InvalidArgument(
-            "wire decode: tree node parent out of order");
-      }
-      tree.AddChild(parent_plus1 - 1, std::move(name), edge);
-    }
-  }
-  tree.ShrinkToFit();  // the payload-sized reserve above overshoots
-  return tree;
-}
-
 // -- query results ----------------------------------------------------------
 
 void EncodeQueryResult(std::string* dst, const QueryResult& result) {
@@ -288,7 +228,7 @@ void EncodeQueryResult(std::string* dst, const QueryResult& result) {
           },
           [&](const ProjectAnswer& a) {
             dst->push_back(static_cast<char>(ResultTag::kProject));
-            EncodeTree(dst, a.projection);
+            EncodePackedTree(a.projection, dst);
           },
           [&](const SampleAnswer& a) {
             dst->push_back(static_cast<char>(ResultTag::kSample));
@@ -304,7 +244,7 @@ void EncodeQueryResult(std::string* dst, const QueryResult& result) {
             dst->push_back(static_cast<char>(ResultTag::kPattern));
             dst->push_back(a.exact ? 1 : 0);
             PutDouble(dst, a.rf_normalized);
-            EncodeTree(dst, a.projection);
+            EncodePackedTree(a.projection, dst);
           },
       },
       result);
@@ -323,7 +263,7 @@ Result<QueryResult> DecodeQueryResultWire(Slice* in) {
     }
     case ResultTag::kProject: {
       ProjectAnswer a;
-      CRIMSON_ASSIGN_OR_RETURN(a.projection, DecodeTree(in));
+      CRIMSON_ASSIGN_OR_RETURN(a.projection, DecodePackedTree(in));
       return QueryResult(std::move(a));
     }
     case ResultTag::kSample: {
@@ -349,7 +289,7 @@ Result<QueryResult> DecodeQueryResultWire(Slice* in) {
         return Truncated("pattern answer");
       }
       a.exact = exact != 0;
-      CRIMSON_ASSIGN_OR_RETURN(a.projection, DecodeTree(in));
+      CRIMSON_ASSIGN_OR_RETURN(a.projection, DecodePackedTree(in));
       return QueryResult(std::move(a));
     }
   }

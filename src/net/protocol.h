@@ -51,7 +51,9 @@ namespace crimson {
 namespace net {
 
 inline constexpr uint16_t kFrameMagic = 0xC51E;
-inline constexpr uint8_t kProtocolVersion = 1;
+/// Version 2 made projection trees in kQueryOk payloads packed tree
+/// images.
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 12;
 /// Hard ceiling on payload bytes; oversized frames are rejected before
 /// any allocation happens. Servers may configure a lower limit.
@@ -132,14 +134,11 @@ Result<QueryRequest> DecodeQueryRequestWire(Slice* in);
 void EncodeQueryEnvelope(std::string* dst, const QueryEnvelope& env);
 Result<QueryEnvelope> DecodeQueryEnvelope(Slice* in);
 
+/// Projection trees (ProjectAnswer, PatternAnswer) travel as packed
+/// tree images (tree/phylo_tree.h EncodePackedTree), the codec the
+/// tree_blobs table stores.
 void EncodeQueryResult(std::string* dst, const QueryResult& result);
 Result<QueryResult> DecodeQueryResultWire(Slice* in);
-
-/// Exact structural tree codec: arena order, names, bit-exact edge
-/// lengths. Round-trips any PhyloTree byte-identically (re-encoding
-/// the decoded tree yields the same bytes).
-void EncodeTree(std::string* dst, const PhyloTree& tree);
-Result<PhyloTree> DecodeTree(Slice* in);
 
 void EncodeTreeInfo(std::string* dst, const TreeInfo& info);
 Result<TreeInfo> DecodeTreeInfo(Slice* in);

@@ -59,9 +59,6 @@ AlgorithmRegistry& AlgorithmRegistry::Global() {
 
 AlgorithmRegistry::AlgorithmRegistry() {
   factories_["nj"] = [] { return MakeNjAlgorithm(DistanceCorrection::kJC69); };
-  // Alias under the algorithm's self-reported name so pre-registry
-  // "benchmark" history rows (which stored name()) stay replayable.
-  factories_["neighbor_joining"] = factories_["nj"];
   factories_["upgma"] = [] {
     return MakeUpgmaAlgorithm(DistanceCorrection::kJC69);
   };

@@ -48,8 +48,9 @@ std::unique_ptr<ReconstructionAlgorithm> MakeUpgmaAlgorithm(
 /// an ExperimentSpec (and hence in the experiments table) must be
 /// registered here to be runnable and replayable.
 ///
-/// Pre-registered names: "nj" (alias "neighbor_joining") and "upgma",
-/// both with JC69 distance correction. Thread-safe.
+/// Pre-registered names: "nj" and "upgma", both with JC69 distance
+/// correction. Registry names need not match name(): "nj" runs report
+/// "neighbor_joining". Thread-safe.
 class AlgorithmRegistry {
  public:
   using Factory = std::function<std::unique_ptr<ReconstructionAlgorithm>()>;

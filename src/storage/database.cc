@@ -60,6 +60,9 @@ Result<std::unique_ptr<Database>> Database::Build(
   auto db = std::unique_ptr<Database>(new Database(options));
   const bool want_wal =
       options.durability != Durability::kOff && !path.empty();
+  // A file of another format version fails here, before replay could
+  // rewrite its header or the WAL could be reset or removed.
+  CRIMSON_RETURN_IF_ERROR(CheckFormatVersion(file.get()));
   if (!path.empty()) {
     // Replay a leftover WAL even when this open is not durable:
     // committed transactions of the previous (durable) run must not be

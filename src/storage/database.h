@@ -3,7 +3,7 @@
 // name.
 //
 // Durability model (see DESIGN.md "Durability & recovery"):
-//  - kOff: no WAL, no transactions; today's behavior and file format.
+//  - kOff: no WAL, no transactions; pages are written in place.
 //  - kCommit / kGroupCommit: every mutation runs inside an explicit
 //    Txn (Begin/Commit). Commit appends the transaction's page
 //    after-images plus a commit record to the WAL and fsyncs it before
@@ -171,7 +171,9 @@ class Database {
 
   /// Opens (or creates) an on-disk database. With durability on (or a
   /// leftover WAL from a durable run), committed WAL records are
-  /// replayed before the header is read.
+  /// replayed before the header is read. A file of another format
+  /// version (page.h kFormatVersion) fails with FailedPrecondition
+  /// before any replay, leaving the file and its WAL untouched.
   static Result<std::unique_ptr<Database>> Open(
       const std::string& path, const DatabaseOptions& options = {});
 

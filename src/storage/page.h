@@ -31,18 +31,30 @@ enum class PageType : uint8_t {
   kBTreeAnchor = 5,
 };
 
-/// Database file header (stored at offset 0 of page 0).
+/// Database file header (stored at offset 0 of page 0; the rest of the
+/// page is zero). EncodeDbHeader/DecodeDbHeader in pager.h are the only
+/// code that lays it out.
 ///   [0..8)   magic "CRIMSON1"
 ///   [8..12)  page size
 ///   [12..16) page count (including header)
 ///   [16..20) freelist head page id (0 = empty)
 ///   [20..24) catalog btree root page id (0 = absent)
+///   [24..28) format version (kFormatVersion; files written before the
+///            field existed read as 0)
 inline constexpr char kDbMagic[8] = {'C', 'R', 'I', 'M', 'S', 'O', 'N', '1'};
 inline constexpr uint32_t kHeaderMagicOffset = 0;
 inline constexpr uint32_t kHeaderPageSizeOffset = 8;
 inline constexpr uint32_t kHeaderPageCountOffset = 12;
 inline constexpr uint32_t kHeaderFreelistOffset = 16;
 inline constexpr uint32_t kHeaderCatalogRootOffset = 20;
+inline constexpr uint32_t kHeaderFormatVersionOffset = 24;
+inline constexpr uint32_t kHeaderBytes = 28;
+
+/// On-disk format version of every byte a database file holds: the
+/// table set, index key encoding, blob codecs and history params. Any
+/// change to them bumps it; there is no in-place upgrade, so a file of
+/// another version fails to open and its trees must be loaded again.
+inline constexpr uint32_t kFormatVersion = 1;
 
 /// FNV-1a 64-bit hash, used for page checksums and test fixtures.
 inline uint64_t Fnv1a64(const char* data, size_t n, uint64_t seed = 0xcbf29ce484222325ULL) {

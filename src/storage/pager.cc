@@ -12,49 +12,83 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
                                            bool deferred_header) {
   auto pager = std::unique_ptr<Pager>(new Pager(std::move(file)));
   pager->deferred_ = deferred_header;
-  if (pager->file_->Size() == 0) {
-    CRIMSON_RETURN_IF_ERROR(pager->InitializeFresh());
-  } else {
-    CRIMSON_RETURN_IF_ERROR(pager->LoadHeader());
-  }
+  CRIMSON_RETURN_IF_ERROR(pager->file_->Size() == 0 ? pager->WriteHeader()
+                                                    : pager->LoadHeader());
   return pager;
 }
 
-Status Pager::InitializeFresh() {
-  page_count_ = 1;
-  freelist_head_ = kInvalidPageId;
-  catalog_root_ = kInvalidPageId;
-  return WriteHeader();
+std::string EncodeDbHeader(const DbHeader& header) {
+  std::string page(kPageSize, '\0');
+  memcpy(&page[kHeaderMagicOffset], kDbMagic, sizeof(kDbMagic));
+  EncodeFixed32(&page[kHeaderPageSizeOffset], kPageSize);
+  EncodeFixed32(&page[kHeaderPageCountOffset], header.page_count);
+  EncodeFixed32(&page[kHeaderFreelistOffset], header.freelist_head);
+  EncodeFixed32(&page[kHeaderCatalogRootOffset], header.catalog_root);
+  EncodeFixed32(&page[kHeaderFormatVersionOffset], header.format_version);
+  return page;
 }
 
-Status Pager::LoadHeader() {
-  std::vector<char> buf(kPageSize);
-  CRIMSON_RETURN_IF_ERROR(file_->Read(0, kPageSize, buf.data()));
-  if (memcmp(buf.data() + kHeaderMagicOffset, kDbMagic, sizeof(kDbMagic)) !=
-      0) {
+Result<DbHeader> DecodeDbHeader(Slice page) {
+  if (page.size() < kHeaderBytes ||
+      memcmp(page.data() + kHeaderMagicOffset, kDbMagic, sizeof(kDbMagic)) !=
+          0) {
     return Status::Corruption("bad database magic");
   }
-  uint32_t page_size = DecodeFixed32(buf.data() + kHeaderPageSizeOffset);
+  DbHeader header;
+  header.format_version =
+      DecodeFixed32(page.data() + kHeaderFormatVersionOffset);
+  if (header.format_version != kFormatVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "database file has format version %u, this build reads format "
+        "version %u; load the trees into a new database",
+        header.format_version, kFormatVersion));
+  }
+  const uint32_t page_size = DecodeFixed32(page.data() + kHeaderPageSizeOffset);
   if (page_size != kPageSize) {
     return Status::Corruption(
         StrFormat("page size mismatch: file has %u, build expects %u",
                   page_size, kPageSize));
   }
-  page_count_ = DecodeFixed32(buf.data() + kHeaderPageCountOffset);
-  freelist_head_ = DecodeFixed32(buf.data() + kHeaderFreelistOffset);
-  catalog_root_ = DecodeFixed32(buf.data() + kHeaderCatalogRootOffset);
-  if (page_count_ == 0) return Status::Corruption("zero page count");
+  header.page_count = DecodeFixed32(page.data() + kHeaderPageCountOffset);
+  header.freelist_head = DecodeFixed32(page.data() + kHeaderFreelistOffset);
+  header.catalog_root = DecodeFixed32(page.data() + kHeaderCatalogRootOffset);
+  if (header.page_count == 0) return Status::Corruption("zero page count");
+  return header;
+}
+
+Status CheckFormatVersion(File* file) {
+  if (file->Size() < kHeaderBytes) return Status::OK();
+  char buf[kHeaderBytes];
+  CRIMSON_RETURN_IF_ERROR(file->Read(0, kHeaderBytes, buf));
+  Status s = DecodeDbHeader(Slice(buf, kHeaderBytes)).status();
+  return s.IsFailedPrecondition() ? s : Status::OK();
+}
+
+DbHeader Pager::header() const {
+  DbHeader header;
+  header.page_count = page_count_;
+  header.freelist_head = freelist_head_;
+  header.catalog_root = catalog_root_;
+  return header;
+}
+
+void Pager::SetHeader(const DbHeader& header) {
+  page_count_ = header.page_count;
+  freelist_head_ = header.freelist_head;
+  catalog_root_ = header.catalog_root;
+}
+
+Status Pager::LoadHeader() {
+  char buf[kHeaderBytes];
+  CRIMSON_RETURN_IF_ERROR(file_->Read(0, kHeaderBytes, buf));
+  CRIMSON_ASSIGN_OR_RETURN(DbHeader header,
+                           DecodeDbHeader(Slice(buf, kHeaderBytes)));
+  SetHeader(header);
   return Status::OK();
 }
 
 Status Pager::WriteHeader() {
-  std::vector<char> buf(kPageSize, 0);
-  memcpy(buf.data() + kHeaderMagicOffset, kDbMagic, sizeof(kDbMagic));
-  EncodeFixed32(buf.data() + kHeaderPageSizeOffset, kPageSize);
-  EncodeFixed32(buf.data() + kHeaderPageCountOffset, page_count_);
-  EncodeFixed32(buf.data() + kHeaderFreelistOffset, freelist_head_);
-  EncodeFixed32(buf.data() + kHeaderCatalogRootOffset, catalog_root_);
-  return file_->Write(0, buf.data(), kPageSize);
+  return file_->Write(0, EncodeDbHeader(header()).data(), kPageSize);
 }
 
 Status Pager::ReadPage(PageId id, char* buf) const {
@@ -162,19 +196,8 @@ Status Pager::WriteHeaderIfDirty() {
   return Status::OK();
 }
 
-Pager::HeaderSnapshot Pager::snapshot() const {
-  HeaderSnapshot snap;
-  snap.page_count = page_count_;
-  snap.freelist_head = freelist_head_;
-  snap.catalog_root = catalog_root_;
-  snap.header_dirty = header_dirty_;
-  return snap;
-}
-
 void Pager::Restore(const HeaderSnapshot& snap) {
-  page_count_ = snap.page_count;
-  freelist_head_ = snap.freelist_head;
-  catalog_root_ = snap.catalog_root;
+  SetHeader(snap.header);
   header_dirty_ = snap.header_dirty;
 }
 

@@ -6,13 +6,38 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "common/status.h"
 #include "storage/file.h"
 #include "storage/page.h"
 
 namespace crimson {
+
+/// The fields of header page 0 (byte layout in page.h).
+struct DbHeader {
+  uint32_t format_version = kFormatVersion;
+  uint32_t page_count = 1;
+  PageId freelist_head = kInvalidPageId;
+  PageId catalog_root = kInvalidPageId;
+};
+
+/// Lays out a whole header page (kPageSize bytes, zero past the fields).
+std::string EncodeDbHeader(const DbHeader& header);
+
+/// Parses the first kHeaderBytes of a header page. Corruption for a bad
+/// magic, page size or page count; FailedPrecondition naming both
+/// versions when the file's format version is not kFormatVersion.
+Result<DbHeader> DecodeDbHeader(Slice page);
+
+/// Fails with DecodeDbHeader's FailedPrecondition when `file` holds a
+/// header of another format version. Run before WAL replay, which
+/// rewrites the header at kFormatVersion. An empty file or an
+/// unreadable magic passes: replay may restore a torn header, and
+/// Pager::Open checks the result.
+Status CheckFormatVersion(File* file);
 
 /// Owns the database file and its header. All page reads/writes go
 /// through here; the BufferPool caches on top.
@@ -85,20 +110,19 @@ class Pager {
   /// In-memory header state captured at transaction begin and restored
   /// on abort.
   struct HeaderSnapshot {
-    uint32_t page_count = 1;
-    PageId freelist_head = kInvalidPageId;
-    PageId catalog_root = kInvalidPageId;
+    DbHeader header;
     bool header_dirty = false;
   };
-  HeaderSnapshot snapshot() const;
+  HeaderSnapshot snapshot() const { return {header(), header_dirty_}; }
   void Restore(const HeaderSnapshot& snap);
 
  private:
   explicit Pager(std::unique_ptr<File> file) : file_(std::move(file)) {}
 
+  DbHeader header() const;
+  void SetHeader(const DbHeader& header);
   Status WriteHeader();
   Status LoadHeader();
-  Status InitializeFresh();
 
   std::unique_ptr<File> file_;
   std::atomic<uint32_t> page_count_{1};

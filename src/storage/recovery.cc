@@ -6,6 +6,7 @@
 #include "common/coding.h"
 #include "common/log.h"
 #include "common/string_util.h"
+#include "storage/pager.h"
 
 namespace crimson {
 
@@ -183,19 +184,14 @@ Result<RecoveryResult> RecoverFromWal(const std::string& base,
             break;
           }
           case WalRecordType::kHeaderImage: {
-            // Rebuild the header page exactly as Pager::WriteHeader
-            // lays it out (zero page + magic + fields).
-            std::vector<char> hdr(kPageSize, 0);
-            memcpy(hdr.data() + kHeaderMagicOffset, kDbMagic,
-                   sizeof(kDbMagic));
-            EncodeFixed32(hdr.data() + kHeaderPageSizeOffset, kPageSize);
-            final_page_count = DecodeFixed32(raw.body.data());
-            EncodeFixed32(hdr.data() + kHeaderPageCountOffset,
-                          final_page_count);
-            EncodeFixed32(hdr.data() + kHeaderFreelistOffset,
-                          DecodeFixed32(raw.body.data() + 4));
-            EncodeFixed32(hdr.data() + kHeaderCatalogRootOffset,
-                          DecodeFixed32(raw.body.data() + 8));
+            // The caller checked the file's format version before
+            // replay, so the header is rewritten at kFormatVersion.
+            DbHeader header;
+            header.page_count = DecodeFixed32(raw.body.data());
+            header.freelist_head = DecodeFixed32(raw.body.data() + 4);
+            header.catalog_root = DecodeFixed32(raw.body.data() + 8);
+            final_page_count = header.page_count;
+            const std::string hdr = EncodeDbHeader(header);
             apply_status = db_file->Write(0, hdr.data(), kPageSize);
             if (!apply_status.ok()) return false;
             ++result.headers_replayed;

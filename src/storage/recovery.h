@@ -4,7 +4,8 @@
 //
 // Run *before* the Pager loads the header: a crash can tear the header
 // page itself, and the replayed kHeaderImage record is what restores
-// it. After a successful replay the database file is synced; the caller
+// it, at kFormatVersion (the caller runs CheckFormatVersion first).
+// After a successful replay the database file is synced; the caller
 // then resets the WAL (Wal::Open does this) so stale records can never
 // be replayed over newer state.
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/coding.h"
 #include "common/string_util.h"
 
 namespace crimson {
@@ -109,7 +110,10 @@ Result<PhyloTree> PhyloTree::FromPacked(std::vector<NodeId> parents,
   if (edge_lengths.size() != n || name_offsets.size() != n) {
     return Status::InvalidArgument("packed tree: column length mismatch");
   }
-  if (n == 0) return PhyloTree();
+  if (n == 0) {
+    if (name_arena.empty()) return PhyloTree();
+    return Status::InvalidArgument("packed tree: name arena without nodes");
+  }
   if (name_arena.empty() || name_arena[0] != '\0' ||
       name_arena.back() != '\0') {
     return Status::InvalidArgument("packed tree: malformed name arena");
@@ -151,6 +155,47 @@ Result<PhyloTree> PhyloTree::FromPacked(std::vector<NodeId> parents,
     last[p] = id;
   }
   return tree;
+}
+
+void EncodePackedTree(const PhyloTree& tree, std::string* dst) {
+  const size_t n = tree.size();
+  PutVarint32(dst, kPackedTreeVersion);
+  PutVarint64(dst, n);
+  PutVarint64(dst, tree.name_arena().size());
+  dst->reserve(dst->size() + n * 16 + tree.name_arena().size());
+  for (NodeId p : tree.parents()) PutFixed32(dst, p);
+  for (double e : tree.edge_lengths()) PutDouble(dst, e);
+  for (uint32_t off : tree.name_offsets()) PutFixed32(dst, off);
+  dst->append(tree.name_arena());
+}
+
+Result<PhyloTree> DecodePackedTree(Slice* in) {
+  uint32_t version = 0;
+  uint64_t count = 0, arena_size = 0;
+  if (!GetVarint32(in, &version) || !GetVarint64(in, &count) ||
+      !GetVarint64(in, &arena_size)) {
+    return Status::InvalidArgument("packed tree: truncated header");
+  }
+  if (version != kPackedTreeVersion) {
+    return Status::InvalidArgument(
+        StrFormat("packed tree: unknown version %u", version));
+  }
+  // Fixed-width columns let the size check precede any allocation;
+  // dividing instead of multiplying keeps a hostile count from
+  // overflowing past it.
+  if (count > in->size() / 16 || arena_size > in->size() - count * 16) {
+    return Status::InvalidArgument("packed tree: sizes exceed the input");
+  }
+  std::vector<NodeId> parents(count);
+  std::vector<double> edges(count);
+  std::vector<uint32_t> offsets(count);
+  for (uint64_t i = 0; i < count; ++i) GetFixed32(in, &parents[i]);
+  for (uint64_t i = 0; i < count; ++i) GetDouble(in, &edges[i]);
+  for (uint64_t i = 0; i < count; ++i) GetFixed32(in, &offsets[i]);
+  std::string arena(in->data(), arena_size);
+  in->remove_prefix(arena_size);
+  return PhyloTree::FromPacked(std::move(parents), std::move(edges),
+                               std::move(offsets), std::move(arena));
 }
 
 uint32_t PhyloTree::OutDegree(NodeId n) const {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "common/status.h"
 
 namespace crimson {
@@ -242,6 +243,26 @@ class PhyloTree {
   // ShrinkToFit() and rebuilt lazily on the next AddChild.
   std::vector<NodeId> last_child_;
 };
+
+/// Packed tree image: the one tree codec, used for the stored
+/// `tree_blobs` rows and for projection trees in wire query results.
+/// Layout: varint version (kPackedTreeVersion), varint node count,
+/// varint arena size, then the parent, edge-length and name-offset
+/// columns (fixed32 / double / fixed32 each) and the raw name arena.
+/// Re-encoding a decoded tree reproduces the input bytes exactly. A
+/// layout change bumps kPackedTreeVersion, the database kFormatVersion
+/// (storage/page.h) and the wire kProtocolVersion; decoders reject
+/// unknown versions.
+inline constexpr uint32_t kPackedTreeVersion = 1;
+
+/// Appends the packed image of `tree` to *dst.
+void EncodePackedTree(const PhyloTree& tree, std::string* dst);
+
+/// Decodes one packed image from the front of *in and advances past
+/// it (trailing bytes are the caller's). InvalidArgument for any
+/// malformed or truncated image; a node count the remaining bytes
+/// cannot hold is rejected before anything is allocated.
+Result<PhyloTree> DecodePackedTree(Slice* in);
 
 }  // namespace crimson
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "sim/seq_evolve.h"
 #include "storage/file.h"
@@ -282,46 +285,81 @@ TEST(CrimsonViewerTest, ExportNexusAndRender) {
   EXPECT_TRUE((*c)->OpenTree("ghost").status().IsNotFound());
 }
 
-TEST(CrimsonDuplicateBind, PreexistingDuplicateTreeBindsFirstOccurrence) {
-  // Trees stored before the ingest-time duplicate check still open:
-  // the bind warns and every name-addressed lookup resolves to the
-  // first occurrence in node order, deterministically.
-  const char* db_path = "dup_bind_facade.db";
-  std::remove(db_path);
+// Every stored tree carries a labels row and a tree_blobs row. OpenTree
+// decodes both and never relabels or rebuilds from node rows, so a
+// damaged row fails the bind with Corruption naming the tree.
+enum class Damage { kDeleteRow, kGarbage, kOtherTreesRow };
+
+void DamageRowThenOpen(const std::string& table_name, Damage damage) {
+  const std::string db_path =
+      testing::TempDir() + "/damaged_" + table_name + ".db";
+  std::remove(db_path.c_str());
+  {
+    CrimsonOptions opts;
+    opts.db_path = db_path;
+    auto c = Crimson::Open(opts);
+    ASSERT_TRUE(c.ok()) << c.status();
+    ASSERT_TRUE((*c)->LoadNewick("fig1", kFig1Newick).ok());
+    ASSERT_TRUE((*c)->LoadNewick("small", "((A:1,B:1):1,C:2)r;").ok());
+  }
   {
     auto db = Database::Open(db_path, {});
     ASSERT_TRUE(db.ok()) << db.status();
-    auto trees = TreeRepository::Open(db->get());
-    ASSERT_TRUE(trees.ok());
-    PhyloTree t;
-    t.AddRoot("root");
-    NodeId inner = t.AddChild(0, "", 1.0);
-    t.AddChild(inner, "Dup", 1.0);  // node 2: first occurrence
-    t.AddChild(inner, "C", 1.0);
-    t.AddChild(0, "Dup", 2.0);  // node 4: shadowed duplicate
-    LayeredDeweyScheme scheme(3);
-    ASSERT_TRUE(scheme.Build(t).ok());
-    ASSERT_TRUE((*trees)->StoreTree("legacy_dups", t, scheme).ok());
-    ASSERT_TRUE(db.value()->Checkpoint().ok());
+    auto table = (*db)->OpenTable(table_name);
+    ASSERT_TRUE(table.ok()) << table.status();
+    // Tree ids follow load order: fig1 is 1, small is 2.
+    std::map<int64_t, std::pair<RecordId, std::string>> rows;
+    ASSERT_TRUE(table
+                    ->Scan([&](const RecordId& rid, const Row& row) {
+                      rows[std::get<int64_t>(row[0])] = {
+                          rid, std::get<std::string>(row[1])};
+                      return true;
+                    })
+                    .ok());
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_TRUE(table->Delete(rows[1].first).ok());
+    if (damage == Damage::kGarbage) {
+      std::string garbage = rows[1].second;
+      garbage.resize(garbage.size() / 2);
+      ASSERT_TRUE(table->Insert({int64_t{1}, garbage}).ok());
+    } else if (damage == Damage::kOtherTreesRow) {
+      ASSERT_TRUE(table->Insert({int64_t{1}, rows[2].second}).ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   CrimsonOptions opts;
   opts.db_path = db_path;
-  opts.f = 3;
   auto c = Crimson::Open(opts);
   ASSERT_TRUE(c.ok()) << c.status();
-  auto ref = (*c)->OpenTree("legacy_dups");
-  ASSERT_TRUE(ref.ok()) << ref.status();
-  auto tree = (*c)->GetTree(*ref);
-  ASSERT_TRUE(tree.ok());
-  // "Dup" resolves to node 2 (the first occurrence), so LCA(Dup, C) is
-  // their shared parent -- not the root that the shadowed node 4 would
-  // produce.
-  auto lca = (*c)->Execute(*ref, LcaQuery{"Dup", "C"});
-  ASSERT_TRUE(lca.ok()) << lca.status();
-  EXPECT_EQ(std::get<LcaAnswer>(*lca).node,
-            (*tree)->parent((*tree)->FindByName("Dup")));
-  EXPECT_NE(std::get<LcaAnswer>(*lca).node, (*tree)->root());
-  std::remove(db_path);
+  auto ref = (*c)->OpenTree("fig1");
+  ASSERT_TRUE(ref.status().IsCorruption()) << ref.status();
+  EXPECT_NE(ref.status().ToString().find("'fig1'"), std::string::npos)
+      << ref.status();
+  // The undamaged tree still binds.
+  EXPECT_TRUE((*c)->OpenTree("small").ok());
+  c->reset();
+  std::remove(db_path.c_str());
+}
+
+TEST(CrimsonStoredRows, MissingLabelsRowIsCorruption) {
+  DamageRowThenOpen("labels", Damage::kDeleteRow);
+}
+
+TEST(CrimsonStoredRows, TruncatedLabelsRowIsCorruption) {
+  DamageRowThenOpen("labels", Damage::kGarbage);
+}
+
+TEST(CrimsonStoredRows, LabelsOfAnotherTreeAreCorruption) {
+  // Decodes fine, but covers 5 nodes where fig1 has 8.
+  DamageRowThenOpen("labels", Damage::kOtherTreesRow);
+}
+
+TEST(CrimsonStoredRows, MissingTreeBlobRowIsCorruption) {
+  DamageRowThenOpen("tree_blobs", Damage::kDeleteRow);
+}
+
+TEST(CrimsonStoredRows, TruncatedTreeBlobRowIsCorruption) {
+  DamageRowThenOpen("tree_blobs", Damage::kGarbage);
 }
 
 }  // namespace

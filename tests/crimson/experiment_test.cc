@@ -1,7 +1,7 @@
 // Tests for the typed, handle-based Experiment API: spec round-trips,
 // the algorithm registry, worker-count byte identity,
 // persistence + exact replay on a reopened database, evaluation-state
-// caching, and replay of "benchmark"/"experiment" history entries.
+// caching, and replay of "experiment" history entries.
 
 #include "crimson/experiment_spec.h"
 
@@ -152,20 +152,13 @@ TEST(ExperimentSpecTest, ValidateRejectsEmptyAndUnencodable) {
   EXPECT_TRUE(ValidateExperimentSpec(bad_species).IsInvalidArgument());
 }
 
-TEST(ExperimentSpecTest, LegacyBenchmarkParamsDecode) {
-  // A pre-Experiment-API "benchmark" history row maps onto a
-  // 1-replicate uniform spec.
-  auto decoded =
-      DecodeExperimentParams("tree=gold&algorithm=neighbor_joining&k=16");
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->tree_name, "gold");
-  EXPECT_FALSE(decoded->experiment_id.has_value());
-  ASSERT_EQ(decoded->spec.algorithms.size(), 1u);
-  EXPECT_EQ(decoded->spec.algorithms[0], "neighbor_joining");
-  ASSERT_EQ(decoded->spec.selections.size(), 1u);
-  EXPECT_EQ(decoded->spec.selections[0].kind, SelectionSpec::Kind::kUniform);
-  EXPECT_EQ(decoded->spec.selections[0].k, 16u);
-  EXPECT_EQ(decoded->spec.replicates, 1u);
+TEST(ExperimentSpecTest, HistoryParamsCarryTheExperimentId) {
+  auto id = DecodeExperimentId("tree=gold&id=7&spec=algs%3Dnj");
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(*id, 7);
+  EXPECT_TRUE(DecodeExperimentId("tree=gold&algorithm=nj&k=16")
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // -- the algorithm registry -------------------------------------------------
@@ -173,8 +166,9 @@ TEST(ExperimentSpecTest, LegacyBenchmarkParamsDecode) {
 TEST(AlgorithmRegistryTest, BuiltinsArePreRegistered) {
   auto& registry = AlgorithmRegistry::Global();
   EXPECT_TRUE(registry.Contains("nj"));
-  EXPECT_TRUE(registry.Contains("neighbor_joining"));
   EXPECT_TRUE(registry.Contains("upgma"));
+  // name() is what run rows report, not a registry name.
+  EXPECT_FALSE(registry.Contains("neighbor_joining"));
   auto nj = registry.Create("nj");
   ASSERT_TRUE(nj.ok());
   EXPECT_EQ((*nj)->name(), "neighbor_joining");
@@ -363,9 +357,8 @@ TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
 // -- history replay ---------------------------------------------------------
 
 TEST(ExperimentTest, HistoryEntriesReplayThroughTheExperimentPath) {
-  // A "benchmark" history row, as databases written before the
-  // Experiment API hold them, is seeded straight into the queries
-  // table before the session opens.
+  // A "benchmark" history row -- a kind this build does not rerun -- is
+  // seeded straight into the queries table before the session opens.
   const std::string path = testing::TempDir() + "/crimson_history_replay.db";
   RemoveFile(path);
   int64_t benchmark_id = 0;
@@ -403,11 +396,14 @@ TEST(ExperimentTest, HistoryEntriesReplayThroughTheExperimentPath) {
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(*replayed, RenderExperimentReport(*report));
 
-  // The "benchmark" entry re-runs as a fresh 1-replicate experiment
-  // through the registry.
+  // The "benchmark" entry is refused like any unknown kind.
   auto bench_replay = session->RerunQuery(benchmark_id);
-  ASSERT_TRUE(bench_replay.ok()) << bench_replay.status();
-  EXPECT_NE(bench_replay->find("neighbor_joining"), std::string::npos);
+  EXPECT_TRUE(bench_replay.status().IsUnimplemented())
+      << bench_replay.status();
+  EXPECT_NE(bench_replay.status().ToString().find(
+                "cannot rerun query kind 'benchmark'"),
+            std::string::npos)
+      << bench_replay.status();
   session.reset();
   RemoveFile(path);
 }

@@ -93,6 +93,29 @@ TEST_F(RepositoriesTest, DuplicateTreeNameRejected) {
   EXPECT_TRUE(trees_->StoreTree("dup", t, scheme).status().IsAlreadyExists());
 }
 
+TEST_F(RepositoriesTest, StoreTreeRejectsDuplicateLeafNames) {
+  // Every stored tree passes through StoreTree, so no stored tree can
+  // have two leaves answering to one name.
+  PhyloTree t;
+  t.AddRoot("root");
+  NodeId inner = t.AddChild(0, "", 1.0);
+  t.AddChild(inner, "Dup", 1.0);
+  t.AddChild(inner, "C", 1.0);
+  t.AddChild(0, "Dup", 2.0);
+  LayeredDeweyScheme scheme(3);
+  ASSERT_TRUE(scheme.Build(t).ok());
+  auto stored = trees_->StoreTree("dups", t, scheme);
+  ASSERT_TRUE(stored.status().IsInvalidArgument()) << stored.status();
+  EXPECT_NE(stored.status().ToString().find(
+                "tree 'dups' has 1 duplicate leaf name (e.g. 'Dup')"),
+            std::string::npos)
+      << stored.status();
+  EXPECT_TRUE(trees_->GetTreeInfo("dups").status().IsNotFound());
+  auto all = trees_->ListTrees();
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(all->empty());
+}
+
 TEST_F(RepositoriesTest, GetNodePointAccess) {
   int64_t id = StoreFig1();
   PhyloTree t = MakePaperFigure1Tree();

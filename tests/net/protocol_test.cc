@@ -2,7 +2,7 @@
 // feeds and torn frames), hostile-input robustness (bad magic, bad
 // version, oversized, CRC mismatch, truncation, random fuzz), and
 // byte-identical round-trips for every typed payload codec -- all six
-// QueryRequest kinds, all five QueryResult kinds, trees, metadata,
+// QueryRequest kinds, all five QueryResult kinds, packed trees, metadata,
 // history entries, and the error payload across every status code.
 
 #include "net/protocol.h"
@@ -192,7 +192,7 @@ void FuzzDecoderNeverCrashes(uint64_t seed, int iterations) {
       Slice p2(frame.payload);
       (void)DecodeQueryResultWire(&p2);
       Slice p3(frame.payload);
-      (void)DecodeTree(&p3);
+      (void)DecodePackedTree(&p3);
       Slice p4(frame.payload);
       (void)DecodeStoreTreeRequest(&p4);
       Slice p5(frame.payload);
@@ -239,13 +239,30 @@ TEST(PayloadFuzzTest, TruncatedValidPayloadsFailCleanly) {
 }
 
 TEST(PayloadFuzzTest, HostileNodeCountDoesNotAllocate) {
-  // A tree payload claiming 2^31 nodes in 6 bytes must be rejected by
-  // the plausibility bound, not die trying to reserve the arena.
+  // A tree image claiming 2^31 nodes in a few bytes must be rejected by
+  // the size bound, not die trying to allocate the columns.
   std::string payload;
+  PutVarint32(&payload, kPackedTreeVersion);
   PutVarint64(&payload, 1u << 31);
+  PutVarint64(&payload, 2);
   payload += "xx";
   Slice in(payload);
-  auto r = DecodeTree(&in);
+  auto r = DecodePackedTree(&in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument());
+}
+
+TEST(PayloadFuzzTest, OverflowingNodeCountDoesNotAllocate) {
+  // 2^60 + 1 nodes: count * 16 wraps to 16, which a multiplying size
+  // check would accept against 16 column bytes plus a 2-byte arena.
+  std::string payload;
+  PutVarint32(&payload, kPackedTreeVersion);
+  PutVarint64(&payload, (uint64_t{1} << 60) + 1);
+  PutVarint64(&payload, 2);
+  payload.append(16, '\0');
+  payload.append(2, '\0');
+  Slice in(payload);
+  auto r = DecodePackedTree(&in);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
@@ -352,9 +369,9 @@ TEST(QueryCodecTest, EveryResultKindRoundTripsByteIdentically) {
 TEST(TreeCodecTest, SimulatedTreeRoundTripsExactly) {
   PhyloTree tree = MakeTree(123, 64);
   std::string bytes;
-  EncodeTree(&bytes, tree);
+  EncodePackedTree(tree, &bytes);
   Slice in(bytes);
-  auto decoded = DecodeTree(&in);
+  auto decoded = DecodePackedTree(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(in.empty());
   ASSERT_EQ(decoded->size(), tree.size());
@@ -363,18 +380,92 @@ TEST(TreeCodecTest, SimulatedTreeRoundTripsExactly) {
   // and identical re-encoding.
   EXPECT_EQ(WriteNewick(*decoded), WriteNewick(tree));
   std::string again;
-  EncodeTree(&again, *decoded);
+  EncodePackedTree(*decoded, &again);
   EXPECT_EQ(again, bytes);
 }
 
 TEST(TreeCodecTest, EmptyTreeRoundTrips) {
   PhyloTree empty;
   std::string bytes;
-  EncodeTree(&bytes, empty);
+  EncodePackedTree(empty, &bytes);
   Slice in(bytes);
-  auto decoded = DecodeTree(&in);
+  auto decoded = DecodePackedTree(&in);
   ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(in.empty());
   EXPECT_EQ(decoded->size(), 0u);
+}
+
+TEST(TreeCodecTest, EveryTruncationFailsCleanly) {
+  std::string bytes;
+  EncodePackedTree(MakeTree(5, 9), &bytes);
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    Slice in(bytes.data(), n);
+    auto r = DecodePackedTree(&in);
+    ASSERT_FALSE(r.ok()) << "prefix " << n;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+}
+
+/// A packed image with hand-set parent links: names "" for every node.
+std::string PackedImage(const std::vector<NodeId>& parents) {
+  std::string bytes;
+  PutVarint32(&bytes, kPackedTreeVersion);
+  PutVarint64(&bytes, parents.size());
+  PutVarint64(&bytes, 1);  // arena: the shared empty name
+  for (NodeId p : parents) PutFixed32(&bytes, p);
+  for (size_t i = 0; i < parents.size(); ++i) PutDouble(&bytes, 1.0);
+  for (size_t i = 0; i < parents.size(); ++i) PutFixed32(&bytes, 0);
+  bytes.push_back('\0');
+  return bytes;
+}
+
+TEST(TreeCodecTest, RootWithParentIsRejected) {
+  std::string good = PackedImage({kNoNode, 0, 0});
+  Slice good_in(good);
+  ASSERT_TRUE(DecodePackedTree(&good_in).ok());
+  std::string bad = PackedImage({0, 0, 0});
+  Slice in(bad);
+  auto r = DecodePackedTree(&in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+}
+
+TEST(TreeCodecTest, ParentOutOfOrderIsRejected) {
+  for (const std::vector<NodeId>& parents :
+       {std::vector<NodeId>{kNoNode, 1}, std::vector<NodeId>{kNoNode, 0, 3},
+        std::vector<NodeId>{kNoNode, 0, kNoNode}}) {
+    std::string bad = PackedImage(parents);
+    Slice in(bad);
+    auto r = DecodePackedTree(&in);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+}
+
+TEST(TreeCodecTest, MutatedImagesAreRejectedOrReEncodeExactly) {
+  // Any decodable mutation is a well-formed tree whose re-encoding
+  // reproduces exactly the bytes the decoder consumed.
+  std::string valid;
+  EncodePackedTree(MakeTree(11, 16), &valid);
+  Rng rng(0x7EE5);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = valid;
+    const size_t flips = 1 + rng.Uniform(4);
+    for (size_t f = 0; f < flips; ++f) {
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<char>(1 + rng.Uniform(255));
+    }
+    Slice in(bytes);
+    auto r = DecodePackedTree(&in);
+    if (!r.ok()) {
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+      continue;
+    }
+    EXPECT_TRUE(r->Validate().ok());
+    std::string again;
+    EncodePackedTree(*r, &again);
+    EXPECT_EQ(again, bytes.substr(0, bytes.size() - in.size()));
+  }
 }
 
 TEST(MetadataCodecTest, TreeInfoListRoundTrips) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "crimson/crimson.h"
 #include "fault_injection.h"
 #include "sim/seq_evolve.h"
@@ -86,8 +87,24 @@ TEST(DatabaseTxnTest, CommittedTxnSurvivesCrash) {
     // Crash: drop the database without Flush/Checkpoint.
   }
   env.CrashToDurable();
-  auto db = std::move(Database::Open(kDbPath, DurableOptions(&env))).value();
-  auto table = db->OpenTable("kv");
+  // The data file never synced: only WAL replay can restore its header.
+  ASSERT_LT(env.FileContents(kDbPath).size(), kHeaderBytes);
+  {
+    auto db =
+        std::move(Database::Open(kDbPath, DurableOptions(&env))).value();
+    auto table = db->OpenTable("kv");
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ(ReadAll(&*table).size(), 20u);
+  }
+  // Replay rebuilt the header from the WAL's header image at the
+  // current format version, so the file reopens.
+  const std::string file = env.FileContents(kDbPath);
+  ASSERT_GE(file.size(), kPageSize);
+  EXPECT_EQ(DecodeFixed32(file.data() + kHeaderFormatVersionOffset),
+            kFormatVersion);
+  auto db = Database::Open(kDbPath, DurableOptions(&env));
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto table = (*db)->OpenTable("kv");
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ(ReadAll(&*table).size(), 20u);
 }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -370,8 +371,10 @@ void RunCodecRoundTrip(uint32_t n_nodes, uint64_t seed) {
   t.ShrinkToFit();
   std::string blob;
   EncodePackedTree(t, &blob);
-  auto back = DecodePackedTree(Slice(blob));
+  Slice in(blob);
+  auto back = DecodePackedTree(&in);
   ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(in.empty());
   EXPECT_TRUE(PhyloTree::Equal(t, *back, 1e-12, /*ordered=*/true));
   EXPECT_EQ(back->name_arena(), t.name_arena());
   for (NodeId n = 0; n < t.size(); ++n) {
@@ -395,13 +398,15 @@ TEST(PackedTreeCodec, RejectsCorruptBlobs) {
   // crash or return a malformed tree.
   for (size_t len : {size_t{0}, size_t{1}, blob.size() / 2,
                      blob.size() - 1}) {
-    auto r = DecodePackedTree(Slice(blob.data(), len));
+    Slice in(blob.data(), len);
+    auto r = DecodePackedTree(&in);
     EXPECT_FALSE(r.ok()) << "len=" << len;
   }
   // Flipping the trailing arena byte (the final NUL) breaks framing.
   std::string bad = blob;
   bad.back() = 'x';
-  EXPECT_FALSE(DecodePackedTree(Slice(bad)).ok());
+  Slice in(bad);
+  EXPECT_FALSE(DecodePackedTree(&in).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -418,6 +423,16 @@ TEST(PackedTreePersistence, StoredLabelsReopenByteIdentical) {
   PhyloTree t;
   RefTree ref;
   BuildRandomPair(250, &rng, &t, &ref);
+  // StoreTree rejects duplicate leaf names, so repeated leaf names are
+  // renamed; internal nodes keep theirs, and the dead bytes the renames
+  // leave in the arena must survive the round trip too.
+  std::set<std::string> seen;
+  for (NodeId n = 0; n < t.size(); ++n) {
+    if (t.is_leaf(n) && !t.name(n).empty() &&
+        !seen.insert(std::string(t.name(n))).second) {
+      t.set_name(n, "leaf_" + std::to_string(n));
+    }
+  }
   t.ShrinkToFit();
   LayeredDeweyScheme scheme(4);
   ASSERT_TRUE(scheme.Build(t).ok());
