@@ -3,8 +3,10 @@
 // of increasing size and sample sizes matching reconstruction input
 // scales (hundreds to thousands of species).
 //
-// Shape expectation: uniform sampling is O(k) after O(n) setup;
-// time sampling costs frontier discovery plus per-subtree draws.
+// Shape expectation: uniform sampling is O(k) after O(n) setup; time
+// sampling is O(|nodes above the frontier| + |F| + k) after O(n) setup
+// (leaf ranges per node), independent of the tree size below the
+// frontier.
 
 #include <benchmark/benchmark.h>
 

@@ -122,25 +122,23 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
               static_cast<int64_t>(tree.MaxDepth())};
   CRIMSON_RETURN_IF_ERROR(trees_->Insert(meta).status());
 
-  // Batch-encode all node rows. Node keys pack (tree_id << 32 | node),
-  // so arena order already emits sorted key runs for the point-access
-  // index -- exactly what BulkAppend wants.
+  // Stream the node rows into one bulk append. Node keys pack
+  // (tree_id << 32 | node), so arena order already emits sorted key
+  // runs for the point-access index -- exactly what BulkAppend wants.
   std::vector<double> weights = tree.RootPathWeights();
-  std::vector<Row> node_rows;
-  node_rows.reserve(tree.size());
-  for (NodeId n = 0; n < tree.size(); ++n) {
-    node_rows.push_back(
-        {PackKey(tree_id, n),
-         tree_id,
-         std::string(tree.name(n)),
-         static_cast<int64_t>(
-             n == tree.root() ? -1 : static_cast<int64_t>(tree.parent(n))),
-         tree.edge_length(n),
-         weights[n],
-         static_cast<int64_t>(scheme.SubtreeOf(n)),
-         static_cast<int64_t>(scheme.LocalDepth(n))});
-  }
-  CRIMSON_RETURN_IF_ERROR(nodes_->BulkAppend(node_rows).status());
+  CRIMSON_RETURN_IF_ERROR(
+      nodes_->BulkAppend(tree.size(), [&](size_t i, Row* row) {
+        NodeId n = static_cast<NodeId>(i);
+        *row = {PackKey(tree_id, n),
+                tree_id,
+                std::string(tree.name(n)),
+                n == tree.root() ? int64_t{-1}
+                                 : static_cast<int64_t>(tree.parent(n)),
+                tree.edge_length(n),
+                weights[n],
+                static_cast<int64_t>(scheme.SubtreeOf(n)),
+                static_cast<int64_t>(scheme.LocalDepth(n))};
+      }));
   {
     std::string blob;
     scheme.EncodeTo(&blob);
@@ -373,15 +371,13 @@ Status SpeciesRepository::Put(int64_t tree_id, const std::string& species,
 
 Status SpeciesRepository::PutBatch(int64_t tree_id,
                                    std::vector<SpeciesEntry> entries) {
-  std::vector<Row> rows;
-  rows.reserve(entries.size());
-  for (SpeciesEntry& e : entries) {
-    rows.push_back({tree_id, std::move(e.species),
-                    static_cast<int64_t>(
-                        e.node == kNoNode ? -1 : static_cast<int64_t>(e.node)),
-                    std::move(e.sequence)});
-  }
-  return species_->BulkAppend(rows).status();
+  return species_->BulkAppend(entries.size(), [&](size_t i, Row* row) {
+    SpeciesEntry& e = entries[i];
+    *row = {tree_id, std::move(e.species),
+            static_cast<int64_t>(
+                e.node == kNoNode ? -1 : static_cast<int64_t>(e.node)),
+            std::move(e.sequence)};
+  });
 }
 
 Result<std::string> SpeciesRepository::GetSequence(
@@ -554,32 +550,26 @@ Result<int64_t> ExperimentRepository::PutExperiment(
 }
 
 Status ExperimentRepository::PutRuns(const std::vector<RunRow>& rows) {
-  std::vector<Row> encoded;
-  encoded.reserve(rows.size());
-  for (const RunRow& r : rows) {
-    encoded.push_back({PackKey(r.experiment_id,
-                               static_cast<uint32_t>(r.ordinal)),
-                       r.experiment_id, r.ordinal, r.algorithm,
-                       r.selection_index, r.replicate, r.sample_size,
-                       r.rf_distance, r.rf_splits_a, r.rf_splits_b,
-                       r.rf_normalized, r.triplet_total, r.triplet_differing,
-                       r.triplet_fraction, r.seconds});
-  }
-  return runs_->BulkAppend(encoded).status();
+  return runs_->BulkAppend(rows.size(), [&](size_t i, Row* row) {
+    const RunRow& r = rows[i];
+    *row = {PackKey(r.experiment_id, static_cast<uint32_t>(r.ordinal)),
+            r.experiment_id, r.ordinal, r.algorithm,
+            r.selection_index, r.replicate, r.sample_size,
+            r.rf_distance, r.rf_splits_a, r.rf_splits_b,
+            r.rf_normalized, r.triplet_total, r.triplet_differing,
+            r.triplet_fraction, r.seconds};
+  });
 }
 
 Status ExperimentRepository::PutCells(const std::vector<CellRow>& rows) {
-  std::vector<Row> encoded;
-  encoded.reserve(rows.size());
-  for (const CellRow& c : rows) {
-    encoded.push_back({PackKey(c.experiment_id,
-                               static_cast<uint32_t>(c.ordinal)),
-                       c.experiment_id, c.ordinal, c.algorithm,
-                       c.selection_index, c.replicates, c.mean_rf_normalized,
-                       c.min_rf_normalized, c.max_rf_normalized,
-                       c.mean_triplet_fraction, c.total_seconds});
-  }
-  return cells_->BulkAppend(encoded).status();
+  return cells_->BulkAppend(rows.size(), [&](size_t i, Row* row) {
+    const CellRow& c = rows[i];
+    *row = {PackKey(c.experiment_id, static_cast<uint32_t>(c.ordinal)),
+            c.experiment_id, c.ordinal, c.algorithm,
+            c.selection_index, c.replicates, c.mean_rf_normalized,
+            c.min_rf_normalized, c.max_rf_normalized,
+            c.mean_triplet_fraction, c.total_seconds};
+  });
 }
 
 Result<ExperimentRepository::ExperimentRow>

@@ -85,9 +85,9 @@ class TreeRepository {
 
   /// Persists a tree (structure + labeling) under a unique name.
   /// Returns the assigned tree id. InvalidArgument for an empty tree or
-  /// duplicate leaf names. Node rows are batch-encoded and appended
-  /// through Table::BulkAppend (sorted key runs, bottom-up index
-  /// builds); the labels and packed tree blobs are stored alongside.
+  /// duplicate leaf names. Node rows are streamed through
+  /// Table::BulkAppend (sorted key runs, bottom-up index builds); the
+  /// labels and packed tree blobs are stored alongside.
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
 

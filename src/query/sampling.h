@@ -7,6 +7,7 @@
 #ifndef CRIMSON_QUERY_SAMPLING_H_
 #define CRIMSON_QUERY_SAMPLING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -15,10 +16,14 @@
 
 namespace crimson {
 
-/// Reusable sampler over one tree (precomputes leaves and weights).
-/// Immutable after construction: all query methods are const and draw
-/// randomness only from the caller-supplied Rng, so one Sampler may be
-/// shared by any number of threads (each with its own Rng).
+/// Reusable sampler over one tree. Bind time lays the leaves out in
+/// pre-order and gives every node its leaf range in that array
+/// (first_leaf_, leaf_count_), so a subtree's leaf pool is a range and a
+/// time-respecting sample costs O(|nodes above the frontier| + |F| + k)
+/// rather than O(n). Immutable after construction: all query methods
+/// are const and draw randomness only from the caller-supplied Rng, so
+/// one Sampler may be shared by any number of threads (each with its
+/// own Rng).
 class Sampler {
  public:
   explicit Sampler(const PhyloTree* tree);
@@ -48,8 +53,10 @@ class Sampler {
 
  private:
   const PhyloTree* tree_;
-  std::vector<NodeId> leaves_;
-  std::vector<double> root_weight_;
+  std::vector<NodeId> leaves_;  // all leaves, pre-order
+  // Leaves under node n are leaves_[first_leaf_[n], +leaf_count_[n]).
+  std::vector<uint32_t> first_leaf_;
+  std::vector<uint32_t> leaf_count_;
 };
 
 }  // namespace crimson

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/string_util.h"
@@ -120,21 +121,51 @@ Result<RecordId> Table::Insert(const Row& row) {
   return rid;
 }
 
-Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
+namespace {
+
+// Byte strings packed end to end in one buffer: entry i is
+// bytes[ends[i-1], ends[i]). One allocation per column instead of one
+// std::string per row or key.
+struct PackedStrings {
+  std::string bytes;
+  std::vector<uint32_t> ends;
+
+  Status Seal() {
+    if (bytes.size() > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("bulk append batch exceeds 4 GiB");
+    }
+    ends.push_back(static_cast<uint32_t>(bytes.size()));
+    return Status::OK();
+  }
+  Slice operator[](size_t i) const {
+    uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return Slice(bytes.data() + begin, ends[i] - begin);
+  }
+};
+
+}  // namespace
+
+Status Table::BulkAppend(size_t n,
+                         const std::function<void(size_t, Row*)>& row_at) {
   CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
   const size_t n_indexes = def_.indexes.size();
   // Encode all rows and index keys up front so failures happen before
   // any mutation.
-  std::vector<std::string> encoded(rows.size());
-  std::vector<std::vector<std::string>> keys(n_indexes);
-  for (auto& k : keys) k.resize(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    CRIMSON_RETURN_IF_ERROR(EncodeRow(def_.schema, rows[r], &encoded[r]));
+  PackedStrings encoded;
+  encoded.ends.reserve(n);
+  std::vector<PackedStrings> keys(n_indexes);
+  for (PackedStrings& k : keys) k.ends.reserve(n);
+  Row row;
+  for (size_t r = 0; r < n; ++r) {
+    row_at(r, &row);
+    CRIMSON_RETURN_IF_ERROR(EncodeRow(def_.schema, row, &encoded.bytes));
+    CRIMSON_RETURN_IF_ERROR(encoded.Seal());
     for (size_t i = 0; i < n_indexes; ++i) {
       const IndexDef& idx = def_.indexes[i];
       CRIMSON_RETURN_IF_ERROR(EncodeValueKey(
-          def_.schema.column(idx.column).type, rows[r][idx.column],
-          &keys[i][r]));
+          def_.schema.column(idx.column).type, row[idx.column],
+          &keys[i].bytes));
+      CRIMSON_RETURN_IF_ERROR(keys[i].Seal());
     }
   }
 
@@ -153,14 +184,13 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
   std::vector<std::vector<uint32_t>> orders(n_indexes);
   for (size_t i = 0; i < n_indexes; ++i) {
     std::vector<uint32_t>& order = orders[i];
-    order.resize(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      order[r] = static_cast<uint32_t>(r);
-    }
-    const std::vector<std::string>& k = keys[i];
+    order.resize(n);
+    for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
+    const PackedStrings& k = keys[i];
     if (index_empty[i]) {
       std::sort(order.begin(), order.end(), [&k](uint32_t a, uint32_t b) {
-        if (k[a] != k[b]) return k[a] < k[b];
+        int c = k[a].compare(k[b]);
+        if (c != 0) return c < 0;
         return a > b;
       });
     } else {
@@ -174,7 +204,7 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
   for (size_t i = 0; i < n_indexes; ++i) {
     const IndexDef& idx = def_.indexes[i];
     if (!idx.unique) continue;
-    const std::vector<std::string>& k = keys[i];
+    const PackedStrings& k = keys[i];
     const std::vector<uint32_t>& order = orders[i];
     for (size_t r = 1; r < order.size(); ++r) {
       if (k[order[r]] == k[order[r - 1]]) {
@@ -186,7 +216,7 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
     if (index_empty[i]) continue;
     for (uint32_t r : order) {
       std::string ignored;
-      Status s = index_trees_[i]->Get(Slice(k[r]), &ignored);
+      Status s = index_trees_[i]->Get(k[r], &ignored);
       if (s.ok()) {
         return Status::AlreadyExists(
             StrFormat("unique index %s violated", idx.name.c_str()));
@@ -195,20 +225,18 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
     }
   }
 
-  std::vector<RecordId> rids(rows.size());
   std::string rid_values;  // packed 8-byte index values, one per row
-  rid_values.resize(rows.size() * 8);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    CRIMSON_ASSIGN_OR_RETURN(rids[r], heap_->Insert(Slice(encoded[r])));
-    std::string packed = U64Key(rids[r].Pack());
-    memcpy(&rid_values[r * 8], packed.data(), 8);
+  rid_values.reserve(n * 8);
+  for (size_t r = 0; r < n; ++r) {
+    CRIMSON_ASSIGN_OR_RETURN(RecordId rid, heap_->Insert(encoded[r]));
+    AppendU64Key(&rid_values, rid.Pack());
   }
 
   for (size_t i = 0; i < n_indexes; ++i) {
-    std::vector<std::pair<Slice, Slice>> run(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
+    std::vector<std::pair<Slice, Slice>> run(n);
+    for (size_t r = 0; r < n; ++r) {
       uint32_t src = orders[i][r];
-      run[r] = {Slice(keys[i][src]), Slice(&rid_values[src * 8], 8)};
+      run[r] = {keys[i][src], Slice(&rid_values[src * 8], 8)};
     }
     if (index_empty[i]) {
       CRIMSON_RETURN_IF_ERROR(index_trees_[i]->BulkLoad(run));
@@ -218,7 +246,7 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
       }
     }
   }
-  return rids;
+  return Status::OK();
 }
 
 Status Table::Get(const RecordId& id, Row* row) const {

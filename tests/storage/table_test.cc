@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/random.h"
 #include "storage/database.h"
 
 namespace crimson {
@@ -224,6 +228,182 @@ TEST(DatabaseTest, IndexOnUnknownColumnRejected) {
   Schema s({{"a", ColumnType::kInt64}});
   auto t = (*db)->CreateTable("t", s, {{"bad", "missing", false}});
   EXPECT_TRUE(t.status().IsInvalidArgument());
+}
+
+// ---- BulkAppend: row-source bulk == per-row Insert -------------------------
+
+std::unique_ptr<Table> MakeSpeciesTable(Database* db) {
+  auto t = db->CreateTable(
+      "species", SpeciesSchema(),
+      {{"by_id", "id", /*unique=*/true}, {"by_name", "name", false},
+       {"by_weight", "weight", false}});
+  EXPECT_TRUE(t.ok()) << t.status();
+  return std::make_unique<Table>(std::move(t).value());
+}
+
+// Rows with unique ids, heavily duplicated names and weights (so tie
+// order matters on two indexes) and sequences of mixed lengths, some
+// long enough to fill several heap pages.
+std::vector<Row> SpeciesRows(int64_t first_id, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::string seq(rng.Uniform(4) == 0 ? 200 + rng.Uniform(300)
+                                        : rng.Uniform(20),
+                    'A');
+    for (char& c : seq) c = "ACGT"[rng.Uniform(4)];
+    rows.push_back({first_id + static_cast<int64_t>(i),
+                    "sp" + std::to_string(rng.Uniform(n / 8 + 1)),
+                    static_cast<double>(rng.Uniform(16)) * 0.25,
+                    std::move(seq)});
+  }
+  // Ids out of order, so the unique index's bulk run is really sorted.
+  rng.Shuffle(&rows);
+  return rows;
+}
+
+// Heap records (stored bytes, in scan order) and every index's entries
+// in scan order as (key, scan position of the row it points at). Record
+// ids themselves may differ: per-row Insert interleaves index page
+// splits with heap page allocations, a bulk append does not.
+std::vector<std::string> Snapshot(const Table& table) {
+  std::vector<std::string> out;
+  std::map<uint64_t, size_t> position;
+  EXPECT_TRUE(table
+                  .Scan([&](const RecordId& id, const Row& row) {
+                    std::string bytes;
+                    EXPECT_TRUE(EncodeRow(table.schema(), row, &bytes).ok());
+                    position[id.Pack()] = out.size();
+                    out.push_back("heap " + bytes);
+                    return true;
+                  })
+                  .ok());
+  for (const IndexDef& idx : table.def().indexes) {
+    EXPECT_TRUE(table
+                    .IndexRangeScan(idx.name, "", "",
+                                    [&](const Slice& key, RecordId id) {
+                                      EXPECT_EQ(position.count(id.Pack()), 1u);
+                                      out.push_back(
+                                          idx.name + " " + key.ToString() +
+                                          " -> " +
+                                          std::to_string(position[id.Pack()]));
+                                      return true;
+                                    })
+                    .ok());
+  }
+  return out;
+}
+
+// Reports the first differing entry rather than both dumps.
+void ExpectSameSnapshot(const Table& got, const Table& want) {
+  std::vector<std::string> a = Snapshot(got), b = Snapshot(want);
+  EXPECT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) {
+      ADD_FAILURE() << "entry " << i << " differs:\n  got  " << a[i]
+                    << "\n  want " << b[i];
+      return;
+    }
+  }
+}
+
+Status BulkAppendRows(Table* table, const std::vector<Row>& rows) {
+  return table->BulkAppend(rows.size(),
+                           [&](size_t i, Row* row) { *row = rows[i]; });
+}
+
+class BulkAppendTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto a = Database::OpenInMemory();
+    auto b = Database::OpenInMemory();
+    ASSERT_TRUE(a.ok() && b.ok());
+    insert_db_ = std::move(a).value();
+    bulk_db_ = std::move(b).value();
+    by_insert_ = MakeSpeciesTable(insert_db_.get());
+    by_bulk_ = MakeSpeciesTable(bulk_db_.get());
+  }
+
+  // Feeds the same rows per row to one table and in bulk to the other.
+  void AppendBoth(const std::vector<Row>& rows) {
+    for (const Row& row : rows) ASSERT_TRUE(by_insert_->Insert(row).ok());
+    ASSERT_TRUE(BulkAppendRows(by_bulk_.get(), rows).ok());
+  }
+
+  std::unique_ptr<Database> insert_db_, bulk_db_;
+  std::unique_ptr<Table> by_insert_, by_bulk_;
+};
+
+TEST_F(BulkAppendTest, EmptyTableMatchesPerRowInsert) {
+  AppendBoth(SpeciesRows(0, 3000, 1));
+  EXPECT_EQ(by_bulk_->row_count(), 3000u);
+  ExpectSameSnapshot(*by_bulk_, *by_insert_);
+}
+
+TEST_F(BulkAppendTest, NonEmptyTableMatchesPerRowInsert) {
+  // Rows stored one by one in both tables first, then a batch whose
+  // names and weights collide with the stored ones.
+  for (const Row& row : SpeciesRows(0, 500, 2)) {
+    ASSERT_TRUE(by_insert_->Insert(row).ok());
+    ASSERT_TRUE(by_bulk_->Insert(row).ok());
+  }
+  AppendBoth(SpeciesRows(500, 2000, 3));
+  AppendBoth(SpeciesRows(2500, 700, 4));
+  EXPECT_EQ(by_bulk_->row_count(), 3200u);
+  ExpectSameSnapshot(*by_bulk_, *by_insert_);
+}
+
+TEST_F(BulkAppendTest, ConsecutiveBatchesMatchPerRowInsert) {
+  AppendBoth(SpeciesRows(0, 1000, 5));
+  AppendBoth({});
+  AppendBoth(SpeciesRows(1000, 1000, 6));
+  ExpectSameSnapshot(*by_bulk_, *by_insert_);
+}
+
+TEST_F(BulkAppendTest, DuplicateKeyWithinBatchFailsBeforeMutation) {
+  AppendBoth(SpeciesRows(0, 100, 7));
+  std::vector<std::string> before = Snapshot(*by_bulk_);
+  std::vector<Row> batch = SpeciesRows(100, 300, 8);
+  batch[250][0] = batch[10][0];
+  Status s = BulkAppendRows(by_bulk_.get(), batch);
+  EXPECT_TRUE(s.IsAlreadyExists()) << s;
+  EXPECT_EQ(by_bulk_->row_count(), 100u);
+  EXPECT_EQ(Snapshot(*by_bulk_), before);
+}
+
+TEST_F(BulkAppendTest, DuplicateOfStoredKeyFailsBeforeMutation) {
+  AppendBoth(SpeciesRows(0, 100, 9));
+  std::vector<std::string> before = Snapshot(*by_bulk_);
+  std::vector<Row> batch = SpeciesRows(100, 300, 10);
+  batch[299][0] = int64_t{42};
+  Status s = BulkAppendRows(by_bulk_.get(), batch);
+  EXPECT_TRUE(s.IsAlreadyExists()) << s;
+  EXPECT_EQ(by_bulk_->row_count(), 100u);
+  EXPECT_EQ(Snapshot(*by_bulk_), before);
+}
+
+TEST_F(BulkAppendTest, BadRowFailsBeforeMutation) {
+  AppendBoth(SpeciesRows(0, 100, 11));
+  std::vector<std::string> before = Snapshot(*by_bulk_);
+  std::vector<Row> batch = SpeciesRows(100, 300, 12);
+  batch[150][2] = std::string("not a weight");
+  Status s = BulkAppendRows(by_bulk_.get(), batch);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s;
+  EXPECT_EQ(Snapshot(*by_bulk_), before);
+}
+
+TEST_F(BulkAppendTest, RowSourceVisitsEachRowOnceInOrder) {
+  std::vector<Row> rows = SpeciesRows(0, 50, 13);
+  std::vector<size_t> visited;
+  ASSERT_TRUE(by_bulk_
+                  ->BulkAppend(rows.size(),
+                               [&](size_t i, Row* row) {
+                                 visited.push_back(i);
+                                 *row = rows[i];
+                               })
+                  .ok());
+  ASSERT_EQ(visited.size(), rows.size());
+  for (size_t i = 0; i < visited.size(); ++i) EXPECT_EQ(visited[i], i);
 }
 
 }  // namespace
