@@ -295,9 +295,9 @@ Status Crimson::DropTree(const std::string& name) {
   Status dropped = MutateTree(name, [&]() -> Status {
     auto repos = Repos();
     CRIMSON_ASSIGN_OR_RETURN(TreeInfo info, repos->trees->GetTreeInfo(name));
-    // Structural rows (trees/nodes/subtrees/labels) plus the species
-    // rows, which TreeRepository::DropTree does not own, in one
-    // transaction: a crash recovers to all-or-nothing.
+    // The tree's trees/labels/tree_blobs rows plus its species rows,
+    // which TreeRepository::DropTree does not own, in one transaction:
+    // a crash recovers to all-or-nothing.
     CRIMSON_RETURN_IF_ERROR(repos->trees->DropTree(info.tree_id));
     return repos->species->DropForTree(info.tree_id);
   });

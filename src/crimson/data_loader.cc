@@ -1,8 +1,10 @@
 #include "crimson/data_loader.h"
 
 #include "common/log.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "labeling/layered_dewey.h"
+#include "tree/name_index.h"
 #include "tree/newick.h"
 
 namespace crimson {
@@ -90,19 +92,25 @@ Result<LoadReport> DataLoader::AppendSpecies(
   LoadReport report;
   report.tree_id = info.tree_id;
   report.tree_name = tree_name;
-  // Resolve every species first (errors surface before any write),
-  // then store the whole batch through the bulk path.
+  // Resolve every species against the decoded tree first (errors
+  // surface before any write), then store the whole batch through the
+  // bulk path. NameIndex::Find is the first node in arena order bearing
+  // the name.
+  CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, trees_->LoadTree(info.tree_id));
+  const NameIndex names = NameIndex::Build(tree);
   std::vector<SpeciesRepository::SpeciesEntry> entries;
   entries.reserve(sequences.size());
   uint64_t resolved = 0;
   for (const auto& [species, seq] : sequences) {
-    Result<NodeId> node = trees_->FindNodeByName(info.tree_id, species);
-    if (!node.ok()) {
+    NodeId node = names.Find(tree, species);
+    if (node == kNoNode) {
       CRIMSON_LOG(kError) << "append species: '" << species
                           << "' not found in tree '" << tree_name << "'";
-      return node.status();
+      return Status::NotFound(
+          StrFormat("species '%s' not in tree %lld", species.c_str(),
+                    static_cast<long long>(info.tree_id)));
     }
-    entries.push_back({species, *node, seq});
+    entries.push_back({species, node, seq});
     ++resolved;
     if (progress && resolved % 1024 == 0) progress("resolving", resolved);
   }

@@ -11,9 +11,9 @@ namespace crimson {
 
 namespace {
 
-/// nodes point-access key: (tree_id << 32) | node id.
-int64_t PackKey(int64_t tree_id, uint32_t local) {
-  return (tree_id << 32) | static_cast<int64_t>(local);
+/// run_key / cell_key: (experiment_id << 32) | ordinal.
+int64_t PackKey(int64_t experiment_id, uint32_t ordinal) {
+  return (experiment_id << 32) | static_cast<int64_t>(ordinal);
 }
 
 Result<Table> OpenOrCreate(Database* db, const std::string& name,
@@ -51,23 +51,6 @@ Result<std::unique_ptr<TreeRepository>> TreeRepository::Open(Database* db) {
                    {{"trees_by_id", "tree_id", /*unique=*/true},
                     {"trees_by_name", "name", /*unique=*/true}}));
   repo->trees_ = std::make_unique<Table>(std::move(trees));
-
-  Schema nodes_schema({{"node_key", ColumnType::kInt64},
-                       {"tree_id", ColumnType::kInt64},
-                       {"name", ColumnType::kString},
-                       {"parent", ColumnType::kInt64},
-                       {"edge_length", ColumnType::kDouble},
-                       {"root_weight", ColumnType::kDouble},
-                       {"subtree", ColumnType::kInt64},
-                       {"local_depth", ColumnType::kInt64}});
-  CRIMSON_ASSIGN_OR_RETURN(
-      Table nodes,
-      OpenOrCreate(db, "nodes", nodes_schema,
-                   {{"nodes_by_key", "node_key", /*unique=*/true},
-                    {"nodes_by_tree", "tree_id", /*unique=*/false},
-                    {"nodes_by_name", "name", /*unique=*/false},
-                    {"nodes_by_weight", "root_weight", /*unique=*/false}}));
-  repo->nodes_ = std::make_unique<Table>(std::move(nodes));
 
   Schema labels_schema({{"tree_id", ColumnType::kInt64},
                         {"scheme_blob", ColumnType::kBytes}});
@@ -122,23 +105,6 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
               static_cast<int64_t>(tree.MaxDepth())};
   CRIMSON_RETURN_IF_ERROR(trees_->Insert(meta).status());
 
-  // Stream the node rows into one bulk append. Node keys pack
-  // (tree_id << 32 | node), so arena order already emits sorted key
-  // runs for the point-access index -- exactly what BulkAppend wants.
-  std::vector<double> weights = tree.RootPathWeights();
-  CRIMSON_RETURN_IF_ERROR(
-      nodes_->BulkAppend(tree.size(), [&](size_t i, Row* row) {
-        NodeId n = static_cast<NodeId>(i);
-        *row = {PackKey(tree_id, n),
-                tree_id,
-                std::string(tree.name(n)),
-                n == tree.root() ? int64_t{-1}
-                                 : static_cast<int64_t>(tree.parent(n)),
-                tree.edge_length(n),
-                weights[n],
-                static_cast<int64_t>(scheme.SubtreeOf(n)),
-                static_cast<int64_t>(scheme.LocalDepth(n))};
-      }));
   {
     std::string blob;
     scheme.EncodeTo(&blob);
@@ -247,96 +213,11 @@ Result<PhyloTree> TreeRepository::LoadTree(int64_t tree_id) const {
   return tree;
 }
 
-Result<NodeId> TreeRepository::FindNodeByName(int64_t tree_id,
-                                              const std::string& name) const {
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           nodes_->IndexLookup("nodes_by_name", name));
-  for (const RecordId& rid : rids) {
-    Row row;
-    CRIMSON_RETURN_IF_ERROR(nodes_->Get(rid, &row));
-    if (std::get<int64_t>(row[1]) == tree_id) {
-      return static_cast<NodeId>(std::get<int64_t>(row[0]) & 0xffffffffLL);
-    }
-  }
-  return Status::NotFound(
-      StrFormat("species '%s' not in tree %lld", name.c_str(),
-                static_cast<long long>(tree_id)));
-}
-
-Result<TreeRepository::NodeRow> TreeRepository::GetNode(int64_t tree_id,
-                                                        NodeId node) const {
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> rids,
-      nodes_->IndexLookup("nodes_by_key", PackKey(tree_id, node)));
-  if (rids.empty()) {
-    return Status::NotFound(StrFormat("node %u not in tree %lld", node,
-                                      static_cast<long long>(tree_id)));
-  }
-  Row row;
-  CRIMSON_RETURN_IF_ERROR(nodes_->Get(rids[0], &row));
-  NodeRow out;
-  out.node = node;
-  int64_t parent = std::get<int64_t>(row[3]);
-  out.parent = parent < 0 ? kNoNode : static_cast<NodeId>(parent);
-  out.name = std::get<std::string>(row[2]);
-  out.edge_length = std::get<double>(row[4]);
-  out.root_weight = std::get<double>(row[5]);
-  out.subtree = static_cast<uint32_t>(std::get<int64_t>(row[6]));
-  out.local_depth = static_cast<uint32_t>(std::get<int64_t>(row[7]));
-  return out;
-}
-
-Result<std::vector<NodeId>> TreeRepository::NodesInTimeRange(
-    int64_t tree_id, double lo, double hi) const {
-  std::string lower, upper;
-  CRIMSON_RETURN_IF_ERROR(
-      nodes_->EncodeKeyFor("nodes_by_weight", lo, &lower));
-  CRIMSON_RETURN_IF_ERROR(
-      nodes_->EncodeKeyFor("nodes_by_weight", hi, &upper));
-  std::vector<NodeId> out;
-  Status row_status;
-  Status scan_status = nodes_->IndexRangeScan(
-      "nodes_by_weight", lower, upper, [&](const Slice&, RecordId rid) {
-        Row row;
-        row_status = nodes_->Get(rid, &row);
-        if (!row_status.ok()) return false;
-        if (std::get<int64_t>(row[1]) == tree_id) {
-          out.push_back(
-              static_cast<NodeId>(std::get<int64_t>(row[0]) & 0xffffffffLL));
-        }
-        return true;
-      });
-  CRIMSON_RETURN_IF_ERROR(row_status);
-  CRIMSON_RETURN_IF_ERROR(scan_status);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Status TreeRepository::DropTree(int64_t tree_id) {
-  // Collect record ids first (deleting during a scan is unsafe).
-  std::vector<RecordId> doomed;
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> tree_rids,
-                           trees_->IndexLookup("trees_by_id", tree_id));
-  for (const RecordId& rid : tree_rids) {
-    CRIMSON_RETURN_IF_ERROR(trees_->Delete(rid));
-  }
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> node_rids,
-                           nodes_->IndexLookup("nodes_by_tree", tree_id));
-  for (const RecordId& rid : node_rids) {
-    CRIMSON_RETURN_IF_ERROR(nodes_->Delete(rid));
-  }
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> label_rids,
-                           labels_->IndexLookup("labels_by_tree", tree_id));
-  for (const RecordId& rid : label_rids) {
-    CRIMSON_RETURN_IF_ERROR(labels_->Delete(rid));
-  }
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> blob_rids,
-      tree_blobs_->IndexLookup("tree_blobs_by_tree", tree_id));
-  for (const RecordId& rid : blob_rids) {
-    CRIMSON_RETURN_IF_ERROR(tree_blobs_->Delete(rid));
-  }
-  return Status::OK();
+  CRIMSON_RETURN_IF_ERROR(trees_->DeleteWhere("trees_by_id", tree_id).status());
+  CRIMSON_RETURN_IF_ERROR(
+      labels_->DeleteWhere("labels_by_tree", tree_id).status());
+  return tree_blobs_->DeleteWhere("tree_blobs_by_tree", tree_id).status();
 }
 
 // ---------------------------------------------------------------------------
@@ -449,13 +330,7 @@ Result<uint64_t> SpeciesRepository::CountForTree(int64_t tree_id) const {
 }
 
 Status SpeciesRepository::DropForTree(int64_t tree_id) {
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> rids,
-      species_->IndexLookup("species_by_tree", tree_id));
-  for (const RecordId& rid : rids) {
-    CRIMSON_RETURN_IF_ERROR(species_->Delete(rid));
-  }
-  return Status::OK();
+  return species_->DeleteWhere("species_by_tree", tree_id).status();
 }
 
 Result<uint64_t> SpeciesRepository::Count() const {

@@ -6,10 +6,7 @@
 // and re-run.
 //
 // Relational layout (all tables live in one storage/Database):
-//   trees(tree_id, name*, n_nodes, n_leaves, f, max_depth)
-//   nodes(tree_id*, node_key*, name*, parent, ordinal, edge_length,
-//         root_weight*, subtree, local_depth)
-//     - node_key packs (tree_id << 32 | node_id) for point access
+//   trees(tree_id*, name*, n_nodes, n_leaves, f, max_depth)
 //   labels(tree_id*, scheme_blob)
 //     - the serialized layered-Dewey scheme (all layers, with every
 //       layer's subtree sources and roots); required for every tree
@@ -17,7 +14,9 @@
 //     - the packed tree image (tree/phylo_tree.h EncodePackedTree);
 //       required for every tree, so OpenTree deserializes without
 //       re-interning names
-//   species(tree_id, species_name*, node_id, sequence)
+//   A stored tree is exactly these three rows: name and time access go
+//   through the bound handle's NameIndex and Sampler, not per-node rows.
+//   species(tree_id*, species*, node, sequence)
 //   queries(query_id*, timestamp, kind, params, summary)
 //   experiments(experiment_id*, created, tree_name, spec, seed,
 //               base_ticket)
@@ -83,11 +82,10 @@ class TreeRepository {
   /// Creates/opens the repository tables inside db.
   static Result<std::unique_ptr<TreeRepository>> Open(Database* db);
 
-  /// Persists a tree (structure + labeling) under a unique name.
-  /// Returns the assigned tree id. InvalidArgument for an empty tree or
-  /// duplicate leaf names. Node rows are streamed through
-  /// Table::BulkAppend (sorted key runs, bottom-up index builds); the
-  /// labels and packed tree blobs are stored alongside.
+  /// Persists a tree (structure + labeling) under a unique name as
+  /// three rows: trees metadata, the labels blob and the packed tree
+  /// blob. Returns the assigned tree id. InvalidArgument for an empty
+  /// tree or duplicate leaf names.
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
 
@@ -110,32 +108,8 @@ class TreeRepository {
   /// tree, when the blob is missing or does not decode.
   Result<PhyloTree> LoadTree(int64_t tree_id) const;
 
-  /// Point access: node id of a species by name within a tree (uses the
-  /// species-name index; paper challenge #1 "random access based on
-  /// species names").
-  Result<NodeId> FindNodeByName(int64_t tree_id,
-                                const std::string& name) const;
-
-  /// Point access: single node row (parent, edge length, root weight)
-  /// without loading the tree.
-  struct NodeRow {
-    NodeId node = kNoNode;
-    NodeId parent = kNoNode;
-    std::string name;
-    double edge_length = 0;
-    double root_weight = 0;
-    uint32_t subtree = 0;
-    uint32_t local_depth = 0;
-  };
-  Result<NodeRow> GetNode(int64_t tree_id, NodeId node) const;
-
-  /// Nodes whose root-path weight lies in [lo, hi) -- "random access
-  /// based on evolutionary time" via the root_weight index. Note: the
-  /// index spans all trees; rows from other trees are filtered out.
-  Result<std::vector<NodeId>> NodesInTimeRange(int64_t tree_id, double lo,
-                                               double hi) const;
-
-  /// Deletes a tree and its rows (loader error-recovery path).
+  /// Deletes a tree's trees, labels and tree_blobs rows, each by one
+  /// Table::DeleteWhere pass. Species rows are SpeciesRepository's.
   Status DropTree(int64_t tree_id);
 
  private:
@@ -151,7 +125,6 @@ class TreeRepository {
 
   Database* db_;
   std::unique_ptr<Table> trees_;
-  std::unique_ptr<Table> nodes_;
   std::unique_ptr<Table> labels_;
   std::unique_ptr<Table> tree_blobs_;
 };
@@ -199,8 +172,8 @@ class SpeciesRepository {
   /// Number of species rows for a tree (index-only; no row reads).
   Result<uint64_t> CountForTree(int64_t tree_id) const;
 
-  /// Deletes every species row of a tree (the session DropTree path;
-  /// TreeRepository::DropTree only removes structural tables).
+  /// Deletes every species row of a tree in one Table::DeleteWhere
+  /// pass (the session DropTree path, beside TreeRepository::DropTree).
   Status DropForTree(int64_t tree_id);
 
   Result<uint64_t> Count() const;

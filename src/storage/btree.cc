@@ -214,17 +214,16 @@ bool InsertCellInPlace(char* d, int pos, const std::string& cell) {
   return true;
 }
 
-/// Removes the cell at slot pos (space becomes dead bytes).
-void RemoveCellAt(char* d, int pos) {
+/// Removes cells [begin, end) of a leaf; their bytes become dead space.
+void RemoveLeafCells(char* d, int begin, int end) {
   uint16_t n = NumCells(d);
-  uint16_t off = CellOffset(d, pos);
-  bool leaf = NodeType(d) == PageType::kBTreeLeaf;
-  uint32_t size =
-      leaf ? ParseLeafCell(d, off).size : ParseInternalCell(d, off).size;
-  memmove(d + kNodeHeaderSize + kSlotSize * pos,
-          d + kNodeHeaderSize + kSlotSize * (pos + 1),
-          kSlotSize * (n - pos - 1));
-  SetNumCells(d, static_cast<uint16_t>(n - 1));
+  uint32_t size = 0;
+  for (int i = begin; i < end; ++i) {
+    size += ParseLeafCell(d, CellOffset(d, i)).size;
+  }
+  memmove(d + kNodeHeaderSize + kSlotSize * begin,
+          d + kNodeHeaderSize + kSlotSize * end, kSlotSize * (n - end));
+  SetNumCells(d, static_cast<uint16_t>(n - (end - begin)));
   SetDeadBytes(d, static_cast<uint16_t>(DeadBytes(d) + size));
 }
 
@@ -661,16 +660,15 @@ Status BTree::Get(const Slice& key, std::string* value) const {
   }
 }
 
-Status BTree::Delete(const Slice& key, const Slice* value) {
+Result<PageGuard> BTree::FetchLeafForWrite(const Slice& key) {
   CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
   CRIMSON_ASSIGN_OR_RETURN(PageId node, Root());
-  // Descend to the leaf that contains the first occurrence. Write
-  // intent throughout: the fetched node may turn out to be the leaf
-  // this call mutates.
+  // Write intent throughout: the fetched node may turn out to be the
+  // leaf the caller mutates.
   while (true) {
     CRIMSON_ASSIGN_OR_RETURN(PageGuard guard,
                              pool_->Fetch(node, PageIntent::kWrite));
-    char* d = guard.data();
+    const char* d = guard.data();
     if (NodeType(d) == PageType::kBTreeInternal) {
       node = ChildAt(d, SeekChildIndexFor(d, key));
       continue;
@@ -678,27 +676,54 @@ Status BTree::Delete(const Slice& key, const Slice* value) {
     if (NodeType(d) != PageType::kBTreeLeaf) {
       return Status::Corruption("not a btree node");
     }
-    // Scan this leaf and right siblings while keys match.
-    PageGuard lg = std::move(guard);
-    int pos = LowerBound(lg.data(), key);
-    while (true) {
-      char* ld = lg.data();
-      if (pos >= NumCells(ld)) {
-        PageId next = Link(ld);
-        if (next == kInvalidPageId) return Status::NotFound("key not found");
-        CRIMSON_ASSIGN_OR_RETURN(lg, pool_->Fetch(next, PageIntent::kWrite));
-        pos = 0;
-        continue;
-      }
-      LeafCell c = ParseLeafCell(ld, CellOffset(ld, pos));
-      if (c.key != key) return Status::NotFound("key not found");
-      if (value == nullptr || c.value == *value) {
-        RemoveCellAt(ld, pos);
-        lg.MarkDirty();
-        return Status::OK();
-      }
-      ++pos;
+    return guard;
+  }
+}
+
+Status BTree::Delete(const Slice& key, const Slice* value) {
+  CRIMSON_ASSIGN_OR_RETURN(PageGuard lg, FetchLeafForWrite(key));
+  // Scan this leaf and right siblings while keys match.
+  int pos = LowerBound(lg.data(), key);
+  while (true) {
+    char* ld = lg.data();
+    if (pos >= NumCells(ld)) {
+      PageId next = Link(ld);
+      if (next == kInvalidPageId) return Status::NotFound("key not found");
+      CRIMSON_ASSIGN_OR_RETURN(lg, pool_->Fetch(next, PageIntent::kWrite));
+      pos = 0;
+      continue;
     }
+    LeafCell c = ParseLeafCell(ld, CellOffset(ld, pos));
+    if (c.key != key) return Status::NotFound("key not found");
+    if (value == nullptr || c.value == *value) {
+      RemoveLeafCells(ld, pos, pos + 1);
+      lg.MarkDirty();
+      return Status::OK();
+    }
+    ++pos;
+  }
+}
+
+Result<uint64_t> BTree::DeleteAll(const Slice& key) {
+  CRIMSON_ASSIGN_OR_RETURN(PageGuard lg, FetchLeafForWrite(key));
+  uint64_t removed = 0;
+  int pos = LowerBound(lg.data(), key);
+  while (true) {
+    char* ld = lg.data();
+    const int n = NumCells(ld);
+    int end = pos;
+    while (end < n && CellKey(ld, end) == key) ++end;
+    if (end > pos) {
+      RemoveLeafCells(ld, pos, end);
+      lg.MarkDirty();
+      removed += static_cast<uint64_t>(end - pos);
+    }
+    // A larger key on this leaf ends the run; otherwise it may continue
+    // on the right sibling (emptied leaves are crossed, not unlinked).
+    PageId next = Link(ld);
+    if (end < n || next == kInvalidPageId) return removed;
+    CRIMSON_ASSIGN_OR_RETURN(lg, pool_->Fetch(next, PageIntent::kWrite));
+    pos = 0;
   }
 }
 

@@ -88,6 +88,10 @@ class BTree {
   /// given, matching value). NotFound if absent.
   Status Delete(const Slice& key, const Slice* value = nullptr);
 
+  /// Removes every entry with exactly this key: one descent, then one
+  /// walk right over the run. Returns the number removed (0 if none).
+  Result<uint64_t> DeleteAll(const Slice& key);
+
   /// Number of entries (maintained lazily via full scan).
   Result<uint64_t> Count() const;
 
@@ -132,6 +136,9 @@ class BTree {
 
   Result<PageId> Root() const;
   Status SetRoot(PageId root);
+
+  /// Descends (write intent) to the leaf holding the first entry >= key.
+  Result<PageGuard> FetchLeafForWrite(const Slice& key);
 
   /// Recursive insert; fills *split when the child overflowed.
   Status InsertInto(PageId node, const Slice& key, const Slice& value,

@@ -255,20 +255,49 @@ Status Table::Get(const RecordId& id, Row* row) const {
   return DecodeRow(def_.schema, Slice(raw), row);
 }
 
-Status Table::Delete(const RecordId& id) {
-  CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
+Status Table::DeleteRow(const RecordId& id, size_t skip_index) {
   Row row;
   CRIMSON_RETURN_IF_ERROR(Get(id, &row));
   std::string rid_value = U64Key(id.Pack());
+  const Slice value(rid_value);
+  std::string key;
   for (size_t i = 0; i < def_.indexes.size(); ++i) {
+    if (i == skip_index) continue;
     const IndexDef& idx = def_.indexes[i];
-    std::string key;
+    key.clear();
     CRIMSON_RETURN_IF_ERROR(EncodeValueKey(
         def_.schema.column(idx.column).type, row[idx.column], &key));
-    Slice value(rid_value);
     CRIMSON_RETURN_IF_ERROR(index_trees_[i]->Delete(Slice(key), &value));
   }
   return heap_->Delete(id);
+}
+
+Status Table::Delete(const RecordId& id) {
+  CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
+  return DeleteRow(id, def_.indexes.size());
+}
+
+Result<uint64_t> Table::DeleteWhere(std::string_view index_name,
+                                    const Value& key) {
+  CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                           IndexLookup(index_name, key));
+  size_t pos = 0;
+  const IndexDef* idx = FindIndexDef(index_name, &pos);
+  std::string encoded;
+  CRIMSON_RETURN_IF_ERROR(
+      EncodeValueKey(def_.schema.column(idx->column).type, key, &encoded));
+  for (const RecordId& rid : rids) {
+    CRIMSON_RETURN_IF_ERROR(DeleteRow(rid, pos));
+  }
+  CRIMSON_ASSIGN_OR_RETURN(uint64_t removed,
+                           index_trees_[pos]->DeleteAll(Slice(encoded)));
+  if (removed != rids.size()) {
+    return Status::Corruption(StrFormat(
+        "index %s: removed %llu entries of a %zu-entry run", idx->name.c_str(),
+        static_cast<unsigned long long>(removed), rids.size()));
+  }
+  return removed;
 }
 
 Result<std::vector<RecordId>> Table::IndexLookup(std::string_view index_name,

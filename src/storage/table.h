@@ -82,6 +82,14 @@ class Table {
   /// Deletes a row and its index entries.
   Status Delete(const RecordId& id);
 
+  /// Deletes every row whose `index_name` column equals `key`: reads
+  /// the index run's record ids once, deletes each row's heap record
+  /// and its exact (key, record id) entries in the other indexes, then
+  /// removes the run in one pass (BTree::DeleteAll). Returns the number
+  /// of rows deleted. Corruption when the run removed is not the run
+  /// looked up.
+  Result<uint64_t> DeleteWhere(std::string_view index_name, const Value& key);
+
   /// Looks up record ids by exact value on a named index.
   Result<std::vector<RecordId>> IndexLookup(std::string_view index_name,
                                             const Value& key) const;
@@ -106,6 +114,10 @@ class Table {
       : pool_(pool), def_(std::move(def)) {}
 
   const IndexDef* FindIndexDef(std::string_view name, size_t* pos) const;
+
+  /// Deletes a row's heap record and its entries in every index but
+  /// `skip_index` (pass def_.indexes.size() to skip none).
+  Status DeleteRow(const RecordId& id, size_t skip_index);
 
   BufferPool* pool_;
   TableDef def_;

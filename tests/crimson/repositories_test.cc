@@ -2,16 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "crimson/crimson.h"
+#include "crimson/data_loader.h"
 #include "sim/tree_sim.h"
 #include "storage/file.h"
+#include "storage/page.h"
 #include "tree/name_index.h"
 #include "tree/tree_builders.h"
+#include "../storage/fault_injection.h"
 
 namespace crimson {
 namespace {
+
+/// One short sequence per name (the rows' bytes, not biology, matter).
+std::map<std::string, std::string> SequencesFor(
+    const std::vector<std::string>& names) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : names) out[name] = "ACGT" + name;
+  return out;
+}
+
+std::vector<std::string> LeafNames(const PhyloTree& tree) {
+  std::vector<std::string> out;
+  for (NodeId n : tree.Leaves()) out.emplace_back(tree.name(n));
+  return out;
+}
+
+/// species -> node column of a tree's stored species rows, read
+/// straight from the species table.
+std::map<std::string, int64_t> StoredSpeciesNodes(Database* db,
+                                                  int64_t tree_id) {
+  std::map<std::string, int64_t> out;
+  auto table = db->OpenTable("species");
+  EXPECT_TRUE(table.ok()) << table.status();
+  if (!table.ok()) return out;
+  auto rids = table->IndexLookup("species_by_tree", tree_id);
+  EXPECT_TRUE(rids.ok()) << rids.status();
+  if (!rids.ok()) return out;
+  for (const RecordId& rid : *rids) {
+    Row row;
+    EXPECT_TRUE(table->Get(rid, &row).ok());
+    out[std::get<std::string>(row[1])] = std::get<int64_t>(row[2]);
+  }
+  return out;
+}
 
 class RepositoriesTest : public ::testing::Test {
  protected:
@@ -61,28 +101,85 @@ TEST_F(RepositoriesTest, StoreAndLoadRoundTrip) {
                                /*ordered=*/true));
 }
 
-TEST_F(RepositoriesTest, FindNodeByName) {
+TEST_F(RepositoriesTest, AppendSpeciesWritesEachSpeciesNode) {
   int64_t id = StoreFig1();
   PhyloTree t = MakePaperFigure1Tree();
-  for (const char* name : {"Bha", "Lla", "Spy", "Syn", "Bsu"}) {
-    auto node = trees_->FindNodeByName(id, name);
-    ASSERT_TRUE(node.ok()) << name;
-    EXPECT_EQ(*node, t.FindByName(name));
+  DataLoader loader(trees_.get(), species_.get());
+  const std::vector<std::string> names = {"Bha", "Lla", "Spy", "Syn", "Bsu"};
+  auto report = loader.AppendSpecies("fig1", SequencesFor(names));
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->species_loaded, names.size());
+  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db_.get(), id);
+  ASSERT_EQ(nodes.size(), names.size());
+  for (const std::string& name : names) {
+    EXPECT_EQ(nodes[name], static_cast<int64_t>(t.FindByName(name))) << name;
   }
-  EXPECT_TRUE(trees_->FindNodeByName(id, "Nope").status().IsNotFound());
+
+  // An unknown species fails the whole batch before any row is written.
+  auto missing = loader.AppendSpecies("fig1", SequencesFor({"Lla", "Nope"}));
+  ASSERT_TRUE(missing.status().IsNotFound()) << missing.status();
+  EXPECT_NE(missing.status().ToString().find("species 'Nope' not in tree"),
+            std::string::npos)
+      << missing.status();
+  EXPECT_EQ(*species_->CountForTree(id), names.size());
 }
 
 TEST_F(RepositoriesTest, NamesScopedPerTree) {
+  // Two trees share every leaf name but place them differently: each
+  // tree's species rows point at its own nodes.
   int64_t id1 = StoreFig1("first");
-  int64_t id2 = StoreFig1("second");
-  ASSERT_NE(id1, id2);
-  auto n1 = trees_->FindNodeByName(id1, "Lla");
-  auto n2 = trees_->FindNodeByName(id2, "Lla");
-  ASSERT_TRUE(n1.ok() && n2.ok());
-  EXPECT_EQ(*n1, *n2);  // same position in identical trees
+  PhyloTree mirrored;
+  mirrored.AddRoot("");
+  NodeId inner = mirrored.AddChild(0, "", 1.0);
+  for (const char* name : {"Syn", "Spy", "Lla"}) {
+    mirrored.AddChild(inner, name, 1.0);
+  }
+  mirrored.AddChild(0, "Bsu", 1.0);
+  mirrored.AddChild(0, "Bha", 1.0);
+  LayeredDeweyScheme scheme(3);
+  ASSERT_TRUE(scheme.Build(mirrored).ok());
+  auto id2 = trees_->StoreTree("second", mirrored, scheme);
+  ASSERT_TRUE(id2.ok()) << id2.status();
+  ASSERT_NE(id1, *id2);
+
+  DataLoader loader(trees_.get(), species_.get());
+  const std::vector<std::string> names = {"Bha", "Lla", "Spy", "Syn", "Bsu"};
+  ASSERT_TRUE(loader.AppendSpecies("first", SequencesFor(names)).ok());
+  ASSERT_TRUE(loader.AppendSpecies("second", SequencesFor(names)).ok());
+  const PhyloTree first = MakePaperFigure1Tree();
+  std::map<std::string, int64_t> nodes1 = StoredSpeciesNodes(db_.get(), id1);
+  std::map<std::string, int64_t> nodes2 = StoredSpeciesNodes(db_.get(), *id2);
+  ASSERT_EQ(nodes1.size(), names.size());
+  ASSERT_EQ(nodes2.size(), names.size());
+  for (const std::string& name : names) {
+    EXPECT_EQ(nodes1[name], static_cast<int64_t>(first.FindByName(name)));
+    EXPECT_EQ(nodes2[name], static_cast<int64_t>(mirrored.FindByName(name)));
+  }
+  EXPECT_NE(nodes1["Lla"], nodes2["Lla"]);
   auto list = trees_->ListTrees();
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 2u);
+}
+
+TEST_F(RepositoriesTest, AmbiguousSpeciesNameTakesFirstNodeInArenaOrder) {
+  // Leaf names are unique, but an internal node may share a leaf's
+  // name: the species row takes the first node in arena order, the
+  // node the session resolves that name to for queries.
+  PhyloTree t;
+  t.AddRoot("X");
+  NodeId a = t.AddChild(0, "A", 1.0);
+  t.AddChild(a, "A", 1.0);
+  t.AddChild(a, "B", 1.0);
+  t.AddChild(0, "X", 1.0);
+  LayeredDeweyScheme scheme(3);
+  ASSERT_TRUE(scheme.Build(t).ok());
+  auto id = trees_->StoreTree("ambiguous", t, scheme);
+  ASSERT_TRUE(id.ok()) << id.status();
+  DataLoader loader(trees_.get(), species_.get());
+  ASSERT_TRUE(loader.AppendSpecies("ambiguous", SequencesFor({"A", "X"})).ok());
+  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db_.get(), *id);
+  EXPECT_EQ(nodes["A"], static_cast<int64_t>(a));
+  EXPECT_EQ(nodes["X"], 0);
 }
 
 TEST_F(RepositoriesTest, DuplicateTreeNameRejected) {
@@ -116,38 +213,47 @@ TEST_F(RepositoriesTest, StoreTreeRejectsDuplicateLeafNames) {
   EXPECT_TRUE(all->empty());
 }
 
-TEST_F(RepositoriesTest, GetNodePointAccess) {
-  int64_t id = StoreFig1();
-  PhyloTree t = MakePaperFigure1Tree();
-  NodeId lla = t.FindByName("Lla");
-  auto row = trees_->GetNode(id, lla);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row->name, "Lla");
-  EXPECT_EQ(row->parent, t.parent(lla));
-  EXPECT_DOUBLE_EQ(row->edge_length, 1.0);
-  EXPECT_DOUBLE_EQ(row->root_weight, 2.25);
-  EXPECT_EQ(row->subtree, 1u);  // Figure 4: Lla is in the split subtree
-  EXPECT_TRUE(trees_->GetNode(id, 999).status().IsNotFound());
-}
-
-TEST_F(RepositoriesTest, TimeRangeQueryUsesWeightIndex) {
-  int64_t id = StoreFig1();
-  PhyloTree t = MakePaperFigure1Tree();
-  // Nodes with weight in [1.0, 2.4): x(1.25), Bsu(1.25), Bha(2.25),
-  // Lla(2.25), Spy(2.25).
-  auto nodes = trees_->NodesInTimeRange(id, 1.0, 2.4);
-  ASSERT_TRUE(nodes.ok());
-  EXPECT_EQ(nodes->size(), 5u);
-  // Upper bound excluded: Syn at 2.5 is out.
-  for (NodeId n : *nodes) EXPECT_NE(n, t.FindByName("Syn"));
+/// Rows a tree id still has in each per-tree table.
+std::map<std::string, size_t> RowsForTree(Database* db, int64_t tree_id) {
+  std::map<std::string, size_t> out;
+  const std::pair<const char*, const char*> indexes[] = {
+      {"trees", "trees_by_id"},
+      {"labels", "labels_by_tree"},
+      {"tree_blobs", "tree_blobs_by_tree"},
+      {"species", "species_by_tree"}};
+  for (const auto& [table_name, index] : indexes) {
+    auto table = db->OpenTable(table_name);
+    EXPECT_TRUE(table.ok()) << table_name << ": " << table.status();
+    if (!table.ok()) continue;
+    auto rids = table->IndexLookup(index, tree_id);
+    EXPECT_TRUE(rids.ok()) << rids.status();
+    if (rids.ok()) out[table_name] = rids->size();
+  }
+  return out;
 }
 
 TEST_F(RepositoriesTest, DropTreeRemovesEverything) {
+  int64_t kept = StoreFig1("kept");
   int64_t id = StoreFig1("doomed");
+  DataLoader loader(trees_.get(), species_.get());
+  const PhyloTree fig1 = MakePaperFigure1Tree();
+  ASSERT_TRUE(loader.AppendSpecies("kept", SequencesFor(LeafNames(fig1))).ok());
+  ASSERT_TRUE(
+      loader.AppendSpecies("doomed", SequencesFor(LeafNames(fig1))).ok());
   ASSERT_TRUE(trees_->DropTree(id).ok());
+  ASSERT_TRUE(species_->DropForTree(id).ok());
   EXPECT_TRUE(trees_->GetTreeInfo("doomed").status().IsNotFound());
   EXPECT_TRUE(trees_->LoadTree(id).status().IsNotFound());
-  EXPECT_TRUE(trees_->FindNodeByName(id, "Lla").status().IsNotFound());
+  const std::map<std::string, size_t> none = {
+      {"labels", 0}, {"species", 0}, {"tree_blobs", 0}, {"trees", 0}};
+  EXPECT_EQ(RowsForTree(db_.get(), id), none);
+  const std::map<std::string, size_t> whole = {
+      {"labels", 1}, {"species", 5}, {"tree_blobs", 1}, {"trees", 1}};
+  EXPECT_EQ(RowsForTree(db_.get(), kept), whole);
+  // Dropping again removes nothing and is not an error.
+  EXPECT_TRUE(trees_->DropTree(id).ok());
+  EXPECT_TRUE(species_->DropForTree(id).ok());
+  EXPECT_EQ(RowsForTree(db_.get(), kept), whole);
 }
 
 TEST_F(RepositoriesTest, SpeciesRepositoryRoundTrip) {
@@ -271,11 +377,10 @@ TEST_F(RepositoriesTest, LabelsRemovedWithTree) {
 }
 
 /// Every repository read path answers from storage exactly what the
-/// in-memory tree says: GetNode against parent/name/edge length/
-/// RootPathWeights/the scheme's subtree and local depth,
-/// FindNodeByName against NameIndex, and NodesInTimeRange against a
-/// brute-force filter. The tree is stored after a neighbor tree, so
-/// its rows land in already-populated indexes.
+/// in-memory tree says: LoadTree and LoadScheme against the tree and
+/// scheme stored, and the node each species row gets from AppendSpecies
+/// against NameIndex. The tree is stored after a neighbor tree that
+/// shares no names, so its rows land in already-populated indexes.
 void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
   Rng rng(seed);
   YuleOptions opts;
@@ -287,6 +392,7 @@ void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
 
   auto db = std::move(Database::OpenInMemory()).value();
   auto trees = std::move(TreeRepository::Open(db.get())).value();
+  auto species = std::move(SpeciesRepository::Open(db.get())).value();
   const PhyloTree neighbor = MakePaperFigure1Tree();
   LayeredDeweyScheme neighbor_scheme(3);
   ASSERT_TRUE(neighbor_scheme.Build(neighbor).ok());
@@ -303,43 +409,30 @@ void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
   EXPECT_TRUE(
       PhyloTree::Equal(*loaded_neighbor, neighbor, 1e-9, /*ordered=*/true));
 
-  const std::vector<double> weights = t->RootPathWeights();
-  for (NodeId n = 0; n < t->size(); ++n) {
-    auto row = trees->GetNode(*id, n);
-    ASSERT_TRUE(row.ok()) << "node " << n << ": " << row.status();
-    EXPECT_EQ(row->parent, t->parent(n)) << n;
-    EXPECT_EQ(row->name, t->name(n)) << n;
-    EXPECT_EQ(row->edge_length, t->edge_length(n)) << n;
-    EXPECT_EQ(row->root_weight, weights[n]) << n;
-    EXPECT_EQ(row->subtree, scheme.SubtreeOf(n)) << n;
-    EXPECT_EQ(row->local_depth, scheme.LocalDepth(n)) << n;
-  }
-  EXPECT_TRUE(trees->GetNode(*id, static_cast<NodeId>(t->size()))
-                  .status()
-                  .IsNotFound());
+  auto loaded_scheme = trees->LoadScheme(*id);
+  ASSERT_TRUE(loaded_scheme.ok()) << loaded_scheme.status();
+  std::string stored_bytes, loaded_bytes;
+  scheme.EncodeTo(&stored_bytes);
+  loaded_scheme->EncodeTo(&loaded_bytes);
+  EXPECT_EQ(loaded_bytes, stored_bytes);
 
-  const NameIndex names = NameIndex::Build(*t);
+  DataLoader loader(trees.get(), species.get());
+  std::vector<std::string> names;
   for (NodeId n = 0; n < t->size(); ++n) {
-    const std::string name(t->name(n));
-    if (name.empty()) continue;
-    auto found = trees->FindNodeByName(*id, name);
-    ASSERT_TRUE(found.ok()) << name << ": " << found.status();
-    EXPECT_EQ(*found, names.Find(*t, name)) << name;
+    if (!t->name(n).empty()) names.emplace_back(t->name(n));
+  }
+  auto appended = loader.AppendSpecies("yule", SequencesFor(names));
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  const NameIndex index = NameIndex::Build(*t);
+  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db.get(), *id);
+  ASSERT_EQ(nodes.size(), names.size());
+  for (const std::string& name : names) {
+    EXPECT_EQ(nodes[name], static_cast<int64_t>(index.Find(*t, name))) << name;
   }
   // Names of the neighbor tree do not leak into this one.
-  EXPECT_TRUE(trees->FindNodeByName(*id, "Lla").status().IsNotFound());
-
-  const std::pair<double, double> ranges[] = {
-      {0.0, 0.25}, {0.5, 2.0}, {1.0, 1e9}, {weights[1], weights[1]}};
-  for (const auto& [lo, hi] : ranges) {
-    std::vector<NodeId> expected;
-    for (NodeId n = 0; n < t->size(); ++n) {
-      if (weights[n] >= lo && weights[n] < hi) expected.push_back(n);
-    }
-    auto got = trees->NodesInTimeRange(*id, lo, hi);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, expected) << "[" << lo << ", " << hi << ")";
-  }
+  EXPECT_TRUE(loader.AppendSpecies("yule", SequencesFor({"Lla"}))
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(RepositoriesStoreTest, SmallTreeMatchesInMemoryTree) {
@@ -416,10 +509,254 @@ TEST(RepositoriesScaleTest, ThousandLeafTreeRoundTrip) {
   auto loaded = (*trees)->LoadTree(*id);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(PhyloTree::Equal(*loaded, *t, 1e-9, /*ordered=*/true));
-  // Point access against the big nodes table.
-  auto node = (*trees)->FindNodeByName(*id, "S500");
-  ASSERT_TRUE(node.ok());
-  EXPECT_EQ(t->name(*node), "S500");
+  auto species = SpeciesRepository::Open(db->get());
+  ASSERT_TRUE(species.ok());
+  DataLoader loader(trees->get(), species->get());
+  ASSERT_TRUE(loader.AppendSpecies("yule1k", SequencesFor({"S500"})).ok());
+  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db->get(), *id);
+  ASSERT_EQ(nodes.size(), 1u);
+  EXPECT_EQ(t->name(static_cast<NodeId>(nodes["S500"])), "S500");
+}
+
+// ---------------------------------------------------------------------------
+// Session DropTree: crash consistency and cost
+// ---------------------------------------------------------------------------
+
+constexpr const char* kDropDbPath = "drop.db";
+constexpr const char* kVictim = "victim";
+const char* const kResidents[] = {"resident0", "resident1"};
+
+enum class CrashPolicy { kKeepAllWrites, kDropUnsynced };
+
+CrimsonOptions DropSessionOptions(test::FaultInjectionEnv* env) {
+  CrimsonOptions opts;
+  opts.db_path = kDropDbPath;
+  opts.storage_env = env->env();
+  opts.durability = Durability::kCommit;
+  opts.buffer_pool_pages = 64;  // small pool: the drop spills pages
+  opts.batch_workers = 1;
+  return opts;
+}
+
+/// Two residents and the victim, all with "S<i>" leaves, so species
+/// names are shared keys in the species_by_name index.
+std::vector<std::pair<std::string, PhyloTree>> MakeDropTrees(
+    uint64_t seed, uint32_t victim_leaves) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, PhyloTree>> out;
+  for (const char* name : kResidents) {
+    YuleOptions opts;
+    opts.n_leaves = 24 + static_cast<uint32_t>(rng.Uniform(16));
+    out.emplace_back(name, std::move(SimulateYule(opts, &rng)).value());
+  }
+  YuleOptions opts;
+  opts.n_leaves = victim_leaves;
+  out.emplace_back(kVictim, std::move(SimulateYule(opts, &rng)).value());
+  return out;
+}
+
+/// Loads every tree with one sequence per leaf and closes cleanly.
+void LoadDropTrees(test::FaultInjectionEnv* env,
+                   const std::vector<std::pair<std::string, PhyloTree>>& trees) {
+  auto session = Crimson::Open(DropSessionOptions(env));
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (const auto& [name, tree] : trees) {
+    ASSERT_TRUE((*session)->LoadTree(name, tree).ok());
+    ASSERT_TRUE(
+        (*session)->AppendSpeciesData(name, SequencesFor(LeafNames(tree)))
+            .ok());
+  }
+}
+
+/// What a stored tree answers: its metadata, packed image, labels blob,
+/// species rows (with their node column) and three session queries.
+/// "gone" when no tree has the name.
+std::string StoredTreeState(Crimson* session, const std::string& name) {
+  auto trees = TreeRepository::Open(session->database());
+  auto species = SpeciesRepository::Open(session->database());
+  EXPECT_TRUE(trees.ok() && species.ok());
+  if (!trees.ok() || !species.ok()) return "<open failed>";
+  auto info = (*trees)->GetTreeInfo(name);
+  if (info.status().IsNotFound()) return "gone";
+  EXPECT_TRUE(info.ok()) << info.status();
+  if (!info.ok()) return "<no info>";
+  std::ostringstream out;
+  out << "id=" << info->tree_id << " nodes=" << info->n_nodes
+      << " leaves=" << info->n_leaves << " f=" << info->f << "\n";
+  auto tree = (*trees)->LoadTree(info->tree_id);
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  if (!tree.ok()) return "<no tree>";
+  std::string image;
+  EncodePackedTree(*tree, &image);
+  out << "image " << image.size() << " " << Fnv1a64(image.data(), image.size())
+      << "\n";
+  auto labels = (*trees)->LoadSchemeBlob(info->tree_id);
+  EXPECT_TRUE(labels.ok()) << labels.status();
+  if (labels.ok()) {
+    out << "labels " << Fnv1a64(labels->data(), labels->size()) << "\n";
+  }
+  out << "species " << *(*species)->CountForTree(info->tree_id) << "\n";
+  auto sequences = (*species)->SequencesForTree(info->tree_id);
+  EXPECT_TRUE(sequences.ok());
+  if (sequences.ok()) {
+    for (const auto& [species_name, sequence] : *sequences) {
+      out << species_name << "=" << sequence << " ";
+    }
+  }
+  for (const auto& [species_name, node] :
+       StoredSpeciesNodes(session->database(), info->tree_id)) {
+    out << species_name << "@" << node << " ";
+  }
+  out << "\n";
+  auto ref = session->OpenTree(name);
+  EXPECT_TRUE(ref.ok()) << ref.status();
+  if (!ref.ok()) return out.str();
+  const std::vector<std::string> leaves = LeafNames(*tree);
+  const std::vector<QueryRequest> requests = {
+      LcaQuery{leaves.front(), leaves.back()},
+      ProjectQuery{{leaves[0], leaves[1], leaves[2], leaves[3]}},
+      CladeQuery{{leaves[1], leaves[3], leaves[5]}}};
+  for (const QueryRequest& request : requests) {
+    auto result = session->Execute(*ref, request);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (result.ok()) out << RenderResult(*result) << "\n";
+  }
+  return out.str();
+}
+
+/// Crashes a session DropTree of the victim at every write/sync point
+/// of the WAL and the data file (every `fault_step`-th), reopens, and
+/// requires the victim to be wholly present or wholly gone while the
+/// residents answer as before.
+void RunDropCrashSuite(uint64_t seed, uint32_t victim_leaves,
+                       CrashPolicy policy, bool torn, uint64_t fault_step) {
+  const auto trees = MakeDropTrees(seed, victim_leaves);
+  std::map<std::string, std::string> gold;
+  int64_t victim_id = 0;
+  {
+    test::FaultInjectionEnv env;
+    LoadDropTrees(&env, trees);
+    auto session = Crimson::Open(DropSessionOptions(&env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const auto& [name, tree] : trees) {
+      gold[name] = StoredTreeState(session->get(), name);
+    }
+    auto info = (*session)->ListTrees();
+    ASSERT_TRUE(info.ok());
+    for (const TreeInfo& t : *info) {
+      if (t.name == kVictim) victim_id = t.tree_id;
+    }
+  }
+  ASSERT_GT(victim_id, 0);
+
+  uint64_t present = 0;
+  uint64_t gone = 0;
+  bool completed_without_fault = false;
+  for (uint64_t fault = 1; !completed_without_fault; fault += fault_step) {
+    ASSERT_LT(fault, 100000u) << "crash loop failed to terminate";
+    SCOPED_TRACE("fault point " + std::to_string(fault));
+    test::FaultInjectionEnv env;
+    LoadDropTrees(&env, trees);
+    env.ResetOpCount();
+    env.ArmFailPoint(fault, torn);
+    {
+      auto session = Crimson::Open(DropSessionOptions(&env));
+      // The drop fails at the crash point or succeeds past it.
+      if (session.ok()) {
+        Status dropped = (*session)->DropTree(kVictim);
+        if (!env.triggered()) EXPECT_TRUE(dropped.ok()) << dropped;
+      }
+    }
+    completed_without_fault = !env.triggered();
+    env.Disarm();
+    if (policy == CrashPolicy::kDropUnsynced) env.CrashToDurable();
+
+    auto session = Crimson::Open(DropSessionOptions(&env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const char* resident : kResidents) {
+      ASSERT_EQ(StoredTreeState(session->get(), resident), gold[resident]);
+    }
+    const std::string victim = StoredTreeState(session->get(), kVictim);
+    if (victim == "gone") {
+      ++gone;
+      EXPECT_TRUE((*session)->OpenTree(kVictim).status().IsNotFound());
+      const std::map<std::string, size_t> none = {
+          {"labels", 0}, {"species", 0}, {"tree_blobs", 0}, {"trees", 0}};
+      ASSERT_EQ(RowsForTree((*session)->database(), victim_id), none);
+    } else {
+      ++present;
+      ASSERT_EQ(victim, gold[kVictim]);
+    }
+    if (completed_without_fault) {
+      EXPECT_EQ(victim, "gone") << "a fault-free drop must land";
+    }
+  }
+  // The sweep saw both sides of the commit point.
+  EXPECT_GT(present, 0u);
+  EXPECT_GT(gone, 0u);
+}
+
+TEST(DropCrashPoints, DropUnsynced) {
+  RunDropCrashSuite(0xD209, /*victim_leaves=*/40, CrashPolicy::kDropUnsynced,
+                    /*torn=*/false, /*fault_step=*/1);
+}
+
+TEST(DropCrashPoints, TornWrites) {
+  RunDropCrashSuite(0xD20A, /*victim_leaves=*/40, CrashPolicy::kKeepAllWrites,
+                    /*torn=*/true, /*fault_step=*/1);
+}
+
+TEST(DropCrashPointsStress, SeedSweep) {
+  // Victims up to 2.8k leaves, whose drop dirties most of the 64-page
+  // pool, every policy, every fault point.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunDropCrashSuite(seed, 350 * static_cast<uint32_t>(seed),
+                      seed % 2 == 0 ? CrashPolicy::kKeepAllWrites
+                                    : CrashPolicy::kDropUnsynced,
+                      /*torn=*/seed % 4 == 0, /*fault_step=*/1);
+  }
+}
+
+/// Buffer-pool page fetches so far (hits + misses).
+uint64_t PoolFetches(const Crimson& session) {
+  obs::MetricsSnapshot snapshot = session.metrics()->Snapshot();
+  return snapshot.counter("storage.pool.hits") +
+         snapshot.counter("storage.pool.misses");
+}
+
+TEST(DropCostTest, DropFetchesDoNotGrowWithEarlierDrops) {
+  // Six load/append/drop cycles of one seeded 5k-leaf tree beside two
+  // residents: a drop touches the dropped tree's rows, so the sixth
+  // fetches about the pages of the first. Counts pages, takes no time.
+  CrimsonOptions opts;
+  opts.batch_workers = 1;
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0xC7C1E);
+  YuleOptions yule;
+  yule.n_leaves = 5000;
+  for (const char* name : kResidents) {
+    PhyloTree resident = std::move(SimulateYule(yule, &rng)).value();
+    ASSERT_TRUE((*session)->LoadTree(name, resident).ok());
+    ASSERT_TRUE((*session)
+                    ->AppendSpeciesData(name, SequencesFor(LeafNames(resident)))
+                    .ok());
+  }
+  const PhyloTree cycle_tree = std::move(SimulateYule(yule, &rng)).value();
+  const auto sequences = SequencesFor(LeafNames(cycle_tree));
+  std::vector<uint64_t> fetched;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    ASSERT_TRUE((*session)->LoadTree("cycle", cycle_tree).ok());
+    ASSERT_TRUE((*session)->AppendSpeciesData("cycle", sequences).ok());
+    const uint64_t before = PoolFetches(**session);
+    ASSERT_TRUE((*session)->DropTree("cycle").ok());
+    fetched.push_back(PoolFetches(**session) - before);
+  }
+  std::ostringstream counts;
+  for (uint64_t f : fetched) counts << f << " ";
+  ASSERT_GT(fetched[0], 0u);
+  EXPECT_LE(fetched[5] * 2, fetched[0] * 3) << "pages per drop: " << counts.str();
 }
 
 }  // namespace

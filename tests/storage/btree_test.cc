@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "common/random.h"
@@ -275,6 +276,150 @@ TEST_F(BTreeTest, PersistsThroughAnchorAfterReopen) {
   EXPECT_EQ(*reopened->Count(), 3000u);
   std::string v;
   EXPECT_TRUE(reopened->Get(Slice("k02999"), &v).ok());
+}
+
+// ---------------------------------------------------------------------------
+// DeleteAll: one pass over a key's run == repeated Delete(key)
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<std::string, std::string>> Dump(const BTree& tree);
+
+/// Two trees fed the same inserts; keys are removed from one with
+/// DeleteAll and from the other with Delete(key) until NotFound.
+class BTreeDeleteAllTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto p = Pager::Open(NewMemFile());
+    ASSERT_TRUE(p.ok());
+    pager_ = std::move(p).value();
+    pool_ = std::make_unique<BufferPool>(pager_.get(), 512);
+    all_ = std::make_unique<BTree>(std::move(BTree::Create(pool_.get())).value());
+    one_ = std::make_unique<BTree>(std::move(BTree::Create(pool_.get())).value());
+  }
+
+  void InsertBoth(const std::string& key, const std::string& value) {
+    ASSERT_TRUE(all_->Insert(Slice(key), Slice(value)).ok());
+    ASSERT_TRUE(one_->Insert(Slice(key), Slice(value)).ok());
+  }
+
+  void InsertRun(const std::string& key, int n) {
+    for (int i = 0; i < n; ++i) InsertBoth(key, U64Key(i));
+  }
+
+  void DeleteBoth(const std::string& key) {
+    uint64_t expected = 0;
+    Status s;
+    while ((s = one_->Delete(Slice(key))).ok()) ++expected;
+    ASSERT_TRUE(s.IsNotFound()) << s;
+    auto removed = all_->DeleteAll(Slice(key));
+    ASSERT_TRUE(removed.ok()) << removed.status();
+    EXPECT_EQ(*removed, expected) << key;
+    ExpectTreesAgree();
+  }
+
+  // Scans, and Seek positions and Gets of every key, match on both trees.
+  void ExpectTreesAgree() {
+    const auto entries = Dump(*one_);
+    ASSERT_EQ(Dump(*all_), entries);
+    std::set<std::string> keys;
+    for (const auto& entry : entries) keys.insert(entry.first);
+    auto it_a = all_->NewIterator();
+    auto it_b = one_->NewIterator();
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(it_a.Seek(Slice(key)).ok());
+      ASSERT_TRUE(it_b.Seek(Slice(key)).ok());
+      ASSERT_TRUE(it_a.Valid() && it_b.Valid());
+      EXPECT_EQ(it_a.value().ToString(), it_b.value().ToString()) << key;
+      std::string va, vb;
+      ASSERT_TRUE(all_->Get(Slice(key), &va).ok()) << key;
+      ASSERT_TRUE(one_->Get(Slice(key), &vb).ok()) << key;
+      EXPECT_EQ(va, vb) << key;
+    }
+  }
+
+  std::unique_ptr<Pager> pager_;
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<BTree> all_, one_;
+};
+
+TEST_F(BTreeDeleteAllTest, DuplicateRunSpanningManyLeaves) {
+  InsertRun("aaa", 50);
+  InsertRun("dupkey", 5000);  // straddles many leaf splits
+  InsertRun("zzz", 50);
+  DeleteBoth("dupkey");
+  EXPECT_EQ(*all_->Count(), 100u);
+  std::string v;
+  EXPECT_TRUE(all_->Get(Slice("dupkey"), &v).IsNotFound());
+}
+
+TEST_F(BTreeDeleteAllTest, RunNextToLeavesEmptiedByAnEarlierRun) {
+  InsertRun("a", 3000);
+  InsertRun("b", 3000);
+  InsertRun("c", 3000);
+  DeleteBoth("a");
+  DeleteBoth("b");  // starts on or after a's emptied leaves
+  // The key comes back and goes again; c stays whole.
+  InsertRun("a", 1000);
+  InsertRun("b", 1000);
+  DeleteBoth("b");
+  DeleteBoth("a");
+  EXPECT_EQ(*all_->Count(), 3000u);
+}
+
+TEST_F(BTreeDeleteAllTest, AbsentKeyAndEmptyTreeRemoveNothing) {
+  auto none = all_->DeleteAll(Slice("k"));
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(*none, 0u);
+  InsertRun("b", 10);
+  InsertRun("d", 10);
+  DeleteBoth("a");
+  DeleteBoth("c");
+  DeleteBoth("e");
+  DeleteBoth("b");
+  DeleteBoth("b");
+  EXPECT_EQ(*all_->Count(), 10u);
+}
+
+TEST_F(BTreeDeleteAllTest, UniqueKeys) {
+  for (int i = 0; i < 3000; ++i) InsertBoth(StrFormat("k%05d", i), "v");
+  for (int i = 0; i < 3000; i += 97) DeleteBoth(StrFormat("k%05d", i));
+  EXPECT_EQ(*all_->Count(), 3000u - 31u);
+}
+
+/// Random inserts over a small key space, then random keys removed
+/// whole, interleaved with more inserts.
+class BTreeDeleteAllRandomTest : public BTreeDeleteAllTest {
+ protected:
+  void Run(int n, uint64_t seed, uint32_t key_space) {
+    Rng rng(seed);
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < n; ++i) {
+        InsertBoth(StrFormat("k%04u", static_cast<unsigned>(
+                                          rng.Uniform(key_space))),
+                   StrFormat("v%d.%d", round, i));
+        if (HasFatalFailure()) return;
+      }
+      for (uint32_t i = 0; i < key_space / 3; ++i) {
+        DeleteBoth(StrFormat("k%04u", static_cast<unsigned>(
+                                          rng.Uniform(key_space + 5))));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+};
+
+TEST_F(BTreeDeleteAllRandomTest, MatchesRepeatedDelete) {
+  Run(4000, 0xDE1A, 24);
+}
+
+TEST_F(BTreeDeleteAllRandomTest, StressLargeRunsMatchRepeatedDelete) {
+  // Dialed-up randomized sweep: ctest -C stress -L stress.
+  Rng rng(0xDE1B);
+  for (int rep = 0; rep < 3; ++rep) {
+    Run(20000 + static_cast<int>(rng.Uniform(10000)), rng.Next(),
+        rep == 0 ? 8 : 200);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

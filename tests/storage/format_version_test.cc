@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "common/coding.h"
 #include "crimson/crimson.h"
 #include "fault_injection.h"
 #include "storage/database.h"
@@ -56,21 +57,31 @@ void CreateDatabase(test::FaultInjectionEnv* env, Durability durability) {
   }
 }
 
-/// Overwrites the header's format-version field with 0, the value every
-/// file written before the field existed holds.
-void ZeroFormatVersion(test::FaultInjectionEnv* env) {
+/// Earlier format versions: 0 is what every file written before the
+/// field existed holds; 1 still had the per-node `nodes` table.
+constexpr uint32_t kOlderVersions[] = {0, 1};
+
+/// Overwrites the header's format-version field.
+void WriteFormatVersion(test::FaultInjectionEnv* env, uint32_t version) {
   auto file = env->env().open_file(kDbPath);
   ASSERT_TRUE(file.ok()) << file.status();
-  const char zeros[4] = {0, 0, 0, 0};
-  ASSERT_TRUE((*file)->Write(kHeaderFormatVersionOffset, zeros, 4).ok());
+  char bytes[4];
+  EncodeFixed32(bytes, version);
+  ASSERT_TRUE((*file)->Write(kHeaderFormatVersionOffset, bytes, 4).ok());
   ASSERT_TRUE((*file)->Sync().ok());
 }
 
-void ExpectVersionMismatch(const Status& status) {
+void ExpectVersionMismatch(const Status& status, uint32_t file_version) {
   EXPECT_TRUE(status.IsFailedPrecondition()) << status;
   const std::string message = status.ToString();
-  EXPECT_NE(message.find("format version 0"), std::string::npos) << message;
-  EXPECT_NE(message.find("format version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("file has format version " +
+                         std::to_string(file_version)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("reads format version " +
+                         std::to_string(kFormatVersion)),
+            std::string::npos)
+      << message;
   EXPECT_NE(message.find("load the trees into a new database"),
             std::string::npos)
       << message;
@@ -86,14 +97,14 @@ TEST(FormatVersionTest, FreshHeaderMatchesGoldenLayout) {
   const std::string file = env.FileContents(kDbPath);
   ASSERT_GE(file.size(), kPageSize);
   // magic, page size 8192, 3 pages (header + the catalog's root leaf
-  // and anchor), empty freelist, catalog anchor page 2, format version 1.
+  // and anchor), empty freelist, catalog anchor page 2, format version 2.
   const std::string golden(
       "CRIMSON1"
       "\x00\x20\x00\x00"
       "\x03\x00\x00\x00"
       "\x00\x00\x00\x00"
       "\x02\x00\x00\x00"
-      "\x01\x00\x00\x00",
+      "\x02\x00\x00\x00",
       kHeaderBytes);
   EXPECT_EQ(file.substr(0, kHeaderBytes), golden);
   EXPECT_EQ(file.substr(kHeaderBytes, kPageSize - kHeaderBytes),
@@ -112,57 +123,63 @@ TEST(FormatVersionTest, FreshHeaderMatchesGoldenLayout) {
   EXPECT_EQ(decoded->catalog_root, 2u);
 }
 
-TEST(FormatVersionTest, VersionZeroFileFailsToOpenAndStaysUntouched) {
-  test::FaultInjectionEnv env;
-  CreateDatabase(&env, Durability::kOff);
-  ZeroFormatVersion(&env);
-  const std::string before = env.FileContents(kDbPath);
+TEST(FormatVersionTest, OlderVersionFileFailsToOpenAndStaysUntouched) {
+  for (uint32_t version : kOlderVersions) {
+    SCOPED_TRACE(version);
+    test::FaultInjectionEnv env;
+    CreateDatabase(&env, Durability::kOff);
+    WriteFormatVersion(&env, version);
+    const std::string before = env.FileContents(kDbPath);
 
-  for (Durability durability : {Durability::kOff, Durability::kCommit}) {
-    auto db = Database::Open(kDbPath, Options(&env, durability));
-    ASSERT_FALSE(db.ok());
-    ExpectVersionMismatch(db.status());
+    for (Durability durability : {Durability::kOff, Durability::kCommit}) {
+      auto db = Database::Open(kDbPath, Options(&env, durability));
+      ASSERT_FALSE(db.ok());
+      ExpectVersionMismatch(db.status(), version);
+      EXPECT_EQ(env.FileContents(kDbPath), before);
+    }
+
+    CrimsonOptions opts;
+    opts.db_path = kDbPath;
+    opts.storage_env = env.env();
+    auto session = Crimson::Open(opts);
+    ASSERT_FALSE(session.ok());
+    ExpectVersionMismatch(session.status(), version);
     EXPECT_EQ(env.FileContents(kDbPath), before);
+    EXPECT_TRUE(env.FileContents(WalSegment()).empty());
   }
-
-  CrimsonOptions opts;
-  opts.db_path = kDbPath;
-  opts.storage_env = env.env();
-  auto session = Crimson::Open(opts);
-  ASSERT_FALSE(session.ok());
-  ExpectVersionMismatch(session.status());
-  EXPECT_EQ(env.FileContents(kDbPath), before);
-  EXPECT_TRUE(env.FileContents(WalSegment()).empty());
 }
 
-TEST(FormatVersionTest, VersionZeroFileWithCommittedWalIsNotReplayed) {
-  test::FaultInjectionEnv env;
-  CreateDatabase(&env, Durability::kCommit);
-  env.CrashToDurable();
-  const std::string wal_before = env.FileContents(WalSegment());
-  ASSERT_GT(wal_before.size(), kWalSegmentHeaderSize);
-  ZeroFormatVersion(&env);
-  const std::string db_before = env.FileContents(kDbPath);
+TEST(FormatVersionTest, OlderVersionFileWithCommittedWalIsNotReplayed) {
+  for (uint32_t version : kOlderVersions) {
+    SCOPED_TRACE(version);
+    test::FaultInjectionEnv env;
+    CreateDatabase(&env, Durability::kCommit);
+    env.CrashToDurable();
+    const std::string wal_before = env.FileContents(WalSegment());
+    ASSERT_GT(wal_before.size(), kWalSegmentHeaderSize);
+    WriteFormatVersion(&env, version);
+    const std::string db_before = env.FileContents(kDbPath);
 
-  // Durable opens would replay and then reset the log; non-durable ones
-  // would replay and then remove it. Neither may happen.
-  for (Durability durability : {Durability::kCommit, Durability::kOff}) {
-    auto db = Database::Open(kDbPath, Options(&env, durability));
-    ASSERT_FALSE(db.ok());
-    ExpectVersionMismatch(db.status());
+    // Durable opens would replay and then reset the log; non-durable ones
+    // would replay and then remove it. Neither may happen.
+    for (Durability durability : {Durability::kCommit, Durability::kOff}) {
+      auto db = Database::Open(kDbPath, Options(&env, durability));
+      ASSERT_FALSE(db.ok());
+      ExpectVersionMismatch(db.status(), version);
+      EXPECT_EQ(env.FileContents(kDbPath), db_before);
+      EXPECT_EQ(env.FileContents(WalSegment()), wal_before);
+    }
+
+    CrimsonOptions opts;
+    opts.db_path = kDbPath;
+    opts.storage_env = env.env();
+    opts.durability = Durability::kCommit;
+    auto session = Crimson::Open(opts);
+    ASSERT_FALSE(session.ok());
+    ExpectVersionMismatch(session.status(), version);
     EXPECT_EQ(env.FileContents(kDbPath), db_before);
     EXPECT_EQ(env.FileContents(WalSegment()), wal_before);
   }
-
-  CrimsonOptions opts;
-  opts.db_path = kDbPath;
-  opts.storage_env = env.env();
-  opts.durability = Durability::kCommit;
-  auto session = Crimson::Open(opts);
-  ASSERT_FALSE(session.ok());
-  ExpectVersionMismatch(session.status());
-  EXPECT_EQ(env.FileContents(kDbPath), db_before);
-  EXPECT_EQ(env.FileContents(WalSegment()), wal_before);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/random.h"
 #include "storage/database.h"
@@ -404,6 +405,162 @@ TEST_F(BulkAppendTest, RowSourceVisitsEachRowOnceInOrder) {
                   .ok());
   ASSERT_EQ(visited.size(), rows.size());
   for (size_t i = 0; i < visited.size(); ++i) EXPECT_EQ(visited[i], i);
+}
+
+// ---- DeleteWhere: one-pass run delete == per-row Delete --------------------
+
+Schema TreeRowSchema() {
+  return Schema({{"id", ColumnType::kInt64},
+                 {"tree", ColumnType::kInt64},
+                 {"name", ColumnType::kString},
+                 {"seq", ColumnType::kBytes}});
+}
+
+std::unique_ptr<Table> MakeTreeRowTable(Database* db) {
+  auto t = db->CreateTable("tree_rows", TreeRowSchema(),
+                           {{"by_id", "id", /*unique=*/true},
+                            {"by_tree", "tree", false},
+                            {"by_name", "name", false}});
+  EXPECT_TRUE(t.ok()) << t.status();
+  return std::make_unique<Table>(std::move(t).value());
+}
+
+// `n` rows of one tree. Names repeat across trees ("sp<i % 400>"), so
+// each tree's rows share keys with other trees' runs on by_name.
+std::vector<Row> TreeRows(int64_t tree, int64_t first_id, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({first_id + static_cast<int64_t>(i), tree,
+                    "sp" + std::to_string(i % 400),
+                    std::string(i % 7 == 0 ? 300 : 12, 'A')});
+  }
+  return rows;
+}
+
+class DeleteWhereTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto a = Database::OpenInMemory();
+    auto b = Database::OpenInMemory();
+    ASSERT_TRUE(a.ok() && b.ok());
+    where_db_ = std::move(a).value();
+    per_row_db_ = std::move(b).value();
+    by_where_ = MakeTreeRowTable(where_db_.get());
+    by_row_ = MakeTreeRowTable(per_row_db_.get());
+  }
+
+  // The same per-row inserts into both tables, so record ids match.
+  void InsertBoth(const std::vector<Row>& rows) {
+    for (const Row& row : rows) {
+      ASSERT_TRUE(by_where_->Insert(row).ok());
+      ASSERT_TRUE(by_row_->Insert(row).ok());
+    }
+    all_rows_.insert(all_rows_.end(), rows.begin(), rows.end());
+  }
+
+  // DeleteWhere on one table, IndexLookup + per-row Delete on the other;
+  // both must remove the same rows, then agree everywhere.
+  void DeleteBoth(const std::string& index, const Value& key) {
+    auto rids = by_row_->IndexLookup(index, key);
+    ASSERT_TRUE(rids.ok()) << rids.status();
+    for (const RecordId& rid : *rids) ASSERT_TRUE(by_row_->Delete(rid).ok());
+    auto removed = by_where_->DeleteWhere(index, key);
+    ASSERT_TRUE(removed.ok()) << removed.status();
+    EXPECT_EQ(*removed, rids->size());
+    ExpectTablesAgree();
+  }
+
+  // Heap scans and index scans match, and so does a lookup of every key
+  // ever inserted, on every index (record ids included).
+  void ExpectTablesAgree() {
+    EXPECT_EQ(by_where_->row_count(), by_row_->row_count());
+    ExpectSameSnapshot(*by_where_, *by_row_);
+    for (const IndexDef& idx : by_where_->def().indexes) {
+      std::set<Value> keys;
+      for (const Row& row : all_rows_) keys.insert(row[idx.column]);
+      for (const Value& key : keys) {
+        auto a = by_where_->IndexLookup(idx.name, key);
+        auto b = by_row_->IndexLookup(idx.name, key);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(a->size(), b->size()) << idx.name;
+        for (size_t i = 0; i < a->size(); ++i) {
+          ASSERT_EQ((*a)[i].Pack(), (*b)[i].Pack()) << idx.name;
+        }
+      }
+    }
+  }
+
+  std::unique_ptr<Database> where_db_, per_row_db_;
+  std::unique_ptr<Table> by_where_, by_row_;
+  std::vector<Row> all_rows_;
+};
+
+TEST_F(DeleteWhereTest, DuplicateRunSpanningManyLeaves) {
+  InsertBoth(TreeRows(1, 0, 200));
+  InsertBoth(TreeRows(2, 1000, 4000));  // ~20 by_tree leaves
+  InsertBoth(TreeRows(3, 9000, 200));
+  DeleteBoth("by_tree", int64_t{2});
+  EXPECT_EQ(by_where_->row_count(), 400u);
+  auto gone = by_where_->IndexLookup("by_tree", int64_t{2});
+  ASSERT_TRUE(gone.ok());
+  EXPECT_TRUE(gone->empty());
+}
+
+TEST_F(DeleteWhereTest, RunNextToLeavesEmptiedByAnEarlierRun) {
+  for (int64_t tree = 1; tree <= 4; ++tree) {
+    InsertBoth(TreeRows(tree, tree * 10000, 1500));
+  }
+  DeleteBoth("by_tree", int64_t{2});
+  DeleteBoth("by_tree", int64_t{3});  // starts beside tree 2's empty leaves
+  // The id comes back (tree ids are reused) and goes again.
+  InsertBoth(TreeRows(2, 50000, 1500));
+  DeleteBoth("by_tree", int64_t{2});
+  DeleteBoth("by_tree", int64_t{1});
+  EXPECT_EQ(by_where_->row_count(), 1500u);
+}
+
+TEST_F(DeleteWhereTest, KeysSharedWithOtherRunsOnASecondIndex) {
+  InsertBoth(TreeRows(1, 0, 800));
+  InsertBoth(TreeRows(2, 1000, 800));
+  InsertBoth(TreeRows(3, 2000, 800));
+  // Every by_name key of tree 2 is also a key of trees 1 and 3.
+  DeleteBoth("by_tree", int64_t{2});
+  // A run on the name index whose rows span several trees.
+  DeleteBoth("by_name", std::string("sp7"));
+  EXPECT_EQ(by_where_->row_count(), 1600u - 4u);
+}
+
+TEST_F(DeleteWhereTest, EmptyRunRemovesNothing) {
+  auto none = by_where_->DeleteWhere("by_tree", int64_t{1});  // empty table
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(*none, 0u);
+  InsertBoth(TreeRows(1, 0, 300));
+  InsertBoth(TreeRows(3, 1000, 300));
+  DeleteBoth("by_tree", int64_t{2});  // between two runs
+  DeleteBoth("by_tree", int64_t{9});  // past the last key
+  DeleteBoth("by_name", std::string("absent"));
+  EXPECT_EQ(by_where_->row_count(), 600u);
+}
+
+TEST_F(DeleteWhereTest, UniqueIndex) {
+  InsertBoth(TreeRows(1, 0, 500));
+  DeleteBoth("by_id", int64_t{17});
+  DeleteBoth("by_id", int64_t{17});  // already gone
+  DeleteBoth("by_id", int64_t{499});
+  EXPECT_EQ(by_where_->row_count(), 498u);
+  // The unique key is free again.
+  EXPECT_TRUE(by_where_->Insert(TreeRows(5, 17, 1)[0]).ok());
+}
+
+TEST_F(DeleteWhereTest, BadIndexOrKeyRejected) {
+  InsertBoth(TreeRows(1, 0, 10));
+  EXPECT_TRUE(by_where_->DeleteWhere("by_nothing", int64_t{1})
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(by_where_->DeleteWhere("by_tree", std::string("1"))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(by_where_->row_count(), 10u);
 }
 
 }  // namespace
