@@ -112,7 +112,7 @@ Result<BenchmarkRun> BenchmarkManager::Evaluate(
   timer.Restart();
   CRIMSON_ASSIGN_OR_RETURN(run.rf,
                            RobinsonFoulds(run.reference, run.reconstructed));
-  if (compute_triplets && sample.size() <= 512) {
+  if (compute_triplets) {
     CRIMSON_ASSIGN_OR_RETURN(
         run.triplets, TripletDistance(run.reference, run.reconstructed));
   }

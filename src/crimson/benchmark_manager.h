@@ -43,7 +43,7 @@ struct BenchmarkRun {
   PhyloTree reference;      // projection of the true tree
   PhyloTree reconstructed;  // algorithm output
   RfResult rf;
-  TripletResult triplets;   // populated when sample_size is moderate
+  TripletResult triplets;   // populated when compute_triplets is set
   double sample_seconds = 0;
   double project_seconds = 0;
   double reconstruct_seconds = 0;

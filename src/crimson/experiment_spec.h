@@ -31,7 +31,7 @@ struct ExperimentSpec {
   std::vector<std::string> algorithms;
   std::vector<SelectionSpec> selections;
   size_t replicates = 1;
-  /// Adds the O(k^3) triplet-distance score to each run.
+  /// Adds the triplet-distance score (O(k^2) per run) to each run.
   bool compute_triplets = true;
 
   /// Total number of benchmark runs the spec expands to.

@@ -743,6 +743,7 @@ Result<uint64_t> BTree::Count() const {
 // ---------------------------------------------------------------------------
 
 Status BTree::Iterator::DescendToLeaf(const Slice* target) {
+  valid_ = false;
   CRIMSON_ASSIGN_OR_RETURN(PageId node, tree_->Root());
   while (true) {
     CRIMSON_ASSIGN_OR_RETURN(PageGuard guard, tree_->pool_->Fetch(node));
@@ -755,31 +756,32 @@ Status BTree::Iterator::DescendToLeaf(const Slice* target) {
     if (NodeType(d) != PageType::kBTreeLeaf) {
       return Status::Corruption("not a btree node");
     }
-    leaf_ = node;
+    leaf_.assign(d, d + kPageSize);
     pos_ = target ? LowerBound(d, *target) : 0;
     return Status::OK();
   }
 }
 
 Status BTree::Iterator::LoadPosition() {
-  while (true) {
-    CRIMSON_ASSIGN_OR_RETURN(PageGuard guard, tree_->pool_->Fetch(leaf_));
-    const char* d = guard.data();
-    if (pos_ < NumCells(d)) {
-      LeafCell c = ParseLeafCell(d, CellOffset(d, pos_));
-      key_.assign(c.key.data(), c.key.size());
-      value_.assign(c.value.data(), c.value.size());
-      valid_ = true;
-      return Status::OK();
-    }
-    PageId next = Link(d);
+  while (pos_ >= NumCells(leaf_.data())) {
+    PageId next = Link(leaf_.data());
     if (next == kInvalidPageId) {
       valid_ = false;
       return Status::OK();
     }
-    leaf_ = next;
+    CRIMSON_ASSIGN_OR_RETURN(PageGuard guard, tree_->pool_->Fetch(next));
+    const char* d = guard.data();
+    if (NodeType(d) != PageType::kBTreeLeaf) {
+      return Status::Corruption("btree leaf chain reaches a non-leaf page");
+    }
+    leaf_.assign(d, d + kPageSize);
     pos_ = 0;
   }
+  LeafCell c = ParseLeafCell(leaf_.data(), CellOffset(leaf_.data(), pos_));
+  key_ = c.key;
+  value_ = c.value;
+  valid_ = true;
+  return Status::OK();
 }
 
 Status BTree::Iterator::Seek(const Slice& target) {

@@ -95,9 +95,19 @@ class BTree {
   /// Number of entries (maintained lazily via full scan).
   Result<uint64_t> Count() const;
 
-  /// Forward iterator over key order. Holds a pin on the current leaf.
+  /// Forward iterator over key order. Copies each leaf it visits once
+  /// and serves that leaf's entries from the copy, so a scan of L
+  /// leaves costs the descent plus L - 1 sibling fetches. It holds no
+  /// pin or latch between calls: callers may run arbitrary code (even
+  /// mutations) between steps, and see the leaf as it was when the
+  /// iterator reached it. key() and value() stay valid until the next
+  /// Seek/SeekToFirst/Next.
   class Iterator {
    public:
+    // Move-only: key_ and value_ point into leaf_'s buffer.
+    Iterator(Iterator&&) = default;
+    Iterator& operator=(Iterator&&) = default;
+
     /// Positions at the first entry with key >= target.
     Status Seek(const Slice& target);
     /// Positions at the smallest key.
@@ -105,22 +115,24 @@ class BTree {
     bool Valid() const { return valid_; }
     /// Advances; invalidates at end.
     Status Next();
-    Slice key() const { return Slice(key_); }
-    Slice value() const { return Slice(value_); }
+    Slice key() const { return key_; }
+    Slice value() const { return value_; }
 
    private:
     friend class BTree;
     explicit Iterator(const BTree* tree) : tree_(tree) {}
 
+    /// Settles on entry pos_, crossing to right siblings while pos_ is
+    /// past the end of the copied leaf.
     Status LoadPosition();
     Status DescendToLeaf(const Slice* target);
 
     const BTree* tree_;
-    PageId leaf_ = kInvalidPageId;
+    std::vector<char> leaf_;  // image of the current leaf page
     int pos_ = 0;
     bool valid_ = false;
-    std::string key_;
-    std::string value_;
+    Slice key_;    // into leaf_
+    Slice value_;  // into leaf_
   };
 
   Iterator NewIterator() const { return Iterator(this); }

@@ -313,6 +313,98 @@ TEST(ExperimentTest, PersistsAndReplaysOnReopenedDatabase) {
   RemoveFile(path);
 }
 
+TEST(ExperimentTest, ReplayedTripletScoresMatchPinnedValues) {
+  // A seeded nj+upgma experiment at k=256 over a 320-leaf Yule gold
+  // standard. The per-run triplet counts are pinned to the values the
+  // cubic triple-enumerating scorer produced, so the fast count must
+  // reproduce them in the report, in the stored experiment_runs rows
+  // and through RerunExperiment on a reopened database.
+  const std::string path = testing::TempDir() + "/crimson_triplet_golden.db";
+  RemoveFile(path);
+  PhyloTree tree;
+  std::map<std::string, std::string> sequences;
+  {
+    Rng rng(0x7121E7);
+    YuleOptions opts;
+    opts.n_leaves = 320;
+    tree = std::move(SimulateYule(opts, &rng)).value();
+    SeqEvolveOptions seq_opts;
+    seq_opts.seq_length = 200;
+    auto evolver = SequenceEvolver::Create(seq_opts);
+    sequences = std::move(evolver->EvolveLeaves(tree, &rng)).value();
+  }
+  ExperimentSpec spec;
+  spec.algorithms = {"nj", "upgma"};
+  SelectionSpec uniform;
+  uniform.kind = SelectionSpec::Kind::kUniform;
+  uniform.k = 256;
+  spec.selections = {uniform};
+  spec.replicates = 2;
+  spec.compute_triplets = true;
+
+  // Job order is algorithm-major: nj r0, nj r1, upgma r0, upgma r1.
+  const uint64_t kTotal = 256ull * 255 * 254 / 6;
+  const std::vector<uint64_t> kDiffering = {1712184, 1794591, 1737425,
+                                           1603123};
+
+  auto expect_pinned = [&](const std::vector<BenchmarkRun>& runs,
+                           const std::string& context) {
+    ASSERT_EQ(runs.size(), kDiffering.size()) << context;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].sample_size, 256u) << context << " job " << i;
+      EXPECT_EQ(runs[i].triplets.total, kTotal) << context << " job " << i;
+      EXPECT_EQ(runs[i].triplets.differing, kDiffering[i])
+          << context << " job " << i;
+      EXPECT_EQ(runs[i].triplets.fraction,
+                static_cast<double>(kDiffering[i]) /
+                    static_cast<double>(kTotal))
+          << context << " job " << i;
+    }
+  };
+
+  int64_t experiment_id = 0;
+  {
+    CrimsonOptions opts;
+    opts.db_path = path;
+    opts.seed = 0x601D;
+    auto session = std::move(Crimson::Open(opts)).value();
+    ASSERT_TRUE(session->LoadTree("gold", tree).ok());
+    ASSERT_TRUE(session->AppendSpeciesData("gold", sequences).ok());
+    auto ref = session->OpenTree("gold");
+    ASSERT_TRUE(ref.ok());
+    auto report = session->RunExperiment(*ref, spec);
+    ASSERT_TRUE(report.ok()) << report.status();
+    expect_pinned(report->runs, "report");
+    experiment_id = report->experiment_id;
+    ASSERT_TRUE(session->Flush().ok());
+  }
+  {
+    CrimsonOptions opts;
+    opts.db_path = path;
+    opts.seed = 7;
+    auto session = std::move(Crimson::Open(opts)).value();
+    auto replay = session->RerunExperiment(experiment_id);
+    ASSERT_TRUE(replay.ok()) << replay.status();
+    expect_pinned(replay->runs, "rerun");
+
+    auto repo = ExperimentRepository::Open(session->database());
+    ASSERT_TRUE(repo.ok());
+    auto rows = (*repo)->RunsFor(experiment_id);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), kDiffering.size());
+    for (size_t i = 0; i < rows->size(); ++i) {
+      EXPECT_EQ((*rows)[i].triplet_total, static_cast<int64_t>(kTotal))
+          << "row " << i;
+      EXPECT_EQ((*rows)[i].triplet_differing,
+                static_cast<int64_t>(kDiffering[i]))
+          << "row " << i;
+      EXPECT_EQ((*rows)[i].triplet_fraction, replay->runs[i].triplets.fraction)
+          << "row " << i;
+    }
+  }
+  RemoveFile(path);
+}
+
 TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
   CrimsonOptions opts;
   opts.seed = 21;

@@ -651,6 +651,59 @@ TEST_F(BTreeTest, BulkLoadLargeCellsBuildTallTree) {
   }
 }
 
+TEST(BTreeIteratorCostTest, RunScanFetchesEachLeafOnce) {
+  // A 5,000-entry duplicate run between two short runs, scanned the way
+  // Table::IndexLookup scans one: Seek, then Next while the key
+  // matches. That costs the anchor, one page per level and each leaf
+  // of the run once (plus one sibling when the run ends a leaf), not a
+  // fetch per entry.
+  auto p = Pager::Open(NewMemFile());
+  ASSERT_TRUE(p.ok());
+  auto pager = std::move(p).value();
+  obs::MetricsRegistry metrics;
+  BufferPool pool(pager.get(), 256, nullptr, nullptr, &metrics);
+  BTree tree = std::move(BTree::Create(&pool)).value();
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (int i = 0; i < 10; ++i) entries.emplace_back("a", StrFormat("%08d", i));
+  for (int i = 0; i < 5000; ++i) {
+    entries.emplace_back("run", StrFormat("%08d", i));
+  }
+  for (int i = 0; i < 10; ++i) entries.emplace_back("z", StrFormat("%08d", i));
+  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+
+  // The fresh file holds only this tree: its shape is read off the page
+  // types. Internal pages bound the levels above the leaves.
+  uint64_t leaves = 0, internal = 0;
+  for (PageId id = 1; id < pager->page_count(); ++id) {
+    auto guard = pool.Fetch(id);
+    ASSERT_TRUE(guard.ok()) << guard.status();
+    PageType type = static_cast<PageType>(guard->data()[0]);
+    if (type == PageType::kBTreeLeaf) ++leaves;
+    if (type == PageType::kBTreeInternal) ++internal;
+  }
+  ASSERT_GE(leaves, 10u);
+  const uint64_t height = internal + 1;
+
+  auto fetches = [&] {
+    obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    return snapshot.counter("storage.pool.hits") +
+           snapshot.counter("storage.pool.misses");
+  };
+  const uint64_t before = fetches();
+  auto it = tree.NewIterator();
+  ASSERT_TRUE(it.Seek(Slice("run")).ok());
+  int seen = 0;
+  while (it.Valid() && it.key() == Slice("run")) {
+    EXPECT_EQ(it.value().ToString(), StrFormat("%08d", seen));
+    ++seen;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  const uint64_t fetched = fetches() - before;
+  EXPECT_EQ(seen, 5000);
+  EXPECT_LE(fetched, leaves + height + 1)
+      << leaves << " leaves, " << internal << " internal pages";
+}
+
 TEST_F(BTreeTest, OrderPreservingDoubleKeys) {
   // The time index depends on DoubleKey respecting numeric order.
   std::vector<double> values = {-100.5, -1.0, -0.25, 0.0, 0.125, 3.0, 1e9};
