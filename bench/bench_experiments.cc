@@ -53,7 +53,6 @@ ExperimentSpec SweepSpec() {
   sel.k = 16;
   spec.selections = {sel};
   spec.replicates = 4;
-  spec.compute_triplets = false;
   return spec;
 }
 

@@ -2,8 +2,8 @@
 // gold-standard simulation tree -- the central use case of the paper
 // (Benchmark Manager, §2.2) -- through the typed Experiment API.
 // Reproduces the E11 experiment: NJ vs UPGMA across sample sizes and
-// sequence lengths, scored by Robinson-Foulds distance to the true
-// projection. The whole sweep per sequence length is ONE
+// sequence lengths, scored by Robinson-Foulds and triplet distance to
+// the true projection. The whole sweep per sequence length is ONE
 // ExperimentSpec (algorithm registry names x a uniform-k selection
 // grid x replicates): replicates fan out on the session worker pool,
 // the spec and every score row are persisted, and the final report is
@@ -63,11 +63,11 @@ int main(int argc, char** argv) {
     spec.selections.push_back(sel);
   }
   spec.replicates = 5;
-  spec.compute_triplets = false;
 
-  printf("%-8s %6s %8s | %-18s %-18s\n", "seq_len", "k", "reps",
-         "NJ rf_norm(avg)", "UPGMA rf_norm(avg)");
-  printf("---------------------------------------------------------------\n");
+  printf("%-8s %6s %8s | %-18s %-18s | %-9s %-9s\n", "seq_len", "k", "reps",
+         "NJ rf_norm(avg)", "UPGMA rf_norm(avg)", "NJ trip", "UPGMA trip");
+  printf("--------------------------------------------------------------------"
+         "-------------------\n");
 
   for (size_t seq_len : {250, 1000}) {
     SeqEvolveOptions seq_opts;
@@ -96,9 +96,10 @@ int main(int argc, char** argv) {
     for (size_t s = 0; s < n_sels; ++s) {
       const ExperimentCell& nj_cell = report.cells[s];
       const ExperimentCell& upgma_cell = report.cells[n_sels + s];
-      printf("%-8zu %6zu %8zu | %-18.4f %-18.4f%s\n", seq_len,
-             spec.selections[s].k, spec.replicates,
+      printf("%-8zu %6zu %8zu | %-18.4f %-18.4f | %-9.4f %-9.4f%s\n",
+             seq_len, spec.selections[s].k, spec.replicates,
              nj_cell.mean_rf_normalized, upgma_cell.mean_rf_normalized,
+             nj_cell.mean_triplet_fraction, upgma_cell.mean_triplet_fraction,
              nj_cell.mean_rf_normalized <= upgma_cell.mean_rf_normalized
                  ? "   <- NJ wins"
                  : "");
@@ -109,7 +110,9 @@ int main(int argc, char** argv) {
     ExperimentReport replay = Unwrap(
         crimson->RerunExperiment(report.experiment_id), "rerun");
     for (size_t i = 0; i < report.runs.size(); ++i) {
-      if (replay.runs[i].rf.distance != report.runs[i].rf.distance) {
+      if (replay.runs[i].rf.distance != report.runs[i].rf.distance ||
+          replay.runs[i].triplets.differing !=
+              report.runs[i].triplets.differing) {
         fprintf(stderr, "replay diverged at run %zu\n", i);
         return 1;
       }

@@ -18,6 +18,12 @@ namespace crimson {
 
 namespace {
 
+/// Cracking granularity for per-tree evaluation state: sequence slices
+/// are faulted in from storage in aligned runs of at least this many
+/// leaf ordinals, refining the piece map with the observed sample mix
+/// instead of materializing every sequence up front.
+constexpr size_t kCrackMinPiece = 16;
+
 /// Derives the seed for one query's private Rng from the session seed
 /// and the query's ticket. Sequential and batched execution assign the
 /// same tickets in request order, so sampling results are identical in
@@ -768,7 +774,7 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
     };
     auto state = std::make_shared<EvalState>(
         handle, std::make_unique<cache::CrackedSequenceStore>(
-                    std::move(domain), options_.crack_min_piece,
+                    std::move(domain), kCrackMinPiece,
                     std::move(fetch), metrics_.get()));
     CRIMSON_RETURN_IF_ERROR(state->manager.Init());
     std::lock_guard<std::mutex> lock(eval_mu_);

@@ -89,8 +89,7 @@ struct CrimsonOptions {
   /// Crash-durability discipline for on-disk databases (requires
   /// db_path). kOff writes pages in place without a WAL (every mode
   /// writes the same file format); kCommit wraps every repository
-  /// write in a WAL transaction whose commit fsyncs the log;
-  /// kGroupCommit additionally coalesces concurrent commit fsyncs. On
+  /// write in a WAL transaction whose commit fsyncs the log once. On
   /// open, a committed WAL prefix left by a crash is replayed before
   /// any read.
   Durability durability = Durability::kOff;
@@ -107,11 +106,6 @@ struct CrimsonOptions {
   /// always byte-identical to re-executing (see DESIGN.md "Adaptive
   /// caching & cracking"). 0 disables the cache (bench baseline).
   uint64_t query_cache_bytes = 8ull << 20;
-  /// Cracking granularity for per-tree evaluation state: sequence
-  /// slices are faulted in from storage in aligned runs of at least
-  /// this many leaf ordinals, refining the piece map with the observed
-  /// sample mix instead of materializing every sequence up front.
-  size_t crack_min_piece = 16;
   /// Slow-query threshold in microseconds; 0 (the default) disables
   /// the slow-query log. A query whose wall time meets the threshold
   /// emits one structured line -- "slow_query total_us=... kind=...

@@ -128,8 +128,7 @@ Status BufferPool::WriteBack(Frame& frame) {
     const bool new_in_txn = wal_ctx_->txn_active &&
                             frame.page_id >= wal_ctx_->txn_base_page_count;
     if (!new_in_txn) {
-      CRIMSON_RETURN_IF_ERROR(
-          wal_ctx_->wal->Sync(frame.page_lsn, /*group=*/true));
+      CRIMSON_RETURN_IF_ERROR(wal_ctx_->wal->Sync(frame.page_lsn));
     }
   }
   CRIMSON_RETURN_IF_ERROR(pager_->WritePage(frame.page_id, frame.data.data()));

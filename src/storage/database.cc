@@ -75,10 +75,7 @@ Result<std::unique_ptr<Database>> Database::Build(
           RecoverFromWal(wal_base, options.env, file.get()).status());
     }
     if (want_wal) {
-      WalOptions wal_opts;
-      wal_opts.segment_bytes = options.wal_segment_bytes;
-      CRIMSON_ASSIGN_OR_RETURN(db->wal_,
-                               Wal::Open(wal_base, options.env, wal_opts));
+      CRIMSON_ASSIGN_OR_RETURN(db->wal_, Wal::Open(wal_base, options.env));
       db->wal_ctx_.wal = db->wal_.get();
     } else if (has_wal) {
       // The recovered state is in the database file (synced by the
@@ -165,8 +162,8 @@ Status Database::CommitTxn() {
     return Status::OK();
   }
   // 1. Log every after-image plus the header, then the commit record.
-  // 2. Make the log durable (the group-commit knob picks the sync
-  //    discipline). Until this point any failure aborts cleanly.
+  // 2. Make the log durable. Until this point any failure aborts
+  //    cleanly.
   Status s = [&]() -> Status {
     CRIMSON_RETURN_IF_ERROR(pool_->LogTxnPages());
     CRIMSON_RETURN_IF_ERROR(
@@ -175,8 +172,7 @@ Status Database::CommitTxn() {
             .status());
     CRIMSON_ASSIGN_OR_RETURN(Lsn commit_lsn,
                              wal_->AppendCommit(wal_ctx_.txn_id));
-    return wal_->Sync(commit_lsn,
-                      options_.durability == Durability::kGroupCommit);
+    return wal_->Sync(commit_lsn);
   }();
   if (!s.ok()) {
     AbortTxn();

@@ -1,9 +1,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -16,6 +13,10 @@ namespace {
 /// How many consecutive missing indices the segment prober tolerates
 /// while hunting for stale leftovers from an interrupted truncation.
 constexpr uint32_t kSegmentProbeWindow = 8;
+
+/// Appends write (without sync) once this many bytes are buffered,
+/// bounding memory during large transactions.
+constexpr size_t kFlushThresholdBytes = 1 << 20;
 
 }  // namespace
 
@@ -115,8 +116,6 @@ Status Wal::ResetLocked(uint64_t new_generation) {
   generation_ = new_generation;
   appended_lsn_ = flushed_lsn_ = durable_lsn_ = 0;
   size_bytes_ = 0;
-  pending_commits_.clear();
-  last_group_batch_ = 0;
   return OpenSegmentLocked(1, /*truncate=*/true);
 }
 
@@ -158,7 +157,7 @@ Result<Lsn> Wal::Append(WalRecordType type, const std::string& body) {
   PutFixed32(&pending_, Crc32(payload.data(), payload.size()));
   pending_.append(payload);
 
-  if (pending_.size() >= options_.flush_threshold) {
+  if (pending_.size() >= kFlushThresholdBytes) {
     Status s = FlushLocked();
     if (!s.ok()) {
       sticky_ = s;
@@ -188,13 +187,7 @@ Result<Lsn> Wal::AppendHeaderImage(uint32_t page_count, PageId freelist_head,
 Result<Lsn> Wal::AppendCommit(uint64_t txn_id) {
   std::string body;
   PutFixed64(&body, txn_id);
-  Result<Lsn> lsn = Append(WalRecordType::kCommit, body);
-  if (lsn.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_commits_.push_back(*lsn);
-    if (leader_collecting_) cv_.notify_all();
-  }
-  return lsn;
+  return Append(WalRecordType::kCommit, body);
 }
 
 Status Wal::FlushLocked() {
@@ -228,36 +221,15 @@ Status Wal::Flush() {
   return s;
 }
 
-Status Wal::Sync(Lsn lsn, bool group) {
+Status Wal::Sync(Lsn lsn) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (!sticky_.ok()) return sticky_;
-    if (group && durable_lsn_ >= lsn) return Status::OK();
+    if (durable_lsn_ >= lsn) return Status::OK();
     if (sync_in_progress_) {
-      // A leader's fdatasync is in flight; wait for it. In group mode
-      // it may cover us; in exclusive mode we still do our own after.
+      // Another caller's fdatasync is in flight; it may cover us.
       cv_.wait(lock);
       continue;
-    }
-    // Exclusive mode falls through even when durable_lsn_ already
-    // covers lsn: per-commit-fsync semantics issue a dedicated
-    // fdatasync for every committer.
-    if (group && options_.group_window_us > 0 && last_group_batch_ > 1) {
-      // Committers are arriving concurrently: hold the flush until as
-      // many commits as the last batch have queued (commit appends
-      // notify us, so this resolves in microseconds under steady
-      // load), or until the window expires on falling load.
-      leader_collecting_ = true;
-      const uint64_t want = last_group_batch_;
-      cv_.wait_for(lock, std::chrono::microseconds(options_.group_window_us),
-                   [&] {
-                     return pending_commits_.size() >= want || !sticky_.ok();
-                   });
-      leader_collecting_ = false;
-      if (!sticky_.ok()) {
-        cv_.notify_all();
-        return sticky_;
-      }
     }
     Status s = FlushLocked();
     if (!s.ok()) {
@@ -293,15 +265,6 @@ Status Wal::Sync(Lsn lsn, bool group) {
       needs_dir_sync_ = false;
     }
     durable_lsn_ = std::max(durable_lsn_, target);
-    uint64_t covered = 0;
-    while (!pending_commits_.empty() && pending_commits_.front() <= target) {
-      pending_commits_.pop_front();
-      ++covered;
-    }
-    if (covered > 0) {
-      last_group_batch_ = covered;
-      if (group_batch_hist_) group_batch_hist_->Observe(covered);
-    }
     cv_.notify_all();
     if (durable_lsn_ >= lsn) return Status::OK();
   }
@@ -312,8 +275,6 @@ void Wal::BindMetrics(obs::MetricsRegistry* registry) {
   appends_ctr_ = registry->GetCounter("storage.wal.appends");
   bytes_ctr_ = registry->GetCounter("storage.wal.bytes");
   fsyncs_ctr_ = registry->GetCounter("storage.wal.fsyncs");
-  group_batch_hist_ = registry->GetHistogram(
-      "storage.wal.group_batch", {1, 2, 4, 8, 16, 32, 64, 128, 256});
 }
 
 Wal::Mark Wal::mark() const {
@@ -361,9 +322,6 @@ Status Wal::Rewind(const Mark& mark) {
   appended_lsn_ = mark.lsn;
   flushed_lsn_ = std::min(flushed_lsn_, mark.lsn);
   durable_lsn_ = std::min(durable_lsn_, mark.lsn);
-  while (!pending_commits_.empty() && pending_commits_.back() > mark.lsn) {
-    pending_commits_.pop_back();
-  }
   return Status::OK();
 }
 

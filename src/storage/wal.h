@@ -22,18 +22,16 @@
 // truncation); a stale higher-numbered segment left behind by a crash
 // mid-truncation carries an older generation and is never chained.
 //
-// Thread safety: all public methods are thread-safe. Sync(lsn,
-// group=true) is the group-commit path: concurrent committers coalesce
-// behind one leader fdatasync. Sync(lsn, group=false) always performs a
-// dedicated fdatasync per caller (per-commit-fsync semantics), which is
-// what `bench_wal` contrasts group commit against.
+// Thread safety: all public methods are thread-safe. Sync(lsn) returns
+// once an fdatasync covers `lsn`; a caller that finds one in flight
+// waits for it rather than issuing a second. Database commits are
+// serialized by the writer epoch, so each commit issues exactly one.
 
 #ifndef CRIMSON_STORAGE_WAL_H_
 #define CRIMSON_STORAGE_WAL_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,18 +67,6 @@ std::string WalSegmentPath(const std::string& base, uint32_t index);
 struct WalOptions {
   /// Rotate to a new segment once the current one exceeds this size.
   uint64_t segment_bytes = 4ull << 20;
-  /// Opportunistically write (without sync) once this many bytes are
-  /// buffered, bounding memory during large transactions.
-  uint64_t flush_threshold = 1ull << 20;
-  /// Group-commit collection window: when the previous batch coalesced
-  /// more than one commit (i.e. committers are arriving concurrently),
-  /// a fresh sync leader waits -- at most this long -- for as many
-  /// commits as the last batch to queue before flushing, so stragglers
-  /// ride its fdatasync instead of forcing their own. The count
-  /// condition triggers via commit-append notification, so under
-  /// steady concurrency the wait is microseconds; a lone committer
-  /// never waits at all.
-  uint64_t group_window_us = 100;
 };
 
 /// Append-side handle of the log. Opening resets the log to an empty
@@ -109,11 +95,10 @@ class Wal {
   /// Writes buffered records to the segment file (no fsync).
   Status Flush();
 
-  /// Makes every record up to `lsn` durable. group=true coalesces with
-  /// concurrent callers behind one fdatasync (returning early when a
-  /// peer's sync already covered `lsn`); group=false performs a
-  /// dedicated fdatasync for this caller.
-  Status Sync(Lsn lsn, bool group);
+  /// Makes every record up to `lsn` durable: returns at once when an
+  /// earlier fdatasync already covered it, waits out one in flight,
+  /// and otherwise flushes and fdatasyncs (outside the log mutex).
+  Status Sync(Lsn lsn);
 
   /// Restart point for transaction rollback (capture at Begin).
   struct Mark {
@@ -140,8 +125,7 @@ class Wal {
   static Status RemoveLog(const std::string& base, const StorageEnv& env);
 
   /// Mirrors cumulative WAL telemetry (storage.wal.appends / .bytes /
-  /// .fsyncs counters plus the storage.wal.group_batch commit-coalesce
-  /// histogram) into `registry`. Call right after Open, before append
+  /// .fsyncs counters) into `registry`. Call right after Open, before append
   /// traffic (Database::Build does).
   void BindMetrics(obs::MetricsRegistry* registry);
 
@@ -172,7 +156,7 @@ class Wal {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Shared so a sync leader can keep the file alive while fsyncing
+  /// Shared so a syncing caller can keep the file alive while fsyncing
   /// outside mu_ even if a concurrent append rotates segments.
   std::shared_ptr<File> seg_file_;
   uint32_t seg_index_ = 1;
@@ -186,15 +170,11 @@ class Wal {
   bool needs_dir_sync_ = false;      // a segment was created since last sync
   uint64_t segments_created_ = 0;    // guards needs_dir_sync_ against races
   bool sync_in_progress_ = false;
-  bool leader_collecting_ = false;     // a group leader gathers a batch
-  std::deque<Lsn> pending_commits_;    // commit lsns not yet durable
-  uint64_t last_group_batch_ = 0;      // commits covered by the last sync
   Status sticky_;                    // first unrecoverable error, if any
   /// Telemetry mirrors (null until BindMetrics).
   obs::Counter* appends_ctr_ = nullptr;
   obs::Counter* bytes_ctr_ = nullptr;
   obs::Counter* fsyncs_ctr_ = nullptr;
-  obs::Histogram* group_batch_hist_ = nullptr;
 };
 
 }  // namespace crimson

@@ -51,7 +51,7 @@ TEST(ObsSessionTest, SnapshotPopulatesEveryLayer) {
   std::remove(kDbPath);
   CrimsonOptions opts;
   opts.db_path = kDbPath;
-  opts.durability = Durability::kGroupCommit;
+  opts.durability = Durability::kCommit;
   auto crimson = OpenSession(std::move(opts));
   auto report = crimson->LoadNewick("fig1", kFig1Newick);
   ASSERT_TRUE(report.ok()) << report.status();

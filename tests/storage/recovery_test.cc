@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -199,6 +201,58 @@ TEST(DatabaseTxnTest, CheckpointTruncatesWalAndSkipsReplay) {
   auto table = db->OpenTable("kv");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(ReadAll(&*table).size(), 50u);
+}
+
+TEST(DatabaseTxnTest, ConcurrentCommitsEachIssueOneFsync) {
+  // The writer epoch serializes commits, so however many threads
+  // commit, every commit costs exactly one log fdatasync.
+  test::FaultInjectionEnv env;
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 25;
+  {
+    auto db = std::move(Database::Open(kDbPath, DurableOptions(&env))).value();
+    {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE(OpenOrCreateKv(db.get()).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+    obs::Counter* fsyncs = db->metrics()->GetCounter("storage.wal.fsyncs");
+    const uint64_t fsyncs_before = fsyncs->value();
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kTxnsPerThread; ++i) {
+          auto txn = db->Begin();
+          if (!txn.ok()) {
+            ++failures;
+            return;
+          }
+          auto table = db->OpenTable("kv");
+          const int64_t id = t * kTxnsPerThread + i;
+          if (!table.ok() || !table->Insert({id, "row"}).ok() ||
+              !txn->Commit().ok()) {
+            ++failures;
+            return;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(failures.load(), 0);
+    EXPECT_EQ(fsyncs->value() - fsyncs_before,
+              static_cast<uint64_t>(kThreads * kTxnsPerThread));
+    EXPECT_EQ(db->wal()->durable_lsn(), db->wal()->appended_lsn());
+  }
+  env.CrashToDurable();
+  auto db = std::move(Database::Open(kDbPath, DurableOptions(&env))).value();
+  auto table = db->OpenTable("kv");
+  ASSERT_TRUE(table.ok()) << table.status();
+  std::map<int64_t, std::string> rows = ReadAll(&*table);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kThreads * kTxnsPerThread));
+  EXPECT_EQ(rows.begin()->first, 0);
+  EXPECT_EQ(rows.rbegin()->first, kThreads * kTxnsPerThread - 1);
 }
 
 TEST(DatabaseTxnTest, DurabilityOffReplaysLeftoverWalOnOpen) {

@@ -1,6 +1,6 @@
 // Unit tests for the write-ahead log: record framing + CRC, torn-tail
 // and corruption handling in the scanner, rotation across segments,
-// rewind (abort), reset generations, and group-commit concurrency.
+// rewind (abort), reset generations, and concurrent Sync callers.
 
 #include "storage/wal.h"
 
@@ -46,7 +46,7 @@ TEST_F(WalTest, AppendScanRoundTrip) {
   ASSERT_TRUE(wal->AppendHeaderImage(9, 3, 2).ok());
   auto commit = wal->AppendCommit(42);
   ASSERT_TRUE(commit.ok());
-  ASSERT_TRUE(wal->Sync(*commit, /*group=*/false).ok());
+  ASSERT_TRUE(wal->Sync(*commit).ok());
 
   WalScanSummary summary;
   auto records = ReadWalRecords(kBase, env_.env(), &summary);
@@ -75,7 +75,7 @@ TEST_F(WalTest, UncommittedTailIsDiscardedByScan) {
   // Txn 2 never commits.
   ASSERT_TRUE(wal->AppendPageImage(2, img.data()).ok());
   ASSERT_TRUE(wal->Flush().ok());
-  ASSERT_TRUE(wal->Sync(wal->appended_lsn(), false).ok());
+  ASSERT_TRUE(wal->Sync(wal->appended_lsn()).ok());
 
   WalScanSummary summary;
   auto records = ReadWalRecords(kBase, env_.env(), &summary);
@@ -90,10 +90,10 @@ TEST_F(WalTest, TornRecordStopsScanAtLastValidPrefix) {
   std::string img = PageImage('b');
   ASSERT_TRUE(wal->AppendPageImage(1, img.data()).ok());
   auto c1 = wal->AppendCommit(1);
-  ASSERT_TRUE(wal->Sync(*c1, false).ok());
+  ASSERT_TRUE(wal->Sync(*c1).ok());
   ASSERT_TRUE(wal->AppendPageImage(2, img.data()).ok());
   auto c2 = wal->AppendCommit(2);
-  ASSERT_TRUE(wal->Sync(*c2, false).ok());
+  ASSERT_TRUE(wal->Sync(*c2).ok());
   wal.reset();
 
   // Tear the last record: chop bytes off the segment's end.
@@ -118,10 +118,10 @@ TEST_F(WalTest, CorruptMiddleRecordStopsScan) {
   std::string img = PageImage('c');
   ASSERT_TRUE(wal->AppendPageImage(1, img.data()).ok());
   auto c1 = wal->AppendCommit(1);
-  ASSERT_TRUE(wal->Sync(*c1, false).ok());
+  ASSERT_TRUE(wal->Sync(*c1).ok());
   ASSERT_TRUE(wal->AppendPageImage(2, img.data()).ok());
   auto c2 = wal->AppendCommit(2);
-  ASSERT_TRUE(wal->Sync(*c2, false).ok());
+  ASSERT_TRUE(wal->Sync(*c2).ok());
   wal.reset();
 
   // Flip one byte inside the third record's payload.
@@ -151,7 +151,7 @@ TEST_F(WalTest, RotationChainsSegments) {
     ASSERT_TRUE(wal->AppendPageImage(static_cast<PageId>(t), img.data()).ok());
     auto c = wal->AppendCommit(t);
     ASSERT_TRUE(c.ok());
-    ASSERT_TRUE(wal->Sync(*c, false).ok());
+    ASSERT_TRUE(wal->Sync(*c).ok());
   }
   auto exists = env_.env().file_exists(WalSegmentPath(kBase, 2));
   ASSERT_TRUE(exists.ok());
@@ -169,7 +169,7 @@ TEST_F(WalTest, RewindDropsAbortedTail) {
   std::string img = PageImage('d');
   ASSERT_TRUE(wal->AppendPageImage(1, img.data()).ok());
   auto c1 = wal->AppendCommit(1);
-  ASSERT_TRUE(wal->Sync(*c1, false).ok());
+  ASSERT_TRUE(wal->Sync(*c1).ok());
 
   Wal::Mark mark = wal->mark();
   ASSERT_TRUE(wal->AppendPageImage(2, img.data()).ok());
@@ -180,7 +180,7 @@ TEST_F(WalTest, RewindDropsAbortedTail) {
   // The next transaction reuses the rewound space cleanly.
   ASSERT_TRUE(wal->AppendPageImage(4, img.data()).ok());
   auto c2 = wal->AppendCommit(2);
-  ASSERT_TRUE(wal->Sync(*c2, false).ok());
+  ASSERT_TRUE(wal->Sync(*c2).ok());
 
   WalScanSummary summary;
   auto records = ReadWalRecords(kBase, env_.env(), &summary);
@@ -196,7 +196,7 @@ TEST_F(WalTest, ResetStartsFreshGenerationAndIgnoresStaleSegments) {
   for (uint64_t t = 1; t <= 6; ++t) {
     ASSERT_TRUE(wal->AppendPageImage(static_cast<PageId>(t), img.data()).ok());
     auto c = wal->AppendCommit(t);
-    ASSERT_TRUE(wal->Sync(*c, false).ok());
+    ASSERT_TRUE(wal->Sync(*c).ok());
   }
   uint64_t gen_before = wal->generation();
   // Simulate a crash mid-truncation: keep a stale copy of segment 2,
@@ -214,7 +214,7 @@ TEST_F(WalTest, ResetStartsFreshGenerationAndIgnoresStaleSegments) {
   // not chain.
   ASSERT_TRUE(wal->AppendPageImage(9, img.data()).ok());
   auto c = wal->AppendCommit(9);
-  ASSERT_TRUE(wal->Sync(*c, false).ok());
+  ASSERT_TRUE(wal->Sync(*c).ok());
 
   WalScanSummary summary;
   auto records = ReadWalRecords(kBase, env_.env(), &summary);
@@ -224,7 +224,7 @@ TEST_F(WalTest, ResetStartsFreshGenerationAndIgnoresStaleSegments) {
   EXPECT_EQ((*records)[0].page, 9u);
 }
 
-TEST_F(WalTest, GroupCommitManyThreadsAllDurable) {
+TEST_F(WalTest, ConcurrentSyncCallersAllDurable) {
   auto wal = OpenWal();
   constexpr int kThreads = 8;
   constexpr int kCommitsPerThread = 50;
@@ -234,7 +234,7 @@ TEST_F(WalTest, GroupCommitManyThreadsAllDurable) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kCommitsPerThread; ++i) {
         auto lsn = wal->AppendCommit(static_cast<uint64_t>(t) * 1000 + i);
-        if (!lsn.ok() || !wal->Sync(*lsn, /*group=*/true).ok()) {
+        if (!lsn.ok() || !wal->Sync(*lsn).ok()) {
           ++failures;
           return;
         }
@@ -259,7 +259,7 @@ TEST_F(WalTest, SyncFailureIsSticky) {
   auto c = wal->AppendCommit(1);
   ASSERT_TRUE(c.ok());
   env_.ArmFailPoint(env_.ops_performed() + 1);
-  EXPECT_FALSE(wal->Sync(*c, false).ok());
+  EXPECT_FALSE(wal->Sync(*c).ok());
   env_.Disarm();
   // The log refuses further work rather than risking a hole.
   EXPECT_FALSE(wal->AppendCommit(2).ok());
