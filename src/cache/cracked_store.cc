@@ -76,22 +76,22 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
     // Crack the piece at the (aligned) touched boundaries.
     const size_t cut_lo = std::max(begin, AlignDown(lo));
     const size_t cut_hi = std::min(end, AlignUp(hi));
-    std::vector<std::string> slice(names_.begin() + cut_lo,
-                                   names_.begin() + cut_hi);
-    auto fetched = fetch_(slice);
-    if (!fetched.ok()) return fetched.status();
+    // A failed fetch leaves the slice unknown, so a retry fetches it.
+    Status fetched = fetch_(cut_lo, cut_hi, [&](size_t ord, Slice sequence) {
+      if (ord < cut_lo || ord >= cut_hi) return;
+      sequences_[ord].assign(sequence.data(), sequence.size());
+      state_[ord] = kHave;
+    });
+    if (!fetched.ok()) {
+      std::fill(state_.begin() + cut_lo, state_.begin() + cut_hi, kUnknown);
+      return fetched;
+    }
     fetches_->Increment();
     for (size_t ord = cut_lo; ord < cut_hi; ++ord) {
-      auto fit = fetched->find(names_[ord]);
-      if (fit == fetched->end()) {
-        state_[ord] = kMissing;
-      } else {
-        sequences_[ord] = fit->second;
-        state_[ord] = kHave;
-      }
-      ++sequences_resident_;
-      sequences_loaded_->Increment();
+      if (state_[ord] != kHave) state_[ord] = kMissing;
     }
+    sequences_resident_ += cut_hi - cut_lo;
+    sequences_loaded_->Add(cut_hi - cut_lo);
     // Split: [begin, cut_lo) stays cold, [cut_lo, cut_hi) is hot,
     // [cut_hi, end) stays cold.
     if (cut_lo > begin) {

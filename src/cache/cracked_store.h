@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "obs/metrics.h"
 
 namespace crimson {
@@ -79,11 +80,15 @@ struct CrackedStoreStats {
 /// sorted unique leaf-name domain fixed at construction.
 class CrackedSequenceStore final : public SequenceSource {
  public:
-  /// Fetches sequences for a slice of the domain from backing storage.
-  /// Names absent from the returned map are recorded as having no
-  /// sequence. Errors propagate to the GetBatch caller unchanged.
-  using FetchFn = std::function<Result<std::map<std::string, std::string>>(
-      const std::vector<std::string>& names)>;
+  /// Receives one fetched sequence by its ordinal.
+  using SinkFn = std::function<void(size_t ordinal, Slice sequence)>;
+
+  /// Fetches the domain slice [lo, hi) from backing storage, calling
+  /// sink(ordinal, sequence) for each ordinal in it that has a
+  /// sequence; the others are recorded as having none. Errors
+  /// propagate to the GetBatch caller unchanged.
+  using FetchFn =
+      std::function<Status(size_t lo, size_t hi, const SinkFn& sink)>;
 
   /// `names` is the ordinal domain and must be sorted and unique.
   /// `min_piece` is the cracking granularity: fetched slices are

@@ -726,30 +726,25 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
       generation = eval_generation_[tree.id()];
     }
     // Build outside eval_mu_; a racing build may duplicate the work
-    // and the insertion keeps one state. Only an index-only row count
-    // touches storage here -- sequence bytes load lazily through the
-    // cracked store as samples touch them.
+    // and the insertion keeps one state. Only an index probe touches
+    // storage here -- sequence bytes load lazily through the cracked
+    // store as samples touch them.
     obs::SpanTimer build_span(obs::Stage::kEvalBuild);
     {
       StorageReadGuard read = AcquireStorageRead();
       CRIMSON_ASSIGN_OR_RETURN(
-          uint64_t rows,
-          read.repos->species->CountForTree(handle->info.tree_id));
-      if (rows == 0) {
+          bool has_species,
+          read.repos->species->HasSpecies(handle->info.tree_id));
+      if (!has_species) {
         return Status::FailedPrecondition(
             StrFormat("tree '%s' has no species data loaded",
                       handle->info.name.c_str()));
       }
     }
-    // The ordinal domain: the tree's leaf names, sorted and deduped
-    // (in-memory; no storage reads).
+    // The ordinal domain species data is stored by (in-memory; no
+    // storage reads).
     std::vector<std::string> domain =
         handle->names.SortedLeafNames(handle->tree);
-    if (handle->names.has_unnamed_leaf()) {
-      // Unnamed leaves contributed "" to the pre-index domain; keep it
-      // so ordinal positions stay stable.
-      domain.insert(domain.begin(), std::string());
-    }
     // The store's fetch callback revalidates the eval generation: once
     // this state is invalidated, a retained reference can no longer
     // fault in post-invalidation rows that would break its snapshot --
@@ -757,8 +752,9 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
     const uint64_t tree_id = handle->info.tree_id;
     const uint64_t ref_id = tree.id();
     auto fetch = [this, tree_id, ref_id, generation](
-                     const std::vector<std::string>& names)
-        -> Result<std::map<std::string, std::string>> {
+                     size_t lo, size_t hi,
+                     const cache::CrackedSequenceStore::SinkFn& sink)
+        -> Status {
       {
         std::lock_guard<std::mutex> lock(eval_mu_);
         auto it = eval_generation_.find(ref_id);
@@ -769,8 +765,9 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
         }
       }
       StorageReadGuard read = AcquireStorageRead();
-      return read.repos->species->SequencesForTreeSubset(
-          static_cast<int64_t>(tree_id), names);
+      return read.repos->species->ForEachInRange(
+          static_cast<int64_t>(tree_id), static_cast<uint32_t>(lo),
+          static_cast<uint32_t>(hi), sink);
     };
     auto state = std::make_shared<EvalState>(
         handle, std::make_unique<cache::CrackedSequenceStore>(

@@ -93,30 +93,38 @@ Result<LoadReport> DataLoader::AppendSpecies(
   report.tree_id = info.tree_id;
   report.tree_name = tree_name;
   // Resolve every species against the decoded tree first (errors
-  // surface before any write), then store the whole batch through the
-  // bulk path. NameIndex::Find is the first node in arena order bearing
-  // the name.
+  // surface before any write), then store the whole batch. A leaf name
+  // is addressed by its ordinal in the tree's sorted leaf-name domain,
+  // which the sorted input walks in step; a name found only on
+  // internal nodes goes past the domain.
   CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, trees_->LoadTree(info.tree_id));
   const NameIndex names = NameIndex::Build(tree);
-  std::vector<SpeciesRepository::SpeciesEntry> entries;
-  entries.reserve(sequences.size());
+  const std::vector<std::string> domain = names.SortedLeafNames(tree);
+  const auto domain_size = static_cast<uint32_t>(domain.size());
+  std::vector<SpeciesRepository::Entry> leaves, internal;
+  leaves.reserve(sequences.size());
+  size_t ordinal = 0;
   uint64_t resolved = 0;
   for (const auto& [species, seq] : sequences) {
-    NodeId node = names.Find(tree, species);
-    if (node == kNoNode) {
+    while (ordinal < domain.size() && domain[ordinal] < species) ++ordinal;
+    if (ordinal < domain.size() && domain[ordinal] == species) {
+      leaves.push_back({static_cast<uint32_t>(ordinal), species, seq});
+    } else if (names.Find(tree, species) != kNoNode) {
+      internal.push_back({domain_size, species, seq});
+    } else {
       CRIMSON_LOG(kError) << "append species: '" << species
                           << "' not found in tree '" << tree_name << "'";
       return Status::NotFound(
           StrFormat("species '%s' not in tree %lld", species.c_str(),
                     static_cast<long long>(info.tree_id)));
     }
-    entries.push_back({species, node, seq});
     ++resolved;
     if (progress && resolved % 1024 == 0) progress("resolving", resolved);
   }
-  uint64_t done = entries.size();
-  CRIMSON_RETURN_IF_ERROR(species_->PutBatch(info.tree_id,
-                                             std::move(entries)));
+  const uint64_t done = resolved;
+  leaves.insert(leaves.end(), internal.begin(), internal.end());
+  CRIMSON_RETURN_IF_ERROR(
+      species_->Append(info.tree_id, domain_size, std::move(leaves)));
   if (progress) progress("species", done);
   report.species_loaded = done;
   report.seconds = timer.ElapsedSeconds();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/coding.h"
 #include "common/string_util.h"
+#include "storage/key_codec.h"
 #include "tree/name_index.h"
 
 namespace crimson {
@@ -224,117 +226,270 @@ Status TreeRepository::DropTree(int64_t tree_id) {
 // SpeciesRepository
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr const char* kChunksByKey = "species_chunks_by_key";
+constexpr const char* kChunksByTree = "species_chunks_by_tree";
+
+// A chunk covering ordinals [first, first + count) is
+//   count (fixed32) | end offsets (fixed32 x count) | entry bytes
+// where entry i spans bytes [end[i-1], end[i]) with the high bit
+// masked off, and a set high bit marks an ordinal with no species. A
+// present entry is its length-prefixed name, then its sequence.
+constexpr uint32_t kNoSpecies = 0x80000000u;
+
+/// Chunk-row bytes besides the entries: at most 25 for the two int64
+/// columns and the chunk's length prefix, plus the count field.
+constexpr size_t kChunkRowOverhead = 32;
+
+size_t EntryBytes(const SpeciesRepository::Entry& e) {
+  return static_cast<size_t>(VarintLength(e.name.size())) + e.name.size() +
+         e.sequence.size();
+}
+
+/// Packs entries [begin, end), sorted by ordinal, as one chunk. The
+/// trailing chunk's species share one ordinal and take a slot each.
+std::string EncodeChunk(const SpeciesRepository::Entry* begin,
+                        const SpeciesRepository::Entry* end) {
+  std::string out(4, '\0');  // the count, filled in below
+  std::string bytes;
+  uint32_t ordinal = begin->ordinal;
+  for (const SpeciesRepository::Entry* e = begin; e != end; ++e) {
+    for (; ordinal < e->ordinal; ++ordinal) {
+      PutFixed32(&out, static_cast<uint32_t>(bytes.size()) | kNoSpecies);
+    }
+    PutLengthPrefixedSlice(&bytes, Slice(e->name));
+    bytes.append(e->sequence);
+    PutFixed32(&out, static_cast<uint32_t>(bytes.size()));
+    ordinal = e->ordinal + 1;
+  }
+  EncodeFixed32(&out[0], static_cast<uint32_t>(out.size() / 4 - 1));
+  out.append(bytes);
+  return out;
+}
+
+/// Calls fn(ordinal, name, sequence) for each species of a chunk whose
+/// first ordinal is `first`.
+template <typename Fn>
+Status DecodeChunk(Slice chunk, uint32_t first, Fn&& fn) {
+  uint32_t count = 0;
+  if (!GetFixed32(&chunk, &count) || chunk.size() / 4 < count) {
+    return Status::Corruption("species chunk: bad count");
+  }
+  const char* ends = chunk.data();
+  const Slice bytes(chunk.data() + 4 * size_t{count},
+                    chunk.size() - 4 * size_t{count});
+  uint32_t begin = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t raw = DecodeFixed32(ends + 4 * size_t{i});
+    const uint32_t end = raw & ~kNoSpecies;
+    if (end < begin || end > bytes.size()) {
+      return Status::Corruption("species chunk: bad end offset");
+    }
+    if ((raw & kNoSpecies) == 0) {
+      Slice entry(bytes.data() + begin, end - begin);
+      Slice name;
+      if (!GetLengthPrefixedSlice(&entry, &name)) {
+        return Status::Corruption("species chunk: bad name");
+      }
+      fn(first + i, name, entry);
+    }
+    begin = end;
+  }
+  return Status::OK();
+}
+
+/// Cuts entries (sorted by ordinal) into chunks, calling emit(begin,
+/// end) per chunk. A chunk takes as many species as fit in the pages
+/// its first one needs -- one overflow page's worth for short
+/// sequences -- so its row fills those pages; a species longer than a
+/// page starts a chunk of whole pages. Species sharing an ordinal (the
+/// internal-node ones past the domain) are never cut apart.
+template <typename Fn>
+Status CutChunks(const std::vector<SpeciesRepository::Entry>& entries,
+                 Fn&& emit) {
+  constexpr size_t kPage = HeapFile::kOverflowCapacity;
+  size_t begin = 0;
+  while (begin < entries.size()) {
+    size_t size = kChunkRowOverhead + 4 + EntryBytes(entries[begin]);
+    const size_t budget = (size + kPage - 1) / kPage * kPage;
+    size_t last = begin;
+    for (; last + 1 < entries.size(); ++last) {
+      const SpeciesRepository::Entry& next = entries[last + 1];
+      const uint32_t gap = next.ordinal - entries[last].ordinal;
+      const size_t grow = 4 * size_t{gap} + EntryBytes(next);
+      if (gap > 0 && size + grow > budget) break;
+      size += grow;
+    }
+    CRIMSON_RETURN_IF_ERROR(emit(&entries[begin], &entries[last] + 1));
+    begin = last + 1;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<SpeciesRepository>> SpeciesRepository::Open(
     Database* db) {
   auto repo = std::unique_ptr<SpeciesRepository>(new SpeciesRepository(db));
-  Schema schema({{"tree_id", ColumnType::kInt64},
-                 {"species", ColumnType::kString},
-                 {"node", ColumnType::kInt64},
-                 {"sequence", ColumnType::kBytes}});
+  Schema schema({{"chunk_key", ColumnType::kInt64},
+                 {"tree_id", ColumnType::kInt64},
+                 {"chunk", ColumnType::kBytes}});
   CRIMSON_ASSIGN_OR_RETURN(
-      Table t,
-      OpenOrCreate(db, "species", schema,
-                   {{"species_by_name", "species", /*unique=*/false},
-                    {"species_by_tree", "tree_id", /*unique=*/false}}));
-  repo->species_ = std::make_unique<Table>(std::move(t));
+      Table t, OpenOrCreate(db, "species_chunks", schema,
+                            {{kChunksByKey, "chunk_key", /*unique=*/true},
+                             {kChunksByTree, "tree_id", /*unique=*/false}}));
+  repo->chunks_ = std::make_unique<Table>(std::move(t));
   return repo;
 }
 
-Status SpeciesRepository::Put(int64_t tree_id, const std::string& species,
-                              NodeId node, const std::string& sequence) {
-  Row row = {tree_id, species,
-             static_cast<int64_t>(node == kNoNode
-                                      ? -1
-                                      : static_cast<int64_t>(node)),
-             sequence};
-  return species_->Insert(row).status();
+Result<std::vector<SpeciesRepository::ChunkRef>>
+SpeciesRepository::ChunksBelow(int64_t tree_id, uint64_t end) const {
+  std::string lower, upper;
+  CRIMSON_RETURN_IF_ERROR(
+      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id, 0), &lower));
+  CRIMSON_RETURN_IF_ERROR(chunks_->EncodeKeyFor(
+      kChunksByKey, PackKey(tree_id, 0) + static_cast<int64_t>(end), &upper));
+  std::vector<ChunkRef> out;
+  Status bad_key;
+  CRIMSON_RETURN_IF_ERROR(chunks_->IndexRangeScan(
+      kChunksByKey, lower, upper, [&](const Slice& key, RecordId rid) {
+        if (key.size() != 8) {
+          bad_key = Status::Corruption("species chunk: bad key");
+          return false;
+        }
+        // The low 32 bits of the biased key are the first ordinal.
+        out.push_back({static_cast<uint32_t>(DecodeU64Key(key.data())), rid});
+        return true;
+      }));
+  CRIMSON_RETURN_IF_ERROR(bad_key);
+  return out;
 }
 
-Status SpeciesRepository::PutBatch(int64_t tree_id,
-                                   std::vector<SpeciesEntry> entries) {
-  return species_->BulkAppend(entries.size(), [&](size_t i, Row* row) {
-    SpeciesEntry& e = entries[i];
-    *row = {tree_id, std::move(e.species),
-            static_cast<int64_t>(
-                e.node == kNoNode ? -1 : static_cast<int64_t>(e.node)),
-            std::move(e.sequence)};
-  });
-}
-
-Result<std::string> SpeciesRepository::GetSequence(
-    const std::string& species) const {
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> rids,
-      species_->IndexLookup("species_by_name", species));
-  if (rids.empty()) {
-    return Status::NotFound(
-        StrFormat("no sequence for species '%s'", species.c_str()));
-  }
+Result<std::string> SpeciesRepository::LoadChunk(const ChunkRef& chunk) const {
   Row row;
-  CRIMSON_RETURN_IF_ERROR(species_->Get(rids[0], &row));
-  return std::get<std::string>(row[3]);
+  CRIMSON_RETURN_IF_ERROR(chunks_->Get(chunk.rid, &row));
+  return std::move(std::get<std::string>(row[2]));
+}
+
+Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
+                                 std::vector<Entry> entries) {
+  // The batch meets the stored chunks region by region: a region runs
+  // from one chunk's first ordinal to the next one's, and the
+  // internal-node species past the domain are a region of their own.
+  CRIMSON_ASSIGN_OR_RETURN(
+      std::vector<ChunkRef> starts,
+      ChunksBelow(tree_id, uint64_t{domain_size} + 1));
+  if (starts.empty() || starts.back().first != domain_size) {
+    starts.push_back({domain_size, RecordId()});  // no trailing chunk yet
+  }
+  auto emit = [&](const Entry* begin, const Entry* end) {
+    const int64_t key = PackKey(tree_id, begin->ordinal);
+    return chunks_->Insert(Row{key, tree_id, EncodeChunk(begin, end)})
+        .status();
+  };
+  // Merges batch entries [begin, end) into the stored chunk (null when
+  // there is none yet) and re-cuts the result; stored species win, and
+  // a chunk the batch adds nothing to stays as it is.
+  auto place = [&](const ChunkRef* stored, size_t begin,
+                   size_t end) -> Status {
+    auto batch_begin = entries.begin() + begin;
+    auto batch_end = entries.begin() + end;
+    std::vector<Entry> merged;
+    std::string chunk;  // the stored entries' bytes
+    if (stored == nullptr) {
+      merged.assign(batch_begin, batch_end);
+    } else {
+      CRIMSON_ASSIGN_OR_RETURN(chunk, LoadChunk(*stored));
+      std::vector<Entry> old;
+      CRIMSON_RETURN_IF_ERROR(DecodeChunk(
+          chunk, stored->first,
+          [&](uint32_t ordinal, Slice name, Slice sequence) {
+            old.push_back({std::min(ordinal, domain_size),
+                           std::string_view(name.data(), name.size()),
+                           std::string_view(sequence.data(), sequence.size())});
+          }));
+      std::set_union(old.begin(), old.end(), batch_begin, batch_end,
+                     std::back_inserter(merged),
+                     [](const Entry& a, const Entry& b) {
+                       return a.ordinal != b.ordinal ? a.ordinal < b.ordinal
+                                                     : a.name < b.name;
+                     });
+      if (merged.size() == old.size()) return Status::OK();
+      CRIMSON_RETURN_IF_ERROR(chunks_->Delete(stored->rid));
+    }
+    return CutChunks(merged, emit);
+  };
+  size_t next = 0;
+  for (size_t c = 0; c <= starts.size() && next < entries.size(); ++c) {
+    size_t stop = next;
+    while (stop < entries.size() &&
+           (c == starts.size() || entries[stop].ordinal < starts[c].first)) {
+      ++stop;
+    }
+    const bool stored = c > 0 && starts[c - 1].rid.valid();
+    if (stop > next) {
+      CRIMSON_RETURN_IF_ERROR(
+          place(stored ? &starts[c - 1] : nullptr, next, stop));
+    }
+    next = stop;
+  }
+  return Status::OK();
 }
 
 Result<std::map<std::string, std::string>>
 SpeciesRepository::SequencesForTree(int64_t tree_id) const {
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> rids,
-      species_->IndexLookup("species_by_tree", tree_id));
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> chunks,
+                           ChunksBelow(tree_id, uint64_t{1} << 32));
   std::map<std::string, std::string> out;
-  for (const RecordId& rid : rids) {
-    Row row;
-    CRIMSON_RETURN_IF_ERROR(species_->Get(rid, &row));
-    out[std::get<std::string>(row[1])] = std::get<std::string>(row[3]);
+  for (const ChunkRef& ref : chunks) {
+    CRIMSON_ASSIGN_OR_RETURN(std::string chunk, LoadChunk(ref));
+    CRIMSON_RETURN_IF_ERROR(
+        DecodeChunk(chunk, ref.first, [&](uint32_t, Slice name, Slice sequence) {
+          out.emplace(name.ToString(), sequence.ToString());
+        }));
   }
   return out;
 }
 
-Result<std::map<std::string, std::string>> SpeciesRepository::SequencesFor(
-    const std::vector<std::string>& species) const {
-  std::map<std::string, std::string> out;
-  for (const std::string& s : species) {
-    CRIMSON_ASSIGN_OR_RETURN(std::string seq, GetSequence(s));
-    out[s] = std::move(seq);
+Status SpeciesRepository::ForEachInRange(
+    int64_t tree_id, uint32_t lo, uint32_t hi,
+    const std::function<void(size_t, Slice)>& fn) const {
+  if (lo >= hi) return Status::OK();
+  // Chunk keys below hi; the last one starting at or before lo covers
+  // lo, and the ones after it cover the rest of the range.
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> chunks,
+                           ChunksBelow(tree_id, hi));
+  size_t c = chunks.size();
+  while (c > 0 && chunks[c - 1].first > lo) --c;
+  if (c > 0) --c;
+  for (; c < chunks.size(); ++c) {
+    CRIMSON_ASSIGN_OR_RETURN(std::string chunk, LoadChunk(chunks[c]));
+    CRIMSON_RETURN_IF_ERROR(DecodeChunk(
+        chunk, chunks[c].first, [&](uint32_t ordinal, Slice, Slice sequence) {
+          if (ordinal >= lo && ordinal < hi) fn(ordinal, sequence);
+        }));
   }
-  return out;
+  return Status::OK();
 }
 
-Result<std::map<std::string, std::string>>
-SpeciesRepository::SequencesForTreeSubset(
-    int64_t tree_id, const std::vector<std::string>& names) const {
-  // Name-index probes filtered by tree: GetSequence's "first match"
-  // would be wrong here when the same species name exists under
-  // several trees. Names with no row for this tree are simply absent
-  // from the result (the cracked store records them as missing).
-  std::map<std::string, std::string> out;
-  for (const std::string& name : names) {
-    CRIMSON_ASSIGN_OR_RETURN(
-        std::vector<RecordId> rids,
-        species_->IndexLookup("species_by_name", name));
-    for (const RecordId& rid : rids) {
-      Row row;
-      CRIMSON_RETURN_IF_ERROR(species_->Get(rid, &row));
-      if (std::get<int64_t>(row[0]) != tree_id) continue;
-      // Last match wins, matching SequencesForTree's overwrite order.
-      out[name] = std::get<std::string>(row[3]);
-    }
-  }
-  return out;
-}
-
-Result<uint64_t> SpeciesRepository::CountForTree(int64_t tree_id) const {
-  CRIMSON_ASSIGN_OR_RETURN(
-      std::vector<RecordId> rids,
-      species_->IndexLookup("species_by_tree", tree_id));
-  return static_cast<uint64_t>(rids.size());
+Result<bool> SpeciesRepository::HasSpecies(int64_t tree_id) const {
+  bool found = false;
+  std::string lower, upper;
+  CRIMSON_RETURN_IF_ERROR(
+      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id, 0), &lower));
+  CRIMSON_RETURN_IF_ERROR(
+      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id + 1, 0), &upper));
+  CRIMSON_RETURN_IF_ERROR(chunks_->IndexRangeScan(
+      kChunksByKey, lower, upper, [&](const Slice&, RecordId) {
+        found = true;
+        return false;
+      }));
+  return found;
 }
 
 Status SpeciesRepository::DropForTree(int64_t tree_id) {
-  return species_->DeleteWhere("species_by_tree", tree_id).status();
-}
-
-Result<uint64_t> SpeciesRepository::Count() const {
-  return species_->row_count();
+  return chunks_->DeleteWhere(kChunksByTree, tree_id).status();
 }
 
 // ---------------------------------------------------------------------------
@@ -425,26 +580,34 @@ Result<int64_t> ExperimentRepository::PutExperiment(
 }
 
 Status ExperimentRepository::PutRuns(const std::vector<RunRow>& rows) {
-  return runs_->BulkAppend(rows.size(), [&](size_t i, Row* row) {
-    const RunRow& r = rows[i];
-    *row = {PackKey(r.experiment_id, static_cast<uint32_t>(r.ordinal)),
-            r.experiment_id, r.ordinal, r.algorithm,
-            r.selection_index, r.replicate, r.sample_size,
-            r.rf_distance, r.rf_splits_a, r.rf_splits_b,
-            r.rf_normalized, r.triplet_total, r.triplet_differing,
-            r.triplet_fraction, r.seconds};
-  });
+  for (const RunRow& r : rows) {
+    CRIMSON_RETURN_IF_ERROR(
+        runs_
+            ->Insert({PackKey(r.experiment_id,
+                              static_cast<uint32_t>(r.ordinal)),
+                      r.experiment_id, r.ordinal, r.algorithm,
+                      r.selection_index, r.replicate, r.sample_size,
+                      r.rf_distance, r.rf_splits_a, r.rf_splits_b,
+                      r.rf_normalized, r.triplet_total, r.triplet_differing,
+                      r.triplet_fraction, r.seconds})
+            .status());
+  }
+  return Status::OK();
 }
 
 Status ExperimentRepository::PutCells(const std::vector<CellRow>& rows) {
-  return cells_->BulkAppend(rows.size(), [&](size_t i, Row* row) {
-    const CellRow& c = rows[i];
-    *row = {PackKey(c.experiment_id, static_cast<uint32_t>(c.ordinal)),
-            c.experiment_id, c.ordinal, c.algorithm,
-            c.selection_index, c.replicates, c.mean_rf_normalized,
-            c.min_rf_normalized, c.max_rf_normalized,
-            c.mean_triplet_fraction, c.total_seconds};
-  });
+  for (const CellRow& c : rows) {
+    CRIMSON_RETURN_IF_ERROR(
+        cells_
+            ->Insert({PackKey(c.experiment_id,
+                              static_cast<uint32_t>(c.ordinal)),
+                      c.experiment_id, c.ordinal, c.algorithm,
+                      c.selection_index, c.replicates, c.mean_rf_normalized,
+                      c.min_rf_normalized, c.max_rf_normalized,
+                      c.mean_triplet_fraction, c.total_seconds})
+            .status());
+  }
+  return Status::OK();
 }
 
 Result<ExperimentRepository::ExperimentRow>

@@ -16,7 +16,14 @@
 //       re-interning names
 //   A stored tree is exactly these three rows: name and time access go
 //   through the bound handle's NameIndex and Sampler, not per-node rows.
-//   species(tree_id*, species*, node, sequence)
+//   species_chunks(chunk_key*, tree_id*, chunk)
+//     - chunk_key packs (tree_id << 32 | first ordinal); the chunk
+//       packs the species (name + sequence) of a run of the tree's
+//       leaf-name ordinals behind their end offsets, cut so the row
+//       fills its pages (one overflow page for short sequences).
+//       Species naming only internal nodes share one trailing chunk
+//       at the ordinal past the domain. A tree's species data is a
+//       few rows per page of sequence, not one row per species.
 //   queries(query_id*, timestamp, kind, params, summary)
 //   experiments(experiment_id*, created, tree_name, spec, seed,
 //               base_ticket)
@@ -46,6 +53,7 @@
 #define CRIMSON_CRIMSON_REPOSITORIES_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -129,60 +137,70 @@ class TreeRepository {
   std::unique_ptr<Table> tree_blobs_;
 };
 
-/// Stores species data (gene sequences) keyed by species name.
+/// Stores a tree's species data (gene sequences) as chunk rows. A
+/// species is addressed by its tree's ordinal domain
+/// (NameIndex::SortedLeafNames): the sorted leaf names, "" first when
+/// a leaf is unnamed. A chunk row holds the species of a run of
+/// consecutive ordinals, packed with end offsets and cut so the row
+/// fills the pages it takes; species that name only internal nodes
+/// share one trailing chunk at ordinal domain_size. A species stored
+/// once keeps its sequence: a later append of it changes nothing.
 class SpeciesRepository {
  public:
   static Result<std::unique_ptr<SpeciesRepository>> Open(Database* db);
 
-  /// Adds one species' sequence (tree association optional; pass -1 and
-  /// kNoNode when unknown).
-  Status Put(int64_t tree_id, const std::string& species, NodeId node,
-             const std::string& sequence);
-
-  /// One resolved species row for PutBatch.
-  struct SpeciesEntry {
-    std::string species;
-    NodeId node = kNoNode;
-    std::string sequence;
+  /// One species to store: its ordinal in the tree's domain
+  /// (domain_size for a species that names only internal nodes). The
+  /// views must stay valid for the Append call.
+  struct Entry {
+    uint32_t ordinal = 0;
+    std::string_view name;
+    std::string_view sequence;
   };
 
-  /// Adds many species at once through the bulk storage path
-  /// (Table::BulkAppend); equivalent to Put per entry.
-  Status PutBatch(int64_t tree_id, std::vector<SpeciesEntry> entries);
+  /// Stores `entries`, sorted by (ordinal, name) with no species twice,
+  /// in the tree whose domain has `domain_size` names. Reads and
+  /// rewrites only the chunks whose ordinal range the batch reaches;
+  /// species already stored keep their sequence.
+  Status Append(int64_t tree_id, uint32_t domain_size,
+                std::vector<Entry> entries);
 
-  /// Sequence by species name (first match).
-  Result<std::string> GetSequence(const std::string& species) const;
-
-  /// All sequences for a tree.
+  /// All sequences for a tree, keyed by species name.
   Result<std::map<std::string, std::string>> SequencesForTree(
       int64_t tree_id) const;
 
-  /// Sequences for a specific species subset (NotFound lists the first
-  /// missing species).
-  Result<std::map<std::string, std::string>> SequencesFor(
-      const std::vector<std::string>& species) const;
+  /// Calls fn(ordinal, sequence) for each species of the tree whose
+  /// ordinal is in [lo, hi), in ordinal order, reading only the chunks
+  /// that cover the range (the cracked store's fetch path).
+  Status ForEachInRange(int64_t tree_id, uint32_t lo, uint32_t hi,
+                        const std::function<void(size_t, Slice)>& fn) const;
 
-  /// Sequences for a name subset *within one tree* (the cracked
-  /// store's fetch path). Names without a row for this tree are left
-  /// out of the result rather than erroring, and rows from other trees
-  /// that share a species name are filtered.
-  Result<std::map<std::string, std::string>> SequencesForTreeSubset(
-      int64_t tree_id, const std::vector<std::string>& names) const;
+  /// True if the tree has any species data (reads no chunk).
+  Result<bool> HasSpecies(int64_t tree_id) const;
 
-  /// Number of species rows for a tree (index-only; no row reads).
-  Result<uint64_t> CountForTree(int64_t tree_id) const;
-
-  /// Deletes every species row of a tree in one Table::DeleteWhere
-  /// pass (the session DropTree path, beside TreeRepository::DropTree).
+  /// Deletes every chunk row of a tree in one Table::DeleteWhere pass
+  /// (the session DropTree path, beside TreeRepository::DropTree).
   Status DropForTree(int64_t tree_id);
-
-  Result<uint64_t> Count() const;
 
  private:
   explicit SpeciesRepository(Database* db) : db_(db) {}
 
+  /// One chunk row: the first ordinal it covers and its record id.
+  struct ChunkRef {
+    uint32_t first = 0;
+    RecordId rid;
+  };
+
+  /// The tree's chunks with first ordinal in [0, end), in ordinal
+  /// order, from index keys alone.
+  Result<std::vector<ChunkRef>> ChunksBelow(int64_t tree_id,
+                                            uint64_t end) const;
+
+  /// The chunk column of a chunk row.
+  Result<std::string> LoadChunk(const ChunkRef& chunk) const;
+
   Database* db_;
-  std::unique_ptr<Table> species_;
+  std::unique_ptr<Table> chunks_;
 };
 
 /// Persisted evaluation workloads (the Experiment API's storage side):

@@ -466,164 +466,6 @@ Status BTree::InsertInto(PageId node, const Slice& key, const Slice& value,
 }
 
 // ---------------------------------------------------------------------------
-// Bulk load
-// ---------------------------------------------------------------------------
-
-Result<bool> BTree::Empty() const {
-  CRIMSON_ASSIGN_OR_RETURN(PageId root, Root());
-  CRIMSON_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(root));
-  const char* d = guard.data();
-  return NodeType(d) == PageType::kBTreeLeaf && NumCells(d) == 0;
-}
-
-Status BTree::BulkLoad(
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-  std::vector<std::pair<Slice, Slice>> slices;
-  slices.reserve(entries.size());
-  for (const auto& [key, value] : entries) {
-    slices.emplace_back(Slice(key), Slice(value));
-  }
-  return BulkLoad(slices);
-}
-
-Status BTree::BulkLoad(const std::vector<std::pair<Slice, Slice>>& entries) {
-  CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
-  CRIMSON_ASSIGN_OR_RETURN(bool empty, Empty());
-  if (!empty) {
-    return Status::FailedPrecondition("bulk load requires an empty btree");
-  }
-  if (entries.empty()) return Status::OK();
-  CRIMSON_ASSIGN_OR_RETURN(PageId old_root, Root());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].first.size() > kMaxKeySize) {
-      return Status::InvalidArgument(
-          StrFormat("key too large (%zu > %zu)", entries[i].first.size(),
-                    kMaxKeySize));
-    }
-    if (entries[i].second.size() > kMaxValueSize) {
-      return Status::InvalidArgument(
-          StrFormat("value too large (%zu > %zu)", entries[i].second.size(),
-                    kMaxValueSize));
-    }
-    if (i > 0 && entries[i].first.compare(entries[i - 1].first) < 0) {
-      return Status::InvalidArgument("bulk load input is not sorted");
-    }
-  }
-
-  // Headroom left in every bulk-built node so a trickle of later
-  // inserts does not split every page immediately.
-  constexpr uint32_t kReserve = kPageSize / 10;
-
-  // One finished node of the level under construction: the smallest key
-  // in its subtree plus its page id.
-  struct NodeRef {
-    std::string min_key;
-    PageId page = kInvalidPageId;
-  };
-
-  // ---- leaf level: pack entries left-to-right, chain siblings -----------
-  // Duplicate-key runs are kept within one leaf whenever they fit
-  // (only closing the current leaf early, never splitting the run),
-  // mirroring ChooseSplitPoint on the insert path -- so a *later*
-  // Insert of the same key lands at the run head exactly as it would
-  // in an insert-built tree. Runs bigger than a leaf straddle, which
-  // is unavoidable on either path.
-  const uint32_t kLeafCapacity = kPageSize - kNodeHeaderSize;
-  auto leaf_cell_bytes = [](const std::pair<Slice, Slice>& e) {
-    return static_cast<uint64_t>(VarintLength(e.first.size())) +
-           e.first.size() + VarintLength(e.second.size()) + e.second.size();
-  };
-  std::vector<NodeRef> level;
-  PageId prev_leaf = kInvalidPageId;
-  PageGuard leaf;    // current open leaf; invalid between leaves
-  int pos = 0;
-  std::string cell;  // reused encode buffer
-  size_t i = 0;
-  while (i < entries.size()) {
-    // [i, run_end) share one key.
-    size_t run_end = i + 1;
-    uint64_t run_bytes = leaf_cell_bytes(entries[i]) + kSlotSize;
-    while (run_end < entries.size() &&
-           entries[run_end].first == entries[i].first) {
-      run_bytes += leaf_cell_bytes(entries[run_end]) + kSlotSize;
-      ++run_end;
-    }
-    if (leaf.valid() && run_bytes + kReserve <= kLeafCapacity &&
-        FreeContiguous(leaf.data()) < run_bytes + kReserve) {
-      leaf.MarkDirty();
-      leaf.Release();
-    }
-    for (; i < run_end; ++i) {
-      EncodeLeafCellTo(entries[i].first, entries[i].second, &cell);
-      uint32_t needed = static_cast<uint32_t>(cell.size()) + kSlotSize;
-      if (leaf.valid() && pos > 0 &&
-          FreeContiguous(leaf.data()) < needed + kReserve) {
-        leaf.MarkDirty();
-        leaf.Release();
-      }
-      if (!leaf.valid()) {
-        PageId leaf_id;
-        CRIMSON_ASSIGN_OR_RETURN(PageGuard fresh, pool_->New(&leaf_id));
-        leaf = std::move(fresh);
-        FormatNode(leaf.data(), PageType::kBTreeLeaf);
-        level.push_back({entries[i].first.ToString(), leaf_id});
-        if (prev_leaf != kInvalidPageId) {
-          CRIMSON_ASSIGN_OR_RETURN(
-              PageGuard prev, pool_->Fetch(prev_leaf, PageIntent::kWrite));
-          SetLink(prev.data(), leaf_id);
-          prev.MarkDirty();
-        }
-        prev_leaf = leaf_id;
-        pos = 0;
-      }
-      if (!InsertCellInPlace(leaf.data(), pos, cell)) {
-        return Status::Internal("bulk load: cell does not fit in a new page");
-      }
-      ++pos;
-    }
-  }
-  leaf.MarkDirty();
-  leaf.Release();
-
-  // ---- internal levels: stitch parents over the level below -------------
-  // A node over children c0..ck holds cells (c1.min, c0), (c2.min, c1),
-  // ..., (ck.min, c(k-1)) with Link = ck -- the exact routing invariant
-  // the insert path maintains ("keys < separator go left").
-  while (level.size() > 1) {
-    std::vector<NodeRef> parents;
-    size_t j = 0;
-    while (j < level.size()) {
-      PageId node_id;
-      CRIMSON_ASSIGN_OR_RETURN(PageGuard node, pool_->New(&node_id));
-      char* d = node.data();
-      FormatNode(d, PageType::kBTreeInternal);
-      parents.push_back({level[j].min_key, node_id});
-      size_t pending = j;  // child routed by the next cell (or by Link)
-      ++j;
-      int pos = 0;
-      while (j < level.size()) {
-        EncodeInternalCellTo(level[j].min_key, level[pending].page, &cell);
-        uint32_t needed = static_cast<uint32_t>(cell.size()) + kSlotSize;
-        if (pos > 0 && FreeContiguous(d) < needed + kReserve) break;
-        if (!InsertCellInPlace(d, pos, cell)) {
-          return Status::Internal(
-              "bulk load: internal cell does not fit in a new page");
-        }
-        pending = j;
-        ++pos;
-        ++j;
-      }
-      SetLink(d, level[pending].page);
-      node.MarkDirty();
-    }
-    level = std::move(parents);
-  }
-  CRIMSON_RETURN_IF_ERROR(SetRoot(level[0].page));
-  // The empty leaf the tree was created with is no longer reachable.
-  return pool_->Free(old_root);
-}
-
-// ---------------------------------------------------------------------------
 // Get / Delete / Count
 // ---------------------------------------------------------------------------
 

@@ -63,24 +63,6 @@ class BTree {
   /// if the key is present.
   Status Insert(const Slice& key, const Slice& value, bool unique = false);
 
-  /// Bulk-loads sorted entries into an *empty* tree: leaves are packed
-  /// left-to-right and internal levels are stitched bottom-up, so no
-  /// page ever splits. Entries must be sorted by key; duplicate keys
-  /// are laid out in the order given (note that repeated Insert
-  /// *prepends* to a duplicate run, so reproducing an insert-built
-  /// tree means passing ties in reverse insertion order).
-  /// FailedPrecondition if the tree already has entries;
-  /// InvalidArgument on unsorted or oversized input. Slices must stay
-  /// valid for the duration of the call.
-  Status BulkLoad(const std::vector<std::pair<Slice, Slice>>& entries);
-
-  /// Convenience overload over owned strings.
-  Status BulkLoad(
-      const std::vector<std::pair<std::string, std::string>>& entries);
-
-  /// True if the tree has no entries (single empty leaf root).
-  Result<bool> Empty() const;
-
   /// Fetches the first value with exactly this key.
   Status Get(const Slice& key, std::string* value) const;
 

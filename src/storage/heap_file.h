@@ -63,6 +63,11 @@ struct RecordId {
 /// belong to the single writer (Database writer epoch).
 class HeapFile {
  public:
+  static constexpr uint32_t kOverflowHeaderSize = 7;
+  /// Record bytes one overflow page holds: a record over
+  /// kMaxInlineRecord bytes fills ceil(size / kOverflowCapacity) pages.
+  static constexpr uint32_t kOverflowCapacity = kPageSize - kOverflowHeaderSize;
+
   /// Creates a new heap file; returns its first page id (the handle that
   /// must be remembered, e.g. in the catalog).
   static Result<HeapFile> Create(BufferPool* pool);
@@ -119,8 +124,6 @@ class HeapFile {
   static constexpr uint32_t kOverflowStubSize = 12;
   // Records up to this size are stored inline in a heap page.
   static constexpr uint32_t kMaxInlineRecord = 2048;
-  static constexpr uint32_t kOverflowHeaderSize = 7;
-  static constexpr uint32_t kOverflowCapacity = kPageSize - kOverflowHeaderSize;
 
   static void FormatHeapPage(char* data);
   Result<RecordId> InsertPayload(const char* payload, uint16_t len,

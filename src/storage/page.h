@@ -54,8 +54,10 @@ inline constexpr uint32_t kHeaderBytes = 28;
 /// table set, index key encoding, blob codecs and history params. Any
 /// change to them bumps it; there is no in-place upgrade, so a file of
 /// another version fails to open and its trees must be loaded again.
-/// Version 2 dropped the per-node `nodes` table (a tree is three rows).
-inline constexpr uint32_t kFormatVersion = 2;
+/// Version 2 dropped the per-node `nodes` table (a tree is three rows);
+/// version 3 stores species data as chunk rows (`species_chunks`), not
+/// one `species` row per species.
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// FNV-1a 64-bit hash, used for page checksums and test fixtures.
 inline uint64_t Fnv1a64(const char* data, size_t n, uint64_t seed = 0xcbf29ce484222325ULL) {

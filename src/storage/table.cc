@@ -1,8 +1,5 @@
 #include "storage/table.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/coding.h"
 #include "common/string_util.h"
 #include "storage/key_codec.h"
@@ -121,134 +118,6 @@ Result<RecordId> Table::Insert(const Row& row) {
   return rid;
 }
 
-namespace {
-
-// Byte strings packed end to end in one buffer: entry i is
-// bytes[ends[i-1], ends[i]). One allocation per column instead of one
-// std::string per row or key.
-struct PackedStrings {
-  std::string bytes;
-  std::vector<uint32_t> ends;
-
-  Status Seal() {
-    if (bytes.size() > std::numeric_limits<uint32_t>::max()) {
-      return Status::InvalidArgument("bulk append batch exceeds 4 GiB");
-    }
-    ends.push_back(static_cast<uint32_t>(bytes.size()));
-    return Status::OK();
-  }
-  Slice operator[](size_t i) const {
-    uint32_t begin = i == 0 ? 0 : ends[i - 1];
-    return Slice(bytes.data() + begin, ends[i] - begin);
-  }
-};
-
-}  // namespace
-
-Status Table::BulkAppend(size_t n,
-                         const std::function<void(size_t, Row*)>& row_at) {
-  CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
-  const size_t n_indexes = def_.indexes.size();
-  // Encode all rows and index keys up front so failures happen before
-  // any mutation.
-  PackedStrings encoded;
-  encoded.ends.reserve(n);
-  std::vector<PackedStrings> keys(n_indexes);
-  for (PackedStrings& k : keys) k.ends.reserve(n);
-  Row row;
-  for (size_t r = 0; r < n; ++r) {
-    row_at(r, &row);
-    CRIMSON_RETURN_IF_ERROR(EncodeRow(def_.schema, row, &encoded.bytes));
-    CRIMSON_RETURN_IF_ERROR(encoded.Seal());
-    for (size_t i = 0; i < n_indexes; ++i) {
-      const IndexDef& idx = def_.indexes[i];
-      CRIMSON_RETURN_IF_ERROR(EncodeValueKey(
-          def_.schema.column(idx.column).type, row[idx.column],
-          &keys[i].bytes));
-      CRIMSON_RETURN_IF_ERROR(keys[i].Seal());
-    }
-  }
-
-  // Sort row ordinals per index (cheap to swap; keys stay put). Tie
-  // order among duplicate keys is chosen so the final index is
-  // byte-identical to per-row Insert, which *prepends* to a duplicate
-  // run (leaf insert at LowerBound): a bulk-built index lays ties out
-  // directly, so they go in reverse row order; ordered inserts into an
-  // existing index each prepend, so feeding ties in row order ends up
-  // reversed on its own.
-  std::vector<bool> index_empty(n_indexes);
-  for (size_t i = 0; i < n_indexes; ++i) {
-    CRIMSON_ASSIGN_OR_RETURN(bool empty, index_trees_[i]->Empty());
-    index_empty[i] = empty;
-  }
-  std::vector<std::vector<uint32_t>> orders(n_indexes);
-  for (size_t i = 0; i < n_indexes; ++i) {
-    std::vector<uint32_t>& order = orders[i];
-    order.resize(n);
-    for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
-    const PackedStrings& k = keys[i];
-    if (index_empty[i]) {
-      std::sort(order.begin(), order.end(), [&k](uint32_t a, uint32_t b) {
-        int c = k[a].compare(k[b]);
-        if (c != 0) return c < 0;
-        return a > b;
-      });
-    } else {
-      std::stable_sort(order.begin(), order.end(),
-                       [&k](uint32_t a, uint32_t b) { return k[a] < k[b]; });
-    }
-  }
-
-  // Unique constraints: duplicates within the batch, then collisions
-  // with already-stored rows (skipped entirely when the index is empty).
-  for (size_t i = 0; i < n_indexes; ++i) {
-    const IndexDef& idx = def_.indexes[i];
-    if (!idx.unique) continue;
-    const PackedStrings& k = keys[i];
-    const std::vector<uint32_t>& order = orders[i];
-    for (size_t r = 1; r < order.size(); ++r) {
-      if (k[order[r]] == k[order[r - 1]]) {
-        return Status::AlreadyExists(
-            StrFormat("unique index %s violated within batch",
-                      idx.name.c_str()));
-      }
-    }
-    if (index_empty[i]) continue;
-    for (uint32_t r : order) {
-      std::string ignored;
-      Status s = index_trees_[i]->Get(k[r], &ignored);
-      if (s.ok()) {
-        return Status::AlreadyExists(
-            StrFormat("unique index %s violated", idx.name.c_str()));
-      }
-      if (!s.IsNotFound()) return s;
-    }
-  }
-
-  std::string rid_values;  // packed 8-byte index values, one per row
-  rid_values.reserve(n * 8);
-  for (size_t r = 0; r < n; ++r) {
-    CRIMSON_ASSIGN_OR_RETURN(RecordId rid, heap_->Insert(encoded[r]));
-    AppendU64Key(&rid_values, rid.Pack());
-  }
-
-  for (size_t i = 0; i < n_indexes; ++i) {
-    std::vector<std::pair<Slice, Slice>> run(n);
-    for (size_t r = 0; r < n; ++r) {
-      uint32_t src = orders[i][r];
-      run[r] = {keys[i][src], Slice(&rid_values[src * 8], 8)};
-    }
-    if (index_empty[i]) {
-      CRIMSON_RETURN_IF_ERROR(index_trees_[i]->BulkLoad(run));
-    } else {
-      for (const auto& [key, value] : run) {
-        CRIMSON_RETURN_IF_ERROR(index_trees_[i]->Insert(key, value));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Status Table::Get(const RecordId& id, Row* row) const {
   std::string raw;
   CRIMSON_RETURN_IF_ERROR(heap_->Get(id, &raw));
@@ -256,18 +125,22 @@ Status Table::Get(const RecordId& id, Row* row) const {
 }
 
 Status Table::DeleteRow(const RecordId& id, size_t skip_index) {
-  Row row;
-  CRIMSON_RETURN_IF_ERROR(Get(id, &row));
-  std::string rid_value = U64Key(id.Pack());
-  const Slice value(rid_value);
-  std::string key;
-  for (size_t i = 0; i < def_.indexes.size(); ++i) {
-    if (i == skip_index) continue;
-    const IndexDef& idx = def_.indexes[i];
-    key.clear();
-    CRIMSON_RETURN_IF_ERROR(EncodeValueKey(
-        def_.schema.column(idx.column).type, row[idx.column], &key));
-    CRIMSON_RETURN_IF_ERROR(index_trees_[i]->Delete(Slice(key), &value));
+  // The row is read only for the keys of the indexes it must leave.
+  const size_t n = def_.indexes.size();
+  if (n > (skip_index < n ? 1u : 0u)) {
+    Row row;
+    CRIMSON_RETURN_IF_ERROR(Get(id, &row));
+    std::string rid_value = U64Key(id.Pack());
+    const Slice value(rid_value);
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == skip_index) continue;
+      const IndexDef& idx = def_.indexes[i];
+      key.clear();
+      CRIMSON_RETURN_IF_ERROR(EncodeValueKey(
+          def_.schema.column(idx.column).type, row[idx.column], &key));
+      CRIMSON_RETURN_IF_ERROR(index_trees_[i]->Delete(Slice(key), &value));
+    }
   }
   return heap_->Delete(id);
 }

@@ -60,22 +60,6 @@ class Table {
   /// fail with AlreadyExists before any mutation of the indexes.
   Result<RecordId> Insert(const Row& row);
 
-  /// Inserts `n` rows at once, maintaining every index. Rows come from
-  /// a row source: row_at(i, &row) fills row i into one reused Row, so
-  /// the caller never materializes the batch. The result equals calling
-  /// Insert per row in order (same row bytes in heap scan order, same
-  /// scan/lookup results, same duplicate-key order; only record ids can
-  /// differ, as no index page split interleaves with the heap pages),
-  /// but rows are appended to the heap in one run and each index is fed
-  /// one sorted key run: an empty index is built bottom-up via
-  /// BTree::BulkLoad (no page splits), a non-empty one takes ordered
-  /// inserts. Encoded rows, and each index's keys, are packed into one
-  /// buffer. Encoding errors (including a batch over 4 GiB) and unique
-  /// violations -- within the batch or against existing rows -- fail
-  /// before any mutation.
-  Status BulkAppend(size_t n,
-                    const std::function<void(size_t, Row*)>& row_at);
-
   /// Reads one row by id.
   Status Get(const RecordId& id, Row* row) const;
 
@@ -116,7 +100,8 @@ class Table {
   const IndexDef* FindIndexDef(std::string_view name, size_t* pos) const;
 
   /// Deletes a row's heap record and its entries in every index but
-  /// `skip_index` (pass def_.indexes.size() to skip none).
+  /// `skip_index` (pass def_.indexes.size() to skip none). The row is
+  /// read only when some index entry must go.
   Status DeleteRow(const RecordId& id, size_t skip_index);
 
   BufferPool* pool_;

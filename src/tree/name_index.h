@@ -52,8 +52,10 @@ class NameIndex {
   /// Sorted unique list of leaf names that occur on more than one leaf.
   std::vector<std::string> DuplicateLeafNames(const PhyloTree& tree) const;
 
-  /// Sorted unique non-empty leaf names — the cracked store's ordinal
-  /// domain. Identical to sorting-and-uniquing Leaves() names.
+  /// Sorted unique leaf names, with "" first when a leaf is unnamed:
+  /// the species ordinal domain that species data is stored by and the
+  /// cracked store cracks. Identical to sorting-and-uniquing Leaves()
+  /// names.
   std::vector<std::string> SortedLeafNames(const PhyloTree& tree) const;
 
   /// Number of distinct non-empty names in the tree.

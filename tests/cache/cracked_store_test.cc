@@ -31,22 +31,18 @@ class FakeBacking {
   const std::vector<std::string>& names() const { return names_; }
 
   CrackedSequenceStore::FetchFn fetcher() {
-    return [this](const std::vector<std::string>& wanted)
-               -> Result<std::map<std::string, std::string>> {
+    return [this](size_t lo, size_t hi,
+                  const CrackedSequenceStore::SinkFn& sink) -> Status {
       std::lock_guard<std::mutex> lock(mu_);
-      fetch_calls_.push_back(wanted);
-      std::map<std::string, std::string> out;
-      for (const std::string& name : wanted) {
+      fetch_calls_.emplace_back(names_.begin() + lo, names_.begin() + hi);
+      for (size_t ord = lo; ord < hi; ++ord) {
+        const std::string& name = names_[ord];
         if (absent_.count(name)) continue;  // simulated missing sequence
-        for (const std::string& n : names_) {
-          if (n == name) {
-            out[name] = "SEQ_" + name;
-            fetched_total_.fetch_add(1);
-            break;
-          }
-        }
+        const std::string sequence = "SEQ_" + name;
+        sink(ord, Slice(sequence));
+        fetched_total_.fetch_add(1);
       }
-      return out;
+      return Status::OK();
     };
   }
 
@@ -195,10 +191,10 @@ TEST(CrackedStoreTest, FetchErrorsPropagateAndDoNotPoisonTheStore) {
   CrackedSequenceStore::FetchFn inner = backing.fetcher();
   CrackedSequenceStore store(
       backing.names(), 4,
-      [&fail, inner](const std::vector<std::string>& names)
-          -> Result<std::map<std::string, std::string>> {
+      [&fail, inner](size_t lo, size_t hi,
+                     const CrackedSequenceStore::SinkFn& sink) -> Status {
         if (fail.load()) return Status::Unavailable("backing offline");
-        return inner(names);
+        return inner(lo, hi, sink);
       });
 
   auto got = store.GetBatch({"s010"});

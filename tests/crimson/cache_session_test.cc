@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -358,12 +361,19 @@ TEST(CacheSessionStressTest, ReadersRacingWritersNeverSeeStaleResults) {
   }
   ASSERT_NE(legal_a, legal_b);
 
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<int> stale{0};
   std::atomic<int> hits_ok{0};
+  // A latch: the writer flips only once every reader has recorded one
+  // legal answer, so each run races readers against all 20 flips.
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  int readers_pending = kReaders;
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         auto ref = crimson->OpenTree("hot");
         if (!ref.ok()) continue;  // racing the drop window
@@ -372,11 +382,27 @@ TEST(CacheSessionStressTest, ReadersRacingWritersNeverSeeStaleResults) {
         const std::string rendered = RenderResult(*r);
         if (rendered == legal_a || rendered == legal_b) {
           hits_ok.fetch_add(1);
+          if (!counted) {
+            counted = true;
+            std::lock_guard<std::mutex> lock(latch_mu);
+            if (--readers_pending == 0) latch_cv.notify_one();
+          }
         } else {
           stale.fetch_add(1);
         }
       }
     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    const bool all_in = latch_cv.wait_for(lock, std::chrono::seconds(60),
+                                          [&] { return readers_pending == 0; });
+    if (!all_in) {
+      stop.store(true, std::memory_order_release);
+      lock.unlock();
+      for (auto& t : readers) t.join();
+      FAIL() << readers_pending << " readers got no legal answer in 60 s";
+    }
   }
 
   bool alt = false;
@@ -390,7 +416,7 @@ TEST(CacheSessionStressTest, ReadersRacingWritersNeverSeeStaleResults) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(stale.load(), 0);
-  EXPECT_GT(hits_ok.load(), 0);
+  EXPECT_GE(hits_ok.load(), kReaders);
 
   // Post-drain determinism: the final topology answers, not a cached
   // relic of any earlier flip.

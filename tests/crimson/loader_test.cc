@@ -75,7 +75,9 @@ TEST_F(LoaderTest, LoadNexusWithSpeciesData) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->nodes_loaded, 5u);
   EXPECT_EQ(report->species_loaded, 3u);
-  EXPECT_EQ(*species_->GetSequence("A"), "ACGT");
+  auto sequences = species_->SequencesForTree(report->tree_id);
+  ASSERT_TRUE(sequences.ok()) << sequences.status();
+  EXPECT_EQ(sequences->at("A"), "ACGT");
 }
 
 TEST_F(LoaderTest, LoadNexusStructureOnlySkipsSequences) {
@@ -83,7 +85,7 @@ TEST_F(LoaderTest, LoadNexusStructureOnlySkipsSequences) {
       loader_->LoadNexus("gold", kNexusWithData, LoadMode::kTreeStructureOnly);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->species_loaded, 0u);
-  EXPECT_EQ(*species_->Count(), 0u);
+  EXPECT_FALSE(*species_->HasSpecies(report->tree_id));
 }
 
 TEST_F(LoaderTest, AppendSpeciesDataToExistingTree) {
@@ -94,7 +96,9 @@ TEST_F(LoaderTest, AppendSpeciesDataToExistingTree) {
                                    LoadMode::kAppendSpeciesData);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->species_loaded, 3u);
-  EXPECT_EQ(*species_->GetSequence("C"), "TTTT");
+  auto sequences = species_->SequencesForTree(report->tree_id);
+  ASSERT_TRUE(sequences.ok()) << sequences.status();
+  EXPECT_EQ(sequences->at("C"), "TTTT");
 }
 
 TEST_F(LoaderTest, AppendToUnknownTreeFails) {

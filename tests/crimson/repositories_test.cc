@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "crimson/data_loader.h"
 #include "sim/tree_sim.h"
 #include "storage/file.h"
+#include "storage/heap_file.h"
 #include "storage/page.h"
 #include "tree/name_index.h"
 #include "tree/tree_builders.h"
@@ -34,23 +36,38 @@ std::vector<std::string> LeafNames(const PhyloTree& tree) {
   return out;
 }
 
-/// species -> node column of a tree's stored species rows, read
-/// straight from the species table.
-std::map<std::string, int64_t> StoredSpeciesNodes(Database* db,
-                                                  int64_t tree_id) {
-  std::map<std::string, int64_t> out;
-  auto table = db->OpenTable("species");
-  EXPECT_TRUE(table.ok()) << table.status();
-  if (!table.ok()) return out;
-  auto rids = table->IndexLookup("species_by_tree", tree_id);
-  EXPECT_TRUE(rids.ok()) << rids.status();
-  if (!rids.ok()) return out;
-  for (const RecordId& rid : *rids) {
-    Row row;
-    EXPECT_TRUE(table->Get(rid, &row).ok());
-    out[std::get<std::string>(row[1])] = std::get<int64_t>(row[2]);
+/// The tree's sequences by ordinal, through the cracked store's range
+/// read over the whole domain.
+std::map<size_t, std::string> StoredByOrdinal(const SpeciesRepository& species,
+                                              int64_t tree_id,
+                                              uint32_t domain_size) {
+  std::map<size_t, std::string> out;
+  Status s = species.ForEachInRange(
+      tree_id, 0, domain_size, [&](size_t ordinal, Slice sequence) {
+        EXPECT_TRUE(out.emplace(ordinal, sequence.ToString()).second)
+            << "ordinal " << ordinal << " reported twice";
+      });
+  EXPECT_TRUE(s.ok()) << s;
+  return out;
+}
+
+/// What StoredByOrdinal must return: each species of `sequences` that
+/// names a leaf, at its position in the tree's domain.
+std::map<size_t, std::string> ByDomainOrdinal(
+    const PhyloTree& tree, const std::map<std::string, std::string>& sequences) {
+  const std::vector<std::string> domain =
+      NameIndex::Build(tree).SortedLeafNames(tree);
+  std::map<size_t, std::string> out;
+  for (size_t i = 0; i < domain.size(); ++i) {
+    auto it = sequences.find(domain[i]);
+    if (it != sequences.end()) out[i] = it->second;
   }
   return out;
+}
+
+uint32_t DomainSize(const PhyloTree& tree) {
+  return static_cast<uint32_t>(
+      NameIndex::Build(tree).SortedLeafNames(tree).size());
 }
 
 class RepositoriesTest : public ::testing::Test {
@@ -101,32 +118,32 @@ TEST_F(RepositoriesTest, StoreAndLoadRoundTrip) {
                                /*ordered=*/true));
 }
 
-TEST_F(RepositoriesTest, AppendSpeciesWritesEachSpeciesNode) {
+TEST_F(RepositoriesTest, AppendSpeciesStoresEachSpeciesAtItsOrdinal) {
   int64_t id = StoreFig1();
   PhyloTree t = MakePaperFigure1Tree();
   DataLoader loader(trees_.get(), species_.get());
   const std::vector<std::string> names = {"Bha", "Lla", "Spy", "Syn", "Bsu"};
-  auto report = loader.AppendSpecies("fig1", SequencesFor(names));
+  const auto sequences = SequencesFor(names);
+  auto report = loader.AppendSpecies("fig1", sequences);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->species_loaded, names.size());
-  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db_.get(), id);
-  ASSERT_EQ(nodes.size(), names.size());
-  for (const std::string& name : names) {
-    EXPECT_EQ(nodes[name], static_cast<int64_t>(t.FindByName(name))) << name;
-  }
+  EXPECT_EQ(*species_->SequencesForTree(id), sequences);
+  EXPECT_EQ(StoredByOrdinal(*species_, id, DomainSize(t)),
+            ByDomainOrdinal(t, sequences));
 
   // An unknown species fails the whole batch before any row is written.
-  auto missing = loader.AppendSpecies("fig1", SequencesFor({"Lla", "Nope"}));
+  std::map<std::string, std::string> bad = {{"Bha", "TT"}, {"Nope", "TT"}};
+  auto missing = loader.AppendSpecies("fig1", bad);
   ASSERT_TRUE(missing.status().IsNotFound()) << missing.status();
   EXPECT_NE(missing.status().ToString().find("species 'Nope' not in tree"),
             std::string::npos)
       << missing.status();
-  EXPECT_EQ(*species_->CountForTree(id), names.size());
+  EXPECT_EQ(*species_->SequencesForTree(id), sequences);
 }
 
 TEST_F(RepositoriesTest, NamesScopedPerTree) {
   // Two trees share every leaf name but place them differently: each
-  // tree's species rows point at its own nodes.
+  // tree's species data is its own.
   int64_t id1 = StoreFig1("first");
   PhyloTree mirrored;
   mirrored.AddRoot("");
@@ -144,29 +161,26 @@ TEST_F(RepositoriesTest, NamesScopedPerTree) {
 
   DataLoader loader(trees_.get(), species_.get());
   const std::vector<std::string> names = {"Bha", "Lla", "Spy", "Syn", "Bsu"};
-  ASSERT_TRUE(loader.AppendSpecies("first", SequencesFor(names)).ok());
-  ASSERT_TRUE(loader.AppendSpecies("second", SequencesFor(names)).ok());
-  const PhyloTree first = MakePaperFigure1Tree();
-  std::map<std::string, int64_t> nodes1 = StoredSpeciesNodes(db_.get(), id1);
-  std::map<std::string, int64_t> nodes2 = StoredSpeciesNodes(db_.get(), *id2);
-  ASSERT_EQ(nodes1.size(), names.size());
-  ASSERT_EQ(nodes2.size(), names.size());
-  for (const std::string& name : names) {
-    EXPECT_EQ(nodes1[name], static_cast<int64_t>(first.FindByName(name)));
-    EXPECT_EQ(nodes2[name], static_cast<int64_t>(mirrored.FindByName(name)));
-  }
-  EXPECT_NE(nodes1["Lla"], nodes2["Lla"]);
+  std::map<std::string, std::string> first = SequencesFor(names);
+  std::map<std::string, std::string> second;
+  for (const std::string& name : {"Lla", "Bsu"}) second[name] = "TT" + name;
+  ASSERT_TRUE(loader.AppendSpecies("first", first).ok());
+  ASSERT_TRUE(loader.AppendSpecies("second", second).ok());
+  EXPECT_EQ(*species_->SequencesForTree(id1), first);
+  EXPECT_EQ(*species_->SequencesForTree(*id2), second);
+  EXPECT_EQ(StoredByOrdinal(*species_, *id2, DomainSize(mirrored)),
+            ByDomainOrdinal(mirrored, second));
   auto list = trees_->ListTrees();
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 2u);
 }
 
-TEST_F(RepositoriesTest, AmbiguousSpeciesNameTakesFirstNodeInArenaOrder) {
-  // Leaf names are unique, but an internal node may share a leaf's
-  // name: the species row takes the first node in arena order, the
-  // node the session resolves that name to for queries.
+TEST_F(RepositoriesTest, LeafNamesAreOrdinalsAndInternalNamesTrail) {
+  // An internal node may share a leaf's name ("A"): the species is
+  // that leaf's. A name only internal nodes carry ("R") is stored past
+  // the domain: listed by SequencesForTree, never fetched by ordinal.
   PhyloTree t;
-  t.AddRoot("X");
+  t.AddRoot("R");
   NodeId a = t.AddChild(0, "A", 1.0);
   t.AddChild(a, "A", 1.0);
   t.AddChild(a, "B", 1.0);
@@ -176,10 +190,12 @@ TEST_F(RepositoriesTest, AmbiguousSpeciesNameTakesFirstNodeInArenaOrder) {
   auto id = trees_->StoreTree("ambiguous", t, scheme);
   ASSERT_TRUE(id.ok()) << id.status();
   DataLoader loader(trees_.get(), species_.get());
-  ASSERT_TRUE(loader.AppendSpecies("ambiguous", SequencesFor({"A", "X"})).ok());
-  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db_.get(), *id);
-  EXPECT_EQ(nodes["A"], static_cast<int64_t>(a));
-  EXPECT_EQ(nodes["X"], 0);
+  const auto sequences = SequencesFor({"A", "R", "X"});
+  ASSERT_TRUE(loader.AppendSpecies("ambiguous", sequences).ok());
+  EXPECT_EQ(*species_->SequencesForTree(*id), sequences);
+  const std::map<size_t, std::string> by_ordinal = {{0, "ACGTA"},
+                                                    {2, "ACGTX"}};
+  EXPECT_EQ(StoredByOrdinal(*species_, *id, DomainSize(t)), by_ordinal);
 }
 
 TEST_F(RepositoriesTest, DuplicateTreeNameRejected) {
@@ -220,7 +236,7 @@ std::map<std::string, size_t> RowsForTree(Database* db, int64_t tree_id) {
       {"trees", "trees_by_id"},
       {"labels", "labels_by_tree"},
       {"tree_blobs", "tree_blobs_by_tree"},
-      {"species", "species_by_tree"}};
+      {"species_chunks", "species_chunks_by_tree"}};
   for (const auto& [table_name, index] : indexes) {
     auto table = db->OpenTable(table_name);
     EXPECT_TRUE(table.ok()) << table_name << ": " << table.status();
@@ -244,11 +260,16 @@ TEST_F(RepositoriesTest, DropTreeRemovesEverything) {
   ASSERT_TRUE(species_->DropForTree(id).ok());
   EXPECT_TRUE(trees_->GetTreeInfo("doomed").status().IsNotFound());
   EXPECT_TRUE(trees_->LoadTree(id).status().IsNotFound());
-  const std::map<std::string, size_t> none = {
-      {"labels", 0}, {"species", 0}, {"tree_blobs", 0}, {"trees", 0}};
+  const std::map<std::string, size_t> none = {{"labels", 0},
+                                              {"species_chunks", 0},
+                                              {"tree_blobs", 0},
+                                              {"trees", 0}};
   EXPECT_EQ(RowsForTree(db_.get(), id), none);
-  const std::map<std::string, size_t> whole = {
-      {"labels", 1}, {"species", 5}, {"tree_blobs", 1}, {"trees", 1}};
+  // Five short sequences are one chunk.
+  const std::map<std::string, size_t> whole = {{"labels", 1},
+                                               {"species_chunks", 1},
+                                               {"tree_blobs", 1},
+                                               {"trees", 1}};
   EXPECT_EQ(RowsForTree(db_.get(), kept), whole);
   // Dropping again removes nothing and is not an error.
   EXPECT_TRUE(trees_->DropTree(id).ok());
@@ -258,30 +279,111 @@ TEST_F(RepositoriesTest, DropTreeRemovesEverything) {
 
 TEST_F(RepositoriesTest, SpeciesRepositoryRoundTrip) {
   int64_t id = StoreFig1();
-  ASSERT_TRUE(species_->Put(id, "Bha", 5, "ACGTACGT").ok());
-  ASSERT_TRUE(species_->Put(id, "Lla", 6, "TTTTACGT").ok());
-  auto seq = species_->GetSequence("Bha");
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(*seq, "ACGTACGT");
-  EXPECT_TRUE(species_->GetSequence("Zzz").status().IsNotFound());
-  auto all = species_->SequencesForTree(id);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);
-  auto subset = species_->SequencesFor({"Lla"});
-  ASSERT_TRUE(subset.ok());
-  EXPECT_EQ(subset->at("Lla"), "TTTTACGT");
-  EXPECT_TRUE(species_->SequencesFor({"Lla", "Zzz"}).status().IsNotFound());
-  EXPECT_EQ(*species_->Count(), 2u);
+  EXPECT_FALSE(*species_->HasSpecies(id));
+  // fig1's domain: Bha Bsu Lla Spy Syn; "Root" names an internal node.
+  ASSERT_TRUE(species_
+                  ->Append(id, 5,
+                           {{0, "Bha", "ACGTACGT"},
+                            {2, "Lla", ""},
+                            {5, "Root", "GG"}})
+                  .ok());
+  EXPECT_TRUE(*species_->HasSpecies(id));
+  const std::map<std::string, std::string> want = {
+      {"Bha", "ACGTACGT"}, {"Lla", ""}, {"Root", "GG"}};
+  EXPECT_EQ(*species_->SequencesForTree(id), want);
+  const std::map<size_t, std::string> by_ordinal = {{0, "ACGTACGT"},
+                                                    {2, ""}};
+  EXPECT_EQ(StoredByOrdinal(*species_, id, 5), by_ordinal);
+  const std::map<size_t, std::string> middle = {{2, ""}};
+  std::map<size_t, std::string> got;
+  ASSERT_TRUE(species_
+                  ->ForEachInRange(id, 1, 3,
+                                   [&](size_t ordinal, Slice sequence) {
+                                     got[ordinal] = sequence.ToString();
+                                   })
+                  .ok());
+  EXPECT_EQ(got, middle);
+
+  // Stored species keep their sequence; new ones join them.
+  ASSERT_TRUE(
+      species_->Append(id, 5, {{0, "Bha", "TTTT"}, {4, "Syn", "CC"}}).ok());
+  auto after = species_->SequencesForTree(id);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->at("Bha"), "ACGTACGT");
+  EXPECT_EQ(after->at("Syn"), "CC");
+  EXPECT_EQ(after->size(), 4u);
+  EXPECT_FALSE(*species_->HasSpecies(id + 1));
 }
 
 TEST_F(RepositoriesTest, LongSequencesSpillToOverflowPages) {
   int64_t id = StoreFig1();
   std::string genome(200000, 'A');
   for (size_t i = 0; i < genome.size(); ++i) genome[i] = "ACGT"[i % 4];
-  ASSERT_TRUE(species_->Put(id, "Bha", 5, genome).ok());
-  auto seq = species_->GetSequence("Bha");
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(*seq, genome);
+  ASSERT_TRUE(species_->Append(id, 5, {{0, "Bha", genome}}).ok());
+  const std::map<size_t, std::string> want = {{0, genome}};
+  EXPECT_EQ(StoredByOrdinal(*species_, id, 5), want);
+}
+
+TEST_F(RepositoriesTest, ChunkRowsFillTheirPagesAndAppendsTouchOnlyTheirs) {
+  // 4,000 leaves with 128-site sequences are ~520 KB: about one chunk
+  // row per overflow page, not one row per species.
+  Rng rng(0xC4A2);
+  YuleOptions opts;
+  opts.n_leaves = 4000;
+  auto t = SimulateYule(opts, &rng);
+  ASSERT_TRUE(t.ok());
+  LayeredDeweyScheme scheme(8);
+  ASSERT_TRUE(scheme.Build(*t).ok());
+  auto id = trees_->StoreTree("chunky", *t, scheme);
+  ASSERT_TRUE(id.ok());
+  std::vector<std::string> names = LeafNames(*t);
+  std::sort(names.begin(), names.end());
+  std::map<std::string, std::string> sequences;
+  size_t bytes = 0;
+  // Every other leaf now, so a later append lands inside chunks.
+  for (size_t i = 0; i < names.size(); i += 2) {
+    sequences[names[i]] = std::string(128, "ACGT"[i % 4]);
+    bytes += 128 + names[i].size() + 1 + 2 * 4;
+  }
+  DataLoader loader(trees_.get(), species_.get());
+  ASSERT_TRUE(loader.AppendSpecies("chunky", sequences).ok());
+
+  auto table = db_->OpenTable("species_chunks");
+  ASSERT_TRUE(table.ok()) << table.status();
+  auto chunk_rows = [&] {
+    std::map<int64_t, uint64_t> out;  // chunk_key -> packed record id
+    EXPECT_TRUE(table
+                    ->Scan([&](const RecordId& rid, const Row& row) {
+                      out[std::get<int64_t>(row[0])] = rid.Pack();
+                      return true;
+                    })
+                    .ok());
+    return out;
+  };
+  const std::map<int64_t, uint64_t> before = chunk_rows();
+  const size_t page = HeapFile::kOverflowCapacity;
+  EXPECT_LE(before.size(), bytes / page + 2) << bytes << " bytes";
+  EXPECT_GE(before.size(), bytes / page) << bytes << " bytes";
+
+  // Appending the missing neighbours of the first species rewrites only
+  // the first chunk (which may split); re-appending stored species
+  // rewrites nothing.
+  std::map<std::string, std::string> more = {{names[1], "C"}, {names[3], "G"}};
+  ASSERT_TRUE(loader.AppendSpecies("chunky", more).ok());
+  ASSERT_TRUE(loader.AppendSpecies("chunky", SequencesFor({names[0]})).ok());
+  const std::map<int64_t, uint64_t> after = chunk_rows();
+  size_t kept = 0;
+  for (const auto& [key, rid] : before) {
+    auto it = after.find(key);
+    if (it != after.end() && it->second == rid) ++kept;
+  }
+  EXPECT_EQ(kept, before.size() - 1);
+  EXPECT_LE(after.size(), before.size() + 1);
+  auto stored = species_->SequencesForTree(*id);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(stored->size(), sequences.size() + 2);
+  EXPECT_EQ(stored->at(names[0]), sequences[names[0]]);
+  EXPECT_EQ(stored->at(names[3]), "G");
 }
 
 TEST_F(RepositoriesTest, QueryRepositoryHistoryOrder) {
@@ -318,7 +420,7 @@ TEST(RepositoriesPersistenceTest, SurvivesReopen) {
     tree_id = *id;
     auto species = SpeciesRepository::Open(db->get());
     ASSERT_TRUE(species.ok());
-    ASSERT_TRUE((*species)->Put(tree_id, "Bha", 5, "ACGT").ok());
+    ASSERT_TRUE((*species)->Append(tree_id, 5, {{0, "Bha", "ACGT"}}).ok());
     ASSERT_TRUE((*db)->Flush().ok());
   }
   {
@@ -332,7 +434,8 @@ TEST(RepositoriesPersistenceTest, SurvivesReopen) {
                                  /*ordered=*/true));
     auto species = SpeciesRepository::Open(db->get());
     ASSERT_TRUE(species.ok());
-    EXPECT_EQ(*(*species)->GetSequence("Bha"), "ACGT");
+    const std::map<std::string, std::string> want = {{"Bha", "ACGT"}};
+    EXPECT_EQ(*(*species)->SequencesForTree(tree_id), want);
   }
   RemoveFile(path);
 }
@@ -378,8 +481,8 @@ TEST_F(RepositoriesTest, LabelsRemovedWithTree) {
 
 /// Every repository read path answers from storage exactly what the
 /// in-memory tree says: LoadTree and LoadScheme against the tree and
-/// scheme stored, and the node each species row gets from AppendSpecies
-/// against NameIndex. The tree is stored after a neighbor tree that
+/// scheme stored, and the species AppendSpecies stores, by name and by
+/// domain ordinal. The tree is stored after a neighbor tree that
 /// shares no names, so its rows land in already-populated indexes.
 void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
   Rng rng(seed);
@@ -421,14 +524,12 @@ void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
   for (NodeId n = 0; n < t->size(); ++n) {
     if (!t->name(n).empty()) names.emplace_back(t->name(n));
   }
-  auto appended = loader.AppendSpecies("yule", SequencesFor(names));
+  const auto sequences = SequencesFor(names);
+  auto appended = loader.AppendSpecies("yule", sequences);
   ASSERT_TRUE(appended.ok()) << appended.status();
-  const NameIndex index = NameIndex::Build(*t);
-  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db.get(), *id);
-  ASSERT_EQ(nodes.size(), names.size());
-  for (const std::string& name : names) {
-    EXPECT_EQ(nodes[name], static_cast<int64_t>(index.Find(*t, name))) << name;
-  }
+  EXPECT_EQ(*species->SequencesForTree(*id), sequences);
+  EXPECT_EQ(StoredByOrdinal(*species, *id, DomainSize(*t)),
+            ByDomainOrdinal(*t, sequences));
   // Names of the neighbor tree do not leak into this one.
   EXPECT_TRUE(loader.AppendSpecies("yule", SequencesFor({"Lla"}))
                   .status()
@@ -512,10 +613,12 @@ TEST(RepositoriesScaleTest, ThousandLeafTreeRoundTrip) {
   auto species = SpeciesRepository::Open(db->get());
   ASSERT_TRUE(species.ok());
   DataLoader loader(trees->get(), species->get());
-  ASSERT_TRUE(loader.AppendSpecies("yule1k", SequencesFor({"S500"})).ok());
-  std::map<std::string, int64_t> nodes = StoredSpeciesNodes(db->get(), *id);
-  ASSERT_EQ(nodes.size(), 1u);
-  EXPECT_EQ(t->name(static_cast<NodeId>(nodes["S500"])), "S500");
+  const auto sequences = SequencesFor({"S500"});
+  ASSERT_TRUE(loader.AppendSpecies("yule1k", sequences).ok());
+  const std::map<size_t, std::string> by_ordinal =
+      StoredByOrdinal(**species, *id, DomainSize(*t));
+  ASSERT_EQ(by_ordinal.size(), 1u);
+  EXPECT_EQ(by_ordinal, ByDomainOrdinal(*t, sequences));
 }
 
 // ---------------------------------------------------------------------------
@@ -538,8 +641,8 @@ CrimsonOptions DropSessionOptions(test::FaultInjectionEnv* env) {
   return opts;
 }
 
-/// Two residents and the victim, all with "S<i>" leaves, so species
-/// names are shared keys in the species_by_name index.
+/// Two residents and the victim, all with "S<i>" leaves, so the trees
+/// share species names.
 std::vector<std::pair<std::string, PhyloTree>> MakeDropTrees(
     uint64_t seed, uint32_t victim_leaves) {
   Rng rng(seed);
@@ -569,7 +672,7 @@ void LoadDropTrees(test::FaultInjectionEnv* env,
 }
 
 /// What a stored tree answers: its metadata, packed image, labels blob,
-/// species rows (with their node column) and three session queries.
+/// species data (by name and by ordinal) and three session queries.
 /// "gone" when no tree has the name.
 std::string StoredTreeState(Crimson* session, const std::string& name) {
   auto trees = TreeRepository::Open(session->database());
@@ -595,7 +698,7 @@ std::string StoredTreeState(Crimson* session, const std::string& name) {
   if (labels.ok()) {
     out << "labels " << Fnv1a64(labels->data(), labels->size()) << "\n";
   }
-  out << "species " << *(*species)->CountForTree(info->tree_id) << "\n";
+  out << "species " << *(*species)->HasSpecies(info->tree_id) << "\n";
   auto sequences = (*species)->SequencesForTree(info->tree_id);
   EXPECT_TRUE(sequences.ok());
   if (sequences.ok()) {
@@ -603,9 +706,9 @@ std::string StoredTreeState(Crimson* session, const std::string& name) {
       out << species_name << "=" << sequence << " ";
     }
   }
-  for (const auto& [species_name, node] :
-       StoredSpeciesNodes(session->database(), info->tree_id)) {
-    out << species_name << "@" << node << " ";
+  for (const auto& [ordinal, sequence] :
+       StoredByOrdinal(**species, info->tree_id, DomainSize(*tree))) {
+    out << ordinal << "@" << sequence << " ";
   }
   out << "\n";
   auto ref = session->OpenTree(name);
@@ -680,8 +783,10 @@ void RunDropCrashSuite(uint64_t seed, uint32_t victim_leaves,
     if (victim == "gone") {
       ++gone;
       EXPECT_TRUE((*session)->OpenTree(kVictim).status().IsNotFound());
-      const std::map<std::string, size_t> none = {
-          {"labels", 0}, {"species", 0}, {"tree_blobs", 0}, {"trees", 0}};
+      const std::map<std::string, size_t> none = {{"labels", 0},
+                                                  {"species_chunks", 0},
+                                                  {"tree_blobs", 0},
+                                                  {"trees", 0}};
       ASSERT_EQ(RowsForTree((*session)->database(), victim_id), none);
     } else {
       ++present;
@@ -715,6 +820,136 @@ TEST(DropCrashPointsStress, SeedSweep) {
                       seed % 2 == 0 ? CrashPolicy::kKeepAllWrites
                                     : CrashPolicy::kDropUnsynced,
                       /*torn=*/seed % 4 == 0, /*fault_step=*/1);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Session AppendSpeciesData: crash consistency
+// ---------------------------------------------------------------------------
+
+/// A few hundred sites per species, so the victim's data spans chunks.
+std::map<std::string, std::string> LongSequencesFor(
+    const std::vector<std::string>& names, char salt) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : names) {
+    std::string& sequence = out[name];
+    while (sequence.size() < 300) sequence += salt + name;
+  }
+  return out;
+}
+
+/// Crashes a session AppendSpeciesData of the victim at every
+/// write/sync point of the WAL and the data file, reopens, and requires
+/// the victim's species data to be wholly as before or wholly as after
+/// the append while the residents answer as before. With `reappend`,
+/// half the victim's species are stored first, so the append rewrites
+/// the chunks it reaches and must keep those species' sequences.
+void RunAppendCrashSuite(uint64_t seed, uint32_t victim_leaves,
+                         CrashPolicy policy, bool torn, bool reappend) {
+  const auto trees = MakeDropTrees(seed, victim_leaves);
+  const std::vector<std::string> names = LeafNames(trees.back().second);
+  const std::vector<std::string> half(names.begin(),
+                                      names.begin() + names.size() / 2);
+  auto set_up = [&](test::FaultInjectionEnv* env) {
+    auto session = Crimson::Open(DropSessionOptions(env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const auto& [name, tree] : trees) {
+      ASSERT_TRUE((*session)->LoadTree(name, tree).ok());
+      if (name == kVictim) continue;
+      ASSERT_TRUE(
+          (*session)->AppendSpeciesData(name, SequencesFor(LeafNames(tree)))
+              .ok());
+    }
+    if (reappend) {
+      ASSERT_TRUE(
+          (*session)->AppendSpeciesData(kVictim, LongSequencesFor(half, 'a'))
+              .ok());
+    }
+  };
+  const auto batch = LongSequencesFor(names, 'b');
+  std::map<std::string, std::string> gold;
+  std::string appended;
+  {
+    test::FaultInjectionEnv env;
+    set_up(&env);
+    auto session = Crimson::Open(DropSessionOptions(&env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const auto& [name, tree] : trees) {
+      gold[name] = StoredTreeState(session->get(), name);
+    }
+    ASSERT_TRUE((*session)->AppendSpeciesData(kVictim, batch).ok());
+    appended = StoredTreeState(session->get(), kVictim);
+  }
+  ASSERT_NE(appended, gold[kVictim]);
+
+  uint64_t before = 0;
+  uint64_t after = 0;
+  bool completed_without_fault = false;
+  for (uint64_t fault = 1; !completed_without_fault; ++fault) {
+    ASSERT_LT(fault, 100000u) << "crash loop failed to terminate";
+    SCOPED_TRACE("fault point " + std::to_string(fault));
+    test::FaultInjectionEnv env;
+    set_up(&env);
+    env.ResetOpCount();
+    env.ArmFailPoint(fault, torn);
+    {
+      auto session = Crimson::Open(DropSessionOptions(&env));
+      if (session.ok()) {
+        auto result = (*session)->AppendSpeciesData(kVictim, batch);
+        if (!env.triggered()) EXPECT_TRUE(result.ok()) << result.status();
+      }
+    }
+    completed_without_fault = !env.triggered();
+    env.Disarm();
+    if (policy == CrashPolicy::kDropUnsynced) env.CrashToDurable();
+
+    auto session = Crimson::Open(DropSessionOptions(&env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const char* resident : kResidents) {
+      ASSERT_EQ(StoredTreeState(session->get(), resident), gold[resident]);
+    }
+    const std::string victim = StoredTreeState(session->get(), kVictim);
+    if (victim == gold[kVictim]) {
+      ++before;
+    } else {
+      ++after;
+      ASSERT_EQ(victim, appended);
+    }
+    if (completed_without_fault) {
+      EXPECT_EQ(victim, appended) << "a fault-free append must land";
+    }
+  }
+  EXPECT_GT(before, 0u);
+  EXPECT_GT(after, 0u);
+}
+
+TEST(AppendCrashPoints, FirstAppend) {
+  RunAppendCrashSuite(0xA991, 40, CrashPolicy::kKeepAllWrites,
+                      /*torn=*/false, /*reappend=*/false);
+  RunAppendCrashSuite(0xA992, 40, CrashPolicy::kKeepAllWrites,
+                      /*torn=*/true, /*reappend=*/false);
+  RunAppendCrashSuite(0xA993, 40, CrashPolicy::kDropUnsynced,
+                      /*torn=*/false, /*reappend=*/false);
+}
+
+TEST(AppendCrashPoints, ReappendRewritesTouchedChunks) {
+  RunAppendCrashSuite(0xA994, 40, CrashPolicy::kKeepAllWrites,
+                      /*torn=*/false, /*reappend=*/true);
+  RunAppendCrashSuite(0xA995, 40, CrashPolicy::kKeepAllWrites,
+                      /*torn=*/true, /*reappend=*/true);
+  RunAppendCrashSuite(0xA996, 40, CrashPolicy::kDropUnsynced,
+                      /*torn=*/false, /*reappend=*/true);
+}
+
+TEST(AppendCrashPointsStress, SeedSweep) {
+  // Victims up to 1.6k leaves (~500 KB of sequences), every policy and
+  // fault point, first appends and re-appends.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunAppendCrashSuite(seed, 200 * static_cast<uint32_t>(seed),
+                        seed % 3 == 0 ? CrashPolicy::kDropUnsynced
+                                      : CrashPolicy::kKeepAllWrites,
+                        /*torn=*/seed % 3 == 1, /*reappend=*/seed % 2 == 0);
   }
 }
 
@@ -757,6 +992,41 @@ TEST(DropCostTest, DropFetchesDoNotGrowWithEarlierDrops) {
   for (uint64_t f : fetched) counts << f << " ";
   ASSERT_GT(fetched[0], 0u);
   EXPECT_LE(fetched[5] * 2, fetched[0] * 3) << "pages per drop: " << counts.str();
+}
+
+TEST(DropCostTest, SpeciesLessDropFetchesEachBlobPageOnce) {
+  // labels and tree_blobs each have one index, which DeleteWhere
+  // removes as a run: a drop frees their overflow pages without first
+  // reading the blobs back, so it fetches each of those pages once.
+  CrimsonOptions opts;
+  opts.batch_workers = 1;
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0xB10B);
+  YuleOptions yule;
+  yule.n_leaves = 10000;
+  const PhyloTree tree = std::move(SimulateYule(yule, &rng)).value();
+  ASSERT_TRUE((*session)->LoadTree("bare", tree).ok());
+  auto trees = TreeRepository::Open((*session)->database());
+  ASSERT_TRUE(trees.ok());
+  auto info = (*trees)->GetTreeInfo("bare");
+  ASSERT_TRUE(info.ok());
+  auto labels = (*trees)->LoadSchemeBlob(info->tree_id);
+  ASSERT_TRUE(labels.ok());
+  std::string image;
+  EncodePackedTree(tree, &image);
+  const size_t page = HeapFile::kOverflowCapacity;
+  const uint64_t blob_pages =
+      (labels->size() + page - 1) / page + (image.size() + page - 1) / page;
+  ASSERT_GT(blob_pages, 60u);
+
+  const uint64_t before = PoolFetches(**session);
+  ASSERT_TRUE((*session)->DropTree("bare").ok());
+  const uint64_t fetched = PoolFetches(**session) - before;
+  EXPECT_GE(fetched, blob_pages);
+  // Index descents and heap stub pages; reading the blobs back would
+  // add another blob_pages.
+  EXPECT_LE(fetched, blob_pages + 40) << blob_pages << " blob pages";
 }
 
 }  // namespace

@@ -422,43 +422,6 @@ TEST_F(BTreeDeleteAllRandomTest, StressLargeRunsMatchRepeatedDelete) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Bulk load
-// ---------------------------------------------------------------------------
-
-std::vector<std::pair<std::string, std::string>> RandomEntries(
-    int n, uint64_t seed, uint32_t key_space) {
-  // A small key space forces duplicate keys (with distinct values).
-  Rng rng(seed);
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    entries.emplace_back(
-        StrFormat("k%06u", static_cast<unsigned>(rng.Uniform(key_space))),
-        StrFormat("v%d", i));
-  }
-  return entries;
-}
-
-/// Sorts entries for BulkLoad so the result matches an insert-built
-/// tree: key ascending, ties in *reverse* arrival order (Insert
-/// prepends to a duplicate run).
-std::vector<std::pair<std::string, std::string>> SortForBulkLoad(
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-  std::vector<size_t> order(entries.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (entries[a].first != entries[b].first) {
-      return entries[a].first < entries[b].first;
-    }
-    return a > b;
-  });
-  std::vector<std::pair<std::string, std::string>> sorted;
-  sorted.reserve(entries.size());
-  for (size_t i : order) sorted.push_back(entries[i]);
-  return sorted;
-}
-
 std::vector<std::pair<std::string, std::string>> Dump(const BTree& tree) {
   std::vector<std::pair<std::string, std::string>> out;
   auto it = tree.NewIterator();
@@ -468,187 +431,6 @@ std::vector<std::pair<std::string, std::string>> Dump(const BTree& tree) {
     EXPECT_TRUE(it.Next().ok());
   }
   return out;
-}
-
-/// Bulk-loaded and insert-loaded trees over the same entries must be
-/// observationally identical: full scans, Seek positions, Get results,
-/// and iteration after deletes.
-void CheckBulkMatchesIncremental(int n, uint64_t seed, uint32_t key_space) {
-  auto p = Pager::Open(NewMemFile());
-  ASSERT_TRUE(p.ok());
-  auto pager = std::move(p).value();
-  BufferPool pool(pager.get(), 512);
-
-  std::vector<std::pair<std::string, std::string>> entries =
-      RandomEntries(n, seed, key_space);
-
-  BTree incremental = std::move(BTree::Create(&pool)).value();
-  for (const auto& [key, value] : entries) {
-    ASSERT_TRUE(incremental.Insert(Slice(key), Slice(value)).ok());
-  }
-  BTree bulk = std::move(BTree::Create(&pool)).value();
-  ASSERT_TRUE(bulk.BulkLoad(SortForBulkLoad(entries)).ok());
-
-  EXPECT_EQ(Dump(incremental), Dump(bulk));
-
-  // Seek and Get agree on present and absent probes.
-  Rng rng(seed ^ 0xABCD);
-  auto it_a = incremental.NewIterator();
-  auto it_b = bulk.NewIterator();
-  for (int i = 0; i < 200; ++i) {
-    std::string probe = StrFormat(
-        "k%06u", static_cast<unsigned>(rng.Uniform(key_space + 50)));
-    ASSERT_TRUE(it_a.Seek(Slice(probe)).ok());
-    ASSERT_TRUE(it_b.Seek(Slice(probe)).ok());
-    ASSERT_EQ(it_a.Valid(), it_b.Valid()) << probe;
-    if (it_a.Valid()) {
-      EXPECT_EQ(it_a.key().ToString(), it_b.key().ToString()) << probe;
-      EXPECT_EQ(it_a.value().ToString(), it_b.value().ToString()) << probe;
-    }
-    std::string va, vb;
-    Status sa = incremental.Get(Slice(probe), &va);
-    Status sb = bulk.Get(Slice(probe), &vb);
-    ASSERT_EQ(sa.ok(), sb.ok()) << probe;
-    if (sa.ok()) EXPECT_EQ(va, vb);
-  }
-
-  // Delete a random subset (by key+value) from both; iteration must
-  // still agree.
-  for (size_t i = 0; i < entries.size(); i += 3) {
-    Slice value(entries[i].second);
-    Status sa = incremental.Delete(Slice(entries[i].first), &value);
-    Status sb = bulk.Delete(Slice(entries[i].first), &value);
-    ASSERT_EQ(sa.ok(), sb.ok()) << entries[i].first;
-  }
-  EXPECT_EQ(Dump(incremental), Dump(bulk));
-}
-
-class BTreeBulkEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, uint32_t>> {};
-
-TEST_P(BTreeBulkEquivalenceTest, MatchesIncrementalLoad) {
-  auto [n, key_space] = GetParam();
-  CheckBulkMatchesIncremental(n, 0xB17D + n, key_space);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, BTreeBulkEquivalenceTest,
-    ::testing::Values(std::make_tuple(10, 1u << 20),
-                      std::make_tuple(1000, 1u << 20),
-                      std::make_tuple(1000, 64),      // heavy duplicates
-                      std::make_tuple(20000, 1u << 20),
-                      std::make_tuple(20000, 512)));
-
-TEST(BTreeBulkStressTest, LargeRandomWorkloadsMatchIncremental) {
-  // Dialed-up randomized sweep: ctest -C stress -L stress.
-  Rng rng(0x57E55);
-  for (int rep = 0; rep < 4; ++rep) {
-    int n = 30000 + static_cast<int>(rng.Uniform(30000));
-    uint32_t key_space = rep % 2 == 0 ? 1u << 24 : 256;
-    CheckBulkMatchesIncremental(n, rng.Next(), key_space);
-  }
-}
-
-TEST_F(BTreeTest, BulkLoadEdgeCases) {
-  // Empty input is a no-op.
-  ASSERT_TRUE(
-      tree_->BulkLoad(std::vector<std::pair<std::string, std::string>>{})
-          .ok());
-  EXPECT_EQ(*tree_->Count(), 0u);
-  // Unsorted input rejected.
-  std::vector<std::pair<std::string, std::string>> unsorted = {
-      {"b", "1"}, {"a", "2"}};
-  EXPECT_TRUE(tree_->BulkLoad(unsorted).IsInvalidArgument());
-  // Oversized key rejected.
-  std::vector<std::pair<std::string, std::string>> oversized = {
-      {std::string(BTree::kMaxKeySize + 1, 'k'), "v"}};
-  EXPECT_TRUE(tree_->BulkLoad(oversized).IsInvalidArgument());
-  // Single entry works.
-  std::vector<std::pair<std::string, std::string>> one = {{"a", "1"}};
-  ASSERT_TRUE(tree_->BulkLoad(one).ok());
-  std::string v;
-  ASSERT_TRUE(tree_->Get(Slice("a"), &v).ok());
-  EXPECT_EQ(v, "1");
-  // A non-empty tree refuses a second bulk load.
-  EXPECT_TRUE(tree_->BulkLoad(one).IsFailedPrecondition());
-}
-
-TEST_F(BTreeTest, BulkLoadedTreeAcceptsFurtherInserts) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 5000; i += 2) {
-    entries.emplace_back(StrFormat("k%05d", i), "bulk");
-  }
-  ASSERT_TRUE(tree_->BulkLoad(entries).ok());
-  for (int i = 1; i < 5000; i += 2) {
-    ASSERT_TRUE(
-        tree_->Insert(Slice(StrFormat("k%05d", i)), Slice("ins")).ok());
-  }
-  EXPECT_EQ(*tree_->Count(), 5000u);
-  auto it = tree_->NewIterator();
-  ASSERT_TRUE(it.SeekToFirst().ok());
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(it.Valid()) << i;
-    EXPECT_EQ(it.key().ToString(), StrFormat("k%05d", i));
-    EXPECT_EQ(it.value().ToString(), i % 2 == 0 ? "bulk" : "ins");
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_FALSE(it.Valid());
-}
-
-TEST_F(BTreeTest, LaterInsertsIntoBulkLoadedDuplicateRunsMatchInsertBuilt) {
-  // Bulk loading keeps a leaf-sized duplicate run within one leaf (like
-  // the insert path's ChooseSplitPoint), so a *later* Insert of that
-  // key prepends to the run head exactly as in an insert-built tree.
-  auto p = Pager::Open(NewMemFile());
-  ASSERT_TRUE(p.ok());
-  auto pager = std::move(p).value();
-  BufferPool pool(pager.get(), 256);
-
-  // 30 keys x 40 duplicates, shuffled arrival order.
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int k = 0; k < 30; ++k) {
-    for (int d = 0; d < 40; ++d) {
-      entries.emplace_back(StrFormat("key%02d", k), StrFormat("v%d.%d", k, d));
-    }
-  }
-  Rng rng(0xD0D0);
-  rng.Shuffle(&entries);
-
-  BTree incremental = std::move(BTree::Create(&pool)).value();
-  for (const auto& [key, value] : entries) {
-    ASSERT_TRUE(incremental.Insert(Slice(key), Slice(value)).ok());
-  }
-  BTree bulk = std::move(BTree::Create(&pool)).value();
-  ASSERT_TRUE(bulk.BulkLoad(SortForBulkLoad(entries)).ok());
-  ASSERT_EQ(Dump(incremental), Dump(bulk));
-
-  // Follow-up duplicate inserts land identically in both trees.
-  for (int k = 0; k < 30; k += 2) {
-    for (int extra = 0; extra < 3; ++extra) {
-      std::string key = StrFormat("key%02d", k);
-      std::string value = StrFormat("late%d.%d", k, extra);
-      ASSERT_TRUE(incremental.Insert(Slice(key), Slice(value)).ok());
-      ASSERT_TRUE(bulk.Insert(Slice(key), Slice(value)).ok());
-    }
-  }
-  EXPECT_EQ(Dump(incremental), Dump(bulk));
-}
-
-TEST_F(BTreeTest, BulkLoadLargeCellsBuildTallTree) {
-  // Big cells -> few per page -> several stitched internal levels.
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 400; ++i) {
-    entries.emplace_back(StrFormat("%04d-", i) + std::string(500, 'p'),
-                         std::string(500, 'q'));
-  }
-  ASSERT_TRUE(tree_->BulkLoad(entries).ok());
-  EXPECT_EQ(*tree_->Count(), 400u);
-  for (int i = 0; i < 400; i += 37) {
-    std::string v;
-    std::string probe = StrFormat("%04d-", i) + std::string(500, 'p');
-    ASSERT_TRUE(tree_->Get(Slice(probe), &v).ok()) << i;
-    EXPECT_EQ(v.size(), 500u);
-  }
 }
 
 TEST(BTreeIteratorCostTest, RunScanFetchesEachLeafOnce) {
@@ -663,13 +445,13 @@ TEST(BTreeIteratorCostTest, RunScanFetchesEachLeafOnce) {
   obs::MetricsRegistry metrics;
   BufferPool pool(pager.get(), 256, nullptr, nullptr, &metrics);
   BTree tree = std::move(BTree::Create(&pool)).value();
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 10; ++i) entries.emplace_back("a", StrFormat("%08d", i));
-  for (int i = 0; i < 5000; ++i) {
-    entries.emplace_back("run", StrFormat("%08d", i));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(tree.Insert(Slice("a"), Slice(StrFormat("%08d", i))).ok());
+    ASSERT_TRUE(tree.Insert(Slice("z"), Slice(StrFormat("%08d", i))).ok());
   }
-  for (int i = 0; i < 10; ++i) entries.emplace_back("z", StrFormat("%08d", i));
-  ASSERT_TRUE(tree.BulkLoad(entries).ok());
+  for (int i = 4999; i >= 0; --i) {
+    ASSERT_TRUE(tree.Insert(Slice("run"), Slice(StrFormat("%08d", i))).ok());
+  }
 
   // The fresh file holds only this tree: its shape is read off the page
   // types. Internal pages bound the levels above the leaves.
@@ -692,14 +474,13 @@ TEST(BTreeIteratorCostTest, RunScanFetchesEachLeafOnce) {
   const uint64_t before = fetches();
   auto it = tree.NewIterator();
   ASSERT_TRUE(it.Seek(Slice("run")).ok());
-  int seen = 0;
+  std::set<std::string> seen;
   while (it.Valid() && it.key() == Slice("run")) {
-    EXPECT_EQ(it.value().ToString(), StrFormat("%08d", seen));
-    ++seen;
+    seen.insert(it.value().ToString());
     ASSERT_TRUE(it.Next().ok());
   }
   const uint64_t fetched = fetches() - before;
-  EXPECT_EQ(seen, 5000);
+  EXPECT_EQ(seen.size(), 5000u);
   EXPECT_LE(fetched, leaves + height + 1)
       << leaves << " leaves, " << internal << " internal pages";
 }

@@ -125,10 +125,9 @@ TEST(NameIndex, SortedLeafNamesMatchesManualScan) {
   NameIndex index = NameIndex::Build(*t);
 
   std::set<std::string> manual;
-  for (NodeId leaf : t->Leaves()) {
-    if (!t->name(leaf).empty()) manual.insert(std::string(t->name(leaf)));
-  }
+  for (NodeId leaf : t->Leaves()) manual.insert(std::string(t->name(leaf)));
   std::vector<std::string> want(manual.begin(), manual.end());
+  ASSERT_EQ(want.front(), "");
   EXPECT_EQ(index.SortedLeafNames(*t), want);
   EXPECT_TRUE(index.has_unnamed_leaf());
 }
