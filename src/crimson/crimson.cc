@@ -555,10 +555,16 @@ void Crimson::RecordQuery(std::string_view kind, const std::string& params,
     buffered = history_buffer_.size();
   }
   if (buffered >= options_.history_buffer_cap) {
-    // Over the cap: flush opportunistically, but never block a query
-    // behind a bulk load -- if the writer lock is taken, the buffer
-    // just keeps growing until the writer's own drain.
-    std::unique_lock<std::shared_mutex> lock(db_mu_, std::try_to_lock);
+    // Over the cap: flush if the writer lock is free, so a query rarely
+    // waits behind a write. Past four times the cap the query waits for
+    // the lock and flushes: without that, queries that outpace the
+    // drain grow the buffer without bound.
+    std::unique_lock<std::shared_mutex> lock(db_mu_, std::defer_lock);
+    if (buffered >= 4 * options_.history_buffer_cap) {
+      lock.lock();
+    } else {
+      (void)lock.try_lock();
+    }
     if (lock.owns_lock()) {
       Status s = TransactLocked([] { return Status::OK(); });
       if (!s.ok()) {

@@ -83,8 +83,10 @@ struct CrimsonOptions {
   /// (read-only queries never enter the writer path for them); the
   /// buffer drains into the queries table inside the next write
   /// transaction, on Flush/Checkpoint, or when it reaches this cap
-  /// while the writer lock happens to be free. Replay order (query id)
-  /// is preserved across the buffer/storage boundary.
+  /// while the writer lock happens to be free; at four times the cap a
+  /// query waits for the writer lock and flushes, so the buffer stays
+  /// bounded. Replay order (query id) is preserved across the
+  /// buffer/storage boundary.
   size_t history_buffer_cap = 1024;
   /// Crash-durability discipline for on-disk databases (requires
   /// db_path). kOff writes pages in place without a WAL (every mode
