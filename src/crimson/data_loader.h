@@ -61,8 +61,9 @@ class DataLoader {
   Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree,
                               LoadProgressFn progress = nullptr);
 
-  /// Appends sequences to an existing tree; every species must resolve
-  /// to a leaf of that tree.
+  /// Appends sequences to an existing tree. Every species must name a
+  /// node of that tree (NotFound before any write otherwise); a species
+  /// already stored keeps its first sequence.
   Result<LoadReport> AppendSpecies(
       const std::string& tree_name,
       const std::map<std::string, std::string>& sequences,
