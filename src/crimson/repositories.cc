@@ -229,7 +229,6 @@ Status TreeRepository::DropTree(int64_t tree_id) {
 namespace {
 
 constexpr const char* kChunksByKey = "species_chunks_by_key";
-constexpr const char* kChunksByTree = "species_chunks_by_tree";
 
 // A chunk covering ordinals [first, first + count) is
 //   count (fixed32) | end offsets (fixed32 x count) | entry bytes
@@ -238,9 +237,9 @@ constexpr const char* kChunksByTree = "species_chunks_by_tree";
 // present entry is its length-prefixed name, then its sequence.
 constexpr uint32_t kNoSpecies = 0x80000000u;
 
-/// Chunk-row bytes besides the entries: at most 25 for the two int64
-/// columns and the chunk's length prefix, plus the count field.
-constexpr size_t kChunkRowOverhead = 32;
+/// Chunk-row bytes besides the entries: at most 15 for the chunk_key
+/// column and the chunk's length prefix, plus the count field.
+constexpr size_t kChunkRowOverhead = 20;
 
 size_t EntryBytes(const SpeciesRepository::Entry& e) {
   return static_cast<size_t>(VarintLength(e.name.size())) + e.name.size() +
@@ -333,23 +332,19 @@ Result<std::unique_ptr<SpeciesRepository>> SpeciesRepository::Open(
     Database* db) {
   auto repo = std::unique_ptr<SpeciesRepository>(new SpeciesRepository(db));
   Schema schema({{"chunk_key", ColumnType::kInt64},
-                 {"tree_id", ColumnType::kInt64},
                  {"chunk", ColumnType::kBytes}});
   CRIMSON_ASSIGN_OR_RETURN(
       Table t, OpenOrCreate(db, "species_chunks", schema,
-                            {{kChunksByKey, "chunk_key", /*unique=*/true},
-                             {kChunksByTree, "tree_id", /*unique=*/false}}));
+                            {{kChunksByKey, "chunk_key", /*unique=*/true}}));
   repo->chunks_ = std::make_unique<Table>(std::move(t));
   return repo;
 }
 
 Result<std::vector<SpeciesRepository::ChunkRef>>
-SpeciesRepository::ChunksBelow(int64_t tree_id, uint64_t end) const {
+SpeciesRepository::ChunksBelow(int64_t tree_id, uint64_t end,
+                               size_t limit) const {
   std::string lower, upper;
-  CRIMSON_RETURN_IF_ERROR(
-      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id, 0), &lower));
-  CRIMSON_RETURN_IF_ERROR(chunks_->EncodeKeyFor(
-      kChunksByKey, PackKey(tree_id, 0) + static_cast<int64_t>(end), &upper));
+  CRIMSON_RETURN_IF_ERROR(ChunkKeyRange(tree_id, end, &lower, &upper));
   std::vector<ChunkRef> out;
   Status bad_key;
   CRIMSON_RETURN_IF_ERROR(chunks_->IndexRangeScan(
@@ -360,16 +355,25 @@ SpeciesRepository::ChunksBelow(int64_t tree_id, uint64_t end) const {
         }
         // The low 32 bits of the biased key are the first ordinal.
         out.push_back({static_cast<uint32_t>(DecodeU64Key(key.data())), rid});
-        return true;
+        return out.size() < limit;
       }));
   CRIMSON_RETURN_IF_ERROR(bad_key);
   return out;
 }
 
+Status SpeciesRepository::ChunkKeyRange(int64_t tree_id, uint64_t end,
+                                        std::string* lower,
+                                        std::string* upper) const {
+  CRIMSON_RETURN_IF_ERROR(
+      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id, 0), lower));
+  return chunks_->EncodeKeyFor(
+      kChunksByKey, PackKey(tree_id, 0) + static_cast<int64_t>(end), upper);
+}
+
 Result<std::string> SpeciesRepository::LoadChunk(const ChunkRef& chunk) const {
   Row row;
   CRIMSON_RETURN_IF_ERROR(chunks_->Get(chunk.rid, &row));
-  return std::move(std::get<std::string>(row[2]));
+  return std::move(std::get<std::string>(row[1]));
 }
 
 Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
@@ -385,8 +389,7 @@ Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
   }
   auto emit = [&](const Entry* begin, const Entry* end) {
     const int64_t key = PackKey(tree_id, begin->ordinal);
-    return chunks_->Insert(Row{key, tree_id, EncodeChunk(begin, end)})
-        .status();
+    return chunks_->Insert(Row{key, EncodeChunk(begin, end)}).status();
   };
   // Merges batch entries [begin, end) into the stored chunk (null when
   // there is none yet) and re-cuts the result; stored species win, and
@@ -440,7 +443,7 @@ Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
 Result<std::map<std::string, std::string>>
 SpeciesRepository::SequencesForTree(int64_t tree_id) const {
   CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> chunks,
-                           ChunksBelow(tree_id, uint64_t{1} << 32));
+                           ChunksBelow(tree_id, kAllChunks));
   std::map<std::string, std::string> out;
   for (const ChunkRef& ref : chunks) {
     CRIMSON_ASSIGN_OR_RETURN(std::string chunk, LoadChunk(ref));
@@ -474,22 +477,15 @@ Status SpeciesRepository::ForEachInRange(
 }
 
 Result<bool> SpeciesRepository::HasSpecies(int64_t tree_id) const {
-  bool found = false;
-  std::string lower, upper;
-  CRIMSON_RETURN_IF_ERROR(
-      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id, 0), &lower));
-  CRIMSON_RETURN_IF_ERROR(
-      chunks_->EncodeKeyFor(kChunksByKey, PackKey(tree_id + 1, 0), &upper));
-  CRIMSON_RETURN_IF_ERROR(chunks_->IndexRangeScan(
-      kChunksByKey, lower, upper, [&](const Slice&, RecordId) {
-        found = true;
-        return false;
-      }));
-  return found;
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> first,
+                           ChunksBelow(tree_id, kAllChunks, /*limit=*/1));
+  return !first.empty();
 }
 
 Status SpeciesRepository::DropForTree(int64_t tree_id) {
-  return chunks_->DeleteWhere(kChunksByTree, tree_id).status();
+  std::string lower, upper;
+  CRIMSON_RETURN_IF_ERROR(ChunkKeyRange(tree_id, kAllChunks, &lower, &upper));
+  return chunks_->DeleteRange(kChunksByKey, lower, upper).status();
 }
 
 // ---------------------------------------------------------------------------

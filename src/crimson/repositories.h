@@ -16,8 +16,9 @@
 //       re-interning names
 //   A stored tree is exactly these three rows: name and time access go
 //   through the bound handle's NameIndex and Sampler, not per-node rows.
-//   species_chunks(chunk_key*, tree_id*, chunk)
-//     - chunk_key packs (tree_id << 32 | first ordinal); the chunk
+//   species_chunks(chunk_key*, chunk)
+//     - chunk_key packs (tree_id << 32 | first ordinal), so a tree's
+//       chunks are one key range (read, and dropped, by range); the chunk
 //       packs the species (name + sequence) of a run of the tree's
 //       leaf-name ordinals behind their end offsets, cut so the row
 //       fills its pages (one overflow page for short sequences).
@@ -178,8 +179,9 @@ class SpeciesRepository {
   /// True if the tree has any species data (reads no chunk).
   Result<bool> HasSpecies(int64_t tree_id) const;
 
-  /// Deletes every chunk row of a tree in one Table::DeleteWhere pass
-  /// (the session DropTree path, beside TreeRepository::DropTree).
+  /// Deletes every chunk row of a tree as one chunk_key range
+  /// (Table::DeleteRange), freeing the chunks' pages without reading
+  /// them (the session DropTree path, beside TreeRepository::DropTree).
   Status DropForTree(int64_t tree_id);
 
  private:
@@ -191,10 +193,18 @@ class SpeciesRepository {
     RecordId rid;
   };
 
-  /// The tree's chunks with first ordinal in [0, end), in ordinal
-  /// order, from index keys alone.
-  Result<std::vector<ChunkRef>> ChunksBelow(int64_t tree_id,
-                                            uint64_t end) const;
+  /// `end` covering every chunk of a tree, the trailing one included.
+  static constexpr uint64_t kAllChunks = uint64_t{1} << 32;
+
+  /// The tree's first `limit` chunks with first ordinal in [0, end), in
+  /// ordinal order, from index keys alone.
+  Result<std::vector<ChunkRef>> ChunksBelow(
+      int64_t tree_id, uint64_t end, size_t limit = SIZE_MAX) const;
+
+  /// The encoded chunk_key range [lower, upper) of the tree's chunks
+  /// with first ordinal below `end`.
+  Status ChunkKeyRange(int64_t tree_id, uint64_t end, std::string* lower,
+                       std::string* upper) const;
 
   /// The chunk column of a chunk row.
   Result<std::string> LoadChunk(const ChunkRef& chunk) const;

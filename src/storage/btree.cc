@@ -546,22 +546,25 @@ Status BTree::Delete(const Slice& key, const Slice* value) {
   }
 }
 
-Result<uint64_t> BTree::DeleteAll(const Slice& key) {
-  CRIMSON_ASSIGN_OR_RETURN(PageGuard lg, FetchLeafForWrite(key));
+Result<uint64_t> BTree::DeleteRange(const Slice& lower, const Slice& upper) {
+  CRIMSON_ASSIGN_OR_RETURN(PageGuard lg, FetchLeafForWrite(lower));
   uint64_t removed = 0;
-  int pos = LowerBound(lg.data(), key);
+  int pos = LowerBound(lg.data(), lower);
   while (true) {
     char* ld = lg.data();
     const int n = NumCells(ld);
     int end = pos;
-    while (end < n && CellKey(ld, end) == key) ++end;
+    while (end < n && (upper.empty() || CellKey(ld, end).compare(upper) < 0)) {
+      ++end;
+    }
     if (end > pos) {
       RemoveLeafCells(ld, pos, end);
       lg.MarkDirty();
       removed += static_cast<uint64_t>(end - pos);
     }
-    // A larger key on this leaf ends the run; otherwise it may continue
-    // on the right sibling (emptied leaves are crossed, not unlinked).
+    // A key at or past upper on this leaf ends the range; otherwise it
+    // may continue on the right sibling (emptied leaves are crossed,
+    // not unlinked).
     PageId next = Link(ld);
     if (end < n || next == kInvalidPageId) return removed;
     CRIMSON_ASSIGN_OR_RETURN(lg, pool_->Fetch(next, PageIntent::kWrite));

@@ -70,9 +70,11 @@ class BTree {
   /// given, matching value). NotFound if absent.
   Status Delete(const Slice& key, const Slice* value = nullptr);
 
-  /// Removes every entry with exactly this key: one descent, then one
-  /// walk right over the run. Returns the number removed (0 if none).
-  Result<uint64_t> DeleteAll(const Slice& key);
+  /// Removes every entry with key in [lower, upper) (empty upper =
+  /// unbounded): one descent, then one walk right over the range.
+  /// Returns the number removed (0 if none). The entries of exactly
+  /// one key k are the range [k, k + '\0').
+  Result<uint64_t> DeleteRange(const Slice& lower, const Slice& upper);
 
   /// Number of entries (maintained lazily via full scan).
   Result<uint64_t> Count() const;

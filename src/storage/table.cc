@@ -152,23 +152,34 @@ Status Table::Delete(const RecordId& id) {
 
 Result<uint64_t> Table::DeleteWhere(std::string_view index_name,
                                     const Value& key) {
+  std::string encoded;
+  CRIMSON_RETURN_IF_ERROR(EncodeKeyFor(index_name, key, &encoded));
+  return DeleteRange(index_name, encoded, encoded + '\0');
+}
+
+Result<uint64_t> Table::DeleteRange(std::string_view index_name,
+                                    const std::string& lower_key,
+                                    const std::string& upper_key) {
   CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           IndexLookup(index_name, key));
+  std::vector<RecordId> rids;
+  CRIMSON_RETURN_IF_ERROR(IndexRangeScan(index_name, lower_key, upper_key,
+                                         [&](const Slice&, RecordId rid) {
+                                           rids.push_back(rid);
+                                           return true;
+                                         }));
   size_t pos = 0;
   const IndexDef* idx = FindIndexDef(index_name, &pos);
-  std::string encoded;
-  CRIMSON_RETURN_IF_ERROR(
-      EncodeValueKey(def_.schema.column(idx->column).type, key, &encoded));
   for (const RecordId& rid : rids) {
     CRIMSON_RETURN_IF_ERROR(DeleteRow(rid, pos));
   }
-  CRIMSON_ASSIGN_OR_RETURN(uint64_t removed,
-                           index_trees_[pos]->DeleteAll(Slice(encoded)));
+  CRIMSON_ASSIGN_OR_RETURN(
+      uint64_t removed,
+      index_trees_[pos]->DeleteRange(Slice(lower_key), Slice(upper_key)));
   if (removed != rids.size()) {
     return Status::Corruption(StrFormat(
-        "index %s: removed %llu entries of a %zu-entry run", idx->name.c_str(),
-        static_cast<unsigned long long>(removed), rids.size()));
+        "index %s: removed %llu entries of a %zu-entry range",
+        idx->name.c_str(), static_cast<unsigned long long>(removed),
+        rids.size()));
   }
   return removed;
 }

@@ -66,13 +66,21 @@ class Table {
   /// Deletes a row and its index entries.
   Status Delete(const RecordId& id);
 
-  /// Deletes every row whose `index_name` column equals `key`: reads
-  /// the index run's record ids once, deletes each row's heap record
-  /// and its exact (key, record id) entries in the other indexes, then
-  /// removes the run in one pass (BTree::DeleteAll). Returns the number
-  /// of rows deleted. Corruption when the run removed is not the run
-  /// looked up.
+  /// Deletes every row whose `index_name` column equals `key` (the
+  /// DeleteRange of that key's encoding).
   Result<uint64_t> DeleteWhere(std::string_view index_name, const Value& key);
+
+  /// Deletes every row whose encoded `index_name` key is in
+  /// [lower_key, upper_key) (empty upper = unbounded): reads the
+  /// range's record ids once, deletes each row's heap record and its
+  /// exact (key, record id) entries in the other indexes, then removes
+  /// the range from `index_name` in one pass (BTree::DeleteRange). A
+  /// table with no other index never reads the rows. Returns the
+  /// number of rows deleted. Corruption when the entries removed are
+  /// not the ones looked up.
+  Result<uint64_t> DeleteRange(std::string_view index_name,
+                               const std::string& lower_key,
+                               const std::string& upper_key);
 
   /// Looks up record ids by exact value on a named index.
   Result<std::vector<RecordId>> IndexLookup(std::string_view index_name,

@@ -229,14 +229,14 @@ TEST_F(RepositoriesTest, StoreTreeRejectsDuplicateLeafNames) {
   EXPECT_TRUE(all->empty());
 }
 
-/// Rows a tree id still has in each per-tree table.
+/// Rows a tree id still has in each per-tree table; species chunks
+/// are the chunk_key range [tree_id << 32, (tree_id + 1) << 32).
 std::map<std::string, size_t> RowsForTree(Database* db, int64_t tree_id) {
   std::map<std::string, size_t> out;
   const std::pair<const char*, const char*> indexes[] = {
       {"trees", "trees_by_id"},
       {"labels", "labels_by_tree"},
-      {"tree_blobs", "tree_blobs_by_tree"},
-      {"species_chunks", "species_chunks_by_tree"}};
+      {"tree_blobs", "tree_blobs_by_tree"}};
   for (const auto& [table_name, index] : indexes) {
     auto table = db->OpenTable(table_name);
     EXPECT_TRUE(table.ok()) << table_name << ": " << table.status();
@@ -245,6 +245,25 @@ std::map<std::string, size_t> RowsForTree(Database* db, int64_t tree_id) {
     EXPECT_TRUE(rids.ok()) << rids.status();
     if (rids.ok()) out[table_name] = rids->size();
   }
+  auto chunks = db->OpenTable("species_chunks");
+  EXPECT_TRUE(chunks.ok()) << chunks.status();
+  if (!chunks.ok()) return out;
+  std::string lower, upper;
+  EXPECT_TRUE(chunks->EncodeKeyFor("species_chunks_by_key", tree_id << 32,
+                                   &lower)
+                  .ok());
+  EXPECT_TRUE(chunks->EncodeKeyFor("species_chunks_by_key",
+                                   (tree_id + 1) << 32, &upper)
+                  .ok());
+  size_t n = 0;
+  EXPECT_TRUE(chunks
+                  ->IndexRangeScan("species_chunks_by_key", lower, upper,
+                                   [&](const Slice&, RecordId) {
+                                     ++n;
+                                     return true;
+                                   })
+                  .ok());
+  out["species_chunks"] = n;
   return out;
 }
 
@@ -1027,6 +1046,60 @@ TEST(DropCostTest, SpeciesLessDropFetchesEachBlobPageOnce) {
   // Index descents and heap stub pages; reading the blobs back would
   // add another blob_pages.
   EXPECT_LE(fetched, blob_pages + 40) << blob_pages << " blob pages";
+}
+
+TEST(DropCostTest, SpeciesDropFetchesEachChunkPageOnce) {
+  // species_chunks has one index, on chunk_key, and a tree's chunks are
+  // one range of it: dropping them frees their overflow pages without
+  // reading the chunks back, so the species add about one fetch per
+  // chunk page to the drop of the same tree without species.
+  CrimsonOptions opts;
+  opts.batch_workers = 1;
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0xC4D0);
+  YuleOptions yule;
+  yule.n_leaves = 10000;
+  const PhyloTree tree = std::move(SimulateYule(yule, &rng)).value();
+  std::map<std::string, std::string> sequences;
+  for (const std::string& name : LeafNames(tree)) {
+    sequences[name] = std::string(128, 'A');
+  }
+  auto drop_fetches = [&](bool with_species) -> uint64_t {
+    EXPECT_TRUE((*session)->LoadTree("t", tree).ok());
+    if (with_species) {
+      EXPECT_TRUE((*session)->AppendSpeciesData("t", sequences).ok());
+    }
+    const uint64_t before = PoolFetches(**session);
+    EXPECT_TRUE((*session)->DropTree("t").ok());
+    return PoolFetches(**session) - before;
+  };
+  const uint64_t bare = drop_fetches(false);
+
+  // Load with species again and count the pages its chunks take.
+  ASSERT_TRUE((*session)->LoadTree("t", tree).ok());
+  ASSERT_TRUE((*session)->AppendSpeciesData("t", sequences).ok());
+  auto chunks = (*session)->database()->OpenTable("species_chunks");
+  ASSERT_TRUE(chunks.ok()) << chunks.status();
+  const size_t page = HeapFile::kOverflowCapacity;
+  uint64_t chunk_pages = 0, rows = 0;
+  ASSERT_TRUE(chunks
+                  ->Scan([&](const RecordId&, const Row& row) {
+                    chunk_pages +=
+                        std::get<std::string>(row[1]).size() / page + 1;
+                    ++rows;
+                    return true;
+                  })
+                  .ok());
+  ASSERT_GT(chunk_pages, 100u);
+  ASSERT_TRUE((*session)->DropTree("t").ok());
+
+  const uint64_t with_species = drop_fetches(true);
+  EXPECT_GE(with_species, bare + chunk_pages - rows);
+  // Plus one stub-page fetch per row and the index range; reading the
+  // chunks back would add those again.
+  EXPECT_LE(with_species, bare + chunk_pages + rows + 40)
+      << chunk_pages << " chunk pages in " << rows << " rows";
 }
 
 }  // namespace

@@ -279,14 +279,15 @@ TEST_F(BTreeTest, PersistsThroughAnchorAfterReopen) {
 }
 
 // ---------------------------------------------------------------------------
-// DeleteAll: one pass over a key's run == repeated Delete(key)
+// DeleteRange: one pass over a key range == repeated Delete(key)
 // ---------------------------------------------------------------------------
 
 std::vector<std::pair<std::string, std::string>> Dump(const BTree& tree);
 
 /// Two trees fed the same inserts; keys are removed from one with
-/// DeleteAll and from the other with Delete(key) until NotFound.
-class BTreeDeleteAllTest : public ::testing::Test {
+/// DeleteRange and from the other with Delete(key) until NotFound, for
+/// each key in the range.
+class BTreeDeleteRangeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto p = Pager::Open(NewMemFile());
@@ -306,16 +307,28 @@ class BTreeDeleteAllTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) InsertBoth(key, U64Key(i));
   }
 
-  void DeleteBoth(const std::string& key) {
+  /// Removes [lower, upper) (empty upper = unbounded).
+  void DeleteBoth(const std::string& lower, const std::string& upper) {
+    std::set<std::string> keys;
+    for (const auto& entry : Dump(*one_)) {
+      if (entry.first >= lower && (upper.empty() || entry.first < upper)) {
+        keys.insert(entry.first);
+      }
+    }
     uint64_t expected = 0;
-    Status s;
-    while ((s = one_->Delete(Slice(key))).ok()) ++expected;
-    ASSERT_TRUE(s.IsNotFound()) << s;
-    auto removed = all_->DeleteAll(Slice(key));
+    for (const std::string& key : keys) {
+      Status s;
+      while ((s = one_->Delete(Slice(key))).ok()) ++expected;
+      ASSERT_TRUE(s.IsNotFound()) << s;
+    }
+    auto removed = all_->DeleteRange(Slice(lower), Slice(upper));
     ASSERT_TRUE(removed.ok()) << removed.status();
-    EXPECT_EQ(*removed, expected) << key;
+    EXPECT_EQ(*removed, expected) << lower << " " << upper;
     ExpectTreesAgree();
   }
+
+  /// Removes exactly one key's run.
+  void DeleteBoth(const std::string& key) { DeleteBoth(key, key + '\0'); }
 
   // Scans, and Seek positions and Gets of every key, match on both trees.
   void ExpectTreesAgree() {
@@ -342,7 +355,7 @@ class BTreeDeleteAllTest : public ::testing::Test {
   std::unique_ptr<BTree> all_, one_;
 };
 
-TEST_F(BTreeDeleteAllTest, DuplicateRunSpanningManyLeaves) {
+TEST_F(BTreeDeleteRangeTest, DuplicateRunSpanningManyLeaves) {
   InsertRun("aaa", 50);
   InsertRun("dupkey", 5000);  // straddles many leaf splits
   InsertRun("zzz", 50);
@@ -352,7 +365,7 @@ TEST_F(BTreeDeleteAllTest, DuplicateRunSpanningManyLeaves) {
   EXPECT_TRUE(all_->Get(Slice("dupkey"), &v).IsNotFound());
 }
 
-TEST_F(BTreeDeleteAllTest, RunNextToLeavesEmptiedByAnEarlierRun) {
+TEST_F(BTreeDeleteRangeTest, RunNextToLeavesEmptiedByAnEarlierRun) {
   InsertRun("a", 3000);
   InsertRun("b", 3000);
   InsertRun("c", 3000);
@@ -366,8 +379,8 @@ TEST_F(BTreeDeleteAllTest, RunNextToLeavesEmptiedByAnEarlierRun) {
   EXPECT_EQ(*all_->Count(), 3000u);
 }
 
-TEST_F(BTreeDeleteAllTest, AbsentKeyAndEmptyTreeRemoveNothing) {
-  auto none = all_->DeleteAll(Slice("k"));
+TEST_F(BTreeDeleteRangeTest, AbsentKeyAndEmptyTreeRemoveNothing) {
+  auto none = all_->DeleteRange(Slice("k"), Slice(""));
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_EQ(*none, 0u);
   InsertRun("b", 10);
@@ -380,15 +393,32 @@ TEST_F(BTreeDeleteAllTest, AbsentKeyAndEmptyTreeRemoveNothing) {
   EXPECT_EQ(*all_->Count(), 10u);
 }
 
-TEST_F(BTreeDeleteAllTest, UniqueKeys) {
+TEST_F(BTreeDeleteRangeTest, UniqueKeys) {
   for (int i = 0; i < 3000; ++i) InsertBoth(StrFormat("k%05d", i), "v");
   for (int i = 0; i < 3000; i += 97) DeleteBoth(StrFormat("k%05d", i));
   EXPECT_EQ(*all_->Count(), 3000u - 31u);
 }
 
-/// Random inserts over a small key space, then random keys removed
-/// whole, interleaved with more inserts.
-class BTreeDeleteAllRandomTest : public BTreeDeleteAllTest {
+TEST_F(BTreeDeleteRangeTest, RangesOverManyKeysAndPrefixes) {
+  // "k1" and its extensions "k1\0", "k10" sort apart from "k2".
+  InsertRun("k1", 2000);
+  InsertBoth(std::string("k1\0", 3), "x");
+  InsertRun("k10", 2000);
+  InsertRun("k2", 2000);
+  InsertRun("k3", 10);
+  DeleteBoth("k1");  // the run of k1 alone
+  EXPECT_EQ(*all_->Count(), 4011u);
+  DeleteBoth("k1", "k2");  // k1\0 and k10, not k2
+  EXPECT_EQ(*all_->Count(), 2010u);
+  DeleteBoth("k2", "k2");  // empty range
+  DeleteBoth("k3", "k2");  // upper below lower
+  DeleteBoth("k2", "");    // to the end
+  EXPECT_EQ(*all_->Count(), 0u);
+}
+
+/// Random inserts over a small key space, then random keys and key
+/// ranges removed whole, interleaved with more inserts.
+class BTreeDeleteRangeRandomTest : public BTreeDeleteRangeTest {
  protected:
   void Run(int n, uint64_t seed, uint32_t key_space) {
     Rng rng(seed);
@@ -400,19 +430,25 @@ class BTreeDeleteAllRandomTest : public BTreeDeleteAllTest {
         if (HasFatalFailure()) return;
       }
       for (uint32_t i = 0; i < key_space / 3; ++i) {
-        DeleteBoth(StrFormat("k%04u", static_cast<unsigned>(
-                                          rng.Uniform(key_space + 5))));
+        const unsigned k = static_cast<unsigned>(rng.Uniform(key_space + 5));
+        if (i % 4 == 3) {
+          // A range of up to three keys.
+          const unsigned end = k + static_cast<unsigned>(rng.Uniform(4));
+          DeleteBoth(StrFormat("k%04u", k), StrFormat("k%04u", end));
+        } else {
+          DeleteBoth(StrFormat("k%04u", k));
+        }
         if (HasFatalFailure()) return;
       }
     }
   }
 };
 
-TEST_F(BTreeDeleteAllRandomTest, MatchesRepeatedDelete) {
+TEST_F(BTreeDeleteRangeRandomTest, MatchesRepeatedDelete) {
   Run(4000, 0xDE1A, 24);
 }
 
-TEST_F(BTreeDeleteAllRandomTest, StressLargeRunsMatchRepeatedDelete) {
+TEST_F(BTreeDeleteRangeRandomTest, StressLargeRunsMatchRepeatedDelete) {
   // Dialed-up randomized sweep: ctest -C stress -L stress.
   Rng rng(0xDE1B);
   for (int rep = 0; rep < 3; ++rep) {

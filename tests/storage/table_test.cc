@@ -275,7 +275,7 @@ void ExpectSameSnapshot(const Table& got, const Table& want) {
   }
 }
 
-// ---- DeleteWhere: one-pass run delete == per-row Delete --------------------
+// ---- DeleteWhere / DeleteRange: one-pass delete == per-row Delete ---------
 
 Schema TreeRowSchema() {
   return Schema({{"id", ColumnType::kInt64},
@@ -408,6 +408,30 @@ TEST_F(DeleteWhereTest, EmptyRunRemovesNothing) {
   DeleteBoth("by_tree", int64_t{9});  // past the last key
   DeleteBoth("by_name", std::string("absent"));
   EXPECT_EQ(by_where_->row_count(), 600u);
+}
+
+TEST_F(DeleteWhereTest, KeyRangeAcrossRunsOfOtherIndexes) {
+  InsertBoth(TreeRows(1, 0, 900));
+  InsertBoth(TreeRows(2, 1000, 900));
+  // ids [500, 1400): the tail of tree 1 and the head of tree 2, with
+  // their by_tree and by_name entries.
+  std::string lower, upper;
+  ASSERT_TRUE(by_where_->EncodeKeyFor("by_id", int64_t{500}, &lower).ok());
+  ASSERT_TRUE(by_where_->EncodeKeyFor("by_id", int64_t{1400}, &upper).ok());
+  for (int64_t id = 500; id < 1400; ++id) {
+    auto rids = by_row_->IndexLookup("by_id", id);
+    ASSERT_TRUE(rids.ok());
+    for (const RecordId& rid : *rids) ASSERT_TRUE(by_row_->Delete(rid).ok());
+  }
+  auto removed = by_where_->DeleteRange("by_id", lower, upper);
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_EQ(*removed, 400u + 400u);
+  ExpectTablesAgree();
+  // An empty upper runs to the end of the index.
+  removed = by_where_->DeleteRange("by_id", upper, "");
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_EQ(*removed, 500u);
+  EXPECT_EQ(by_where_->row_count(), 500u);
 }
 
 TEST_F(DeleteWhereTest, UniqueIndex) {
