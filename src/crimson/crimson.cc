@@ -554,23 +554,25 @@ void Crimson::RecordQuery(std::string_view kind, const std::string& params,
     history_buffer_.push_back(std::move(entry));
     buffered = history_buffer_.size();
   }
-  if (buffered >= options_.history_buffer_cap) {
-    // Over the cap: flush if the writer lock is free, so a query rarely
-    // waits behind a write. Past four times the cap the query waits for
-    // the lock and flushes: without that, queries that outpace the
-    // drain grow the buffer without bound.
-    std::unique_lock<std::shared_mutex> lock(db_mu_, std::defer_lock);
-    if (buffered >= 4 * options_.history_buffer_cap) {
-      lock.lock();
-    } else {
-      (void)lock.try_lock();
-    }
-    if (lock.owns_lock()) {
-      Status s = TransactLocked([] { return Status::OK(); });
-      if (!s.ok()) {
-        CRIMSON_LOG(kWarning) << "query history flush failed: " << s;
-      }
-    }
+  if (buffered < options_.history_buffer_cap) return;
+  // Over the cap: flush if the writer lock is free, so a query does not
+  // wait out a write or another query's flush. Past four times the cap
+  // the query waits for the lock: without that, queries that outpace
+  // the drain grow the buffer without bound.
+  std::unique_lock<std::shared_mutex> lock(db_mu_, std::defer_lock);
+  if (buffered >= 4 * options_.history_buffer_cap) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return;
+  }
+  {
+    // A flush that held the lock meanwhile may have drained the buffer.
+    std::lock_guard<std::mutex> hist_lock(history_mu_);
+    if (history_buffer_.size() < options_.history_buffer_cap) return;
+  }
+  Status s = TransactLocked([] { return Status::OK(); });
+  if (!s.ok()) {
+    CRIMSON_LOG(kWarning) << "query history flush failed: " << s;
   }
 }
 
@@ -618,7 +620,7 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
   ctx->Reset();
 }
 
-Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
+Result<QueryResult> Crimson::RunQuery(TreeRef tree, const TreeHandle& handle,
                                       const QueryRequest& request,
                                       uint64_t ticket, bool record_history) {
   // Installs a fresh trace context, or adopts the thread's (a server
@@ -632,6 +634,7 @@ Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
   std::string key;
   std::optional<QueryResult> hit;
   cache::ReadStamp stamp;
+  bool bound = false;  // the handle was still the tree's after stamping
   if (cacheable) {
     key = cache::QueryCache::KeyFor(tree_name, request);
     {
@@ -639,15 +642,21 @@ Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
       hit = query_cache_->Lookup(tree_name, key);
     }
     // Stamp strictly before execution: if a mutation overlaps the run,
-    // the stamp ages out and Insert drops the result.
-    if (!hit) stamp = query_cache_->Stamp(tree_name, db_->committed_epoch());
+    // the stamp ages out and Insert drops the result. A handle taken
+    // before a DropTree outlives it, and a stamp taken after the name
+    // was stored again would validate its stale answer: such a result
+    // is returned but not cached (a dropped TreeRef's slot stays null).
+    if (!hit) {
+      stamp = query_cache_->Stamp(tree_name, db_->committed_epoch());
+      bound = HandleFor(tree).ok();
+    }
   }
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     if (hit) return std::move(*hit);
     obs::SpanTimer span(obs::Stage::kExecute);
     return ExecuteOnHandle(handle, request, ticket);
   }();
-  if (cacheable && !hit && result.ok()) {
+  if (bound && result.ok()) {
     query_cache_->Insert(tree_name, key, stamp, *result);
   }
   if (record_history) RecordQuery(tree_name, request, result);
@@ -661,7 +670,7 @@ Result<QueryResult> Crimson::Execute(TreeRef tree,
                            HandleFor(tree));
   // The ticket is taken even when the cache answers, so cache-on and
   // cache-off sessions draw the same sampling streams.
-  return RunQuery(*handle, request,
+  return RunQuery(tree, *handle, request,
                   ticket_.fetch_add(1, std::memory_order_relaxed),
                   /*record_history=*/true);
 }
@@ -683,7 +692,7 @@ std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
   // ParallelFor includes) keeps its pre-installed one, so a server's
   // admission wait lands on the query that thread runs first.
   pool_->ParallelFor(n, [&](size_t i) {
-    results[i] = RunQuery(handle, requests[i], base + i,
+    results[i] = RunQuery(tree, handle, requests[i], base + i,
                           /*record_history=*/false);
   });
   // History is written after the barrier, in request order, keeping the

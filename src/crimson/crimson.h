@@ -302,8 +302,9 @@ class Crimson {
   /// The per-query pipeline behind Execute and ExecuteBatch: key, cache
   /// probe, stamp, ExecuteOnHandle, insert, then FinishQueryTrace. With
   /// `record_history` the history row is appended inside the trace;
-  /// ExecuteBatch appends its rows itself, in request order.
-  Result<QueryResult> RunQuery(const TreeHandle& handle,
+  /// ExecuteBatch appends its rows itself, in request order. `handle`
+  /// is `tree`'s, as HandleFor returned it.
+  Result<QueryResult> RunQuery(TreeRef tree, const TreeHandle& handle,
                                const QueryRequest& request, uint64_t ticket,
                                bool record_history);
   /// Cached-or-built evaluation state for a bound tree;
