@@ -301,7 +301,7 @@ Result<PageGuard> BufferPool::NewWal(PageId* out_id) {
       return Status::Corruption(
           StrFormat("freelist page %u is not marked free", id));
     }
-    PageId next = DecodeFixed32(guard.data() + 1);
+    PageId next = DecodeFixed32(guard.data() + kFreePageLinkOffset);
     CRIMSON_RETURN_IF_ERROR(pager_->DeferredSetFreelistHead(next));
     memset(guard.data(), 0, kPageSize);
     guard.MarkDirty();
@@ -395,9 +395,7 @@ Status BufferPool::FreeWal(PageId id) {
   }
   {
     PageGuard guard(this, idx, id, PageIntent::kWrite);
-    memset(guard.data(), 0, kPageSize);
-    guard.data()[0] = static_cast<char>(PageType::kFree);
-    EncodeFixed32(guard.data() + 1, pager_->freelist_head());
+    EncodeFreePage(pager_->freelist_head(), guard.data());
     guard.MarkDirty();
   }
   return pager_->DeferredSetFreelistHead(id);

@@ -31,6 +31,11 @@ enum class PageType : uint8_t {
   kBTreeAnchor = 5,
 };
 
+/// A free page is a freelist node: the kFree tag at byte 0, the next
+/// free page id (fixed32) here, zero past it (EncodeFreePage in
+/// pager.h lays it out).
+inline constexpr uint32_t kFreePageLinkOffset = 1;
+
 /// Database file header (stored at offset 0 of page 0; the rest of the
 /// page is zero). EncodeDbHeader/DecodeDbHeader in pager.h are the only
 /// code that lays it out.
@@ -54,12 +59,17 @@ inline constexpr uint32_t kHeaderBytes = 28;
 /// table set, index key encoding, blob codecs and history params. Any
 /// change to them bumps it; there is no in-place upgrade, so a file of
 /// another version fails to open and its trees must be loaded again.
-/// Version 2 dropped the per-node `nodes` table (a tree is three rows);
-/// version 3 stores species data as chunk rows (`species_chunks`), not
-/// one `species` row per species.
-inline constexpr uint32_t kFormatVersion = 3;
+/// The version also covers the WAL beside the file: recovery checks it
+/// before replay, so a build never reads a log with record types it
+/// does not know. Version 2 dropped the per-node `nodes` table (a tree
+/// is three rows); version 3 stores species data as chunk rows
+/// (`species_chunks`), not one `species` row per species; version 4
+/// logs a freed page as a kFreePage record (page id and freelist link),
+/// not a full page image.
+inline constexpr uint32_t kFormatVersion = 4;
 
-/// FNV-1a 64-bit hash, used for page checksums and test fixtures.
+/// FNV-1a 64-bit hash. Pages carry no checksum; test fixtures use it
+/// to fingerprint page payloads and stored blobs.
 inline uint64_t Fnv1a64(const char* data, size_t n, uint64_t seed = 0xcbf29ce484222325ULL) {
   uint64_t h = seed;
   for (size_t i = 0; i < n; ++i) {

@@ -56,6 +56,23 @@ Result<DbHeader> DecodeDbHeader(Slice page) {
   return header;
 }
 
+void EncodeFreePage(PageId next, char* page) {
+  memset(page, 0, kPageSize);
+  page[0] = static_cast<char>(PageType::kFree);
+  EncodeFixed32(page + kFreePageLinkOffset, next);
+}
+
+bool DecodeFreePage(const char* page, PageId* next) {
+  static const char kZeros[kPageSize] = {};
+  constexpr uint32_t kBodyOffset = kFreePageLinkOffset + 4;
+  if (static_cast<PageType>(page[0]) != PageType::kFree ||
+      memcmp(page + kBodyOffset, kZeros, kPageSize - kBodyOffset) != 0) {
+    return false;
+  }
+  *next = DecodeFixed32(page + kFreePageLinkOffset);
+  return true;
+}
+
 Status CheckFormatVersion(File* file) {
   if (file->Size() < kHeaderBytes) return Status::OK();
   char buf[kHeaderBytes];
@@ -116,15 +133,13 @@ Result<PageId> Pager::AllocatePage() {
   }
   if (freelist_head_ != kInvalidPageId) {
     PageId id = freelist_head_;
-    // A free page stores the next freelist entry at byte offset 1
-    // (offset 0 holds the kFree type tag).
     std::vector<char> buf(kPageSize);
     CRIMSON_RETURN_IF_ERROR(ReadPage(id, buf.data()));
     if (static_cast<PageType>(buf[0]) != PageType::kFree) {
       return Status::Corruption(
           StrFormat("freelist page %u is not marked free", id));
     }
-    freelist_head_ = DecodeFixed32(buf.data() + 1);
+    freelist_head_ = DecodeFixed32(buf.data() + kFreePageLinkOffset);
     CRIMSON_RETURN_IF_ERROR(WriteHeader());
     return id;
   }
@@ -147,9 +162,8 @@ Status Pager::FreePage(PageId id) {
   if (id == kHeaderPageId || id >= page_count_) {
     return Status::InvalidArgument(StrFormat("cannot free page %u", id));
   }
-  std::vector<char> buf(kPageSize, 0);
-  buf[0] = static_cast<char>(PageType::kFree);
-  EncodeFixed32(buf.data() + 1, freelist_head_);
+  std::vector<char> buf(kPageSize);
+  EncodeFreePage(freelist_head_, buf.data());
   CRIMSON_RETURN_IF_ERROR(WritePage(id, buf.data()));
   freelist_head_ = id;
   return WriteHeader();

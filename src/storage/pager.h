@@ -39,6 +39,17 @@ Result<DbHeader> DecodeDbHeader(Slice page);
 /// Pager::Open checks the result.
 Status CheckFormatVersion(File* file);
 
+/// Lays out a bare freelist node over a whole page: the kFree tag at
+/// byte 0, the next freelist page id at [1..5) (kInvalidPageId ends the
+/// list), zero past it. The pager's and the buffer pool's frees write
+/// exactly these bytes, and the WAL logs such a page as its link alone.
+void EncodeFreePage(PageId next, char* page);
+
+/// True when `page` is byte for byte what EncodeFreePage(*next, ...)
+/// lays out; sets *next. Any other page (a used page, or a free page
+/// with stray bytes past the link) returns false.
+bool DecodeFreePage(const char* page, PageId* next);
+
 /// Owns the database file and its header. All page reads/writes go
 /// through here; the BufferPool caches on top.
 ///

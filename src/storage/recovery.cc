@@ -16,7 +16,20 @@ struct RawRecord {
   WalRecordType type;
   Lsn lsn;
   Slice body;  // points into the scan buffer
+  // kPageImage and kFreePage: the page the record restores and its
+  // whole after-image (see PageImageOf).
+  PageId page = kInvalidPageId;
+  const char* image = nullptr;
 };
+
+/// The after-image a page record restores: a kPageImage carries it in
+/// its body; a kFreePage's bare freelist node is rebuilt into `scratch`
+/// (kPageSize bytes), byte for byte what the writer logged.
+const char* PageImageOf(const RawRecord& raw, char* scratch) {
+  if (raw.type == WalRecordType::kPageImage) return raw.body.data() + 4;
+  EncodeFreePage(DecodeFixed32(raw.body.data() + 4), scratch);
+  return scratch;
+}
 
 /// Streams every structurally valid record in log order, stopping at
 /// the first framing/CRC/ordering break (everything after a break was
@@ -57,6 +70,7 @@ Status ScanWal(const std::string& base, const StorageEnv& env,
 
     uint64_t off = kWalSegmentHeaderSize;
     std::vector<char> buf;
+    std::vector<char> free_image(kPageSize);
     for (;;) {
       if (off + kWalRecordHeaderSize > size) break;  // segment exhausted
       char rh[kWalRecordHeaderSize];
@@ -72,7 +86,7 @@ Status ScanWal(const std::string& base, const StorageEnv& env,
 
       RawRecord rec;
       const uint8_t type = static_cast<uint8_t>(buf[0]);
-      if (type < 1 || type > 3) return Status::OK();
+      if (type < 1 || type > 4) return Status::OK();
       rec.type = static_cast<WalRecordType>(type);
       rec.lsn = DecodeFixed64(buf.data() + 1);
       if (rec.lsn != next_lsn) return Status::OK();
@@ -85,8 +99,14 @@ Status ScanWal(const std::string& base, const StorageEnv& env,
           if (rec.body.size() != 12) return Status::OK();
           break;
         case WalRecordType::kCommit:
+        case WalRecordType::kFreePage:
           if (rec.body.size() != 8) return Status::OK();
           break;
+      }
+      if (rec.type == WalRecordType::kPageImage ||
+          rec.type == WalRecordType::kFreePage) {
+        rec.page = DecodeFixed32(rec.body.data());
+        rec.image = PageImageOf(rec, free_image.data());
       }
 
       ++next_lsn;
@@ -109,8 +129,9 @@ WalRecord DecodeRecord(const RawRecord& raw) {
   rec.lsn = raw.lsn;
   switch (raw.type) {
     case WalRecordType::kPageImage:
-      rec.page = DecodeFixed32(raw.body.data());
-      rec.image.assign(raw.body.data() + 4, kPageSize);
+    case WalRecordType::kFreePage:
+      rec.page = raw.page;
+      rec.image.assign(raw.image, kPageSize);
       break;
     case WalRecordType::kHeaderImage:
       rec.page_count = DecodeFixed32(raw.body.data());
@@ -174,15 +195,14 @@ Result<RecoveryResult> RecoverFromWal(const std::string& base,
       base, env, &replay_summary, [&](const RawRecord& raw) {
         if (raw.lsn > limit) return false;
         switch (raw.type) {
-          case WalRecordType::kPageImage: {
-            const PageId page = DecodeFixed32(raw.body.data());
+          case WalRecordType::kPageImage:
+          case WalRecordType::kFreePage:
             apply_status =
-                db_file->Write(static_cast<uint64_t>(page) * kPageSize,
-                               raw.body.data() + 4, kPageSize);
+                db_file->Write(static_cast<uint64_t>(raw.page) * kPageSize,
+                               raw.image, kPageSize);
             if (!apply_status.ok()) return false;
             ++result.pages_replayed;
             break;
-          }
           case WalRecordType::kHeaderImage: {
             // The caller checked the file's format version before
             // replay, so the header is rewritten at kFormatVersion.

@@ -29,7 +29,8 @@ namespace crimson {
 struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
   Lsn lsn = 0;
-  // kPageImage
+  // kPageImage and kFreePage: the full kPageSize after-image either
+  // way (a kFreePage's freelist node is rebuilt from its link)
   PageId page = kInvalidPageId;
   std::string image;
   // kHeaderImage

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/string_util.h"
+#include "storage/pager.h"
 
 namespace crimson {
 
@@ -128,17 +129,12 @@ Status Wal::Reset() {
   return s;
 }
 
-Result<Lsn> Wal::Append(WalRecordType type, const std::string& body) {
+Result<Lsn> Wal::Append(WalRecordType type, Slice head, Slice tail) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!sticky_.ok()) return sticky_;
 
-  std::string payload;
-  payload.reserve(9 + body.size());
-  payload.push_back(static_cast<char>(type));
-  PutFixed64(&payload, appended_lsn_ + 1);
-  payload.append(body);
-
-  const uint64_t record_size = kWalRecordHeaderSize + payload.size();
+  const size_t payload_size = 9 + head.size() + tail.size();
+  const uint64_t record_size = kWalRecordHeaderSize + payload_size;
   // Rotate at record granularity so records never span segments.
   if (seg_written_ + pending_.size() + record_size > options_.segment_bytes &&
       seg_written_ + pending_.size() > kWalSegmentHeaderSize) {
@@ -153,9 +149,18 @@ Result<Lsn> Wal::Append(WalRecordType type, const std::string& body) {
   size_bytes_ += record_size;
   if (appends_ctr_) appends_ctr_->Increment();
   if (bytes_ctr_) bytes_ctr_->Add(record_size);
-  PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&pending_, Crc32(payload.data(), payload.size()));
-  pending_.append(payload);
+  // Lay the payload out in place, then fill the length and CRC fields
+  // in front of it: the page image is copied once, into pending_.
+  const size_t start = pending_.size();
+  pending_.resize(start + kWalRecordHeaderSize);
+  pending_.push_back(static_cast<char>(type));
+  PutFixed64(&pending_, appended_lsn_);
+  pending_.append(head.data(), head.size());
+  pending_.append(tail.data(), tail.size());
+  char* record = &pending_[start];
+  EncodeFixed32(record, static_cast<uint32_t>(payload_size));
+  EncodeFixed32(record + 4,
+                Crc32(record + kWalRecordHeaderSize, payload_size));
 
   if (pending_.size() >= kFlushThresholdBytes) {
     Status s = FlushLocked();
@@ -168,11 +173,15 @@ Result<Lsn> Wal::Append(WalRecordType type, const std::string& body) {
 }
 
 Result<Lsn> Wal::AppendPageImage(PageId page, const char* image) {
-  std::string body;
-  body.reserve(4 + kPageSize);
-  PutFixed32(&body, page);
-  body.append(image, kPageSize);
-  return Append(WalRecordType::kPageImage, body);
+  char body[8];
+  EncodeFixed32(body, page);
+  PageId next;
+  if (DecodeFreePage(image, &next)) {
+    EncodeFixed32(body + 4, next);
+    return Append(WalRecordType::kFreePage, Slice(body, 8));
+  }
+  return Append(WalRecordType::kPageImage, Slice(body, 4),
+                Slice(image, kPageSize));
 }
 
 Result<Lsn> Wal::AppendHeaderImage(uint32_t page_count, PageId freelist_head,

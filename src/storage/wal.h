@@ -12,6 +12,12 @@
 //   kPageImage   body = page id (fixed32) + full kPageSize after-image
 //   kHeaderImage body = page_count, freelist head, catalog root (fixed32 x3)
 //   kCommit      body = txn id (fixed64)
+//   kFreePage    body = page id, next freelist link (fixed32 x2): the
+//                after-image is a bare freelist node (EncodeFreePage in
+//                pager.h), rebuilt byte for byte on replay
+//
+// AppendPageImage alone picks between kPageImage and kFreePage, so a
+// freed page costs a 25-byte record instead of 8 KiB.
 //
 // A transaction's records are appended (buffered), terminated by a
 // commit record, and made durable with one fdatasync. Recovery replays
@@ -38,6 +44,7 @@
 
 #include "common/crc32.h"
 #include "common/result.h"
+#include "common/slice.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/file.h"
@@ -53,6 +60,7 @@ enum class WalRecordType : uint8_t {
   kPageImage = 1,
   kHeaderImage = 2,
   kCommit = 3,
+  kFreePage = 4,
 };
 
 inline constexpr char kWalMagic[8] = {'C', 'R', 'W', 'A', 'L', 'S', 'E', 'G'};
@@ -81,7 +89,9 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends a full-page after-image. Buffered; returns the record lsn.
+  /// Appends a page's after-image: a kFreePage record when `image` is a
+  /// bare freelist node, a full kPageImage otherwise. Buffered; returns
+  /// the record lsn.
   Result<Lsn> AppendPageImage(PageId page, const char* image);
 
   /// Appends the logical database header (what Pager::WriteHeader
@@ -139,7 +149,8 @@ class Wal {
   Wal(std::string base, StorageEnv env, WalOptions options)
       : base_(std::move(base)), env_(std::move(env)), options_(options) {}
 
-  Result<Lsn> Append(WalRecordType type, const std::string& body);
+  /// Frames `head` + `tail` as one record body straight into pending_.
+  Result<Lsn> Append(WalRecordType type, Slice head, Slice tail = Slice());
   /// Truncates+syncs segment 1 (atomically invalidating the chain),
   /// then removes segments >= `first_removed`.
   static Status InvalidateChain(const std::string& base,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -11,10 +12,12 @@
 
 #include "crimson/crimson.h"
 #include "crimson/data_loader.h"
+#include "common/coding.h"
 #include "sim/tree_sim.h"
 #include "storage/file.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
+#include "storage/recovery.h"
 #include "tree/name_index.h"
 #include "tree/tree_builders.h"
 #include "../storage/fault_injection.h"
@@ -1100,6 +1103,116 @@ TEST(DropCostTest, SpeciesDropFetchesEachChunkPageOnce) {
   // chunks back would add those again.
   EXPECT_LE(with_species, bare + chunk_pages + rows + 40)
       << chunk_pages << " chunk pages in " << rows << " rows";
+}
+
+/// The pages on a database file's freelist, walked from the header.
+std::set<PageId> FreeListPages(const std::string& file) {
+  std::set<PageId> out;
+  const uint64_t pages = file.size() / kPageSize;
+  for (PageId id = DecodeFixed32(file.data() + kHeaderFreelistOffset);
+       id != kInvalidPageId;) {
+    if (id >= pages || !out.insert(id).second) {
+      ADD_FAILURE() << "freelist leaves the file or loops at page " << id;
+      break;
+    }
+    const char* page = file.data() + static_cast<uint64_t>(id) * kPageSize;
+    EXPECT_EQ(static_cast<PageType>(page[0]), PageType::kFree) << id;
+    id = DecodeFixed32(page + kFreePageLinkOffset);
+  }
+  return out;
+}
+
+TEST(DropCostTest, DropLogsEachFreedPageAsItsFreeListLink) {
+  // A durable drop of a tree with species frees its blob, chunk and
+  // overflow pages. Its log holds no full image of any of them: one
+  // kFreePage record each, whose rebuilt image is the page the commit
+  // force-wrote to the data file.
+  test::FaultInjectionEnv env;
+  CrimsonOptions opts = DropSessionOptions(&env);
+  opts.buffer_pool_pages = CrimsonOptions().buffer_pool_pages;
+  opts.wal_checkpoint_bytes = 0;  // the log keeps the drop until read
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (const auto& [name, tree] : MakeDropTrees(0xF2EE, 2000)) {
+    ASSERT_TRUE((*session)->LoadTree(name, tree).ok());
+    ASSERT_TRUE((*session)
+                    ->AppendSpeciesData(name,
+                                        LongSequencesFor(LeafNames(tree), 's'))
+                    .ok());
+  }
+  ASSERT_TRUE((*session)->Checkpoint().ok());
+  const std::set<PageId> free_before =
+      FreeListPages(env.FileContents(kDropDbPath));
+
+  ASSERT_TRUE((*session)->DropTree(kVictim).ok());
+  WalScanSummary summary;
+  auto records = ReadWalRecords(std::string(kDropDbPath) + "-wal", env.env(),
+                                &summary);
+  ASSERT_TRUE(records.ok()) << records.status();
+  EXPECT_EQ(summary.commits, 1u);
+  const std::string file = env.FileContents(kDropDbPath);
+  std::set<PageId> freed;
+  for (PageId id : FreeListPages(file)) {
+    if (free_before.count(id) == 0) freed.insert(id);
+  }
+  // 2,000 species of 300+ bytes span ~80 overflow pages.
+  ASSERT_GT(freed.size(), 80u);
+
+  uint64_t free_records = 0;
+  uint64_t image_records = 0;
+  for (const WalRecord& rec : *records) {
+    if (rec.type == WalRecordType::kPageImage) {
+      ++image_records;
+      EXPECT_EQ(freed.count(rec.page), 0u)
+          << "freed page " << rec.page << " logged as a full image";
+    } else if (rec.type == WalRecordType::kFreePage) {
+      ++free_records;
+      EXPECT_EQ(freed.count(rec.page), 1u) << rec.page;
+      EXPECT_EQ(rec.image,
+                file.substr(static_cast<uint64_t>(rec.page) * kPageSize,
+                            kPageSize))
+          << "page " << rec.page;
+    }
+  }
+  EXPECT_EQ(free_records, freed.size());
+  EXPECT_GT(image_records, 0u);
+}
+
+TEST(DropCostTest, FreedPagesAreReusedAcrossCycles) {
+  // Twenty load/append/drop cycles of one 5k-leaf tree beside two
+  // residents in a durable session: each store takes the pages the
+  // last drop freed, so the checkpointed file stays near its size
+  // after the first cycle.
+  test::FaultInjectionEnv env;
+  CrimsonOptions opts = DropSessionOptions(&env);
+  opts.buffer_pool_pages = CrimsonOptions().buffer_pool_pages;
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0xF11E);
+  YuleOptions yule;
+  yule.n_leaves = 5000;
+  for (const char* name : kResidents) {
+    PhyloTree resident = std::move(SimulateYule(yule, &rng)).value();
+    ASSERT_TRUE((*session)->LoadTree(name, resident).ok());
+    ASSERT_TRUE((*session)
+                    ->AppendSpeciesData(name, SequencesFor(LeafNames(resident)))
+                    .ok());
+  }
+  const PhyloTree cycle_tree = std::move(SimulateYule(yule, &rng)).value();
+  const auto sequences = SequencesFor(LeafNames(cycle_tree));
+  size_t after_one = 0;
+  for (int cycle = 1; cycle <= 20; ++cycle) {
+    ASSERT_TRUE((*session)->LoadTree("cycle", cycle_tree).ok());
+    ASSERT_TRUE((*session)->AppendSpeciesData("cycle", sequences).ok());
+    ASSERT_TRUE((*session)->DropTree("cycle").ok());
+    ASSERT_TRUE((*session)->Checkpoint().ok());
+    if (cycle == 1) after_one = env.FileContents(kDropDbPath).size();
+  }
+  const size_t after_twenty = env.FileContents(kDropDbPath).size();
+  ASSERT_GT(after_one, 0u);
+  EXPECT_LE(after_twenty * 5, after_one * 6)
+      << "file after 1 cycle " << after_one << " B, after 20 "
+      << after_twenty << " B";
 }
 
 }  // namespace

@@ -59,8 +59,9 @@ void CreateDatabase(test::FaultInjectionEnv* env, Durability durability) {
 
 /// Earlier format versions: 0 is what every file written before the
 /// field existed holds; 1 still had the per-node `nodes` table; 2
-/// stored one `species` row per species.
-constexpr uint32_t kOlderVersions[] = {0, 1, 2};
+/// stored one `species` row per species; 3 logged freed pages as full
+/// images and had no kFreePage WAL record.
+constexpr uint32_t kOlderVersions[] = {0, 1, 2, 3};
 
 /// Overwrites the header's format-version field.
 void WriteFormatVersion(test::FaultInjectionEnv* env, uint32_t version) {
@@ -98,14 +99,14 @@ TEST(FormatVersionTest, FreshHeaderMatchesGoldenLayout) {
   const std::string file = env.FileContents(kDbPath);
   ASSERT_GE(file.size(), kPageSize);
   // magic, page size 8192, 3 pages (header + the catalog's root leaf
-  // and anchor), empty freelist, catalog anchor page 2, format version 3.
+  // and anchor), empty freelist, catalog anchor page 2, format version 4.
   const std::string golden(
       "CRIMSON1"
       "\x00\x20\x00\x00"
       "\x03\x00\x00\x00"
       "\x00\x00\x00\x00"
       "\x02\x00\x00\x00"
-      "\x03\x00\x00\x00",
+      "\x04\x00\x00\x00",
       kHeaderBytes);
   EXPECT_EQ(file.substr(0, kHeaderBytes), golden);
   EXPECT_EQ(file.substr(kHeaderBytes, kPageSize - kHeaderBytes),

@@ -1,6 +1,8 @@
-// Unit tests for the write-ahead log: record framing + CRC, torn-tail
-// and corruption handling in the scanner, rotation across segments,
-// rewind (abort), reset generations, and concurrent Sync callers.
+// Unit tests for the write-ahead log: record framing + CRC, the
+// kFreePage encoding of freelist nodes, torn-tail and corruption
+// handling in the scanner, rotation across segments, rewind (abort),
+// reset generations, and concurrent Sync callers. The CRC itself is
+// checked against a bytewise oracle in tests/common/crc32_test.cc.
 
 #include "storage/wal.h"
 
@@ -9,21 +11,17 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault_injection.h"
+#include "storage/pager.h"
 #include "storage/recovery.h"
 
 namespace crimson {
 namespace {
 
 std::string PageImage(char fill) { return std::string(kPageSize, fill); }
-
-TEST(Crc32Test, MatchesKnownVectors) {
-  // IEEE CRC32 of "123456789" is the classic check value.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32("", 0), 0u);
-}
 
 class WalTest : public ::testing::Test {
  protected:
@@ -64,6 +62,59 @@ TEST_F(WalTest, AppendScanRoundTrip) {
   EXPECT_EQ((*records)[1].catalog_root, 2u);
   EXPECT_EQ((*records)[2].type, WalRecordType::kCommit);
   EXPECT_EQ((*records)[2].txn_id, 42u);
+}
+
+TEST_F(WalTest, FreeListNodeIsLoggedAsItsLink) {
+  // Bare freelist nodes (a link, or the list's end) are logged as their
+  // link; a page with any other byte set is logged in full.
+  std::string linked(kPageSize, '\0');
+  EncodeFreePage(5, linked.data());
+  std::string last(kPageSize, '\0');
+  EncodeFreePage(kInvalidPageId, last.data());
+  std::string stray = linked;
+  stray[kPageSize - 1] = 1;
+  std::string heap(kPageSize, '\0');
+  heap[0] = static_cast<char>(PageType::kHeap);
+  const std::vector<std::pair<std::string, WalRecordType>> cases = {
+      {linked, WalRecordType::kFreePage},
+      {last, WalRecordType::kFreePage},
+      {stray, WalRecordType::kPageImage},
+      {heap, WalRecordType::kPageImage}};
+
+  auto wal = OpenWal();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const uint64_t before = wal->size_bytes();
+    ASSERT_TRUE(wal->AppendPageImage(10 + i, cases[i].first.data()).ok());
+    const uint64_t body =
+        cases[i].second == WalRecordType::kFreePage ? 8 : 4 + kPageSize;
+    EXPECT_EQ(wal->size_bytes() - before, kWalRecordHeaderSize + 9 + body);
+  }
+  auto commit = wal->AppendCommit(1);
+  ASSERT_TRUE(commit.ok());
+  ASSERT_TRUE(wal->Sync(*commit).ok());
+
+  auto records = ReadWalRecords(kBase, env_.env(), nullptr);
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), cases.size() + 1);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ((*records)[i].type, cases[i].second);
+    EXPECT_EQ((*records)[i].page, 10 + i);
+    EXPECT_EQ((*records)[i].image, cases[i].first);
+  }
+
+  // Replay writes the rebuilt nodes byte for byte.
+  auto db = env_.env().open_file("db");
+  ASSERT_TRUE(db.ok());
+  auto recovered = RecoverFromWal(kBase, env_.env(), db->get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->pages_replayed, cases.size());
+  const std::string file = env_.FileContents("db");
+  ASSERT_GE(file.size(), (10 + cases.size()) * kPageSize);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(file.substr((10 + i) * kPageSize, kPageSize), cases[i].first)
+        << i;
+  }
 }
 
 TEST_F(WalTest, UncommittedTailIsDiscardedByScan) {
