@@ -9,7 +9,7 @@ namespace cache {
 namespace {
 
 // Fixed bookkeeping cost charged per entry on top of the payload
-// (hash node, list node, stamp, key copy in the recency list).
+// (hash node, list node, key copy in the recency list).
 constexpr uint64_t kEntryOverhead = 160;
 
 // The protected segment may hold at most this fraction of the budget;
@@ -55,8 +55,6 @@ QueryCache::QueryCache(uint64_t budget_bytes, obs::MetricsRegistry* metrics)
   misses_ = metrics->GetCounter("cache.misses");
   insertions_ = metrics->GetCounter("cache.insertions");
   evictions_ = metrics->GetCounter("cache.evictions");
-  invalidations_ = metrics->GetCounter("cache.invalidations");
-  stale_skips_ = metrics->GetCounter("cache.stale_skips");
   bypassed_ = metrics->GetCounter("cache.bypassed");
   entries_gauge_ = metrics->GetGauge("cache.entries");
   bytes_used_gauge_ = metrics->GetGauge("cache.bytes_used");
@@ -68,39 +66,14 @@ bool QueryCache::IsCacheable(const QueryRequest& request) {
          !std::holds_alternative<SampleTimeQuery>(request);
 }
 
-std::string QueryCache::KeyFor(const std::string& tree_name,
-                               const QueryRequest& request) {
+std::string QueryCache::KeyFor(int64_t tree_id, const QueryRequest& request) {
   std::string key(QueryKindName(request));
   key.push_back('?');
-  key += EncodeQueryParams(tree_name, request);
+  key += EncodeQueryParams(std::to_string(tree_id), request);
   return key;
 }
 
-QueryCache::TreeState& QueryCache::StateLocked(const std::string& tree) {
-  return trees_[tree];
-}
-
-bool QueryCache::ValidLocked(const std::string& tree,
-                             const ReadStamp& stamp) const {
-  auto it = trees_.find(tree);
-  if (it == trees_.end()) {
-    // No mutation has ever touched the tree in this cache's lifetime.
-    return stamp.generation == 0;
-  }
-  return stamp.generation == it->second.generation &&
-         stamp.epoch >= it->second.barrier_epoch;
-}
-
-ReadStamp QueryCache::Stamp(const std::string& tree_name,
-                            uint64_t committed_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = trees_.find(tree_name);
-  uint64_t generation = it == trees_.end() ? 0 : it->second.generation;
-  return ReadStamp{generation, committed_epoch};
-}
-
-std::optional<QueryResult> QueryCache::Lookup(const std::string& tree_name,
-                                              const std::string& key) {
+std::optional<QueryResult> QueryCache::Lookup(const std::string& key) {
   if (!enabled()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
@@ -109,12 +82,6 @@ std::optional<QueryResult> QueryCache::Lookup(const std::string& tree_name,
     return std::nullopt;
   }
   Entry& entry = it->second;
-  if (!ValidLocked(tree_name, entry.stamp)) {
-    invalidations_->Increment();
-    misses_->Increment();
-    EraseEntryLocked(it);
-    return std::nullopt;
-  }
   hits_->Increment();
   if (entry.segment == Segment::kProbation) {
     // First re-reference: promote into the protected segment.
@@ -143,29 +110,18 @@ std::optional<QueryResult> QueryCache::Lookup(const std::string& tree_name,
   return entry.result;
 }
 
-void QueryCache::Insert(const std::string& tree_name, const std::string& key,
-                        const ReadStamp& stamp, const QueryResult& result) {
+void QueryCache::Insert(const std::string& key, const QueryResult& result) {
   if (!enabled()) return;
   const uint64_t bytes =
-      kEntryOverhead + 2 * key.size() + tree_name.size() +
-      ApproxResultBytes(result);
+      kEntryOverhead + 2 * key.size() + ApproxResultBytes(result);
   std::lock_guard<std::mutex> lock(mu_);
-  if (!ValidLocked(tree_name, stamp)) {
-    // A mutation began or committed while the query ran; the result
-    // may reflect a superseded snapshot, so it never enters the cache.
-    stale_skips_->Increment();
-    return;
-  }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // A concurrent miss on the same key already inserted; both copies
-    // were computed under valid stamps, so keep the resident one.
-    return;
-  }
+  // A concurrent miss on the same key already inserted the same
+  // answer; keep the resident copy.
+  if (entries_.count(key) != 0) return;
   if (bytes > budget_) return;  // would evict everything for one entry
   EvictForLocked(bytes);
   auto [eit, inserted] = entries_.emplace(
-      key, Entry{tree_name, result, stamp, bytes, Segment::kProbation, {}});
+      key, Entry{result, bytes, Segment::kProbation, {}});
   probation_.push_front(eit->first);
   eit->second.pos = probation_.begin();
   bytes_used_ += bytes;
@@ -175,72 +131,24 @@ void QueryCache::Insert(const std::string& tree_name, const std::string& key,
 }
 
 void QueryCache::EvictForLocked(uint64_t incoming_bytes) {
+  // Insert refreshes the gauges once the new entry is in.
   while (bytes_used_ + incoming_bytes > budget_) {
-    std::list<std::string>* victim_list =
+    std::list<std::string>* victims =
         !probation_.empty() ? &probation_ : &protected_;
-    if (victim_list->empty()) return;
-    auto it = entries_.find(victim_list->back());
-    EraseEntryLocked(it);
+    if (victims->empty()) return;
+    auto it = entries_.find(victims->back());
+    victims->pop_back();
+    if (it->second.segment == Segment::kProtected) {
+      protected_bytes_ -= it->second.bytes;
+    }
+    bytes_used_ -= it->second.bytes;
+    entries_.erase(it);
     evictions_->Increment();
   }
 }
 
-void QueryCache::EraseEntryLocked(
-    std::unordered_map<std::string, Entry>::iterator it) {
-  Entry& entry = it->second;
-  if (entry.segment == Segment::kProbation) {
-    probation_.erase(entry.pos);
-  } else {
-    protected_.erase(entry.pos);
-    protected_bytes_ -= entry.bytes;
-  }
-  bytes_used_ -= entry.bytes;
-  entries_.erase(it);
-  entries_gauge_->Set(entries_.size());
-  bytes_used_gauge_->Set(bytes_used_);
-}
-
-void QueryCache::BeginTreeMutation(const std::string& tree_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TreeState& state = StateLocked(tree_name);
-  state.saved_generation = state.generation;
-  ++state.generation;
-}
-
-void QueryCache::CommitTreeMutation(const std::string& tree_name,
-                                    uint64_t committed_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TreeState& state = StateLocked(tree_name);
-  state.barrier_epoch = committed_epoch;
-}
-
-void QueryCache::AbortTreeMutation(const std::string& tree_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TreeState& state = StateLocked(tree_name);
-  // The aborted transaction changed nothing: entries stamped before
-  // Begin are still correct, so the generation rolls back.
-  state.generation = state.saved_generation;
-}
-
-void QueryCache::EraseTree(const std::string& tree_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.tree == tree_name) {
-      auto next = std::next(it);
-      EraseEntryLocked(it);
-      invalidations_->Increment();
-      it = next;
-    } else {
-      ++it;
-    }
-  }
-  trees_.erase(tree_name);
-}
-
 void QueryCache::NoteBypass() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  bypassed_->Increment();
+  if (enabled()) bypassed_->Increment();
 }
 
 }  // namespace cache

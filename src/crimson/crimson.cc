@@ -122,24 +122,18 @@ auto Crimson::TransactLocked(Fn&& fn) -> decltype(fn()) {
 }
 
 template <typename Fn>
-auto Crimson::MutateTree(const std::string& tree_name, Fn&& fn)
-    -> decltype(fn()) {
+Result<LoadReport> Crimson::WriteTree(Fn&& write) {
   std::lock_guard<std::shared_mutex> lock(db_mu_);
-  // Bump the tree's cache generation while holding the writer lock:
-  // entries stamped before this point stop validating, and queries
-  // stamping from here on carry the new generation but a pre-commit
-  // epoch -- the commit barrier below invalidates those too.
-  query_cache_->BeginTreeMutation(tree_name);
-  auto result = TransactLocked(std::forward<Fn>(fn));
-  if (StatusOf(result).ok()) {
-    // Epoch read after the commit sealed it: every entry stamped with
-    // an earlier epoch is now behind this tree's barrier.
-    query_cache_->CommitTreeMutation(tree_name, db_->committed_epoch());
-  } else {
-    // The abort changed nothing; pre-Begin entries are still correct.
-    query_cache_->AbortTreeMutation(tree_name);
+  Result<LoadReport> report = TransactLocked(std::forward<Fn>(write));
+  if (report.ok()) {
+    // Published after the commit and before the writer lock goes, so
+    // the next writer and every later OpenTree see the committed tree.
+    std::lock_guard<std::shared_mutex> handles_lock(handles_mu_);
+    tree_ids_[report->tree_name] = report->tree_id;
+    auto it = bound_.find(report->tree_id);
+    if (it != bound_.end()) it->second.ForgetEval();  // species may differ
   }
-  return result;
+  return report;
 }
 
 Status Crimson::ReopenRepositoriesLocked() {
@@ -153,11 +147,18 @@ Status Crimson::ReopenRepositoriesLocked() {
   repos->loader = std::make_unique<DataLoader>(repos->trees.get(),
                                                repos->species.get(),
                                                options_.f);
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<TreeInfo> stored,
+                           repos->trees->ListTrees());
   CRIMSON_RETURN_IF_ERROR(txn.Commit());
   const int64_t persisted_next = repos->queries->next_id();
   {
     std::lock_guard<std::mutex> lock(repos_mu_);
     repos_ = std::move(repos);
+  }
+  {
+    std::lock_guard<std::shared_mutex> handles_lock(handles_mu_);
+    tree_ids_.clear();
+    for (const TreeInfo& info : stored) tree_ids_[info.name] = info.tree_id;
   }
   // Advance the session's id counter past the persisted ids, never
   // backwards (Execute threads bump it concurrently, and buffered
@@ -253,96 +254,69 @@ Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report) {
   if (!report.ok()) return report.status();
   SessionLoadReport out;
   static_cast<LoadReport&>(out) = *report;
-  // Loads can attach sequences to an existing tree (e.g. LoadNexus
-  // with kAppendSpeciesData); drop any stale evaluation state.
-  InvalidateEvalState(out.tree_name);
-  CRIMSON_ASSIGN_OR_RETURN(out.ref, OpenTree(out.tree_name));
+  // Bind by the id the load committed, never by name: a drop and
+  // re-store of the name racing this call cannot hand back another
+  // tree's ref.
+  CRIMSON_ASSIGN_OR_RETURN(out.ref, BindTree(out.tree_name, out.tree_id));
   return out;
 }
 
 Result<SessionLoadReport> Crimson::LoadNewick(const std::string& name,
                                               const std::string& newick,
                                               LoadMode mode) {
-  Result<LoadReport> report = MutateTree(
-      name, [&] { return Repos()->loader->LoadNewick(name, newick, mode); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(WriteTree(
+      [&] { return Repos()->loader->LoadNewick(name, newick, mode); }));
 }
 
 Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
                                              const std::string& nexus,
                                              LoadMode mode) {
-  Result<LoadReport> report = MutateTree(
-      name, [&] { return Repos()->loader->LoadNexus(name, nexus, mode); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(WriteTree(
+      [&] { return Repos()->loader->LoadNexus(name, nexus, mode); }));
 }
 
 Result<SessionLoadReport> Crimson::LoadTree(const std::string& name,
                                             const PhyloTree& tree) {
-  Result<LoadReport> report = MutateTree(
-      name, [&] { return Repos()->loader->LoadTree(name, tree); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(
+      WriteTree([&] { return Repos()->loader->LoadTree(name, tree); }));
 }
 
 Result<LoadReport> Crimson::AppendSpeciesData(
     const std::string& tree_name,
     const std::map<std::string, std::string>& sequences) {
-  Result<LoadReport> report = MutateTree(tree_name, [&] {
+  return WriteTree([&] {
     return Repos()->loader->AppendSpecies(tree_name, sequences);
   });
-  if (report.ok()) {
-    // The tree's sequence map changed: drop any cached evaluation
-    // state so the next experiment rebuilds it from storage.
-    InvalidateEvalState(tree_name);
-  }
-  return report;
 }
 
 Status Crimson::DropTree(const std::string& name) {
-  Status dropped = MutateTree(name, [&]() -> Status {
-    auto repos = Repos();
-    CRIMSON_ASSIGN_OR_RETURN(TreeInfo info, repos->trees->GetTreeInfo(name));
-    // The tree's trees/labels/tree_blobs rows plus its species rows,
-    // which TreeRepository::DropTree does not own, in one transaction:
-    // a crash recovers to all-or-nothing.
-    CRIMSON_RETURN_IF_ERROR(repos->trees->DropTree(info.tree_id));
-    return repos->species->DropForTree(info.tree_id);
-  });
-  if (!dropped.ok()) return dropped;
-  // Post-commit eviction: cached results, the bound handle, and the
-  // evaluation state all go, so a tree re-stored under this name can
-  // never serve pre-drop state. (MutateTree's generation bump already
-  // stops in-flight queries from inserting stale entries.)
-  query_cache_->EraseTree(name);
-  uint64_t id = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(handles_mu_);
-    ++drop_counts_[name];
-    auto it = handle_ids_.find(name);
-    if (it != handle_ids_.end()) {
-      id = it->second;
-      handles_[id - 1] = nullptr;  // slot is never reused
-      handle_ids_.erase(it);
-    }
+  std::lock_guard<std::shared_mutex> lock(db_mu_);
+  // Only writers change tree_ids_, and they hold db_mu_: no lock
+  // needed to read it here.
+  auto named = tree_ids_.find(name);
+  if (named == tree_ids_.end()) {
+    return Status::NotFound(StrFormat("no tree named '%s'", name.c_str()));
   }
-  if (id != 0) {
-    std::lock_guard<std::mutex> lock(eval_mu_);
-    eval_cache_.erase(id);
-    ++eval_generation_[id];
+  const int64_t id = named->second;
+  // The tree's trees/labels/tree_blobs rows plus its species rows,
+  // which TreeRepository::DropTree does not own, in one transaction:
+  // a crash recovers to all-or-nothing.
+  CRIMSON_RETURN_IF_ERROR(TransactLocked([&]() -> Status {
+    auto repos = Repos();
+    CRIMSON_RETURN_IF_ERROR(repos->trees->DropTree(id));
+    return repos->species->DropForTree(id);
+  }));
+  // Still under the writer lock, so no load of the same name can land
+  // first. The id's cached results need no eviction: nothing asks for
+  // them again, and they age out of the cache.
+  std::lock_guard<std::shared_mutex> handles_lock(handles_mu_);
+  tree_ids_.erase(name);
+  auto it = bound_.find(id);
+  if (it != bound_.end()) {
+    it->second.handle = nullptr;
+    it->second.ForgetEval();
   }
   return Status::OK();
-}
-
-void Crimson::InvalidateEvalState(const std::string& tree_name) {
-  uint64_t id = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(handles_mu_);
-    auto it = handle_ids_.find(tree_name);
-    if (it != handle_ids_.end()) id = it->second;
-  }
-  if (id == 0) return;  // never bound, so nothing cached
-  std::lock_guard<std::mutex> lock(eval_mu_);
-  eval_cache_.erase(id);
-  ++eval_generation_[id];
 }
 
 Result<std::vector<TreeInfo>> Crimson::ListTrees() const {
@@ -351,32 +325,46 @@ Result<std::vector<TreeInfo>> Crimson::ListTrees() const {
 }
 
 Result<TreeRef> Crimson::OpenTree(const std::string& name) {
- retry:
-  uint64_t drops_before = 0;
+  int64_t id;
   {
     std::shared_lock<std::shared_mutex> lock(handles_mu_);
-    auto it = handle_ids_.find(name);
-    if (it != handle_ids_.end()) return TreeRef(it->second);
-    auto dit = drop_counts_.find(name);
-    if (dit != drop_counts_.end()) drops_before = dit->second;
+    auto it = tree_ids_.find(name);
+    if (it == tree_ids_.end()) {
+      return Status::NotFound(StrFormat("no tree named '%s'", name.c_str()));
+    }
+    id = it->second;
+  }
+  return BindTree(name, id);
+}
+
+Result<TreeRef> Crimson::BindTree(const std::string& name, int64_t id) {
+  const TreeRef ref(static_cast<uint64_t>(id));
+  {
+    std::shared_lock<std::shared_mutex> lock(handles_mu_);
+    auto it = bound_.find(id);
+    if (it != bound_.end()) {
+      if (it->second.handle == nullptr) {
+        return Status::NotFound(StrFormat("tree '%s' was dropped",
+                                          name.c_str()));
+      }
+      return ref;
+    }
   }
   // Materialize without holding the cache lock so a slow first open
   // (storage load + index build on a large tree) never stalls query
   // dispatch on already-open trees. A racing open may duplicate the
-  // work; the insertion below double-checks and keeps one handle.
+  // work; the insertion below keeps one handle.
   auto handle = [&]() -> Result<std::shared_ptr<TreeHandle>> {
     auto h = std::make_shared<TreeHandle>();
     std::string blob;
     {
       StorageReadGuard read = AcquireStorageRead();
-      CRIMSON_ASSIGN_OR_RETURN(h->info, read.repos->trees->GetTreeInfo(name));
-      CRIMSON_ASSIGN_OR_RETURN(h->tree,
-                               read.repos->trees->LoadTree(h->info.tree_id));
+      CRIMSON_ASSIGN_OR_RETURN(h->info, read.repos->trees->GetTreeInfo(id));
+      CRIMSON_ASSIGN_OR_RETURN(h->tree, read.repos->trees->LoadTree(id));
       h->tree.ShrinkToFit();  // handles are read-only; drop build slack
       // Fetch the persisted labeling here; the O(n) decode runs below,
       // outside the read snapshot.
-      CRIMSON_ASSIGN_OR_RETURN(
-          blob, read.repos->trees->LoadSchemeBlob(h->info.tree_id));
+      CRIMSON_ASSIGN_OR_RETURN(blob, read.repos->trees->LoadSchemeBlob(id));
     }
     // Label decode / index build is pure compute; no lock held.
     obs::SpanTimer decode_span(obs::Stage::kLabelDecode);
@@ -400,35 +388,36 @@ Result<TreeRef> Crimson::OpenTree(const std::string& name) {
   }();
   if (!handle.ok()) return handle.status();
 
-  std::unique_lock<std::shared_mutex> lock(handles_mu_);
-  auto it = handle_ids_.find(name);
-  if (it != handle_ids_.end()) return TreeRef(it->second);  // lost the race
-  auto dit = drop_counts_.find(name);
-  if ((dit == drop_counts_.end() ? 0 : dit->second) != drops_before) {
-    // A DropTree landed while this bind was materializing: the handle
-    // reflects deleted storage. Retry against the current state (which
-    // typically resolves to NotFound, or to the re-stored tree).
-    lock.unlock();
-    goto retry;
+  std::lock_guard<std::shared_mutex> lock(handles_mu_);
+  // Publish only while the name still maps to this id: DropTree
+  // erases the name and the slot together, so a handle of a dropped
+  // tree is never published.
+  auto named = tree_ids_.find(name);
+  if (named == tree_ids_.end() || named->second != id) {
+    return Status::NotFound(StrFormat("tree '%s' was dropped", name.c_str()));
   }
-  handles_.push_back(std::move(*handle));
-  uint64_t id = handles_.size();
-  handle_ids_.emplace(name, id);
-  return TreeRef(id);
+  auto [it, fresh] = bound_.try_emplace(id);
+  if (fresh) it->second.handle = std::move(*handle);
+  return ref;
+}
+
+Result<const Crimson::BoundTree*> Crimson::BoundLocked(TreeRef tree) const {
+  auto it = bound_.find(static_cast<int64_t>(tree.id()));
+  if (!tree.valid() || it == bound_.end()) {
+    return Status::InvalidArgument(
+        "invalid TreeRef (not issued by this session)");
+  }
+  if (it->second.handle == nullptr) {
+    return Status::NotFound("stale TreeRef (the tree was dropped)");
+  }
+  return &it->second;
 }
 
 Result<std::shared_ptr<const Crimson::TreeHandle>> Crimson::HandleFor(
     TreeRef tree) const {
   std::shared_lock<std::shared_mutex> lock(handles_mu_);
-  if (!tree.valid() || tree.id() > handles_.size()) {
-    return Status::InvalidArgument(
-        "invalid TreeRef (not issued by this session)");
-  }
-  const std::shared_ptr<const TreeHandle>& handle = handles_[tree.id() - 1];
-  if (handle == nullptr) {
-    return Status::NotFound("stale TreeRef (the tree was dropped)");
-  }
-  return handle;
+  CRIMSON_ASSIGN_OR_RETURN(const BoundTree* bound, BoundLocked(tree));
+  return bound->handle;
 }
 
 Result<TreeInfo> Crimson::GetTreeInfo(TreeRef tree) const {
@@ -620,7 +609,7 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
   ctx->Reset();
 }
 
-Result<QueryResult> Crimson::RunQuery(TreeRef tree, const TreeHandle& handle,
+Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
                                       const QueryRequest& request,
                                       uint64_t ticket, bool record_history) {
   // Installs a fresh trace context, or adopts the thread's (a server
@@ -631,34 +620,21 @@ Result<QueryResult> Crimson::RunQuery(TreeRef tree, const TreeHandle& handle,
   const bool cacheable =
       query_cache_->enabled() && cache::QueryCache::IsCacheable(request);
   if (query_cache_->enabled() && !cacheable) query_cache_->NoteBypass();
+  // The handle's tree id names an unchanging structure, so a cached
+  // answer is never stale and a computed one is always safe to cache.
   std::string key;
   std::optional<QueryResult> hit;
-  cache::ReadStamp stamp;
-  bool bound = false;  // the handle was still the tree's after stamping
   if (cacheable) {
-    key = cache::QueryCache::KeyFor(tree_name, request);
-    {
-      obs::SpanTimer span(obs::Stage::kCacheLookup);
-      hit = query_cache_->Lookup(tree_name, key);
-    }
-    // Stamp strictly before execution: if a mutation overlaps the run,
-    // the stamp ages out and Insert drops the result. A handle taken
-    // before a DropTree outlives it, and a stamp taken after the name
-    // was stored again would validate its stale answer: such a result
-    // is returned but not cached (a dropped TreeRef's slot stays null).
-    if (!hit) {
-      stamp = query_cache_->Stamp(tree_name, db_->committed_epoch());
-      bound = HandleFor(tree).ok();
-    }
+    key = cache::QueryCache::KeyFor(handle.info.tree_id, request);
+    obs::SpanTimer span(obs::Stage::kCacheLookup);
+    hit = query_cache_->Lookup(key);
   }
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     if (hit) return std::move(*hit);
     obs::SpanTimer span(obs::Stage::kExecute);
     return ExecuteOnHandle(handle, request, ticket);
   }();
-  if (bound && result.ok()) {
-    query_cache_->Insert(tree_name, key, stamp, *result);
-  }
+  if (cacheable && !hit && result.ok()) query_cache_->Insert(key, *result);
   if (record_history) RecordQuery(tree_name, request, result);
   FinishQueryTrace(trace.context(), tree_name, request, result);
   return result;
@@ -670,7 +646,7 @@ Result<QueryResult> Crimson::Execute(TreeRef tree,
                            HandleFor(tree));
   // The ticket is taken even when the cache answers, so cache-on and
   // cache-off sessions draw the same sampling streams.
-  return RunQuery(tree, *handle, request,
+  return RunQuery(*handle, request,
                   ticket_.fetch_add(1, std::memory_order_relaxed),
                   /*record_history=*/true);
 }
@@ -692,7 +668,7 @@ std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
   // ParallelFor includes) keeps its pre-installed one, so a server's
   // admission wait lands on the query that thread runs first.
   pool_->ParallelFor(n, [&](size_t i) {
-    results[i] = RunQuery(tree, handle, requests[i], base + i,
+    results[i] = RunQuery(handle, requests[i], base + i,
                           /*record_history=*/false);
   });
   // History is written after the barrier, in request order, keeping the
@@ -730,26 +706,26 @@ struct Crimson::EvalState {
 
 Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
     TreeRef tree) {
-  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
-                           HandleFor(tree));
+  const auto id = static_cast<int64_t>(tree.id());
   for (;;) {
+    std::shared_ptr<const TreeHandle> handle;
     uint64_t generation;
     {
-      std::lock_guard<std::mutex> lock(eval_mu_);
-      auto it = eval_cache_.find(tree.id());
-      if (it != eval_cache_.end()) return it->second;
-      generation = eval_generation_[tree.id()];
+      std::shared_lock<std::shared_mutex> lock(handles_mu_);
+      CRIMSON_ASSIGN_OR_RETURN(const BoundTree* bound, BoundLocked(tree));
+      if (bound->eval != nullptr) return bound->eval;
+      handle = bound->handle;
+      generation = bound->eval_generation;
     }
-    // Build outside eval_mu_; a racing build may duplicate the work
+    // Build outside the lock; a racing build may duplicate the work
     // and the insertion keeps one state. Only an index probe touches
     // storage here -- sequence bytes load lazily through the cracked
     // store as samples touch them.
     obs::SpanTimer build_span(obs::Stage::kEvalBuild);
     {
       StorageReadGuard read = AcquireStorageRead();
-      CRIMSON_ASSIGN_OR_RETURN(
-          bool has_species,
-          read.repos->species->HasSpecies(handle->info.tree_id));
+      CRIMSON_ASSIGN_OR_RETURN(bool has_species,
+                               read.repos->species->HasSpecies(id));
       if (!has_species) {
         return Status::FailedPrecondition(
             StrFormat("tree '%s' has no species data loaded",
@@ -761,19 +737,17 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
     std::vector<std::string> domain =
         handle->names.SortedLeafNames(handle->tree);
     // The store's fetch callback revalidates the eval generation: once
-    // this state is invalidated, a retained reference can no longer
-    // fault in post-invalidation rows that would break its snapshot --
-    // it reports Unavailable and the experiment loop rebuilds.
-    const uint64_t tree_id = handle->info.tree_id;
-    const uint64_t ref_id = tree.id();
-    auto fetch = [this, tree_id, ref_id, generation](
+    // this state is dropped, a retained reference can no longer fault
+    // in rows written after it -- it reports Unavailable and the
+    // experiment loop rebuilds.
+    auto fetch = [this, id, generation](
                      size_t lo, size_t hi,
                      const cache::CrackedSequenceStore::SinkFn& sink)
         -> Status {
       {
-        std::lock_guard<std::mutex> lock(eval_mu_);
-        auto it = eval_generation_.find(ref_id);
-        if ((it == eval_generation_.end() ? 0 : it->second) != generation) {
+        std::shared_lock<std::shared_mutex> lock(handles_mu_);
+        auto it = bound_.find(id);
+        if (it == bound_.end() || it->second.eval_generation != generation) {
           return Status::Unavailable(
               "evaluation state invalidated by a concurrent write; "
               "rebuild and retry");
@@ -781,22 +755,20 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
       }
       StorageReadGuard read = AcquireStorageRead();
       return read.repos->species->ForEachInRange(
-          static_cast<int64_t>(tree_id), static_cast<uint32_t>(lo),
-          static_cast<uint32_t>(hi), sink);
+          id, static_cast<uint32_t>(lo), static_cast<uint32_t>(hi), sink);
     };
     auto state = std::make_shared<EvalState>(
         handle, std::make_unique<cache::CrackedSequenceStore>(
                     std::move(domain), kCrackMinPiece,
                     std::move(fetch), metrics_.get()));
     CRIMSON_RETURN_IF_ERROR(state->manager.Init());
-    std::lock_guard<std::mutex> lock(eval_mu_);
-    if (eval_generation_[tree.id()] != generation) {
-      // An invalidation landed while this state was being built;
-      // rebuild so its lazy loads see the new storage state.
-      continue;
-    }
-    auto [it, inserted] = eval_cache_.emplace(tree.id(), std::move(state));
-    return it->second;
+    std::lock_guard<std::shared_mutex> lock(handles_mu_);
+    BoundTree& bound = bound_.at(id);
+    // An append or drop landed while this state was being built:
+    // rebuild (or fail, once dropped) against the new storage state.
+    if (bound.eval_generation != generation) continue;
+    if (bound.eval == nullptr) bound.eval = std::move(state);
+    return bound.eval;
   }
 }
 
@@ -1131,14 +1103,15 @@ Status Crimson::Checkpoint() {
 obs::MetricsSnapshot Crimson::SnapshotMetrics() const {
   // Refresh the live gauges first. Counters need no refresh; they are
   // written at the event sites. The live states are copied under
-  // eval_mu_ and their stores read outside it (the stores take their
-  // own mutex; holding eval_mu_ across that would invert the fetch
-  // callback's store -> eval_mu_ order).
+  // handles_mu_ and their stores read outside it (the stores take
+  // their own mutex; holding handles_mu_ across that would invert the
+  // fetch callback's store -> handles_mu_ order).
   std::vector<std::shared_ptr<const EvalState>> states;
   {
-    std::lock_guard<std::mutex> lock(eval_mu_);
-    states.reserve(eval_cache_.size());
-    for (const auto& [id, state] : eval_cache_) states.push_back(state);
+    std::shared_lock<std::shared_mutex> lock(handles_mu_);
+    for (const auto& [id, bound] : bound_) {
+      if (bound.eval != nullptr) states.push_back(bound.eval);
+    }
   }
   cache::CrackedStoreStats sum;
   for (const auto& state : states) {

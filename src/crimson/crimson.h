@@ -7,10 +7,12 @@
 //
 // Session model: trees are bound once to an opaque TreeRef handle
 // (LoadNewick/LoadNexus/LoadTree/OpenTree), and queries, exports and
-// renders take that handle. Every structure query is a typed
-// QueryRequest run through one private per-query pipeline: canonical
-// key -> cache probe -> stamp -> execute -> cache insert -> trace
-// publish. Execute runs it on the calling thread and appends the
+// renders take that handle. A TreeRef carries the stored tree's id,
+// which is never reused: the session keys its handles, evaluation
+// state and result cache by it, and a name is resolved to an id only
+// at OpenTree. Every structure query is a typed QueryRequest run
+// through one private per-query pipeline: (tree id, canonical request)
+// key -> cache probe -> execute -> cache insert -> trace publish. Execute runs it on the calling thread and appends the
 // history row inside the query's trace; ExecuteBatch runs it per
 // request on the worker pool and appends the rows in request order
 // after the barrier. Evaluation follows the same shape: RunExperiment
@@ -20,7 +22,8 @@
 // RerunExperiment replays stored workloads byte-identically.
 //
 // The session is thread-safe AND read-concurrent:
-// the handle cache is guarded by a shared_mutex, storage writes hold
+// the name map and bound trees are guarded by a shared_mutex and
+// changed only by the writer path after a commit, storage writes hold
 // the storage lock exclusively, while storage *reads* (cold OpenTree
 // binds, label-scheme loads, sequence fetches, history/experiment
 // lookups) take a Database read snapshot instead of any session-wide
@@ -103,10 +106,10 @@ struct CrimsonOptions {
   StorageEnv storage_env = PosixStorageEnv();
   /// Byte budget for the session's adaptive result cache over the
   /// idempotent query kinds (LCA, projection, clade, pattern match --
-  /// never sampling). Cached results are invalidated by mutations of
-  /// their tree and tagged with the MVCC committed epoch, so a hit is
-  /// always byte-identical to re-executing (see DESIGN.md "Adaptive
-  /// caching & cracking"). 0 disables the cache (bench baseline).
+  /// never sampling). Results are keyed by the never-reused tree id of
+  /// an unchanging stored structure, so a hit is always byte-identical
+  /// to re-executing (see DESIGN.md "Adaptive caching & cracking"). 0
+  /// disables the cache (bench baseline).
   uint64_t query_cache_bytes = 8ull << 20;
   /// Slow-query threshold in microseconds; 0 (the default) disables
   /// the slow-query log. A query whose wall time meets the threshold
@@ -158,10 +161,12 @@ class Crimson {
   [[nodiscard]] Result<TreeRef> OpenTree(const std::string& name);
 
   /// Drops a stored tree: structural rows, labels, AND species rows
-  /// are deleted in one write transaction, the bound handle (if any)
-  /// is evicted so stale TreeRefs fail instead of serving deleted
-  /// state, and every cached result / evaluation state for the tree is
-  /// discarded. A tree re-stored under the same name starts fresh.
+  /// are deleted in one write transaction; before the writer lock is
+  /// released the name is unmapped and the bound handle and evaluation
+  /// state are freed, so stale TreeRefs fail with NotFound instead of
+  /// serving deleted state. A tree re-stored under the same name gets
+  /// a new id and so starts fresh; the dropped id's cached results
+  /// are never asked for again and age out of the cache.
   [[nodiscard]] Status DropTree(const std::string& name);
 
   [[nodiscard]] Result<std::vector<TreeInfo>> ListTrees() const;
@@ -272,8 +277,8 @@ class Crimson {
  private:
   Crimson() = default;
 
-  /// Immutable per-tree state: built once under the handle-cache lock,
-  /// then shared (read-only) by any number of query threads.
+  /// Immutable per-tree state: built once per bind, then shared
+  /// (read-only) by any number of query threads.
   struct TreeHandle {
     TreeInfo info;
     PhyloTree tree;
@@ -290,30 +295,48 @@ class Crimson {
   /// Cached evaluation state for one gold tree: the sequence map plus
   /// a BenchmarkManager borrowing the handle's tree and labeling.
   /// Immutable once built and shared across experiment workers;
-  /// invalidated when AppendSpeciesData changes the tree's sequences.
+  /// dropped when a load or AppendSpeciesData commits to the tree.
   struct EvalState;
 
+  /// One tree this session has bound, by tree id. The slot outlives a
+  /// DropTree (handle null) so the dropped tree's refs fail NotFound.
+  struct BoundTree {
+    std::shared_ptr<const TreeHandle> handle;
+    std::shared_ptr<const EvalState> eval;
+    /// Bumped whenever `eval` is dropped, so a build or a cracked-store
+    /// fetch that started earlier cannot serve the old species data.
+    uint64_t eval_generation = 0;
+
+    void ForgetEval() {
+      eval = nullptr;
+      ++eval_generation;
+    }
+  };
+
+  /// The bound slot of a live ref; handles_mu_ must be held.
+  /// InvalidArgument for a ref this session never issued, NotFound
+  /// once its tree is dropped.
+  Result<const BoundTree*> BoundLocked(TreeRef tree) const;
   Result<std::shared_ptr<const TreeHandle>> HandleFor(TreeRef tree) const;
+  /// Binds stored tree `id` (named `name`): returns the bound ref, or
+  /// materializes the handle from a read snapshot and publishes it if
+  /// the name still maps to `id`. NotFound once the tree is dropped.
+  Result<TreeRef> BindTree(const std::string& name, int64_t id);
   /// Pure query execution on immutable handle state; safe to call
   /// concurrently. `ticket` seeds the per-query Rng for sampling.
   Result<QueryResult> ExecuteOnHandle(const TreeHandle& handle,
                                       const QueryRequest& request,
                                       uint64_t ticket) const;
   /// The per-query pipeline behind Execute and ExecuteBatch: key, cache
-  /// probe, stamp, ExecuteOnHandle, insert, then FinishQueryTrace. With
+  /// probe, ExecuteOnHandle, insert, then FinishQueryTrace. With
   /// `record_history` the history row is appended inside the trace;
-  /// ExecuteBatch appends its rows itself, in request order. `handle`
-  /// is `tree`'s, as HandleFor returned it.
-  Result<QueryResult> RunQuery(TreeRef tree, const TreeHandle& handle,
+  /// ExecuteBatch appends its rows itself, in request order.
+  Result<QueryResult> RunQuery(const TreeHandle& handle,
                                const QueryRequest& request, uint64_t ticket,
                                bool record_history);
   /// Cached-or-built evaluation state for a bound tree;
   /// FailedPrecondition when the tree has no species data.
   Result<std::shared_ptr<const EvalState>> EvalStateFor(TreeRef tree);
-  /// Drops the tree's cached evaluation state and bumps its
-  /// generation, so in-flight EvalStateFor builds that read the old
-  /// sequence map cannot re-cache it.
-  void InvalidateEvalState(const std::string& tree_name);
   /// One instance per spec algorithm name, resolved from the global
   /// registry (shared by the run and replay paths).
   static Result<std::vector<std::unique_ptr<ReconstructionAlgorithm>>>
@@ -381,16 +404,15 @@ class Crimson {
   /// cached counts, next ids) may reflect the rolled-back writes.
   template <typename Fn>
   auto TransactLocked(Fn&& fn) -> decltype(fn());
-  /// TransactLocked plus the query-cache invalidation bracket for a
-  /// mutation of `tree_name`: takes db_mu_ exclusive, bumps the tree's
-  /// cache generation before the transaction, and on resolution either
-  /// publishes the post-commit epoch barrier or rolls the generation
-  /// back (abort changed nothing).
+  /// Runs a load (one DataLoader call) in a write transaction under
+  /// db_mu_; once it commits, maps the report's name to its tree id and
+  /// drops the tree's evaluation state, before db_mu_ is released.
   template <typename Fn>
-  auto MutateTree(const std::string& tree_name, Fn&& fn) -> decltype(fn());
+  Result<LoadReport> WriteTree(Fn&& write);
   /// Rebuilds the repository handles (and the loader over them) from
-  /// current storage and publishes them as a new generation; db_mu_
-  /// must be held exclusive.
+  /// current storage and publishes them as a new generation, then
+  /// re-seeds the name map from the stored trees; db_mu_ must be held
+  /// exclusive (or the session not yet shared).
   Status ReopenRepositoriesLocked();
   /// Synchronously drains the history buffer inside its own write
   /// transaction (no-op when empty). Takes db_mu_ exclusive.
@@ -452,28 +474,16 @@ class Crimson {
   /// Next history id; seeded from storage at open/reopen.
   std::atomic<int64_t> next_query_id_{1};
 
-  /// Guards the handle cache. Shared for ref lookup on the query path,
-  /// exclusive only for the brief insertion of a freshly materialized
-  /// handle (materialization itself runs without this lock). Never
-  /// held together with db_mu_.
+  /// Guards tree_ids_ and bound_. Shared on the query path; exclusive
+  /// for publishing a bound handle or evaluation state, and for the
+  /// writer path's post-commit updates. Lock order: db_mu_ ->
+  /// handles_mu_; never held while materializing or evaluating.
   mutable std::shared_mutex handles_mu_;
-  /// Slots are never reused; DropTree nulls a slot out (stale TreeRefs
-  /// then fail handle resolution instead of serving deleted state).
-  std::vector<std::shared_ptr<const TreeHandle>> handles_;
-  std::map<std::string, uint64_t, std::less<>> handle_ids_;
-  /// Per-name drop counter: OpenTree snapshots it before materializing
-  /// and re-checks before publishing, so a bind racing a DropTree of
-  /// the same name cannot insert a handle for the deleted tree.
-  std::map<std::string, uint64_t, std::less<>> drop_counts_;
-
-  /// Guards the evaluation-state cache (keyed by handle id). Never
-  /// held while evaluating, and never together with db_mu_ or
-  /// handles_mu_.
-  mutable std::mutex eval_mu_;
-  std::map<uint64_t, std::shared_ptr<const EvalState>> eval_cache_;
-  /// Bumped by InvalidateEvalState; EvalStateFor re-checks it before
-  /// inserting a freshly built state (lost-invalidation guard).
-  std::map<uint64_t, uint64_t> eval_generation_;
+  /// Name -> id of every stored tree. Seeded from storage when the
+  /// repositories (re)open; changed only by writers, under db_mu_,
+  /// after their commit.
+  std::map<std::string, int64_t, std::less<>> tree_ids_;
+  std::map<int64_t, BoundTree> bound_;
 
   /// Monotone query ticket; combined with options_.seed to derive the
   /// per-query Rng (see QuerySeed in crimson.cc). Cache hits still
@@ -483,7 +493,7 @@ class Crimson {
 
   /// The adaptive result cache (src/cache); always constructed, budget
   /// 0 makes every operation a cheap no-op. Internally synchronized;
-  /// its invalidation hooks run under db_mu_ via MutateTree.
+  /// keyed by tree id, so no write ever touches it.
   std::unique_ptr<cache::QueryCache> query_cache_;
 };
 

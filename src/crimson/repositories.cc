@@ -26,6 +26,17 @@ Result<Table> OpenOrCreate(Database* db, const std::string& name,
   return db->CreateTable(name, schema, indexes);
 }
 
+TreeInfo TreeInfoFromRow(const Row& row) {
+  TreeInfo info;
+  info.tree_id = std::get<int64_t>(row[0]);
+  info.name = std::get<std::string>(row[1]);
+  info.n_nodes = std::get<int64_t>(row[2]);
+  info.n_leaves = std::get<int64_t>(row[3]);
+  info.f = std::get<int64_t>(row[4]);
+  info.max_depth = std::get<int64_t>(row[5]);
+  return info;
+}
+
 }  // namespace
 
 int64_t NowMicros() {
@@ -69,6 +80,26 @@ Result<std::unique_ptr<TreeRepository>> TreeRepository::Open(Database* db) {
       OpenOrCreate(db, "tree_blobs", tree_blobs_schema,
                    {{"tree_blobs_by_tree", "tree_id", /*unique=*/true}}));
   repo->tree_blobs_ = std::make_unique<Table>(std::move(tree_blobs));
+
+  CRIMSON_ASSIGN_OR_RETURN(
+      Table tree_ids,
+      OpenOrCreate(db, "tree_ids", Schema({{"next_tree_id", ColumnType::kInt64}}),
+                   {}));
+  repo->tree_ids_ = std::make_unique<Table>(std::move(tree_ids));
+  // The next id is past both the stored counter and every stored tree
+  // (a file written before the counter existed has only the latter).
+  CRIMSON_RETURN_IF_ERROR(
+      repo->tree_ids_->Scan([&](const RecordId& rid, const Row& row) {
+        repo->next_id_row_ = rid;
+        repo->next_id_ = std::max(repo->next_id_, std::get<int64_t>(row[0]));
+        return true;
+      }));
+  CRIMSON_RETURN_IF_ERROR(
+      repo->trees_->Scan([&](const RecordId&, const Row& row) {
+        repo->next_id_ =
+            std::max(repo->next_id_, std::get<int64_t>(row[0]) + 1);
+        return true;
+      }));
   return repo;
 }
 
@@ -91,13 +122,13 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
           dups[0].c_str()));
     }
   }
-  // Allocate the next tree id (small table scan).
-  int64_t tree_id = 1;
-  CRIMSON_RETURN_IF_ERROR(
-      trees_->Scan([&](const RecordId&, const Row& row) {
-        tree_id = std::max(tree_id, std::get<int64_t>(row[0]) + 1);
-        return true;
-      }));
+  // Take the next id and persist its successor first: the id is spent
+  // even if a later insert fails, so it is never handed out twice.
+  const int64_t tree_id = next_id_;
+  if (next_id_row_) CRIMSON_RETURN_IF_ERROR(tree_ids_->Delete(*next_id_row_));
+  next_id_row_.reset();
+  CRIMSON_ASSIGN_OR_RETURN(next_id_row_, tree_ids_->Insert({tree_id + 1}));
+  next_id_ = tree_id + 1;
 
   Row meta = {tree_id,
               name,
@@ -126,18 +157,11 @@ Result<int64_t> TreeRepository::StoreTree(const std::string& name,
 
 Status TreeRepository::CorruptTree(int64_t tree_id,
                                    const std::string& problem) const {
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           trees_->IndexLookup("trees_by_id", tree_id));
-  if (rids.empty()) {
-    return Status::NotFound(StrFormat("no tree with id %lld",
-                                      static_cast<long long>(tree_id)));
-  }
-  Row row;
-  CRIMSON_RETURN_IF_ERROR(trees_->Get(rids[0], &row));
-  return Status::Corruption(
-      StrFormat("tree '%s' (id %lld): %s",
-                std::get<std::string>(row[1]).c_str(),
-                static_cast<long long>(tree_id), problem.c_str()));
+  CRIMSON_ASSIGN_OR_RETURN(TreeInfo info, GetTreeInfo(tree_id));
+  return Status::Corruption(StrFormat("tree '%s' (id %lld): %s",
+                                      info.name.c_str(),
+                                      static_cast<long long>(tree_id),
+                                      problem.c_str()));
 }
 
 Result<std::string> TreeRepository::LoadBlob(const Table& table,
@@ -165,35 +189,32 @@ Result<LayeredDeweyScheme> TreeRepository::LoadScheme(int64_t tree_id) const {
   return scheme;
 }
 
-Result<TreeInfo> TreeRepository::GetTreeInfo(const std::string& name) const {
+Result<TreeInfo> TreeRepository::FindTree(std::string_view index,
+                                          const Value& key,
+                                          const std::string& missing) const {
   CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           trees_->IndexLookup("trees_by_name", name));
-  if (rids.empty()) {
-    return Status::NotFound(StrFormat("no tree named '%s'", name.c_str()));
-  }
+                           trees_->IndexLookup(index, key));
+  if (rids.empty()) return Status::NotFound(missing);
   Row row;
   CRIMSON_RETURN_IF_ERROR(trees_->Get(rids[0], &row));
-  TreeInfo info;
-  info.tree_id = std::get<int64_t>(row[0]);
-  info.name = std::get<std::string>(row[1]);
-  info.n_nodes = std::get<int64_t>(row[2]);
-  info.n_leaves = std::get<int64_t>(row[3]);
-  info.f = std::get<int64_t>(row[4]);
-  info.max_depth = std::get<int64_t>(row[5]);
-  return info;
+  return TreeInfoFromRow(row);
+}
+
+Result<TreeInfo> TreeRepository::GetTreeInfo(const std::string& name) const {
+  return FindTree("trees_by_name", name,
+                  StrFormat("no tree named '%s'", name.c_str()));
+}
+
+Result<TreeInfo> TreeRepository::GetTreeInfo(int64_t tree_id) const {
+  return FindTree("trees_by_id", tree_id,
+                  StrFormat("no tree with id %lld",
+                            static_cast<long long>(tree_id)));
 }
 
 Result<std::vector<TreeInfo>> TreeRepository::ListTrees() const {
   std::vector<TreeInfo> out;
   CRIMSON_RETURN_IF_ERROR(trees_->Scan([&](const RecordId&, const Row& row) {
-    TreeInfo info;
-    info.tree_id = std::get<int64_t>(row[0]);
-    info.name = std::get<std::string>(row[1]);
-    info.n_nodes = std::get<int64_t>(row[2]);
-    info.n_leaves = std::get<int64_t>(row[3]);
-    info.f = std::get<int64_t>(row[4]);
-    info.max_depth = std::get<int64_t>(row[5]);
-    out.push_back(std::move(info));
+    out.push_back(TreeInfoFromRow(row));
     return true;
   }));
   std::sort(out.begin(), out.end(),

@@ -7,6 +7,11 @@
 //
 // Relational layout (all tables live in one storage/Database):
 //   trees(tree_id*, name*, n_nodes, n_leaves, f, max_depth)
+//   tree_ids(next_tree_id)
+//     - one row: the id the next StoreTree takes. Ids only grow, so a
+//       dropped tree's id is never handed out again and (tree id,
+//       request) names one answer forever. Created on open when absent
+//       (files written before it existed start from max(tree_id) + 1).
 //   labels(tree_id*, scheme_blob)
 //     - the serialized layered-Dewey scheme (all layers, with every
 //       layer's subtree sources and roots); required for every tree
@@ -93,8 +98,9 @@ class TreeRepository {
 
   /// Persists a tree (structure + labeling) under a unique name as
   /// three rows: trees metadata, the labels blob and the packed tree
-  /// blob. Returns the assigned tree id. InvalidArgument for an empty
-  /// tree or duplicate leaf names.
+  /// blob. Returns the assigned tree id, taken from the tree_ids
+  /// counter (never one a dropped tree had). InvalidArgument for an
+  /// empty tree or duplicate leaf names.
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
 
@@ -108,6 +114,9 @@ class TreeRepository {
 
   /// Tree metadata by name.
   Result<TreeInfo> GetTreeInfo(const std::string& name) const;
+
+  /// Tree metadata by id; NotFound once the tree is dropped.
+  Result<TreeInfo> GetTreeInfo(int64_t tree_id) const;
 
   /// All stored trees.
   Result<std::vector<TreeInfo>> ListTrees() const;
@@ -132,10 +141,20 @@ class TreeRepository {
   Result<std::string> LoadBlob(const Table& table, std::string_view index,
                                int64_t tree_id) const;
 
+  /// The trees row the entry of `key` in `index` points at; NotFound
+  /// with message `missing` when there is none.
+  Result<TreeInfo> FindTree(std::string_view index, const Value& key,
+                            const std::string& missing) const;
+
   Database* db_;
   std::unique_ptr<Table> trees_;
   std::unique_ptr<Table> labels_;
   std::unique_ptr<Table> tree_blobs_;
+  std::unique_ptr<Table> tree_ids_;
+  /// The tree_ids row and the id it holds (writer-only hints, re-read
+  /// when the session reopens the repositories after an abort).
+  std::optional<RecordId> next_id_row_;
+  int64_t next_id_ = 1;
 };
 
 /// Stores a tree's species data (gene sequences) as chunk rows. A

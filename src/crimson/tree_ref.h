@@ -1,8 +1,11 @@
 // TreeRef: an opaque, copyable handle to a tree loaded in a Crimson
 // session. A TreeRef is bound once (at load/open time) and then used
 // for every query against the tree, so the per-query string lookup of
-// the old facade disappears. Refs are only meaningful within the
-// session that issued them and stay valid for that session's lifetime.
+// the old facade disappears. It carries the stored tree's id, which
+// the database never hands out again: a ref names one unchanging tree
+// and, once that tree is dropped, fails with NotFound even if the name
+// is stored again. Refs are only meaningful within the session that
+// issued them.
 
 #ifndef CRIMSON_CRIMSON_TREE_REF_H_
 #define CRIMSON_CRIMSON_TREE_REF_H_

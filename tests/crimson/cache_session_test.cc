@@ -1,10 +1,10 @@
 // Session-level tests for the adaptive query cache: a cache-enabled
 // session must be byte-identical to a cache-disabled one across every
 // query kind and across random interleavings of queries with
-// StoreTree / AppendSpeciesData / aborted writes; DropTree must evict
-// eagerly so a re-stored same-name tree never serves stale state; and
-// concurrent readers racing a writer must never observe a
-// pre-mutation cached result after the mutation commits.
+// StoreTree / AppendSpeciesData / aborted writes; a tree re-stored
+// under a dropped name gets a new id and never serves the dropped
+// tree's state; and concurrent readers racing a drop/re-store writer
+// must never observe the dropped tree's answer after the re-store.
 
 #include "crimson/crimson.h"
 
@@ -23,6 +23,8 @@
 #include "common/string_util.h"
 #include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
+#include "../storage/fault_injection.h"
+#include "wal_sync_latch.h"
 
 namespace crimson {
 namespace {
@@ -208,8 +210,8 @@ TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
         EXPECT_EQ(RenderResult(*a), RenderResult(*b)) << "step " << step;
       }
     } else if (op == 7) {
-      // Store (or re-store) an unrelated tree: invalidation machinery
-      // runs, fig1 entries must survive.
+      // Store (or re-store) an unrelated tree: fig1 entries must
+      // survive.
       const std::string name = StrFormat("extra%d", stores++ % 3);
       auto a = cached->LoadNewick(name, kAltNewick);
       auto b = uncached->LoadNewick(name, kAltNewick);
@@ -225,8 +227,7 @@ TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
       ASSERT_EQ(sa.ok(), sb.ok()) << "step " << step;
     } else {
       // Aborted mutation: appending to a tree that does not exist
-      // fails inside the write transaction and must roll back cleanly
-      // (cache generations included).
+      // fails inside the write transaction and must roll back cleanly.
       auto a = cached->AppendSpeciesData("ghost", *sequences);
       auto b = uncached->AppendSpeciesData("ghost", *sequences);
       EXPECT_FALSE(a.ok()) << "step " << step;
@@ -237,8 +238,10 @@ TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
   EXPECT_GT(cached->SnapshotMetrics().counter("cache.hits"), 0u);
 }
 
-TEST(CacheSessionTest, AppendSpeciesDataInvalidatesThatTreeOnly) {
-  auto crimson = OpenSession(42, 1 << 20);
+TEST(CacheSessionTest, AppendSpeciesDataKeepsCachedAnswers) {
+  // Species data is not structure: an append leaves a tree's cached
+  // answers valid, so both repeats below hit and still match a
+  // cache-off session byte for byte.
   Rng tree_rng(0xFACE);
   YuleOptions yule_opts;
   yule_opts.n_leaves = 24;
@@ -250,20 +253,29 @@ TEST(CacheSessionTest, AppendSpeciesDataInvalidatesThatTreeOnly) {
   auto sequences = evolver->EvolveLeaves(*gold, &tree_rng);
   ASSERT_TRUE(sequences.ok());
 
-  TreeRef fig = crimson->LoadNewick("fig1", kFig1Newick).value().ref;
-  TreeRef yule = crimson->LoadTree("gold", *gold).value().ref;
-  ASSERT_TRUE(crimson->Execute(fig, LcaQuery{"Lla", "Syn"}).ok());
-  ASSERT_TRUE(crimson->Execute(yule, LcaQuery{"S1", "S5"}).ok());
-  ASSERT_EQ(crimson->SnapshotMetrics().counter("cache.entries"), 2u);
-
-  ASSERT_TRUE(crimson->AppendSpeciesData("gold", *sequences).ok());
-
-  // fig1's entry still hits; gold's was invalidated by the append.
-  ASSERT_TRUE(crimson->Execute(fig, LcaQuery{"Lla", "Syn"}).ok());
-  ASSERT_TRUE(crimson->Execute(yule, LcaQuery{"S1", "S5"}).ok());
-  const obs::MetricsSnapshot stats = crimson->SnapshotMetrics();
-  EXPECT_EQ(stats.counter("cache.hits"), 1u);
-  EXPECT_EQ(stats.counter("cache.misses"), 3u);
+  auto cached = OpenSession(42, 1 << 20);
+  auto uncached = OpenSession(42, 0);
+  std::vector<std::string> answers[2];
+  Crimson* sessions[2] = {cached.get(), uncached.get()};
+  for (int s = 0; s < 2; ++s) {
+    Crimson* crimson = sessions[s];
+    TreeRef fig = crimson->LoadNewick("fig1", kFig1Newick).value().ref;
+    TreeRef yule = crimson->LoadTree("gold", *gold).value().ref;
+    auto run = [&](TreeRef ref, const QueryRequest& request) {
+      auto r = crimson->Execute(ref, request);
+      ASSERT_TRUE(r.ok()) << r.status();
+      answers[s].push_back(RenderResult(*r));
+    };
+    run(fig, LcaQuery{"Lla", "Syn"});
+    run(yule, ProjectQuery{{"S1", "S5", "S9"}});
+    ASSERT_TRUE(crimson->AppendSpeciesData("gold", *sequences).ok());
+    run(fig, LcaQuery{"Lla", "Syn"});
+    run(yule, ProjectQuery{{"S1", "S5", "S9"}});
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  const obs::MetricsSnapshot stats = cached->SnapshotMetrics();
+  EXPECT_EQ(stats.counter("cache.hits"), 2u);
+  EXPECT_EQ(stats.counter("cache.misses"), 2u);
 }
 
 TEST(DropTreeTest, ReStoredSameNameTreeNeverServesStaleState) {
@@ -293,6 +305,88 @@ TEST(DropTreeTest, ReStoredSameNameTreeNeverServesStaleState) {
                                   LcaQuery{"Spy", "Bha"});
   ASSERT_TRUE(by_name.ok());
   EXPECT_EQ(RenderResult(*by_name), RenderResult(*after));
+}
+
+std::string LcaRendering(const char* newick) {
+  auto s = OpenSession(1, 0);
+  TreeRef r = s->LoadNewick("x", newick).value().ref;
+  return RenderResult(*s->Execute(r, LcaQuery{"Spy", "Bha"}));
+}
+
+TEST(DropTreeTest, SameNameLoadRacingADropGetsTheNewTree) {
+  // DropTree("x") is parked inside its durable commit, holding the
+  // writer lock, while one thread loads another topology as "x" and
+  // another opens "x" and queries it. Whatever the interleaving after
+  // the release, the load's ref and a fresh OpenTree("x") answer the
+  // new topology and the dropped tree's ref fails with NotFound.
+  const std::string old_answer = LcaRendering(kFig1Newick);
+  const std::string alt_answer = LcaRendering(kAltNewick);
+  ASSERT_NE(old_answer, alt_answer);
+
+  test::FaultInjectionEnv env;
+  test::WalSyncLatch latch;
+  CrimsonOptions opts;
+  opts.f = 3;
+  opts.db_path = "drop_race.db";
+  opts.durability = Durability::kCommit;
+  opts.query_cache_bytes = 1 << 20;
+  opts.storage_env = latch.Wrap(env.env());
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Crimson* crimson = session->get();
+  auto loaded = crimson->LoadNewick("x", kFig1Newick);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const TreeRef old_ref = loaded->ref;
+  auto cached = crimson->Execute(old_ref, LcaQuery{"Spy", "Bha"});
+  ASSERT_TRUE(cached.ok());
+  ASSERT_EQ(RenderResult(*cached), old_answer);
+
+  latch.Arm();
+  Status dropped = Status::Internal("not run");
+  std::thread dropper([&] { dropped = crimson->DropTree("x"); });
+  if (!latch.WaitParked()) {
+    latch.Release();
+    dropper.join();
+    FAIL() << "DropTree never reached its WAL sync";
+  }
+  Result<SessionLoadReport> reloaded = Status::Internal("not run");
+  std::thread loader(
+      [&] { reloaded = crimson->LoadNewick("x", kAltNewick); });
+  Result<std::string> during = Status::Internal("not run");
+  std::thread reader([&] {
+    auto ref = crimson->OpenTree("x");
+    if (!ref.ok()) {
+      during = ref.status();
+      return;
+    }
+    auto r = crimson->Execute(*ref, LcaQuery{"Spy", "Bha"});
+    during = r.ok() ? Result<std::string>(RenderResult(*r)) : r.status();
+  });
+  reader.join();
+  // Give the loader time to queue on the writer lock, so the release
+  // lets it race the rest of the drop.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  latch.Release();
+  dropper.join();
+  loader.join();
+
+  ASSERT_TRUE(dropped.ok()) << dropped;
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  // The drop had not committed while the reader ran.
+  ASSERT_TRUE(during.ok()) << during.status();
+  EXPECT_EQ(*during, old_answer);
+  EXPECT_NE(reloaded->ref, old_ref);
+  auto fresh = crimson->Execute(reloaded->ref, LcaQuery{"Spy", "Bha"});
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(RenderResult(*fresh), alt_answer);
+  auto reopened = crimson->OpenTree("x");
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto by_name = crimson->Execute(*reopened, LcaQuery{"Spy", "Bha"});
+  ASSERT_TRUE(by_name.ok()) << by_name.status();
+  EXPECT_EQ(RenderResult(*by_name), alt_answer);
+  EXPECT_TRUE(crimson->Execute(old_ref, LcaQuery{"Spy", "Bha"})
+                  .status()
+                  .IsNotFound());
 }
 
 TEST(DropTreeTest, DropEvictsEvalStateForExperiments) {

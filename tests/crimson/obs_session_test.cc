@@ -270,9 +270,8 @@ TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
   const obs::MetricsSnapshot m = crimson->SnapshotMetrics();
   for (const char* key :
        {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
-        "cache.invalidations", "cache.stale_skips", "cache.bypassed",
-        "cache.entries", "cache.bytes_used", "crack.stores", "crack.pieces",
-        "crack.loaded_pieces", "crack.sequences_loaded",
+        "cache.bypassed", "cache.entries", "cache.bytes_used", "crack.stores",
+        "crack.pieces", "crack.loaded_pieces", "crack.sequences_loaded",
         "crack.sequences_resident", "crack.sequences_total",
         "crack.fetches", "crack.batches", "crack.piece_hits"}) {
     ASSERT_EQ(m.counters.count(key), 1u) << key;

@@ -749,18 +749,65 @@ std::string StoredTreeState(Crimson* session, const std::string& name) {
   return out.str();
 }
 
+/// A database file's freelist, walked from the header.
+std::vector<PageId> FreeListChain(const std::string& file) {
+  std::vector<PageId> out;
+  std::set<PageId> seen;
+  const uint64_t pages = file.size() / kPageSize;
+  for (PageId id = DecodeFixed32(file.data() + kHeaderFreelistOffset);
+       id != kInvalidPageId;) {
+    if (id >= pages || !seen.insert(id).second) {
+      ADD_FAILURE() << "freelist leaves the file or loops at page " << id;
+      break;
+    }
+    out.push_back(id);
+    const char* page = file.data() + static_cast<uint64_t>(id) * kPageSize;
+    EXPECT_EQ(static_cast<PageType>(page[0]), PageType::kFree) << id;
+    id = DecodeFixed32(page + kFreePageLinkOffset);
+  }
+  return out;
+}
+
+std::set<PageId> FreeListPages(const std::string& file) {
+  const std::vector<PageId> chain = FreeListChain(file);
+  return std::set<PageId>(chain.begin(), chain.end());
+}
+
+/// The header's page count and the freelist in walk order: what a
+/// recovered file must agree on with the fault-free file.
+std::string PageAccounting(const std::string& file) {
+  std::ostringstream out;
+  out << "pages=" << DecodeFixed32(file.data() + kHeaderPageCountOffset)
+      << " free=";
+  for (PageId id : FreeListChain(file)) out << id << ",";
+  return out.str();
+}
+
 /// Crashes a session DropTree of the victim at every write/sync point
 /// of the WAL and the data file (every `fault_step`-th), reopens, and
 /// requires the victim to be wholly present or wholly gone while the
-/// residents answer as before.
+/// residents answer as before, and the recovered file's page count and
+/// freelist to be the fault-free file's on the same side of the commit.
 void RunDropCrashSuite(uint64_t seed, uint32_t victim_leaves,
                        CrashPolicy policy, bool torn, uint64_t fault_step) {
   const auto trees = MakeDropTrees(seed, victim_leaves);
   std::map<std::string, std::string> gold;
   int64_t victim_id = 0;
+  std::string pages_present, pages_gone;
   {
     test::FaultInjectionEnv env;
     LoadDropTrees(&env, trees);
+    pages_present = PageAccounting(env.FileContents(kDropDbPath));
+    {
+      test::FaultInjectionEnv dropped_env;
+      LoadDropTrees(&dropped_env, trees);
+      auto session = Crimson::Open(DropSessionOptions(&dropped_env));
+      ASSERT_TRUE(session.ok()) << session.status();
+      ASSERT_TRUE((*session)->DropTree(kVictim).ok());
+      session->reset();
+      pages_gone = PageAccounting(dropped_env.FileContents(kDropDbPath));
+    }
+    EXPECT_NE(pages_present, pages_gone) << "the drop frees no page";
     auto session = Crimson::Open(DropSessionOptions(&env));
     ASSERT_TRUE(session.ok()) << session.status();
     for (const auto& [name, tree] : trees) {
@@ -798,10 +845,14 @@ void RunDropCrashSuite(uint64_t seed, uint32_t victim_leaves,
 
     auto session = Crimson::Open(DropSessionOptions(&env));
     ASSERT_TRUE(session.ok()) << session.status();
+    // Read before the checks below run queries, whose history rows
+    // the session may write back.
+    const std::string pages = PageAccounting(env.FileContents(kDropDbPath));
     for (const char* resident : kResidents) {
       ASSERT_EQ(StoredTreeState(session->get(), resident), gold[resident]);
     }
     const std::string victim = StoredTreeState(session->get(), kVictim);
+    ASSERT_EQ(pages, victim == "gone" ? pages_gone : pages_present);
     if (victim == "gone") {
       ++gone;
       EXPECT_TRUE((*session)->OpenTree(kVictim).status().IsNotFound());
@@ -824,13 +875,46 @@ void RunDropCrashSuite(uint64_t seed, uint32_t victim_leaves,
 }
 
 TEST(DropCrashPoints, DropUnsynced) {
-  RunDropCrashSuite(0xD209, /*victim_leaves=*/40, CrashPolicy::kDropUnsynced,
+  RunDropCrashSuite(0xD209, /*victim_leaves=*/300, CrashPolicy::kDropUnsynced,
                     /*torn=*/false, /*fault_step=*/1);
 }
 
 TEST(DropCrashPoints, TornWrites) {
-  RunDropCrashSuite(0xD20A, /*victim_leaves=*/40, CrashPolicy::kKeepAllWrites,
+  RunDropCrashSuite(0xD20A, /*victim_leaves=*/300, CrashPolicy::kKeepAllWrites,
                     /*torn=*/true, /*fault_step=*/1);
+}
+
+TEST(TreeIdTest, DroppedTreeIdIsNeverReissued) {
+  // Store a, store b, drop b, store c: c must not take b's id. The
+  // newest id is then dropped before a clean close; after the durable
+  // reopen the next store still gets a fresh one.
+  test::FaultInjectionEnv env;
+  YuleOptions yule;
+  yule.n_leaves = 12;
+  Rng rng(0x1D5);
+  const PhyloTree tree = std::move(SimulateYule(yule, &rng)).value();
+  int64_t newest = 0;
+  {
+    auto session = Crimson::Open(DropSessionOptions(&env));
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto a = (*session)->LoadTree("a", tree);
+    auto b = (*session)->LoadTree("b", tree);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_NE(a->tree_id, b->tree_id);
+    ASSERT_TRUE((*session)->DropTree("b").ok());
+    auto c = (*session)->LoadTree("c", tree);
+    ASSERT_TRUE(c.ok()) << c.status();
+    EXPECT_NE(c->tree_id, a->tree_id);
+    EXPECT_NE(c->tree_id, b->tree_id);
+    newest = std::max({a->tree_id, b->tree_id, c->tree_id});
+    EXPECT_EQ(newest, c->tree_id);
+    ASSERT_TRUE((*session)->DropTree("c").ok());
+  }
+  auto session = Crimson::Open(DropSessionOptions(&env));
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto again = (*session)->LoadTree("b", tree);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_GT(again->tree_id, newest);
 }
 
 TEST(DropCrashPointsStress, SeedSweep) {
@@ -1103,23 +1187,6 @@ TEST(DropCostTest, SpeciesDropFetchesEachChunkPageOnce) {
   // chunks back would add those again.
   EXPECT_LE(with_species, bare + chunk_pages + rows + 40)
       << chunk_pages << " chunk pages in " << rows << " rows";
-}
-
-/// The pages on a database file's freelist, walked from the header.
-std::set<PageId> FreeListPages(const std::string& file) {
-  std::set<PageId> out;
-  const uint64_t pages = file.size() / kPageSize;
-  for (PageId id = DecodeFixed32(file.data() + kHeaderFreelistOffset);
-       id != kInvalidPageId;) {
-    if (id >= pages || !out.insert(id).second) {
-      ADD_FAILURE() << "freelist leaves the file or loops at page " << id;
-      break;
-    }
-    const char* page = file.data() + static_cast<uint64_t>(id) * kPageSize;
-    EXPECT_EQ(static_cast<PageType>(page[0]), PageType::kFree) << id;
-    id = DecodeFixed32(page + kFreePageLinkOffset);
-  }
-  return out;
 }
 
 TEST(DropCostTest, DropLogsEachFreedPageAsItsFreeListLink) {

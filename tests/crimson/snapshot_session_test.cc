@@ -33,6 +33,8 @@
 #include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
 #include "storage/file.h"
+#include "storage/wal.h"
+#include "wal_sync_latch.h"
 
 namespace crimson {
 namespace {
@@ -66,6 +68,10 @@ std::string TreeName(int i) { return StrFormat("tree%d", i); }
 /// so the baseline and the concurrent phase read the same bytes.
 void BuildSharedDb(int n_trees, uint32_t n_leaves) {
   std::remove(kDbPath);
+  // A durable run leaves WAL segments that must not replay onto the
+  // fresh file.
+  ASSERT_TRUE(
+      Wal::RemoveLog(std::string(kDbPath) + "-wal", PosixStorageEnv()).ok());
   CrimsonOptions opts;
   opts.db_path = kDbPath;
   auto session = std::move(Crimson::Open(opts)).value();
@@ -91,9 +97,14 @@ std::vector<QueryRequest> SixKinds(uint32_t n_leaves) {
   };
 }
 
-std::unique_ptr<Crimson> OpenSharedSession() {
+std::unique_ptr<Crimson> OpenSharedSession(
+    test::WalSyncLatch* latch = nullptr) {
   CrimsonOptions opts;
   opts.db_path = kDbPath;
+  if (latch != nullptr) {
+    opts.durability = Durability::kCommit;
+    opts.storage_env = latch->Wrap(PosixStorageEnv());
+  }
   opts.buffer_pool_pages = 256;
   opts.seed = 42;
   auto c = Crimson::Open(opts);
@@ -133,10 +144,11 @@ std::vector<std::string> RunReaderScript(
 }
 
 /// Baseline on a quiet session, then the identical script on a fresh
-/// session over a rebuilt database while a writer bulk-loads
+/// durable session over a rebuilt database while a writer bulk-loads
 /// `writer_leaves`-leaf trees into the same relational tables. Every
-/// result must match the baseline byte-for-byte, and at least one full
-/// reader round must overlap an open store transaction.
+/// result must match the baseline byte-for-byte. The writer's first
+/// store is held in its commit (WAL sync latch) until a full reader
+/// round has run inside its open transaction.
 void RunReaderVsBulkStoreTest(int n_trees, uint32_t n_leaves, int iters,
                               int writer_trees, uint32_t writer_leaves) {
   BuildSharedDb(n_trees, n_leaves);
@@ -148,7 +160,8 @@ void RunReaderVsBulkStoreTest(int n_trees, uint32_t n_leaves, int iters,
   }
 
   BuildSharedDb(n_trees, n_leaves);
-  auto session = OpenSharedSession();
+  test::WalSyncLatch latch;
+  auto session = OpenSharedSession(&latch);
   Database* db = session->database();
 
   // Pre-simulate the writer's trees so its thread spends its time in
@@ -160,8 +173,8 @@ void RunReaderVsBulkStoreTest(int n_trees, uint32_t n_leaves, int iters,
         MakeGold(writer_leaves, 0xBEEF00 + w, /*with_sequences=*/false));
   }
 
-  std::atomic<bool> writer_done{false};
   std::atomic<int> writer_failures{0};
+  latch.Arm();
   std::thread writer([&] {
     for (int w = 0; w < writer_trees; ++w) {
       if (!session->LoadTree(StrFormat("bulk%d", w), to_store[w].tree).ok()) {
@@ -169,30 +182,24 @@ void RunReaderVsBulkStoreTest(int n_trees, uint32_t n_leaves, int iters,
         break;
       }
     }
-    writer_done.store(true, std::memory_order_release);
   });
 
-  std::atomic<int> overlapped_rounds{0};
-  auto on_iteration = [&](int) {
-    // Line the round up with an open store transaction (bounded wait;
-    // the writer may already have finished).
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!writer_done.load(std::memory_order_acquire) && !db->in_txn() &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    if (db->in_txn()) ++overlapped_rounds;
+  // Round 0 runs while the first store is parked in its commit; round
+  // 1 releases it, so later rounds race the rest of the writer.
+  int overlapped_rounds = 0;
+  auto on_iteration = [&](int iter) {
+    if (iter == 0 && latch.WaitParked() && db->in_txn()) ++overlapped_rounds;
+    if (iter == 1) latch.Release();
   };
   std::vector<std::string> concurrent = RunReaderScript(
       session.get(), n_trees, n_leaves, iters, on_iteration);
+  latch.Release();
   writer.join();
 
   ASSERT_EQ(writer_failures.load(), 0);
-  // The store dwarfs a reader round, so rounds must have overlapped an
-  // open transaction -- i.e. the identity below was actually exercised
-  // mid-StoreTree, not just before/after it.
-  EXPECT_GE(overlapped_rounds.load(), 1);
+  // The identity below was exercised mid-StoreTree, not just before or
+  // after it.
+  EXPECT_EQ(overlapped_rounds, 1);
 
   ASSERT_EQ(concurrent.size(), baseline.size());
   for (size_t i = 0; i < baseline.size(); ++i) {

@@ -589,8 +589,8 @@ TEST(StatsCodecTest, EveryCounterRoundTrips) {
   uint64_t value = 100;
   for (const char* key :
        {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
-        "cache.invalidations", "cache.stale_skips", "cache.bypassed",
-        "cache.entries", "cache.bytes_used", "cache.budget_bytes",
+        "cache.bypassed", "cache.entries", "cache.bytes_used",
+        "cache.budget_bytes",
         "crack.stores", "crack.pieces", "crack.loaded_pieces",
         "crack.sequences_loaded", "crack.sequences_resident",
         "crack.sequences_total", "crack.fetches", "crack.batches",
