@@ -1,4 +1,4 @@
-// Wall-clock timer for benchmark harnesses and loader progress.
+// Wall-clock timer for benchmark harnesses and load reports.
 
 #ifndef CRIMSON_COMMON_TIMER_H_
 #define CRIMSON_COMMON_TIMER_H_

@@ -228,6 +228,8 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
         obs::StageName(static_cast<obs::Stage>(i)).data()));
   }
   c->slow_queries_ = c->metrics_->GetCounter("query.slow");
+  c->history_buffer_full_ = c->metrics_->GetCounter("history.buffer_full");
+  c->history_flush_waits_ = c->metrics_->GetCounter("history.flush_waits");
   // The cracked stores resolve their cumulative counters only when the
   // first evaluation state is built; resolving them here too keeps the
   // key set of a fresh session's snapshot stable.
@@ -271,8 +273,20 @@ Result<SessionLoadReport> Crimson::LoadNewick(const std::string& name,
 Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
                                              const std::string& nexus,
                                              LoadMode mode) {
-  return FinishLoad(WriteTree(
-      [&] { return Repos()->loader->LoadNexus(name, nexus, mode); }));
+  if (mode != LoadMode::kAppendSpeciesData) {
+    return FinishLoad(WriteTree(
+        [&] { return Repos()->loader->LoadNexus(name, nexus, mode); }));
+  }
+  CRIMSON_ASSIGN_OR_RETURN(NexusDocument doc, ParseNexus(nexus));
+  if (doc.sequences.empty()) {
+    return Status::InvalidArgument("NEXUS input has no CHARACTERS data");
+  }
+  SessionLoadReport out;
+  CRIMSON_ASSIGN_OR_RETURN(out.ref, OpenTree(name));
+  CRIMSON_ASSIGN_OR_RETURN(LoadReport appended,
+                           AppendSpeciesData(out.ref, doc.sequences));
+  static_cast<LoadReport&>(out) = std::move(appended);
+  return out;
 }
 
 Result<SessionLoadReport> Crimson::LoadTree(const std::string& name,
@@ -282,11 +296,26 @@ Result<SessionLoadReport> Crimson::LoadTree(const std::string& name,
 }
 
 Result<LoadReport> Crimson::AppendSpeciesData(
+    TreeRef tree, const std::map<std::string, std::string>& sequences) {
+  return WriteTree([&]() -> Result<LoadReport> {
+    // Resolved under the writer lock, which DropTree holds while it
+    // frees the handle, so the tree stays stored until this commits.
+    CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
+                             HandleFor(tree));
+    CRIMSON_ASSIGN_OR_RETURN(
+        LoadReport report,
+        Repos()->loader->AppendSpecies(handle->info.tree_id, handle->tree,
+                                       handle->names, sequences));
+    report.tree_name = handle->info.name;
+    return report;
+  });
+}
+
+Result<LoadReport> Crimson::AppendSpeciesData(
     const std::string& tree_name,
     const std::map<std::string, std::string>& sequences) {
-  return WriteTree([&] {
-    return Repos()->loader->AppendSpecies(tree_name, sequences);
-  });
+  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
+  return AppendSpeciesData(ref, sequences);
 }
 
 Status Crimson::DropTree(const std::string& name) {
@@ -544,12 +573,14 @@ void Crimson::RecordQuery(std::string_view kind, const std::string& params,
     buffered = history_buffer_.size();
   }
   if (buffered < options_.history_buffer_cap) return;
+  history_buffer_full_->Increment();
   // Over the cap: flush if the writer lock is free, so a query does not
   // wait out a write or another query's flush. Past four times the cap
   // the query waits for the lock: without that, queries that outpace
   // the drain grow the buffer without bound.
   std::unique_lock<std::shared_mutex> lock(db_mu_, std::defer_lock);
   if (buffered >= 4 * options_.history_buffer_cap) {
+    history_flush_waits_->Increment();
     lock.lock();
   } else if (!lock.try_lock()) {
     return;

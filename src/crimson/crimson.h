@@ -10,16 +10,20 @@
 // renders take that handle. A TreeRef carries the stored tree's id,
 // which is never reused: the session keys its handles, evaluation
 // state and result cache by it, and a name is resolved to an id only
-// at OpenTree. Every structure query is a typed QueryRequest run
-// through one private per-query pipeline: (tree id, canonical request)
-// key -> cache probe -> execute -> cache insert -> trace publish. Execute runs it on the calling thread and appends the
-// history row inside the query's trace; ExecuteBatch runs it per
-// request on the worker pool and appends the rows in request order
-// after the barrier. Evaluation follows the same shape: RunExperiment
-// executes a serializable ExperimentSpec (algorithm registry names x
-// selection grid x replicates) on the worker pool against per-tree
-// cached evaluation state, persists the spec and scores, and
-// RerunExperiment replays stored workloads byte-identically.
+// at OpenTree. Writes reach a stored tree the same way: an append of
+// species data resolves the bound handle's tree and name index, never
+// the stored tree by name. Every structure query is a typed
+// QueryRequest run through one private per-query pipeline:
+// (tree id, canonical request) key -> cache probe -> execute -> cache
+// insert -> trace publish. Execute runs it on the calling thread and
+// appends the history row inside the query's trace; ExecuteBatch runs
+// it per request on the worker pool and appends the rows in request
+// order after the barrier. Evaluation follows the same shape:
+// RunExperiment executes a serializable ExperimentSpec (algorithm
+// registry names x selection grid x replicates) on the worker pool
+// against per-tree cached evaluation state, persists the spec and
+// scores, and RerunExperiment replays stored workloads
+// byte-identically.
 //
 // The session is thread-safe AND read-concurrent:
 // the name map and bound trees are guarded by a shared_mutex and
@@ -147,11 +151,23 @@ class Crimson {
   [[nodiscard]] Result<SessionLoadReport> LoadNewick(
       const std::string& name, const std::string& newick,
       LoadMode mode = LoadMode::kTreeStructureOnly);
+  /// Loads a NEXUS document. With kAppendSpeciesData the document's
+  /// sequences go to the stored tree `name` (OpenTree, then the ref
+  /// append below) and its TREES block is ignored.
   [[nodiscard]] Result<SessionLoadReport> LoadNexus(
       const std::string& name, const std::string& nexus,
       LoadMode mode = LoadMode::kTreeWithSpeciesData);
   [[nodiscard]] Result<SessionLoadReport> LoadTree(const std::string& name,
                                                    const PhyloTree& tree);
+  /// Appends sequences to a bound tree, resolving species against the
+  /// handle's in-memory tree and name index (no stored tree is read
+  /// back). The ref is resolved under the writer lock, so a dropped
+  /// tree gives NotFound and nothing is written. Every species must
+  /// name a node of the tree; one already stored keeps its first
+  /// sequence. Drops the tree's cached evaluation state.
+  [[nodiscard]] Result<LoadReport> AppendSpeciesData(
+      TreeRef tree, const std::map<std::string, std::string>& sequences);
+  /// OpenTree(tree_name), then the ref append above.
   [[nodiscard]] Result<LoadReport> AppendSpeciesData(
       const std::string& tree_name,
       const std::map<std::string, std::string>& sequences);
@@ -439,6 +455,10 @@ class Crimson {
   KindCells kind_cells_[kQueryKindCount];
   obs::Histogram* stage_hists_[obs::kStageCount] = {};  // query.stage.<s>_us
   obs::Counter* slow_queries_ = nullptr;                // query.slow
+  /// Queries that found the history buffer at or over its cap, and
+  /// those of them that waited for the writer lock at four times it.
+  obs::Counter* history_buffer_full_ = nullptr;  // history.buffer_full
+  obs::Counter* history_flush_waits_ = nullptr;  // history.flush_waits
   /// Live-level gauges SnapshotMetrics refreshes; resolved at Open so
   /// a fresh session's snapshot already carries every key.
   struct LiveGauges {

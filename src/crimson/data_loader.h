@@ -1,18 +1,24 @@
 // Data Loader (paper Fig. 3 and §3 "Loading Data"): loads phylogenetic
 // trees (Newick or NEXUS) into the repositories, with the three demo
 // modes -- tree with species data, tree structure only, and appending
-// species data to an existing tree -- plus dynamically reported
-// progress/errors.
+// species data to an existing tree -- and reports errors as it goes.
+//
+// The loader never looks a tree up by name. Appending species data to
+// a stored tree takes the tree as the caller already holds it: the
+// session passes its bound handle's tree and name index
+// (Crimson::AppendSpeciesData), and a NEXUS load with species passes
+// the tree it just parsed and stored.
 
 #ifndef CRIMSON_CRIMSON_DATA_LOADER_H_
 #define CRIMSON_CRIMSON_DATA_LOADER_H_
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <string>
 
 #include "common/result.h"
 #include "crimson/repositories.h"
+#include "tree/name_index.h"
 #include "tree/nexus.h"
 
 namespace crimson {
@@ -22,7 +28,9 @@ enum class LoadMode {
   kTreeWithSpeciesData,
   /// Topology only; sequences in the input are ignored.
   kTreeStructureOnly,
-  /// Sequences only, attached to an already-loaded tree.
+  /// Sequences only, attached to an already-loaded tree. The session
+  /// handles this mode (Crimson::LoadNexus); the loader's document
+  /// loads reject it.
   kAppendSpeciesData,
 };
 
@@ -34,9 +42,6 @@ struct LoadReport {
   double seconds = 0;
 };
 
-/// Progress callback: (phase, items done). Called at a coarse rate.
-using LoadProgressFn = std::function<void(const std::string&, uint64_t)>;
-
 class DataLoader {
  public:
   /// f is the layered-Dewey bound used when indexing loaded trees.
@@ -47,27 +52,25 @@ class DataLoader {
   /// Loads a Newick string as tree `name`.
   Result<LoadReport> LoadNewick(const std::string& name,
                                 const std::string& newick_text,
-                                LoadMode mode = LoadMode::kTreeStructureOnly,
-                                LoadProgressFn progress = nullptr);
+                                LoadMode mode = LoadMode::kTreeStructureOnly);
 
   /// Loads a NEXUS document: first TREES-block tree (named `name` if
   /// the block has none) and, depending on mode, its CHARACTERS data.
   Result<LoadReport> LoadNexus(const std::string& name,
                                const std::string& nexus_text,
-                               LoadMode mode = LoadMode::kTreeWithSpeciesData,
-                               LoadProgressFn progress = nullptr);
+                               LoadMode mode = LoadMode::kTreeWithSpeciesData);
 
   /// Loads an already-parsed tree (used by simulators / examples).
-  Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree,
-                              LoadProgressFn progress = nullptr);
+  Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree);
 
-  /// Appends sequences to an existing tree. Every species must name a
-  /// node of that tree (NotFound before any write otherwise); a species
-  /// already stored keeps its first sequence.
+  /// Appends sequences to stored tree `tree_id`, whose structure is
+  /// `tree` with name index `names`. Every species must name a node of
+  /// that tree (NotFound before any write otherwise); a species
+  /// already stored keeps its first sequence. The report's tree_name
+  /// is left empty: the caller knows it.
   Result<LoadReport> AppendSpecies(
-      const std::string& tree_name,
-      const std::map<std::string, std::string>& sequences,
-      LoadProgressFn progress = nullptr);
+      int64_t tree_id, const PhyloTree& tree, const NameIndex& names,
+      const std::map<std::string, std::string>& sequences);
 
  private:
   TreeRepository* trees_;

@@ -189,26 +189,16 @@ Result<LayeredDeweyScheme> TreeRepository::LoadScheme(int64_t tree_id) const {
   return scheme;
 }
 
-Result<TreeInfo> TreeRepository::FindTree(std::string_view index,
-                                          const Value& key,
-                                          const std::string& missing) const {
+Result<TreeInfo> TreeRepository::GetTreeInfo(int64_t tree_id) const {
   CRIMSON_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
-                           trees_->IndexLookup(index, key));
-  if (rids.empty()) return Status::NotFound(missing);
+                           trees_->IndexLookup("trees_by_id", tree_id));
+  if (rids.empty()) {
+    return Status::NotFound(StrFormat("no tree with id %lld",
+                                      static_cast<long long>(tree_id)));
+  }
   Row row;
   CRIMSON_RETURN_IF_ERROR(trees_->Get(rids[0], &row));
   return TreeInfoFromRow(row);
-}
-
-Result<TreeInfo> TreeRepository::GetTreeInfo(const std::string& name) const {
-  return FindTree("trees_by_name", name,
-                  StrFormat("no tree named '%s'", name.c_str()));
-}
-
-Result<TreeInfo> TreeRepository::GetTreeInfo(int64_t tree_id) const {
-  return FindTree("trees_by_id", tree_id,
-                  StrFormat("no tree with id %lld",
-                            static_cast<long long>(tree_id)));
 }
 
 Result<std::vector<TreeInfo>> TreeRepository::ListTrees() const {

@@ -112,9 +112,6 @@ class TreeRepository {
   /// can fetch here and run the O(n) decode outside it).
   Result<std::string> LoadSchemeBlob(int64_t tree_id) const;
 
-  /// Tree metadata by name.
-  Result<TreeInfo> GetTreeInfo(const std::string& name) const;
-
   /// Tree metadata by id; NotFound once the tree is dropped.
   Result<TreeInfo> GetTreeInfo(int64_t tree_id) const;
 
@@ -140,11 +137,6 @@ class TreeRepository {
   /// The blob column of the tree's row in a per-tree blob table.
   Result<std::string> LoadBlob(const Table& table, std::string_view index,
                                int64_t tree_id) const;
-
-  /// The trees row the entry of `key` in `index` points at; NotFound
-  /// with message `missing` when there is none.
-  Result<TreeInfo> FindTree(std::string_view index, const Value& key,
-                            const std::string& missing) const;
 
   Database* db_;
   std::unique_ptr<Table> trees_;

@@ -11,6 +11,25 @@
 namespace crimson {
 namespace net {
 
+namespace {
+
+/// Appends `result` as one `ok_type` frame whose payload `encode`
+/// writes, or its error as a kError frame.
+template <typename T, typename Encode>
+void AppendResult(std::string* out, MessageType ok_type,
+                  const Result<T>& result, Encode encode) {
+  std::string payload;
+  if (!result.ok()) {
+    EncodeStatusPayload(&payload, result.status());
+    AppendFrame(out, MessageType::kError, payload);
+    return;
+  }
+  encode(&payload, *result);
+  AppendFrame(out, ok_type, payload);
+}
+
+}  // namespace
+
 /// One accepted connection: its socket, its serving thread, and a done
 /// flag the accept loop uses to reap finished slots.
 struct CrimsonServer::Connection {
@@ -19,11 +38,11 @@ struct CrimsonServer::Connection {
   std::atomic<bool> done{false};
 };
 
-CrimsonServer::CrimsonServer(SessionService* service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
+CrimsonServer::CrimsonServer(Crimson* session, ServerOptions options)
+    : session_(session), options_(std::move(options)) {
   // The server writes into the session's registry, so one kStats frame
   // (or one crimson_stats dump) shows every layer of this process.
-  obs::MetricsRegistry* reg = service_->metrics();
+  obs::MetricsRegistry* reg = session_->metrics();
   connections_accepted_ = reg->GetCounter("net.connections_accepted");
   connections_rejected_ = reg->GetCounter("net.connections_rejected");
   frames_received_ = reg->GetCounter("net.frames_received");
@@ -50,15 +69,15 @@ obs::Histogram* CrimsonServer::OpHistogram(MessageType type) const {
 }
 
 Result<std::unique_ptr<CrimsonServer>> CrimsonServer::Start(
-    SessionService* service, const ServerOptions& options) {
-  if (service == nullptr) {
-    return Status::InvalidArgument("server requires a session service");
+    Crimson* session, const ServerOptions& options) {
+  if (session == nullptr) {
+    return Status::InvalidArgument("server requires a session");
   }
   if (options.max_exec_concurrency == 0 || options.max_connections == 0 ||
       options.max_pipeline_batch == 0 || options.max_inflight_queries == 0) {
     return Status::InvalidArgument("server bounds must be >= 1");
   }
-  std::unique_ptr<CrimsonServer> server(new CrimsonServer(service, options));
+  std::unique_ptr<CrimsonServer> server(new CrimsonServer(session, options));
   CRIMSON_ASSIGN_OR_RETURN(server->listener_,
                            ListenTcp(options.host, options.port));
   CRIMSON_ASSIGN_OR_RETURN(server->port_, BoundPort(server->listener_));
@@ -83,7 +102,7 @@ Status CrimsonServer::Shutdown() {
   }
   JoinConnections(/*all=*/true);
   // Everything in flight has drained; make the session durable.
-  return service_->Checkpoint();
+  return session_->Checkpoint();
 }
 
 void CrimsonServer::JoinConnections(bool all) {
@@ -289,26 +308,23 @@ void CrimsonServer::ExecuteQueryRun(const std::string& tree_name,
     admission_wait_us_->Observe(
         static_cast<uint64_t>(wait_timer.ElapsedMicros()));
   }
-  std::vector<Result<QueryResult>> results = service_->ExecuteBatch(
-      tree_name, Span<const QueryRequest>(run.data(), run.size()));
+  Result<TreeRef> ref = session_->OpenTree(tree_name);
+  std::vector<Result<QueryResult>> results =
+      ref.ok() ? session_->ExecuteBatch(
+                     *ref, Span<const QueryRequest>(run.data(), run.size()))
+               : std::vector<Result<QueryResult>>(n, ref.status());
   ReleaseExecSlot();
   admitted_.fetch_sub(n);
   batches_executed_->Increment();
   queries_executed_->Add(n);
   query_run_us_->Observe(static_cast<uint64_t>(run_timer.ElapsedMicros()));
   for (const Result<QueryResult>& r : results) {
-    if (!r.ok()) {
-      AppendError(out, r.status());
-      continue;
-    }
-    std::string payload;
-    EncodeQueryResult(&payload, *r);
-    AppendFrame(out, MessageType::kQueryOk, payload);
+    AppendResult(out, MessageType::kQueryOk, r, EncodeQueryResult);
   }
 }
 
 void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
-  // Per-op wire latency (decode + service call + response encode);
+  // Per-op wire latency (decode + session call + response encode);
   // observed on every exit path of the switch below.
   struct OpScope {
     obs::Histogram* hist;
@@ -333,14 +349,11 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
                     Status::InvalidArgument("malformed open-tree payload"));
         return;
       }
-      Result<TreeInfo> info = service_->OpenTree(name.ToString());
-      if (!info.ok()) {
-        AppendError(out, info.status());
-        return;
-      }
-      std::string payload;
-      EncodeTreeInfo(&payload, *info);
-      AppendFrame(out, MessageType::kOpenTreeOk, payload);
+      Result<TreeRef> ref = session_->OpenTree(name.ToString());
+      AppendResult(out, MessageType::kOpenTreeOk,
+                   ref.ok() ? session_->GetTreeInfo(*ref)
+                            : Result<TreeInfo>(ref.status()),
+                   EncodeTreeInfo);
       return;
     }
     case MessageType::kStoreTree: {
@@ -352,28 +365,19 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
                                   : req.status());
         return;
       }
-      Result<TreeInfo> info =
+      Result<SessionLoadReport> stored =
           req->format == TreeFormat::kNewick
-              ? service_->StoreNewick(req->name, req->text, req->mode)
-              : service_->StoreNexus(req->name, req->text, req->mode);
-      if (!info.ok()) {
-        AppendError(out, info.status());
-        return;
-      }
-      std::string payload;
-      EncodeTreeInfo(&payload, *info);
-      AppendFrame(out, MessageType::kStoreTreeOk, payload);
+              ? session_->LoadNewick(req->name, req->text, req->mode)
+              : session_->LoadNexus(req->name, req->text, req->mode);
+      AppendResult(out, MessageType::kStoreTreeOk,
+                   stored.ok() ? session_->GetTreeInfo(stored->ref)
+                               : Result<TreeInfo>(stored.status()),
+                   EncodeTreeInfo);
       return;
     }
     case MessageType::kListTrees: {
-      Result<std::vector<TreeInfo>> infos = service_->ListTrees();
-      if (!infos.ok()) {
-        AppendError(out, infos.status());
-        return;
-      }
-      std::string payload;
-      EncodeTreeInfoList(&payload, *infos);
-      AppendFrame(out, MessageType::kListTreesOk, payload);
+      AppendResult(out, MessageType::kListTreesOk, session_->ListTrees(),
+                   EncodeTreeInfoList);
       return;
     }
     case MessageType::kHistory: {
@@ -384,15 +388,9 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
                     Status::InvalidArgument("malformed history payload"));
         return;
       }
-      Result<std::vector<QueryRepository::Entry>> entries =
-          service_->History(static_cast<size_t>(limit));
-      if (!entries.ok()) {
-        AppendError(out, entries.status());
-        return;
-      }
-      std::string payload;
-      EncodeHistoryEntries(&payload, *entries);
-      AppendFrame(out, MessageType::kHistoryOk, payload);
+      AppendResult(out, MessageType::kHistoryOk,
+                   session_->QueryHistory(static_cast<size_t>(limit)),
+                   EncodeHistoryEntries);
       return;
     }
     case MessageType::kStats: {
@@ -402,12 +400,12 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
         return;
       }
       std::string payload;
-      EncodeMetricsSnapshot(&payload, service_->Metrics());
+      EncodeMetricsSnapshot(&payload, session_->SnapshotMetrics());
       AppendFrame(out, MessageType::kStatsOk, payload);
       return;
     }
     case MessageType::kCheckpoint: {
-      Status s = service_->Checkpoint();
+      Status s = session_->Checkpoint();
       if (!s.ok()) {
         AppendError(out, s);
         return;

@@ -1,6 +1,12 @@
 // CrimsonServer: the network front door. Multiplexes many client
-// connections onto one Crimson session through the SessionService
-// dispatch seam.
+// connections onto one Crimson session and calls the session directly.
+// The wire speaks in tree *names*; the server resolves a name with
+// Crimson::OpenTree and runs the request against the returned TreeRef,
+// so a remote query takes exactly the code path an in-process one
+// does -- same handles, ticketing and history -- and wire results are
+// byte-identical to local ones. A store is Crimson::LoadNewick or
+// LoadNexus with the requested LoadMode; an append-mode NEXUS store is
+// the session's ref append.
 //
 // Architecture: an accept loop with a bounded connection pool
 // (thread-per-connection; connections beyond the bound are turned away
@@ -24,7 +30,7 @@
 // not stampede back in lockstep.)
 //
 // Query latency during stores: queries admitted here never queue
-// behind a StoreTree/AppendSpecies from another connection. The
+// behind a store or an append from another connection. The
 // session's read path runs against an MVCC snapshot of the last
 // committed state (DESIGN.md "Concurrency"), so a bulk store holds
 // the writer lock without stalling concurrent query execution -- and
@@ -35,8 +41,8 @@
 // Shutdown: Shutdown() (the SIGTERM path in crimson_server) stops the
 // accept loop, half-closes every connection's read side so in-flight
 // requests finish and their responses still flush, joins all
-// connection threads, and then checkpoints the session through the
-// service -- a graceful drain, not an abort.
+// connection threads, and then checkpoints the session -- a graceful
+// drain, not an abort.
 
 #ifndef CRIMSON_NET_SERVER_H_
 #define CRIMSON_NET_SERVER_H_
@@ -52,7 +58,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "crimson/service.h"
+#include "crimson/crimson.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -88,9 +94,10 @@ struct ServerOptions {
 class CrimsonServer {
  public:
   /// Binds, starts the accept loop, and returns a running server. The
-  /// service (and its session) must outlive the server.
+  /// session must outlive the server; its metrics registry receives
+  /// the server's net.* cells.
   static Result<std::unique_ptr<CrimsonServer>> Start(
-      SessionService* service, const ServerOptions& options = {});
+      Crimson* session, const ServerOptions& options = {});
 
   /// Shuts down (gracefully) if still running.
   ~CrimsonServer();
@@ -106,7 +113,7 @@ class CrimsonServer {
   Status Shutdown();
 
  private:
-  CrimsonServer(SessionService* service, ServerOptions options);
+  CrimsonServer(Crimson* session, ServerOptions options);
 
   struct Connection;
 
@@ -119,7 +126,8 @@ class CrimsonServer {
   /// Handles one decoded non-query frame, appending response frame(s)
   /// to `out`.
   void HandleFrame(const Frame& frame, std::string* out);
-  /// Executes a coalesced run of same-tree pipelined queries.
+  /// Executes a coalesced run of same-tree pipelined queries: one
+  /// OpenTree, then one ExecuteBatch.
   void ExecuteQueryRun(const std::string& tree_name,
                        const std::vector<QueryRequest>& run, std::string* out);
   void AppendError(std::string* out, const Status& status);
@@ -130,7 +138,7 @@ class CrimsonServer {
   /// Reaps finished connection slots; with `all`, joins everything.
   void JoinConnections(bool all);
 
-  SessionService* service_;
+  Crimson* session_;
   ServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;

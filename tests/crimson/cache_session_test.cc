@@ -226,11 +226,13 @@ TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
       auto sb = uncached->AppendSpeciesData("gold", *sequences);
       ASSERT_EQ(sa.ok(), sb.ok()) << "step " << step;
     } else {
-      // Aborted mutation: appending to a tree that does not exist
-      // fails inside the write transaction and must roll back cleanly.
-      auto a = cached->AppendSpeciesData("ghost", *sequences);
-      auto b = uncached->AppendSpeciesData("ghost", *sequences);
-      EXPECT_FALSE(a.ok()) << "step " << step;
+      // Aborted mutation: a species fig1 does not have fails inside
+      // the write transaction and must roll back cleanly.
+      const std::map<std::string, std::string> unknown = {
+          {"Lla", "ACGT"}, {"ghost", "ACGT"}};
+      auto a = cached->AppendSpeciesData(ct, unknown);
+      auto b = uncached->AppendSpeciesData(ut, unknown);
+      EXPECT_TRUE(a.status().IsNotFound()) << "step " << step;
       ASSERT_EQ(a.ok(), b.ok());
     }
   }

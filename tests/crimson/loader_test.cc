@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tree/name_index.h"
 #include "tree/newick.h"
 #include "tree/tree_builders.h"
 
@@ -39,6 +40,18 @@ class LoaderTest : public ::testing::Test {
     loader_ = std::make_unique<DataLoader>(trees_.get(), species_.get(), 4);
   }
 
+  /// Stored trees named `name` (0 or 1), with their metadata.
+  std::vector<TreeInfo> Named(const std::string& name) {
+    auto all = trees_->ListTrees();
+    EXPECT_TRUE(all.ok()) << all.status();
+    std::vector<TreeInfo> out;
+    if (!all.ok()) return out;
+    for (const TreeInfo& info : *all) {
+      if (info.name == name) out.push_back(info);
+    }
+    return out;
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<TreeRepository> trees_;
   std::unique_ptr<SpeciesRepository> species_;
@@ -50,15 +63,16 @@ TEST_F(LoaderTest, LoadNewickStructure) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->nodes_loaded, 7u);
   EXPECT_EQ(report->species_loaded, 0u);
-  auto info = trees_->GetTreeInfo("fig1");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->n_leaves, 4);
+  const std::vector<TreeInfo> info = Named("fig1");
+  ASSERT_EQ(info.size(), 1u);
+  EXPECT_EQ(info[0].tree_id, report->tree_id);
+  EXPECT_EQ(info[0].n_leaves, 4);
 }
 
 TEST_F(LoaderTest, NewickParseErrorsSurface) {
   auto report = loader_->LoadNewick("bad", "((A,B);");
   EXPECT_TRUE(report.status().IsInvalidArgument());
-  EXPECT_TRUE(trees_->GetTreeInfo("bad").status().IsNotFound());
+  EXPECT_TRUE(Named("bad").empty());
 }
 
 TEST_F(LoaderTest, NewickCannotAppendSpecies) {
@@ -89,13 +103,19 @@ TEST_F(LoaderTest, LoadNexusStructureOnlySkipsSequences) {
 }
 
 TEST_F(LoaderTest, AppendSpeciesDataToExistingTree) {
-  ASSERT_TRUE(
-      loader_->LoadNexus("gold", kNexusWithData, LoadMode::kTreeStructureOnly)
-          .ok());
-  auto report = loader_->LoadNexus("gold", kNexusWithData,
-                                   LoadMode::kAppendSpeciesData);
+  // The loader appends against the tree its caller holds (the session
+  // passes its bound handle's; SessionAppendTest covers that path).
+  auto loaded =
+      loader_->LoadNexus("gold", kNexusWithData, LoadMode::kTreeStructureOnly);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const NexusDocument doc = std::move(ParseNexus(kNexusWithData)).value();
+  auto tree = trees_->LoadTree(loaded->tree_id);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  auto report = loader_->AppendSpecies(loaded->tree_id, *tree,
+                                       NameIndex::Build(*tree), doc.sequences);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->species_loaded, 3u);
+  EXPECT_EQ(report->tree_id, loaded->tree_id);
   auto sequences = species_->SequencesForTree(report->tree_id);
   ASSERT_TRUE(sequences.ok()) << sequences.status();
   EXPECT_EQ(sequences->at("C"), "TTTT");
@@ -104,24 +124,35 @@ TEST_F(LoaderTest, AppendSpeciesDataToExistingTree) {
 TEST_F(LoaderTest, AppendToUnknownTreeFails) {
   auto report = loader_->LoadNexus("ghost", kNexusWithData,
                                    LoadMode::kAppendSpeciesData);
-  EXPECT_TRUE(report.status().IsNotFound());
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(Named("ghost").empty());
+}
+
+TEST_F(LoaderTest, NexusAppendNeedsTheSession) {
+  // Appending to a stored tree takes the tree the caller holds; the
+  // session's LoadNexus does that (SessionAppendTest), the loader's
+  // document load refuses the mode before parsing or writing.
+  ASSERT_TRUE(
+      loader_->LoadNexus("gold", kNexusWithData, LoadMode::kTreeStructureOnly)
+          .ok());
+  auto report = loader_->LoadNexus("gold", kNexusWithData,
+                                   LoadMode::kAppendSpeciesData);
+  EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  EXPECT_EQ(Named("gold").size(), 1u);
+  EXPECT_FALSE(*species_->HasSpecies(Named("gold")[0].tree_id));
 }
 
 TEST_F(LoaderTest, AppendUnknownSpeciesFails) {
-  ASSERT_TRUE(loader_->LoadNewick("small", "(A:1,B:1);").ok());
-  std::map<std::string, std::string> seqs = {{"A", "ACGT"}, {"Z", "ACGT"}};
-  EXPECT_TRUE(loader_->AppendSpecies("small", seqs).status().IsNotFound());
-}
-
-TEST_F(LoaderTest, ProgressCallbackInvoked) {
-  std::vector<std::string> phases;
-  auto report = loader_->LoadNewick(
-      "t", "(A:1,B:2);", LoadMode::kTreeStructureOnly,
-      [&](const std::string& phase, uint64_t) { phases.push_back(phase); });
+  auto report = loader_->LoadNewick("small", "(A:1,B:1);");
   ASSERT_TRUE(report.ok());
-  ASSERT_GE(phases.size(), 3u);
-  EXPECT_EQ(phases.front(), "parsing");
-  EXPECT_EQ(phases.back(), "done");
+  const PhyloTree tree = std::move(ParseNewick("(A:1,B:1);")).value();
+  std::map<std::string, std::string> seqs = {{"A", "ACGT"}, {"Z", "ACGT"}};
+  EXPECT_TRUE(loader_
+                  ->AppendSpecies(report->tree_id, tree,
+                                  NameIndex::Build(tree), seqs)
+                  .status()
+                  .IsNotFound());
+  EXPECT_FALSE(*species_->HasSpecies(report->tree_id));
 }
 
 TEST_F(LoaderTest, LoadPrebuiltTree) {
@@ -142,7 +173,7 @@ TEST_F(LoaderTest, DuplicateLeafNamesRejectedAtIngest) {
   EXPECT_NE(report.status().ToString().find("duplicate leaf name"),
             std::string::npos);
   EXPECT_NE(report.status().ToString().find("'A'"), std::string::npos);
-  EXPECT_TRUE(trees_->GetTreeInfo("dups").status().IsNotFound());
+  EXPECT_TRUE(Named("dups").empty());
   // Internal-node names may repeat leaf names freely.
   EXPECT_TRUE(loader_->LoadNewick("ok", "((A:1,B:1)A:1,C:2);").ok());
 }

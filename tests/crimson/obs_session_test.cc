@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -18,6 +19,8 @@
 #include "obs/metrics.h"
 #include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
+#include "wal_sync_latch.h"
+#include "../storage/fault_injection.h"
 
 namespace crimson {
 namespace {
@@ -273,7 +276,8 @@ TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
         "cache.bypassed", "cache.entries", "cache.bytes_used", "crack.stores",
         "crack.pieces", "crack.loaded_pieces", "crack.sequences_loaded",
         "crack.sequences_resident", "crack.sequences_total",
-        "crack.fetches", "crack.batches", "crack.piece_hits"}) {
+        "crack.fetches", "crack.batches", "crack.piece_hits",
+        "history.buffer_full", "history.flush_waits"}) {
     ASSERT_EQ(m.counters.count(key), 1u) << key;
     EXPECT_EQ(m.counter(key), 0u) << key;
   }
@@ -287,6 +291,69 @@ TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
   EXPECT_EQ(m.counter("pages.active_snapshots"), 0u);
   EXPECT_EQ(m.counter("pages.committed_epoch"),
             crimson->database()->committed_epoch());
+}
+
+TEST(ObsSessionTest, HistoryCountersCountFullBufferAndFlushWaits) {
+  // history_buffer_cap 2. With the writer lock free, a query that
+  // finds the buffer at the cap flushes it. While a durable store is
+  // parked in its commit, holding the lock, queries pile up: each from
+  // the cap on counts as buffer_full, and the one that finds four
+  // times the cap counts a flush wait and blocks until the store ends.
+  test::FaultInjectionEnv env;
+  test::WalSyncLatch latch;
+  CrimsonOptions opts;
+  opts.db_path = "history_counters.db";
+  opts.durability = Durability::kCommit;
+  opts.history_buffer_cap = 2;
+  opts.storage_env = latch.Wrap(env.env());
+  auto crimson = OpenSession(std::move(opts));
+  auto report = crimson->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(report.ok()) << report.status();
+  const QueryRequest lca(LcaQuery{"Lla", "Syn"});
+  auto counter = [&](const char* key) {
+    return crimson->SnapshotMetrics().counter(key);
+  };
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(crimson->Execute(report->ref, lca).ok());
+  }
+  EXPECT_EQ(counter("history.buffer_full"), 2u);  // queries 2 and 4
+  EXPECT_EQ(counter("history.flush_waits"), 0u);
+
+  latch.Arm();
+  Status stored = Status::Internal("not run");
+  std::thread storer([&] {
+    stored = crimson->LoadNewick("other", kFig1Newick).status();
+  });
+  if (!latch.WaitParked()) {
+    latch.Release();
+    storer.join();
+    FAIL() << "the store never reached its WAL sync";
+  }
+  std::atomic<int> ran{0};
+  std::thread reader([&] {
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE(crimson->Execute(report->ref, lca).ok());
+      ran.fetch_add(1);
+    }
+  });
+  // The eighth query finds 8 entries buffered and waits for the lock.
+  bool waited = false;
+  for (int i = 0; i < 6000 && !waited; ++i) {
+    waited = counter("history.flush_waits") == 1;
+    if (!waited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(waited);
+  EXPECT_EQ(ran.load(), 7);
+  latch.Release();
+  storer.join();
+  reader.join();
+  EXPECT_TRUE(stored.ok()) << stored;
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(counter("history.buffer_full"), 2u + 7u);  // queries 2..8
+  EXPECT_EQ(counter("history.flush_waits"), 1u);
+  auto history = crimson->QueryHistory(100);
+  ASSERT_TRUE(history.ok()) << history.status();
+  EXPECT_EQ(history->size(), 12u);
 }
 
 TEST(ObsSessionTest, CrackCountersStayCumulativeResidencyIsLive) {

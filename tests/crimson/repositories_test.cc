@@ -73,6 +73,26 @@ uint32_t DomainSize(const PhyloTree& tree) {
       NameIndex::Build(tree).SortedLeafNames(tree).size());
 }
 
+/// The stored tree named `name`, found through ListTrees; NotFound
+/// when there is none.
+Result<TreeInfo> TreeNamed(const TreeRepository& trees,
+                           const std::string& name) {
+  CRIMSON_ASSIGN_OR_RETURN(std::vector<TreeInfo> all, trees.ListTrees());
+  for (const TreeInfo& info : all) {
+    if (info.name == name) return info;
+  }
+  return Status::NotFound("no tree named '" + name + "'");
+}
+
+/// Appends through the loader against stored tree `id` as read back
+/// from `trees`, the way the session appends against a bound handle.
+Result<LoadReport> AppendTo(DataLoader& loader, const TreeRepository& trees,
+                            int64_t id,
+                            const std::map<std::string, std::string>& seqs) {
+  CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, trees.LoadTree(id));
+  return loader.AppendSpecies(id, tree, NameIndex::Build(tree), seqs);
+}
+
 class RepositoriesTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -107,7 +127,7 @@ class RepositoriesTest : public ::testing::Test {
 
 TEST_F(RepositoriesTest, StoreAndLoadRoundTrip) {
   int64_t id = StoreFig1();
-  auto info = trees_->GetTreeInfo("fig1");
+  auto info = TreeNamed(*trees_, "fig1");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->tree_id, id);
   EXPECT_EQ(info->n_nodes, 8);
@@ -127,7 +147,7 @@ TEST_F(RepositoriesTest, AppendSpeciesStoresEachSpeciesAtItsOrdinal) {
   DataLoader loader(trees_.get(), species_.get());
   const std::vector<std::string> names = {"Bha", "Lla", "Spy", "Syn", "Bsu"};
   const auto sequences = SequencesFor(names);
-  auto report = loader.AppendSpecies("fig1", sequences);
+  auto report = AppendTo(loader, *trees_, id, sequences);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->species_loaded, names.size());
   EXPECT_EQ(*species_->SequencesForTree(id), sequences);
@@ -136,7 +156,7 @@ TEST_F(RepositoriesTest, AppendSpeciesStoresEachSpeciesAtItsOrdinal) {
 
   // An unknown species fails the whole batch before any row is written.
   std::map<std::string, std::string> bad = {{"Bha", "TT"}, {"Nope", "TT"}};
-  auto missing = loader.AppendSpecies("fig1", bad);
+  auto missing = AppendTo(loader, *trees_, id, bad);
   ASSERT_TRUE(missing.status().IsNotFound()) << missing.status();
   EXPECT_NE(missing.status().ToString().find("species 'Nope' not in tree"),
             std::string::npos)
@@ -167,8 +187,8 @@ TEST_F(RepositoriesTest, NamesScopedPerTree) {
   std::map<std::string, std::string> first = SequencesFor(names);
   std::map<std::string, std::string> second;
   for (const std::string& name : {"Lla", "Bsu"}) second[name] = "TT" + name;
-  ASSERT_TRUE(loader.AppendSpecies("first", first).ok());
-  ASSERT_TRUE(loader.AppendSpecies("second", second).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, id1, first).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, *id2, second).ok());
   EXPECT_EQ(*species_->SequencesForTree(id1), first);
   EXPECT_EQ(*species_->SequencesForTree(*id2), second);
   EXPECT_EQ(StoredByOrdinal(*species_, *id2, DomainSize(mirrored)),
@@ -194,7 +214,7 @@ TEST_F(RepositoriesTest, LeafNamesAreOrdinalsAndInternalNamesTrail) {
   ASSERT_TRUE(id.ok()) << id.status();
   DataLoader loader(trees_.get(), species_.get());
   const auto sequences = SequencesFor({"A", "R", "X"});
-  ASSERT_TRUE(loader.AppendSpecies("ambiguous", sequences).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, *id, sequences).ok());
   EXPECT_EQ(*species_->SequencesForTree(*id), sequences);
   const std::map<size_t, std::string> by_ordinal = {{0, "ACGTA"},
                                                     {2, "ACGTX"}};
@@ -226,7 +246,7 @@ TEST_F(RepositoriesTest, StoreTreeRejectsDuplicateLeafNames) {
                 "tree 'dups' has 1 duplicate leaf name (e.g. 'Dup')"),
             std::string::npos)
       << stored.status();
-  EXPECT_TRUE(trees_->GetTreeInfo("dups").status().IsNotFound());
+  EXPECT_TRUE(TreeNamed(*trees_, "dups").status().IsNotFound());
   auto all = trees_->ListTrees();
   ASSERT_TRUE(all.ok());
   EXPECT_TRUE(all->empty());
@@ -275,12 +295,12 @@ TEST_F(RepositoriesTest, DropTreeRemovesEverything) {
   int64_t id = StoreFig1("doomed");
   DataLoader loader(trees_.get(), species_.get());
   const PhyloTree fig1 = MakePaperFigure1Tree();
-  ASSERT_TRUE(loader.AppendSpecies("kept", SequencesFor(LeafNames(fig1))).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, kept, SequencesFor(LeafNames(fig1))).ok());
   ASSERT_TRUE(
-      loader.AppendSpecies("doomed", SequencesFor(LeafNames(fig1))).ok());
+      AppendTo(loader, *trees_, id, SequencesFor(LeafNames(fig1))).ok());
   ASSERT_TRUE(trees_->DropTree(id).ok());
   ASSERT_TRUE(species_->DropForTree(id).ok());
-  EXPECT_TRUE(trees_->GetTreeInfo("doomed").status().IsNotFound());
+  EXPECT_TRUE(TreeNamed(*trees_, "doomed").status().IsNotFound());
   EXPECT_TRUE(trees_->LoadTree(id).status().IsNotFound());
   const std::map<std::string, size_t> none = {{"labels", 0},
                                               {"species_chunks", 0},
@@ -368,7 +388,7 @@ TEST_F(RepositoriesTest, ChunkRowsFillTheirPagesAndAppendsTouchOnlyTheirs) {
     bytes += 128 + names[i].size() + 1 + 2 * 4;
   }
   DataLoader loader(trees_.get(), species_.get());
-  ASSERT_TRUE(loader.AppendSpecies("chunky", sequences).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, *id, sequences).ok());
 
   auto table = db_->OpenTable("species_chunks");
   ASSERT_TRUE(table.ok()) << table.status();
@@ -391,8 +411,8 @@ TEST_F(RepositoriesTest, ChunkRowsFillTheirPagesAndAppendsTouchOnlyTheirs) {
   // the first chunk (which may split); re-appending stored species
   // rewrites nothing.
   std::map<std::string, std::string> more = {{names[1], "C"}, {names[3], "G"}};
-  ASSERT_TRUE(loader.AppendSpecies("chunky", more).ok());
-  ASSERT_TRUE(loader.AppendSpecies("chunky", SequencesFor({names[0]})).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, *id, more).ok());
+  ASSERT_TRUE(AppendTo(loader, *trees_, *id, SequencesFor({names[0]})).ok());
   const std::map<int64_t, uint64_t> after = chunk_rows();
   size_t kept = 0;
   for (const auto& [key, rid] : before) {
@@ -547,13 +567,13 @@ void CheckStoreMatchesInMemoryTree(uint32_t n_leaves, uint64_t seed) {
     if (!t->name(n).empty()) names.emplace_back(t->name(n));
   }
   const auto sequences = SequencesFor(names);
-  auto appended = loader.AppendSpecies("yule", sequences);
+  auto appended = AppendTo(loader, *trees, *id, sequences);
   ASSERT_TRUE(appended.ok()) << appended.status();
   EXPECT_EQ(*species->SequencesForTree(*id), sequences);
   EXPECT_EQ(StoredByOrdinal(*species, *id, DomainSize(*t)),
             ByDomainOrdinal(*t, sequences));
   // Names of the neighbor tree do not leak into this one.
-  EXPECT_TRUE(loader.AppendSpecies("yule", SequencesFor({"Lla"}))
+  EXPECT_TRUE(AppendTo(loader, *trees, *id, SequencesFor({"Lla"}))
                   .status()
                   .IsNotFound());
 }
@@ -636,7 +656,7 @@ TEST(RepositoriesScaleTest, ThousandLeafTreeRoundTrip) {
   ASSERT_TRUE(species.ok());
   DataLoader loader(trees->get(), species->get());
   const auto sequences = SequencesFor({"S500"});
-  ASSERT_TRUE(loader.AppendSpecies("yule1k", sequences).ok());
+  ASSERT_TRUE(AppendTo(loader, **trees, *id, sequences).ok());
   const std::map<size_t, std::string> by_ordinal =
       StoredByOrdinal(**species, *id, DomainSize(*t));
   ASSERT_EQ(by_ordinal.size(), 1u);
@@ -701,7 +721,7 @@ std::string StoredTreeState(Crimson* session, const std::string& name) {
   auto species = SpeciesRepository::Open(session->database());
   EXPECT_TRUE(trees.ok() && species.ok());
   if (!trees.ok() || !species.ok()) return "<open failed>";
-  auto info = (*trees)->GetTreeInfo(name);
+  auto info = TreeNamed(**trees, name);
   if (info.status().IsNotFound()) return "gone";
   EXPECT_TRUE(info.ok()) << info.status();
   if (!info.ok()) return "<no info>";
@@ -1115,7 +1135,7 @@ TEST(DropCostTest, SpeciesLessDropFetchesEachBlobPageOnce) {
   ASSERT_TRUE((*session)->LoadTree("bare", tree).ok());
   auto trees = TreeRepository::Open((*session)->database());
   ASSERT_TRUE(trees.ok());
-  auto info = (*trees)->GetTreeInfo("bare");
+  auto info = TreeNamed(**trees, "bare");
   ASSERT_TRUE(info.ok());
   auto labels = (*trees)->LoadSchemeBlob(info->tree_id);
   ASSERT_TRUE(labels.ok());
@@ -1187,6 +1207,56 @@ TEST(DropCostTest, SpeciesDropFetchesEachChunkPageOnce) {
   // chunks back would add those again.
   EXPECT_LE(with_species, bare + chunk_pages + rows + 40)
       << chunk_pages << " chunk pages in " << rows << " rows";
+}
+
+TEST(AppendCostTest, BoundAppendFetchesNoTreeBlobOrLabelsPage) {
+  // Appending to a bound tree resolves species against the handle's
+  // in-memory tree and name index, so it reads back neither the packed
+  // tree image (tree_blobs) nor the labels: three sequences cost a
+  // 10k-leaf tree the fetches they cost an 8-leaf one. Reading either
+  // blob, as a lookup of the stored tree by name would, adds more
+  // pages than the slack.
+  CrimsonOptions opts;
+  opts.batch_workers = 1;
+  auto session = Crimson::Open(opts);
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0xA99E);
+  YuleOptions yule;
+  yule.n_leaves = 8;
+  const PhyloTree small = std::move(SimulateYule(yule, &rng)).value();
+  yule.n_leaves = 10000;
+  const PhyloTree big = std::move(SimulateYule(yule, &rng)).value();
+  ASSERT_TRUE((*session)->LoadTree("small", small).ok());
+  auto loaded = (*session)->LoadTree("big", big);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto trees = TreeRepository::Open((*session)->database());
+  ASSERT_TRUE(trees.ok());
+  auto labels = (*trees)->LoadSchemeBlob(loaded->tree_id);
+  ASSERT_TRUE(labels.ok());
+  std::string image;
+  EncodePackedTree(big, &image);
+  const size_t page = HeapFile::kOverflowCapacity;
+  const uint64_t label_pages = (labels->size() + page - 1) / page;
+  const uint64_t image_pages = (image.size() + page - 1) / page;
+  constexpr uint64_t kSlack = 4;
+  ASSERT_GT(std::min(label_pages, image_pages), kSlack);
+
+  // Three neighbours in the leaf-name domain, so one chunk row each
+  // time. The name-keyed spelling opens the bound ref and appends
+  // through it.
+  auto append_fetches = [&](const std::string& name, const PhyloTree& tree) {
+    std::vector<std::string> names = LeafNames(tree);
+    std::sort(names.begin(), names.end());
+    names.resize(3);
+    const auto sequences = SequencesFor(names);
+    const uint64_t before = PoolFetches(**session);
+    EXPECT_TRUE((*session)->AppendSpeciesData(name, sequences).ok());
+    return PoolFetches(**session) - before;
+  };
+  const uint64_t small_fetches = append_fetches("small", small);
+  const uint64_t big_fetches = append_fetches("big", big);
+  EXPECT_LE(big_fetches, small_fetches + kSlack)
+      << label_pages << " label pages, " << image_pages << " image pages";
 }
 
 TEST(DropCostTest, DropLogsEachFreedPageAsItsFreeListLink) {

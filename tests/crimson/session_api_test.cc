@@ -396,6 +396,112 @@ TEST(TreeRefTest, ExportAndRenderTakeHandles) {
   EXPECT_TRUE(crimson->RenderTree(invalid).status().IsInvalidArgument());
 }
 
+// -- appending species data through a bound ref ------------------------------
+
+constexpr char kNexusWithData[] = R"(#NEXUS
+BEGIN TAXA;
+  TAXLABELS A B C;
+END;
+BEGIN DATA;
+  MATRIX
+    A ACGT
+    B ACGA
+    C TTTT
+  ;
+END;
+BEGIN TREES;
+  TREE gold = ((A:1,B:1):1,C:2);
+END;
+)";
+
+std::map<std::string, std::string> StoredSequences(Crimson* session,
+                                                   int64_t tree_id) {
+  auto sequences = session->species_repository()->SequencesForTree(tree_id);
+  EXPECT_TRUE(sequences.ok()) << sequences.status();
+  return sequences.ok() ? *sequences : std::map<std::string, std::string>{};
+}
+
+TEST(SessionAppendTest, AppendSpeciesDataToExistingTree) {
+  auto crimson = OpenSession(42);
+  auto loaded = crimson->LoadNexus("gold", kNexusWithData,
+                                   LoadMode::kTreeStructureOnly);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->species_loaded, 0u);
+  auto report = crimson->LoadNexus("gold", kNexusWithData,
+                                   LoadMode::kAppendSpeciesData);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->species_loaded, 3u);
+  EXPECT_EQ(report->nodes_loaded, 0u);
+  EXPECT_EQ(report->tree_id, loaded->tree_id);
+  EXPECT_EQ(report->tree_name, "gold");
+  EXPECT_EQ(report->ref, loaded->ref);
+  EXPECT_EQ(StoredSequences(crimson.get(), report->tree_id).at("C"), "TTTT");
+}
+
+TEST(SessionAppendTest, AppendToUnknownTreeFails) {
+  auto crimson = OpenSession(42);
+  auto report = crimson->LoadNexus("ghost", kNexusWithData,
+                                   LoadMode::kAppendSpeciesData);
+  EXPECT_TRUE(report.status().IsNotFound()) << report.status();
+  auto trees = crimson->ListTrees();
+  ASSERT_TRUE(trees.ok());
+  EXPECT_TRUE(trees->empty());
+}
+
+TEST(SessionAppendTest, StaleRefAppendsNothingAndNewRefAppendsToNewId) {
+  // A ref outlives its tree's drop; appending through it must fail
+  // NotFound and write nothing, while a ref to the same name stored
+  // again appends to the new tree id only.
+  auto crimson = OpenSession(42);
+  const std::map<std::string, std::string> sequences = {
+      {"Bha", "AAAA"}, {"Lla", "CCCC"}, {"Syn", "GGGG"}};
+  auto first = crimson->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(crimson->DropTree("fig1").ok());
+
+  auto stale = crimson->AppendSpeciesData(first->ref, sequences);
+  EXPECT_TRUE(stale.status().IsNotFound()) << stale.status();
+  EXPECT_FALSE(*crimson->species_repository()->HasSpecies(first->tree_id));
+
+  auto second = crimson->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_NE(second->tree_id, first->tree_id);
+  EXPECT_TRUE(
+      crimson->AppendSpeciesData(first->ref, sequences).status().IsNotFound());
+  EXPECT_FALSE(*crimson->species_repository()->HasSpecies(second->tree_id));
+
+  auto appended = crimson->AppendSpeciesData(second->ref, sequences);
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_EQ(appended->tree_id, second->tree_id);
+  EXPECT_EQ(appended->tree_name, "fig1");
+  EXPECT_EQ(appended->species_loaded, 3u);
+  EXPECT_EQ(StoredSequences(crimson.get(), second->tree_id), sequences);
+  EXPECT_FALSE(*crimson->species_repository()->HasSpecies(first->tree_id));
+}
+
+TEST(SessionAppendTest, NameKeyedAppendForwardsToTheRef) {
+  // The name-keyed spelling opens the tree and appends through its
+  // ref: the same report and rows as the ref append, and NotFound
+  // (before any write) for a name no tree has.
+  auto by_name = OpenSession(42);
+  auto by_ref = OpenSession(42);
+  auto a = by_name->LoadNewick("fig1", kFig1Newick);
+  auto b = by_ref->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::map<std::string, std::string> sequences = {{"Spy", "ACGT"}};
+  auto named = by_name->AppendSpeciesData("fig1", sequences);
+  auto reffed = by_ref->AppendSpeciesData(b->ref, sequences);
+  ASSERT_TRUE(named.ok()) << named.status();
+  ASSERT_TRUE(reffed.ok()) << reffed.status();
+  EXPECT_EQ(named->tree_id, reffed->tree_id);
+  EXPECT_EQ(named->tree_name, reffed->tree_name);
+  EXPECT_EQ(named->species_loaded, reffed->species_loaded);
+  EXPECT_EQ(StoredSequences(by_name.get(), a->tree_id),
+            StoredSequences(by_ref.get(), b->tree_id));
+  EXPECT_TRUE(
+      by_name->AppendSpeciesData("ghost", sequences).status().IsNotFound());
+}
+
 TEST(ConcurrencyTest, ParallelExecuteOnSharedSession) {
   auto crimson = OpenSession(42, /*workers=*/4);
   auto report = crimson->LoadNewick("fig1", kFig1Newick);

@@ -594,7 +594,8 @@ TEST(StatsCodecTest, EveryCounterRoundTrips) {
         "crack.stores", "crack.pieces", "crack.loaded_pieces",
         "crack.sequences_loaded", "crack.sequences_resident",
         "crack.sequences_total", "crack.fetches", "crack.batches",
-        "crack.piece_hits", "pages.captured_pages", "pages.version_hits",
+        "crack.piece_hits", "history.buffer_full", "history.flush_waits",
+        "pages.captured_pages", "pages.version_hits",
         "pages.versions_dropped", "pages.live_versions",
         "pages.active_snapshots", "pages.committed_epoch"}) {
     snapshot.counters[key] = value++;

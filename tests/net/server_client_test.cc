@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -19,7 +20,6 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "crimson/crimson.h"
-#include "crimson/service.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -89,7 +89,6 @@ std::unique_ptr<Crimson> OpenSession(
 /// One running server over one fresh in-memory session.
 struct TestServer {
   std::unique_ptr<Crimson> session;
-  std::unique_ptr<SessionService> service;
   std::unique_ptr<CrimsonServer> server;
   /// Set when started with hold_queries.
   std::shared_ptr<SlotLatch> latch;
@@ -99,8 +98,7 @@ struct TestServer {
     TestServer t;
     if (hold_queries) t.latch = std::make_shared<SlotLatch>();
     t.session = OpenSession(seed, t.latch);
-    t.service = std::make_unique<SessionService>(t.session.get());
-    auto server = CrimsonServer::Start(t.service.get(), options);
+    auto server = CrimsonServer::Start(t.session.get(), options);
     EXPECT_TRUE(server.ok()) << server.status();
     t.server = std::move(server).value();
     return t;
@@ -210,6 +208,119 @@ TEST(ServerClientTest, TypedErrorsTravelTheWire) {
   auto bad = client->StoreNewick("broken", "((((");
   EXPECT_FALSE(bad.ok());
   // The transport survives typed errors: the connection still works.
+  EXPECT_TRUE(client->Ping("still here").ok());
+}
+
+// -- NEXUS stores in every load mode ----------------------------------------
+
+constexpr char kFig1Nexus[] = R"(#NEXUS
+BEGIN TAXA;
+  TAXLABELS Syn Lla Spy Bha Bsu;
+END;
+BEGIN DATA;
+  MATRIX
+    Syn ACGTAC
+    Lla ACGTTT
+    Spy ACGAAT
+    Bha TCGTAC
+    Bsu ACCTAC
+  ;
+END;
+BEGIN TREES;
+  TREE fig1 = (Syn:2.5,((Lla:1,Spy:1):0.5,Bha:1.5):0.75,Bsu:1.25)root;
+END;
+)";
+
+/// The sequences the session stored for tree `id`.
+std::map<std::string, std::string> StoredSequences(Crimson* session,
+                                                   int64_t id) {
+  auto sequences = session->species_repository()->SequencesForTree(id);
+  EXPECT_TRUE(sequences.ok()) << sequences.status();
+  return sequences.ok() ? *sequences : std::map<std::string, std::string>{};
+}
+
+TEST(ServerClientTest, StoreNexusWithSpeciesAndStructureOnly) {
+  TestServer t = TestServer::Start(11);
+  auto client = t.Connect();
+
+  auto with = client->StoreNexus("with", kFig1Nexus,
+                                 LoadMode::kTreeWithSpeciesData);
+  ASSERT_TRUE(with.ok()) << with.status();
+  EXPECT_EQ(with->name, "with");
+  EXPECT_EQ(with->n_nodes, 8);
+  EXPECT_EQ(with->n_leaves, 5);
+  const auto stored = StoredSequences(t.session.get(), with->tree_id);
+  EXPECT_EQ(stored.size(), 5u);
+  EXPECT_EQ(stored.at("Bha"), "TCGTAC");
+
+  auto bare =
+      client->StoreNexus("bare", kFig1Nexus, LoadMode::kTreeStructureOnly);
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_EQ(bare->n_nodes, 8);
+  EXPECT_NE(bare->tree_id, with->tree_id);
+  EXPECT_TRUE(StoredSequences(t.session.get(), bare->tree_id).empty());
+
+  auto trees = client->ListTrees();
+  ASSERT_TRUE(trees.ok()) << trees.status();
+  EXPECT_EQ(trees->size(), 2u);
+}
+
+TEST(ServerClientTest, StoreNexusAppendMatchesInProcessSession) {
+  // Structure over the wire, then the species as an append-mode NEXUS
+  // store: the stored sequences and the NEXUS export must equal an
+  // in-process session that did the same two loads.
+  TestServer t = TestServer::Start(12);
+  auto client = t.Connect();
+  auto stored = client->StoreNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  auto appended = client->StoreNexus("fig1", kFig1Nexus,
+                                     LoadMode::kAppendSpeciesData);
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_EQ(appended->tree_id, stored->tree_id);
+  EXPECT_EQ(appended->name, "fig1");
+  EXPECT_EQ(appended->n_nodes, 8);
+
+  auto local = OpenSession(12);
+  auto loaded = local->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  auto local_append =
+      local->LoadNexus("fig1", kFig1Nexus, LoadMode::kAppendSpeciesData);
+  ASSERT_TRUE(local_append.ok()) << local_append.status();
+  EXPECT_EQ(local_append->species_loaded, 5u);
+  EXPECT_EQ(local_append->ref, loaded->ref);
+
+  EXPECT_EQ(StoredSequences(t.session.get(), appended->tree_id),
+            StoredSequences(local.get(), local_append->tree_id));
+  auto remote_ref = t.session->OpenTree("fig1");
+  ASSERT_TRUE(remote_ref.ok()) << remote_ref.status();
+  auto remote_export = t.session->ExportNexus(*remote_ref);
+  auto local_export = local->ExportNexus(loaded->ref);
+  ASSERT_TRUE(remote_export.ok()) << remote_export.status();
+  ASSERT_TRUE(local_export.ok()) << local_export.status();
+  EXPECT_EQ(*remote_export, *local_export);
+  EXPECT_NE(remote_export->find("TCGTAC"), std::string::npos);
+}
+
+TEST(ServerClientTest, StoreNexusAppendToUnknownTreeIsNotFound) {
+  TestServer t = TestServer::Start(13);
+  auto client = t.Connect();
+  auto appended = client->StoreNexus("ghost", kFig1Nexus,
+                                     LoadMode::kAppendSpeciesData);
+  EXPECT_TRUE(appended.status().IsNotFound()) << appended.status();
+  auto trees = client->ListTrees();
+  ASSERT_TRUE(trees.ok()) << trees.status();
+  EXPECT_TRUE(trees->empty());
+}
+
+TEST(ServerClientTest, StoreNewickInAppendModeIsInvalidArgument) {
+  TestServer t = TestServer::Start(14);
+  auto client = t.Connect();
+  auto appended = client->StoreNewick("fig1", kFig1Newick,
+                                      LoadMode::kAppendSpeciesData);
+  EXPECT_TRUE(appended.status().IsInvalidArgument()) << appended.status();
+  auto trees = client->ListTrees();
+  ASSERT_TRUE(trees.ok()) << trees.status();
+  EXPECT_TRUE(trees->empty());
   EXPECT_TRUE(client->Ping("still here").ok());
 }
 

@@ -23,7 +23,6 @@
 
 #include "common/log.h"
 #include "crimson/crimson.h"
-#include "crimson/service.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   using crimson::Crimson;
   using crimson::CrimsonOptions;
   using crimson::Durability;
-  using crimson::SessionService;
   using crimson::net::CrimsonServer;
   using crimson::net::ServerOptions;
 
@@ -146,9 +144,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto session = std::move(session_or).value();
-  SessionService service(session.get());
 
-  auto server_or = CrimsonServer::Start(&service, server_opts);
+  auto server_or = CrimsonServer::Start(session.get(), server_opts);
   if (!server_or.ok()) {
     fprintf(stderr, "failed to start server: %s\n",
             server_or.status().ToString().c_str());
@@ -178,9 +175,9 @@ int main(int argc, char** argv) {
   printf("signal received; draining...\n");
   fflush(stdout);
   crimson::Status drained = server->Shutdown();
-  // The service outlives the server, so the session's registry is
-  // still live here: every line below reads one snapshot of it.
-  const crimson::obs::MetricsSnapshot m = service.Metrics();
+  // The session outlives the server, so its registry is still live
+  // here: every line below reads one snapshot of it.
+  const crimson::obs::MetricsSnapshot m = session->SnapshotMetrics();
   auto v = [&m](const char* name) {
     return static_cast<unsigned long long>(m.counter(name));
   };
