@@ -66,10 +66,12 @@ bool QueryCache::IsCacheable(const QueryRequest& request) {
          !std::holds_alternative<SampleTimeQuery>(request);
 }
 
-std::string QueryCache::KeyFor(int64_t tree_id, const QueryRequest& request) {
+std::string QueryCache::KeyFor(int64_t tree_id, const QueryRequest& request,
+                               std::string_view body) {
   std::string key(QueryKindName(request));
-  key.push_back('?');
-  key += EncodeQueryParams(std::to_string(tree_id), request);
+  key += "?tree=";
+  key += std::to_string(tree_id);
+  key += body;
   return key;
 }
 

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "crimson/query_request.h"
@@ -64,7 +65,12 @@ class QueryCache {
 
   /// Canonical cache key: the kind tag plus the history parameter
   /// encoding, with the stored tree's id in its tree field.
-  static std::string KeyFor(int64_t tree_id, const QueryRequest& request);
+  static std::string KeyFor(int64_t tree_id, const QueryRequest& request) {
+    return KeyFor(tree_id, request, EncodeQueryBody(request));
+  }
+  /// The same key from the request's already encoded EncodeQueryBody.
+  static std::string KeyFor(int64_t tree_id, const QueryRequest& request,
+                            std::string_view body);
 
   /// The cached result for `key`, if resident. Counts a hit or a miss.
   std::optional<QueryResult> Lookup(const std::string& key);

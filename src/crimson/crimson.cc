@@ -48,6 +48,16 @@ Crimson::~Crimson() {
   // on, a clean close checkpoints so the next open skips replay).
   // db_ is null when Open failed partway.
   if (db_ == nullptr) return;
+  // The flusher goes first, so no drain runs beside the final one and
+  // no thread outlives the session.
+  if (history_flusher_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(history_mu_);
+      history_flusher_stop_ = true;
+    }
+    history_flusher_cv_.notify_one();
+    history_flusher_.join();
+  }
   Status s = Flush();
   if (!s.ok()) {
     CRIMSON_LOG(kWarning) << "flush on session close failed: " << s;
@@ -63,37 +73,63 @@ template <typename Fn>
 auto Crimson::TransactLocked(Fn&& fn) -> decltype(fn()) {
   // Every write transaction first drains the history buffer into the
   // queries table, so buffered entries ride along with the next write
-  // and replay order (query id) is preserved. The buffer keeps its
-  // entries until the transaction's fate is known -- there is never a
-  // window where an entry is in neither the buffer nor committed
-  // storage, so history readers need no lock against this drain
-  // (QueryHistory dedups the brief both-places overlap by id).
-  std::vector<QueryRepository::Entry> pending;
+  // and replay order (query id) is preserved. The buffer is swapped
+  // out whole, not copied, so an enqueue waits only for the swap. The
+  // batch stays readable in history_in_flight_ until the transaction's
+  // fate is known -- there is never a window where an entry is in
+  // neither the buffer, the batch nor committed storage, so history
+  // readers need no lock against this drain (QueryHistory dedups the
+  // brief batch-and-storage overlap by id). Every caller holds db_mu_
+  // exclusive, so the batch is empty here and only this drain writes
+  // it.
   {
     std::lock_guard<std::mutex> hist_lock(history_mu_);
-    pending = history_buffer_;
+    history_in_flight_.swap(history_buffer_);
   }
-  // Only TransactLocked erases from the buffer, and every caller holds
-  // db_mu_ exclusive, so `pending` is still the buffer's prefix when
-  // the transaction resolves.
-  auto drop_persisted = [&] {
-    if (pending.empty()) return;
-    std::lock_guard<std::mutex> hist_lock(history_mu_);
-    history_buffer_.erase(history_buffer_.begin(),
-                          history_buffer_.begin() + pending.size());
+  const bool draining = !history_in_flight_.empty();
+  // Settles the batch: dropped once it is in storage for good, put back
+  // at the buffer's front otherwise (a later drain re-inserts it, and
+  // RecordBatch skips ids that did reach storage; the flusher retries
+  // on the next enqueue). Either way a query waiting at four times the
+  // cap may go on.
+  auto settle = [&](bool persisted) {
+    if (!draining) return;
+    {
+      std::lock_guard<std::mutex> hist_lock(history_mu_);
+      if (persisted) {
+        // The spare is empty; the batch's entries are freed below,
+        // outside the lock every enqueue takes.
+        history_in_flight_.swap(history_spare_);
+        history_flush_at_ = options_.history_buffer_cap;
+      } else {
+        history_in_flight_.insert(
+            history_in_flight_.end(),
+            std::make_move_iterator(history_buffer_.begin()),
+            std::make_move_iterator(history_buffer_.end()));
+        history_buffer_.swap(history_in_flight_);
+        history_in_flight_.clear();
+        history_flush_at_ = std::max(options_.history_buffer_cap,
+                                     history_buffer_.size() + 1);
+      }
+      ++history_drains_;
+    }
+    history_drained_cv_.notify_all();
+    history_spare_.clear();
   };
   std::shared_ptr<const RepoSet> repos = Repos();
   Result<Txn> txn = db_->Begin();
-  if (!txn.ok()) return txn.status();
-  Status hist = pending.empty() ? Status::OK()
-                                : repos->queries->RecordBatch(pending);
+  if (!txn.ok()) {
+    settle(false);
+    return txn.status();
+  }
+  Status hist = draining ? repos->queries->RecordBatch(history_in_flight_)
+                         : Status::OK();
   auto result = hist.ok() ? fn() : decltype(fn())(hist);
   if (StatusOf(result).ok()) {
     Status committed = txn->Commit();
     if (!committed.ok()) {
-      // Rolled back (durable) or indeterminate: keep the buffer; a
-      // later drain re-inserts, and RecordBatch skips ids that did
-      // reach storage.
+      // Rolled back (durable) or indeterminate: the batch goes back.
+      settle(false);
       Status reopened = ReopenRepositoriesLocked();
       if (!reopened.ok()) {
         CRIMSON_LOG(kError) << "repository reopen after failed commit: "
@@ -101,21 +137,21 @@ auto Crimson::TransactLocked(Fn&& fn) -> decltype(fn()) {
       }
       return committed;
     }
-    drop_persisted();
+    settle(true);
   } else {
     txn->Abort();
     if (db_->durable()) {
-      // The WAL rolled the batch back; the entries live on in the
-      // buffer for the next drain.
+      // The WAL rolled the batch back; it goes back for the next drain.
+      settle(false);
       Status reopened = ReopenRepositoriesLocked();
       if (!reopened.ok()) {
         CRIMSON_LOG(kError) << "repository reopen after abort: " << reopened;
       }
-    } else if (hist.ok()) {
+    } else {
       // Without a WAL an abort cannot undo the batch -- the rows are
-      // in storage for good, so the buffer must drop them or a later
-      // drain would duplicate them.
-      drop_persisted();
+      // in storage for good, so it must not go back or a later drain
+      // would duplicate them.
+      settle(hist.ok());
     }
   }
   return result;
@@ -187,6 +223,26 @@ Status Crimson::FlushHistory() {
   return TransactLocked([] { return Status::OK(); });
 }
 
+void Crimson::RunHistoryFlusher() {
+  std::unique_lock<std::mutex> lock(history_mu_);
+  for (;;) {
+    history_flusher_cv_.wait(lock, [&] {
+      return history_flusher_stop_ ||
+             (!history_buffer_.empty() &&
+              history_buffer_.size() >= history_flush_at_);
+    });
+    if (history_flusher_stop_) return;
+    lock.unlock();
+    // The same drain as every write; it takes db_mu_, which no query
+    // thread ever waits for.
+    Status s = FlushHistory();
+    if (!s.ok()) {
+      CRIMSON_LOG(kWarning) << "query history flush failed: " << s;
+    }
+    lock.lock();
+  }
+}
+
 Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
   auto c = std::unique_ptr<Crimson>(new Crimson());
   // The registry comes first: the storage engine, the result cache,
@@ -230,6 +286,8 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
   c->slow_queries_ = c->metrics_->GetCounter("query.slow");
   c->history_buffer_full_ = c->metrics_->GetCounter("history.buffer_full");
   c->history_flush_waits_ = c->metrics_->GetCounter("history.flush_waits");
+  c->history_backpressure_ =
+      c->metrics_->GetHistogram("history.backpressure_us");
   // The cracked stores resolve their cumulative counters only when the
   // first evaluation state is built; resolving them here too keeps the
   // key set of a fresh session's snapshot stable.
@@ -247,6 +305,12 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
   c->live_.pages_live_versions = reg->GetGauge("pages.live_versions");
   c->live_.pages_active_snapshots = reg->GetGauge("pages.active_snapshots");
   c->live_.pages_committed_epoch = reg->GetGauge("pages.committed_epoch");
+  // The flusher starts last: every step above may fail, and a failed
+  // Open must leave no thread behind.
+  c->history_flush_at_ = options.history_buffer_cap;
+  c->history_flusher_ = std::thread([session = c.get()] {
+    session->RunHistoryFlusher();
+  });
   return c;
 }
 
@@ -263,21 +327,34 @@ Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report) {
   return out;
 }
 
+// Loads parse and mode-check their input before WriteTree takes the
+// writer lock: a rejected load begins no transaction (so drains no
+// history and, durable, reopens no repository), and a good one does
+// not hold db_mu_ -- nor the history flusher behind it -- through its
+// parse.
+
 Result<SessionLoadReport> Crimson::LoadNewick(const std::string& name,
                                               const std::string& newick,
                                               LoadMode mode) {
-  return FinishLoad(WriteTree(
-      [&] { return Repos()->loader->LoadNewick(name, newick, mode); }));
+  if (mode == LoadMode::kAppendSpeciesData) {
+    return Status::InvalidArgument(
+        "Newick input carries no species data to append");
+  }
+  CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, ParseNewick(newick));
+  return LoadTree(name, tree);
 }
 
 Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
                                              const std::string& nexus,
                                              LoadMode mode) {
-  if (mode != LoadMode::kAppendSpeciesData) {
-    return FinishLoad(WriteTree(
-        [&] { return Repos()->loader->LoadNexus(name, nexus, mode); }));
-  }
   CRIMSON_ASSIGN_OR_RETURN(NexusDocument doc, ParseNexus(nexus));
+  if (mode != LoadMode::kAppendSpeciesData) {
+    if (doc.trees.empty()) {
+      return Status::InvalidArgument("NEXUS input has no TREES block");
+    }
+    return FinishLoad(WriteTree(
+        [&] { return Repos()->loader->LoadNexus(name, doc, mode); }));
+  }
   if (doc.sequences.empty()) {
     return Status::InvalidArgument("NEXUS input has no CHARACTERS data");
   }
@@ -409,6 +486,7 @@ Result<TreeRef> Crimson::BindTree(const std::string& name, int64_t id) {
                                           decoded.ToString().c_str()));
     }
     h->names = NameIndex::Build(h->tree);
+    h->params_prefix = "tree=" + EscapeParam(h->info.name);
     h->sampler = std::make_unique<Sampler>(&h->tree);
     h->projector = std::make_unique<TreeProjector>(&h->tree, &h->scheme);
     h->matcher =
@@ -553,59 +631,49 @@ Result<QueryResult> Crimson::ExecuteOnHandle(const TreeHandle& handle,
       request);
 }
 
-void Crimson::RecordQuery(std::string_view kind, const std::string& params,
-                          const std::string& summary) {
+void Crimson::RecordQuery(std::string_view kind, std::string params,
+                          std::string summary) {
   obs::SpanTimer span(obs::Stage::kHistoryEnqueue);
-  // The headline concurrency fix: history appends no longer enter the
-  // writer epoch on the query path. The entry gets its final id and
-  // timestamp now and sits in the in-memory buffer until the next
-  // write transaction (or Flush/Checkpoint) drains it.
+  // History appends never enter the writer epoch on the query path.
+  // The entry gets its final id and timestamp now and sits in the
+  // in-memory buffer until the flusher, the next write transaction or
+  // Flush/Checkpoint drains it.
   QueryRepository::Entry entry;
   entry.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   entry.timestamp_micros = NowMicros();
   entry.kind = std::string(kind);
-  entry.params = params;
-  entry.summary = summary;
-  size_t buffered;
-  {
-    std::lock_guard<std::mutex> lock(history_mu_);
-    history_buffer_.push_back(std::move(entry));
-    buffered = history_buffer_.size();
-  }
-  if (buffered < options_.history_buffer_cap) return;
+  entry.params = std::move(params);
+  entry.summary = std::move(summary);
+  const size_t cap = options_.history_buffer_cap;
+  std::unique_lock<std::mutex> lock(history_mu_);
+  history_buffer_.push_back(std::move(entry));
+  const size_t buffered = history_buffer_.size();
+  if (buffered < cap) return;
   history_buffer_full_->Increment();
-  // Over the cap: flush if the writer lock is free, so a query does not
-  // wait out a write or another query's flush. Past four times the cap
-  // the query waits for the lock: without that, queries that outpace
-  // the drain grow the buffer without bound.
-  std::unique_lock<std::shared_mutex> lock(db_mu_, std::defer_lock);
-  if (buffered >= 4 * options_.history_buffer_cap) {
-    history_flush_waits_->Increment();
-    lock.lock();
-  } else if (!lock.try_lock()) {
-    return;
-  }
-  {
-    // A flush that held the lock meanwhile may have drained the buffer.
-    std::lock_guard<std::mutex> hist_lock(history_mu_);
-    if (history_buffer_.size() < options_.history_buffer_cap) return;
-  }
-  Status s = TransactLocked([] { return Status::OK(); });
-  if (!s.ok()) {
-    CRIMSON_LOG(kWarning) << "query history flush failed: " << s;
-  }
+  if (buffered >= history_flush_at_) history_flusher_cv_.notify_one();
+  // Past four times the cap, counting the batch being persisted, the
+  // query waits for a drain to settle: without that, queries that
+  // outpace the drain grow history in memory without bound. A failed
+  // drain releases the wait too, so a failing store slows queries
+  // down but never hangs them.
+  if (buffered + history_in_flight_.size() < 4 * cap) return;
+  history_flush_waits_->Increment();
+  WallTimer waited;
+  const uint64_t drains = history_drains_;
+  history_drained_cv_.wait(lock, [&] { return history_drains_ != drains; });
+  history_backpressure_->Observe(
+      static_cast<uint64_t>(waited.ElapsedMicros()));
 }
 
-void Crimson::RecordQuery(const std::string& tree_name,
-                          const QueryRequest& request,
+void Crimson::RecordQuery(const QueryRequest& request, std::string params,
                           const Result<QueryResult>& result) {
   if (!result.ok()) return;
-  RecordQuery(QueryKindName(request), EncodeQueryParams(tree_name, request),
+  RecordQuery(QueryKindName(request), std::move(params),
               SummarizeResult(*result));
 }
 
 void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
-                               const std::string& tree_name,
+                               const std::string& params,
                                const QueryRequest& request,
                                const Result<QueryResult>& result) const {
   const int64_t total = ctx->total_us();
@@ -626,7 +694,7 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
         "slow_query total_us=%lld kind=%s params=%s status=%s spans=%s",
         static_cast<long long>(total),
         std::string(QueryKindName(request)).c_str(),
-        EncodeQueryParams(tree_name, request).c_str(),
+        params.c_str(),
         result.ok() ? "ok" : result.status().ToString().c_str(),
         ctx->Breakdown().c_str());
     if (options_.slow_query_sink) {
@@ -642,12 +710,15 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
 
 Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
                                       const QueryRequest& request,
-                                      uint64_t ticket, bool record_history) {
+                                      uint64_t ticket,
+                                      std::string* deferred_params) {
   // Installs a fresh trace context, or adopts the thread's (a server
   // connection thread's already carries the admission wait).
   // FinishQueryTrace publishes and resets it on every result path.
   obs::ScopedTrace trace;
-  const std::string& tree_name = handle.info.name;
+  // One encoding per query: the cache key and the history params are
+  // this body behind the tree id and the handle's escaped tree name.
+  const std::string body = EncodeQueryBody(request);
   const bool cacheable =
       query_cache_->enabled() && cache::QueryCache::IsCacheable(request);
   if (query_cache_->enabled() && !cacheable) query_cache_->NoteBypass();
@@ -656,7 +727,7 @@ Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
   std::string key;
   std::optional<QueryResult> hit;
   if (cacheable) {
-    key = cache::QueryCache::KeyFor(handle.info.tree_id, request);
+    key = cache::QueryCache::KeyFor(handle.info.tree_id, request, body);
     obs::SpanTimer span(obs::Stage::kCacheLookup);
     hit = query_cache_->Lookup(key);
   }
@@ -666,8 +737,21 @@ Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
     return ExecuteOnHandle(handle, request, ticket);
   }();
   if (cacheable && !hit && result.ok()) query_cache_->Insert(key, *result);
-  if (record_history) RecordQuery(tree_name, request, result);
-  FinishQueryTrace(trace.context(), tree_name, request, result);
+  std::string params;
+  params.reserve(handle.params_prefix.size() + body.size());
+  params.append(handle.params_prefix).append(body);
+  if (deferred_params != nullptr) {
+    FinishQueryTrace(trace.context(), params, request, result);
+    *deferred_params = std::move(params);
+    return result;
+  }
+  // The row takes the params; the slow-query line, which is published
+  // after the row's enqueue so the trace covers it, needs them only
+  // when the slow-query log is on.
+  const std::string slow_params =
+      options_.slow_query_micros > 0 ? params : std::string();
+  RecordQuery(request, std::move(params), result);
+  FinishQueryTrace(trace.context(), slow_params, request, result);
   return result;
 }
 
@@ -679,7 +763,7 @@ Result<QueryResult> Crimson::Execute(TreeRef tree,
   // cache-off sessions draw the same sampling streams.
   return RunQuery(*handle, request,
                   ticket_.fetch_add(1, std::memory_order_relaxed),
-                  /*record_history=*/true);
+                  /*deferred_params=*/nullptr);
 }
 
 std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
@@ -695,17 +779,17 @@ std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
   // i-th request draws exactly what it would draw under sequential
   // Execute calls -- batched results are byte-identical.
   const uint64_t base = ticket_.fetch_add(n, std::memory_order_relaxed);
+  std::vector<std::string> params(n);
   // Workers install their own trace context; the calling thread (which
   // ParallelFor includes) keeps its pre-installed one, so a server's
   // admission wait lands on the query that thread runs first.
   pool_->ParallelFor(n, [&](size_t i) {
-    results[i] = RunQuery(handle, requests[i], base + i,
-                          /*record_history=*/false);
+    results[i] = RunQuery(handle, requests[i], base + i, &params[i]);
   });
   // History is written after the barrier, in request order, keeping the
   // Query Repository deterministic under concurrency.
   for (size_t i = 0; i < n; ++i) {
-    RecordQuery(handle.info.name, requests[i], results[i]);
+    RecordQuery(requests[i], std::move(params[i]), results[i]);
   }
   return results;
 }
@@ -1005,16 +1089,21 @@ Crimson::ListExperiments() const {
 
 Result<std::vector<QueryRepository::Entry>> Crimson::QueryHistory(
     size_t limit) {
-  // Buffer copy strictly before the storage read. A mid-drain entry
-  // stays in the buffer until its transaction commits, so with this
-  // order it shows up in at least one source (possibly both -- the
-  // merge dedups by id); the reverse order could miss an entry that
-  // commits-and-drops between the two reads. No lock is held against
-  // the drain, so history stays readable during a bulk store.
+  // Buffer and in-flight copy strictly before the storage read. A
+  // mid-drain entry stays in the in-flight batch until its transaction
+  // commits, so with this order it shows up in at least one source
+  // (possibly both -- the merge dedups by id); the reverse order could
+  // miss an entry that commits-and-drops between the two reads. No
+  // lock is held against the drain, so history stays readable during a
+  // bulk store or a parked history commit.
   std::vector<QueryRepository::Entry> merged;
   {
     std::lock_guard<std::mutex> hist_lock(history_mu_);
-    merged = history_buffer_;
+    merged.reserve(history_buffer_.size() + history_in_flight_.size());
+    merged.insert(merged.end(), history_in_flight_.begin(),
+                  history_in_flight_.end());
+    merged.insert(merged.end(), history_buffer_.begin(),
+                  history_buffer_.end());
   }
   StorageReadGuard read = AcquireStorageRead();
   CRIMSON_ASSIGN_OR_RETURN(std::vector<QueryRepository::Entry> stored,
@@ -1041,15 +1130,20 @@ Result<std::vector<QueryRepository::Entry>> Crimson::QueryHistory(
 Result<std::string> Crimson::RerunQuery(int64_t query_id) {
   QueryRepository::Entry entry;
   {
-    // Buffer before storage, same reasoning as QueryHistory: a
-    // mid-drain entry is still buffered until its transaction commits,
-    // so this order finds it in one place or the other.
+    // Buffer and in-flight batch before storage, same reasoning as
+    // QueryHistory: a mid-drain entry stays in the batch until its
+    // transaction commits, so this order finds it in one place or the
+    // other.
     bool found = false;
     {
       std::lock_guard<std::mutex> hist_lock(history_mu_);
-      for (const QueryRepository::Entry& e : history_buffer_) {
-        if (e.query_id == query_id) {
-          entry = e;
+      for (const auto* entries : {&history_in_flight_, &history_buffer_}) {
+        auto it = std::find_if(entries->begin(), entries->end(),
+                               [&](const QueryRepository::Entry& e) {
+                                 return e.query_id == query_id;
+                               });
+        if (it != entries->end()) {
+          entry = *it;
           found = true;
           break;
         }

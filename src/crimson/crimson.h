@@ -34,8 +34,9 @@
 // lock -- readers neither queue behind each other NOR behind the
 // single writer; a query racing a 60k-node StoreTree observes the
 // pre-commit state byte-identically. Query history is buffered in
-// memory and flushed by the writer path (see history_buffer_cap), so
-// read-only queries never enter the writer epoch (see DESIGN.md
+// memory and drained by the session's history flusher thread or the
+// next write (see history_buffer_cap), so read-only queries never
+// enter the writer epoch nor wait on a WAL sync (see DESIGN.md
 // "Concurrency" and the README thread-safety table). Query execution
 // itself touches only immutable per-tree state.
 
@@ -43,6 +44,7 @@
 #define CRIMSON_CRIMSON_CRIMSON_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,6 +52,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "cache/query_cache.h"
@@ -85,15 +88,15 @@ struct CrimsonOptions {
   uint64_t seed = 42;
   /// Worker threads backing ExecuteBatch (>= 1).
   size_t batch_workers = 4;
-  /// Query-history entries buffered in memory before an opportunistic
-  /// synchronous flush is attempted. History appends go to this buffer
-  /// (read-only queries never enter the writer path for them); the
-  /// buffer drains into the queries table inside the next write
-  /// transaction, on Flush/Checkpoint, or when it reaches this cap
-  /// while the writer lock happens to be free; at four times the cap a
-  /// query waits for the writer lock and flushes, so the buffer stays
-  /// bounded. Replay order (query id) is preserved across the
-  /// buffer/storage boundary.
+  /// Query-history entries buffered in memory before the session's
+  /// history flusher thread drains them. History appends go to this
+  /// buffer (read-only queries never enter the writer path for them);
+  /// the buffer drains into the queries table inside the next write
+  /// transaction, on Flush/Checkpoint, or on the flusher once it
+  /// reaches this cap. A query that finds four times the cap buffered
+  /// or in flight waits until a drain settles, so history held in
+  /// memory stays bounded. Replay order (query id) is preserved across
+  /// the buffer/storage boundary.
   size_t history_buffer_cap = 1024;
   /// Crash-durability discipline for on-disk databases (requires
   /// db_path). kOff writes pages in place without a WAL (every mode
@@ -303,6 +306,8 @@ class Crimson {
     /// species resolution, the pattern matcher, the cracked store's
     /// leaf domain, and NEXUS export.
     NameIndex names;
+    /// "tree=<escaped name>", the prefix of every history row's params.
+    std::string params_prefix;
     std::unique_ptr<Sampler> sampler;
     std::unique_ptr<TreeProjector> projector;
     std::unique_ptr<PatternMatcher> matcher;
@@ -343,13 +348,16 @@ class Crimson {
   Result<QueryResult> ExecuteOnHandle(const TreeHandle& handle,
                                       const QueryRequest& request,
                                       uint64_t ticket) const;
-  /// The per-query pipeline behind Execute and ExecuteBatch: key, cache
-  /// probe, ExecuteOnHandle, insert, then FinishQueryTrace. With
-  /// `record_history` the history row is appended inside the trace;
-  /// ExecuteBatch appends its rows itself, in request order.
+  /// The per-query pipeline behind Execute and ExecuteBatch: encode,
+  /// key, cache probe, ExecuteOnHandle, insert, then FinishQueryTrace.
+  /// The request is encoded once (EncodeQueryBody); the cache key, the
+  /// history params and the slow-query line each prefix that body.
+  /// With `deferred_params` null the history row is appended inside
+  /// the trace; ExecuteBatch passes a slot for the row's params instead
+  /// and appends its rows itself, in request order.
   Result<QueryResult> RunQuery(const TreeHandle& handle,
                                const QueryRequest& request, uint64_t ticket,
-                               bool record_history);
+                               std::string* deferred_params);
   /// Cached-or-built evaluation state for a bound tree;
   /// FailedPrecondition when the tree has no species data.
   Result<std::shared_ptr<const EvalState>> EvalStateFor(TreeRef tree);
@@ -369,16 +377,21 @@ class Crimson {
   Status PersistExperiment(ExperimentReport* report);
   static Result<std::vector<NodeId>> ResolveSpecies(
       const TreeHandle& handle, const std::vector<std::string>& species);
-  void RecordQuery(std::string_view kind, const std::string& params,
-                   const std::string& summary);
-  /// History row for a structure query; failed queries leave none.
-  void RecordQuery(const std::string& tree_name, const QueryRequest& request,
+  /// Appends one history entry to the buffer and returns; never takes
+  /// db_mu_. At the cap it wakes the flusher; at four times the cap
+  /// (buffer plus in-flight batch) it waits until a drain settles.
+  void RecordQuery(std::string_view kind, std::string params,
+                   std::string summary);
+  /// History row for a structure query with its encoded params; failed
+  /// queries leave none.
+  void RecordQuery(const QueryRequest& request, std::string params,
                    const Result<QueryResult>& result);
   /// Publishes one finished query's trace: per-kind latency/count/
   /// result-bytes, per-stage histograms, and -- past the slow-query
-  /// threshold -- the structured slow line. Resets `ctx` afterwards so
-  /// a reused (connection-thread) context starts the next query clean.
-  void FinishQueryTrace(obs::TraceContext* ctx, const std::string& tree_name,
+  /// threshold -- the structured slow line carrying `params`. Resets
+  /// `ctx` afterwards so a reused (connection-thread) context starts
+  /// the next query clean.
+  void FinishQueryTrace(obs::TraceContext* ctx, const std::string& params,
                         const QueryRequest& request,
                         const Result<QueryResult>& result) const;
   Result<SessionLoadReport> FinishLoad(Result<LoadReport> report);
@@ -410,14 +423,16 @@ class Crimson {
   };
   StorageReadGuard AcquireStorageRead() const;
   /// Runs fn (one logical repository write) inside a Txn; db_mu_ must
-  /// be held exclusive. Drains the history buffer into the same
-  /// transaction first, so buffered entries become durable with the
-  /// next write; the buffer keeps its entries until the transaction
-  /// resolves (dropped once persisted, kept when rolled back), so
-  /// history readers never race a half-done drain. Commits on success;
-  /// aborts on failure. After an abort with durability on, the
-  /// repositories are reopened: their in-memory hints (heap tails,
-  /// cached counts, next ids) may reflect the rolled-back writes.
+  /// be held exclusive. This is the one history drain: it swaps the
+  /// buffer out into the in-flight batch and persists the batch in the
+  /// same transaction, so buffered entries become durable with the
+  /// next write. The batch stays readable until the transaction
+  /// resolves (dropped once persisted, put back at the buffer's front
+  /// when rolled back), so history readers never race a half-done
+  /// drain. Commits on success; aborts on failure. After an abort with
+  /// durability on, the repositories are reopened: their in-memory
+  /// hints (heap tails, cached counts, next ids) may reflect the
+  /// rolled-back writes.
   template <typename Fn>
   auto TransactLocked(Fn&& fn) -> decltype(fn());
   /// Runs a load (one DataLoader call) in a write transaction under
@@ -433,6 +448,9 @@ class Crimson {
   /// Synchronously drains the history buffer inside its own write
   /// transaction (no-op when empty). Takes db_mu_ exclusive.
   Status FlushHistory();
+  /// The history flusher thread's loop: sleeps until the buffer
+  /// reaches the cap, then FlushHistory; returns once stopped.
+  void RunHistoryFlusher();
 
   /// The session metrics registry. Declared first: every other member
   /// (database, cache, eval states) may hold resolved cell pointers,
@@ -455,10 +473,12 @@ class Crimson {
   KindCells kind_cells_[kQueryKindCount];
   obs::Histogram* stage_hists_[obs::kStageCount] = {};  // query.stage.<s>_us
   obs::Counter* slow_queries_ = nullptr;                // query.slow
-  /// Queries that found the history buffer at or over its cap, and
-  /// those of them that waited for the writer lock at four times it.
+  /// Queries that found the history buffer at or over its cap, those
+  /// that waited at four times it for the drain, and how long they
+  /// waited.
   obs::Counter* history_buffer_full_ = nullptr;  // history.buffer_full
   obs::Counter* history_flush_waits_ = nullptr;  // history.flush_waits
+  obs::Histogram* history_backpressure_ = nullptr;  // history.backpressure_us
   /// Live-level gauges SnapshotMetrics refreshes; resolved at Open so
   /// a fresh session's snapshot already carries every key.
   struct LiveGauges {
@@ -477,20 +497,42 @@ class Crimson {
   std::shared_ptr<const RepoSet> repos_;
 
   /// The storage *write* lock. Writers (loads, experiment persistence,
-  /// history flushes -- everything around TransactLocked) hold it
-  /// exclusive. Snapshot reads do not take it at all (see
-  /// AcquireStorageRead). Never held while executing query compute.
+  /// the history flusher and Flush/Checkpoint -- everything around
+  /// TransactLocked) hold it exclusive. Snapshot reads do not take it
+  /// at all (see AcquireStorageRead), and neither do query threads:
+  /// recording history never reaches it. Never held while executing
+  /// query compute or parsing a load's input.
   mutable std::shared_mutex db_mu_;
 
   /// In-memory query-history buffer (see history_buffer_cap). Entries
   /// carry their final ids (next_query_id_) and timestamps at enqueue
-  /// time; TransactLocked drains the buffer into the queries table,
-  /// erasing entries only after their transaction committed (so an
-  /// entry is always findable in the buffer or in committed storage,
-  /// and QueryHistory/RerunQuery take no lock against the drain).
-  /// Lock order: db_mu_ -> history_mu_; history_mu_ is leaf-only.
+  /// time. TransactLocked swaps the buffer out into the in-flight
+  /// batch, persists it, and drops it once its transaction committed
+  /// (or puts it back at the buffer's front), so an entry is always in
+  /// the buffer, the in-flight batch or committed storage, and
+  /// QueryHistory/RerunQuery take no lock against the drain. Lock
+  /// order: db_mu_ -> history_mu_; history_mu_ is leaf-only, and a
+  /// query waiting at four times the cap waits on history_drained_cv_
+  /// holding nothing else.
   mutable std::mutex history_mu_;
   std::vector<QueryRepository::Entry> history_buffer_;
+  /// The batch being persisted. Written only by the drain (under
+  /// db_mu_ and history_mu_), so the drain reads it without history_mu_.
+  std::vector<QueryRepository::Entry> history_in_flight_;
+  /// A persisted batch's entries, freed by the drain outside
+  /// history_mu_ (only the drain touches it, under db_mu_); its
+  /// capacity goes back into circulation.
+  std::vector<QueryRepository::Entry> history_spare_;
+  /// Settled drains of a non-empty batch; a query waiting at four times
+  /// the cap goes on once this moves.
+  uint64_t history_drains_ = 0;
+  std::condition_variable history_drained_cv_;
+  /// Buffer size that wakes the flusher: the cap, or one past the
+  /// buffer after a failed drain (retry on the next entry, never spin).
+  /// Set by every settled drain.
+  size_t history_flush_at_ = 0;
+  bool history_flusher_stop_ = false;
+  std::condition_variable history_flusher_cv_;
   /// Next history id; seeded from storage at open/reopen.
   std::atomic<int64_t> next_query_id_{1};
 
@@ -515,6 +557,13 @@ class Crimson {
   /// 0 makes every operation a cheap no-op. Internally synchronized;
   /// keyed by tree id, so no write ever touches it.
   std::unique_ptr<cache::QueryCache> query_cache_;
+
+  /// The history flusher (RunHistoryFlusher), declared after every
+  /// member it uses. Started by Open after its last fallible step;
+  /// stopped and joined by ~Crimson before the final Flush. A dedicated
+  /// thread, not pool_: a drain queued behind an experiment's
+  /// ParallelFor would stall.
+  std::thread history_flusher_;
 };
 
 }  // namespace crimson

@@ -47,16 +47,21 @@ Result<LoadReport> DataLoader::LoadNewick(const std::string& name,
 Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
                                          const std::string& nexus_text,
                                          LoadMode mode) {
-  if (mode == LoadMode::kAppendSpeciesData) {
-    return Status::InvalidArgument(
-        "appending species data needs a bound tree (Crimson::LoadNexus)");
-  }
   Result<NexusDocument> parsed = ParseNexus(nexus_text);
   if (!parsed.ok()) {
     CRIMSON_LOG(kError) << "nexus parse error: " << parsed.status();
     return parsed.status();
   }
-  const NexusDocument& doc = *parsed;
+  return LoadNexus(name, *parsed, mode);
+}
+
+Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
+                                         const NexusDocument& doc,
+                                         LoadMode mode) {
+  if (mode == LoadMode::kAppendSpeciesData) {
+    return Status::InvalidArgument(
+        "appending species data needs a bound tree (Crimson::LoadNexus)");
+  }
   if (doc.trees.empty()) {
     return Status::InvalidArgument("NEXUS input has no TREES block");
   }

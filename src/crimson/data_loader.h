@@ -59,6 +59,10 @@ class DataLoader {
   Result<LoadReport> LoadNexus(const std::string& name,
                                const std::string& nexus_text,
                                LoadMode mode = LoadMode::kTreeWithSpeciesData);
+  /// The same from an already-parsed document (the session parses
+  /// before it takes its writer lock).
+  Result<LoadReport> LoadNexus(const std::string& name,
+                               const NexusDocument& doc, LoadMode mode);
 
   /// Loads an already-parsed tree (used by simulators / examples).
   Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree);

@@ -117,8 +117,11 @@ std::map<std::string, std::string, std::less<>> SplitParams(
 
 std::string EncodeQueryParams(const std::string& tree_name,
                               const QueryRequest& request) {
-  std::string out = "tree=";
-  AppendEscaped(&out, tree_name, /*list_element=*/false);
+  return "tree=" + EscapeParam(tree_name) + EncodeQueryBody(request);
+}
+
+std::string EncodeQueryBody(const QueryRequest& request) {
+  std::string out;
   std::visit(
       Overloaded{
           [&](const LcaQuery& q) {

@@ -135,11 +135,17 @@ std::string UnescapeParam(std::string_view value);
 std::map<std::string, std::string, std::less<>> SplitParams(
     std::string_view params);
 
-/// Encodes a request as the history parameter string. The canonical
-/// encoding: it is also the result-cache key (after the kind) and the
-/// slow-query log's params field.
+/// Encodes a request as the history parameter string:
+/// "tree=<escaped name>" followed by EncodeQueryBody. The canonical
+/// encoding: it is also the slow-query log's params field, and the
+/// result-cache key (after the kind) with the tree id for the name.
 std::string EncodeQueryParams(const std::string& tree_name,
                               const QueryRequest& request);
+
+/// The kind-specific part of the encoding ("&a=...&b=..."). The session
+/// encodes each request once and prefixes this body for the cache key
+/// and the history params.
+std::string EncodeQueryBody(const QueryRequest& request);
 
 /// Decodes a history entry back into (tree name, typed request).
 Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(

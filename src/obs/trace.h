@@ -35,7 +35,7 @@ enum class Stage : uint8_t {
   kEvalBuild,          // EvalState materialization / cracked fetch
   kStorageRead,        // storage-read section (snapshot reads)
   kLabelDecode,        // persisted layered-Dewey label decode
-  kHistoryEnqueue,     // history-buffer append (+ opportunistic flush)
+  kHistoryEnqueue,     // history-buffer append (+ backpressure wait)
   kExecute,            // pure query compute on the bound handle
 };
 

@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,6 +171,73 @@ TEST(CacheSessionTest, SeparatorBytesInNamesNeitherCollideNorSplit) {
       EXPECT_EQ(decoded->first, name);
       EXPECT_EQ(EncodeQueryParams(decoded->first, decoded->second),
                 row.params);
+    }
+  }
+}
+
+TEST(CacheSessionTest, EncodedOnceParamsMatchEncodeQueryParams) {
+  // The session encodes each request once and prefixes the body for the
+  // cache key, the history row and the slow-query line. For all six
+  // kinds, through Execute and ExecuteBatch, and for names that need
+  // escaping, every prefix must be byte-identical to the standalone
+  // encodings.
+  constexpr char kQuoted[] = "(('A,B':1,A:1):1,(B:1,C:1):1);";
+  const std::vector<QueryRequest> requests = {
+      QueryRequest(LcaQuery{"A,B", "A"}),
+      QueryRequest(ProjectQuery{{"A,B", "C"}}),
+      QueryRequest(SampleUniformQuery{2}),
+      QueryRequest(SampleTimeQuery{2, 0.25}),
+      QueryRequest(CladeQuery{{"A,B", "B"}}),
+      QueryRequest(PatternQuery{"('A,B',B);", true}),
+  };
+  ASSERT_EQ(requests.size(), std::variant_size_v<QueryRequest>);
+  for (const std::string name : {"t", "t&u=v%2C%"}) {
+    SCOPED_TRACE(name);
+    std::mutex slow_mu;  // batch workers emit their lines concurrently
+    std::vector<std::string> slow_lines;
+    CrimsonOptions opts;
+    opts.slow_query_micros = 1;
+    opts.slow_query_sink = [&](const std::string& line) {
+      std::lock_guard<std::mutex> lock(slow_mu);
+      slow_lines.push_back(line);
+    };
+    auto session = std::move(Crimson::Open(opts)).value();
+    auto loaded = session->LoadNewick(name, kQuoted);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    for (const QueryRequest& request : requests) {
+      ASSERT_TRUE(session->Execute(loaded->ref, request).ok());
+      EXPECT_EQ(cache::QueryCache::KeyFor(loaded->tree_id, request,
+                                          EncodeQueryBody(request)),
+                std::string(QueryKindName(request)) + '?' +
+                    EncodeQueryParams(std::to_string(loaded->tree_id),
+                                      request));
+    }
+    for (const auto& result : session->ExecuteBatch(loaded->ref, requests)) {
+      ASSERT_TRUE(result.ok()) << result.status();
+    }
+    auto history = session->QueryHistory(2 * requests.size());
+    ASSERT_TRUE(history.ok()) << history.status();
+    ASSERT_EQ(history->size(), 2 * requests.size());
+    std::set<std::string> encoded;
+    for (size_t i = 0; i < history->size(); ++i) {
+      // History is newest first: the batch, then the Execute calls.
+      const QueryRequest& request =
+          requests[requests.size() - 1 - i % requests.size()];
+      const QueryRepository::Entry& row = (*history)[i];
+      EXPECT_EQ(row.kind, QueryKindName(request));
+      EXPECT_EQ(row.params, EncodeQueryParams(name, request));
+      encoded.insert(EncodeQueryParams(name, request));
+    }
+    // A query faster than the 1 us threshold logs no line, but every
+    // line that is logged carries the canonical params.
+    ASSERT_FALSE(slow_lines.empty());
+    for (const std::string& line : slow_lines) {
+      const size_t begin = line.find(" params=");
+      const size_t end = line.find(" status=");
+      ASSERT_NE(begin, std::string::npos) << line;
+      ASSERT_NE(end, std::string::npos) << line;
+      EXPECT_EQ(encoded.count(line.substr(begin + 8, end - begin - 8)), 1u)
+          << line;
     }
   }
 }

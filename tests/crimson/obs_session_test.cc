@@ -282,6 +282,10 @@ TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
     EXPECT_EQ(m.counter(key), 0u) << key;
   }
   EXPECT_EQ(m.counter("cache.budget_bytes"), uint64_t{1} << 20);
+  const obs::HistogramSnapshot* backpressure =
+      m.histogram("history.backpressure_us");
+  ASSERT_NE(backpressure, nullptr);
+  EXPECT_EQ(backpressure->count, 0u);
   for (const char* key :
        {"pages.captured_pages", "pages.version_hits",
         "pages.versions_dropped", "pages.live_versions",
@@ -293,12 +297,13 @@ TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
             crimson->database()->committed_epoch());
 }
 
-TEST(ObsSessionTest, HistoryCountersCountFullBufferAndFlushWaits) {
-  // history_buffer_cap 2. With the writer lock free, a query that
-  // finds the buffer at the cap flushes it. While a durable store is
-  // parked in its commit, holding the lock, queries pile up: each from
-  // the cap on counts as buffer_full, and the one that finds four
-  // times the cap counts a flush wait and blocks until the store ends.
+TEST(ObsSessionTest, HistoryCountersCountFullBufferAndBackpressure) {
+  // history_buffer_cap 2. The flusher's commit of ids 1 and 2 is parked
+  // at its WAL sync, so nothing drains while queries pile up: queries
+  // 1-7 still return (no query thread waits on a WAL sync), and each
+  // that finds the buffer at the cap counts buffer_full. The eighth
+  // finds four times the cap buffered or in flight, counts a flush
+  // wait and blocks until the parked drain settles.
   test::FaultInjectionEnv env;
   test::WalSyncLatch latch;
   CrimsonOptions opts;
@@ -310,50 +315,46 @@ TEST(ObsSessionTest, HistoryCountersCountFullBufferAndFlushWaits) {
   auto report = crimson->LoadNewick("fig1", kFig1Newick);
   ASSERT_TRUE(report.ok()) << report.status();
   const QueryRequest lca(LcaQuery{"Lla", "Syn"});
-  auto counter = [&](const char* key) {
-    return crimson->SnapshotMetrics().counter(key);
-  };
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(crimson->Execute(report->ref, lca).ok());
-  }
-  EXPECT_EQ(counter("history.buffer_full"), 2u);  // queries 2 and 4
-  EXPECT_EQ(counter("history.flush_waits"), 0u);
+  auto snapshot = [&] { return crimson->SnapshotMetrics(); };
 
   latch.Arm();
-  Status stored = Status::Internal("not run");
-  std::thread storer([&] {
-    stored = crimson->LoadNewick("other", kFig1Newick).status();
-  });
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(crimson->Execute(report->ref, lca).ok());
+    ran.fetch_add(1);
+  }
   if (!latch.WaitParked()) {
     latch.Release();
-    storer.join();
-    FAIL() << "the store never reached its WAL sync";
+    FAIL() << "the flusher never reached its WAL sync";
   }
-  std::atomic<int> ran{0};
   std::thread reader([&] {
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 2; i < 8; ++i) {
       EXPECT_TRUE(crimson->Execute(report->ref, lca).ok());
       ran.fetch_add(1);
     }
   });
-  // The eighth query finds 8 entries buffered and waits for the lock.
   bool waited = false;
   for (int i = 0; i < 6000 && !waited; ++i) {
-    waited = counter("history.flush_waits") == 1;
+    waited = snapshot().counter("history.flush_waits") == 1;
     if (!waited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(waited);
   EXPECT_EQ(ran.load(), 7);
   latch.Release();
-  storer.join();
   reader.join();
-  EXPECT_TRUE(stored.ok()) << stored;
   EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(counter("history.buffer_full"), 2u + 7u);  // queries 2..8
-  EXPECT_EQ(counter("history.flush_waits"), 1u);
+  const obs::MetricsSnapshot m = snapshot();
+  // Query 2 (ids 1-2 then went in flight), then queries 4-8 (2-6
+  // buffered).
+  EXPECT_EQ(m.counter("history.buffer_full"), 6u);
+  EXPECT_EQ(m.counter("history.flush_waits"), 1u);
+  const obs::HistogramSnapshot* backpressure =
+      m.histogram("history.backpressure_us");
+  ASSERT_NE(backpressure, nullptr);
+  EXPECT_EQ(backpressure->count, 1u);
   auto history = crimson->QueryHistory(100);
   ASSERT_TRUE(history.ok()) << history.status();
-  EXPECT_EQ(history->size(), 12u);
+  EXPECT_EQ(history->size(), 8u);
 }
 
 TEST(ObsSessionTest, CrackCountersStayCumulativeResidencyIsLive) {

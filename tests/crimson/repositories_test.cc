@@ -1120,6 +1120,67 @@ TEST(DropCostTest, DropFetchesDoNotGrowWithEarlierDrops) {
   EXPECT_LE(fetched[5] * 2, fetched[0] * 3) << "pages per drop: " << counts.str();
 }
 
+TEST(LoadCostTest, RejectedLoadFetchesNoPage) {
+  // A load is parsed and mode-checked before the session takes its
+  // writer lock. A rejected one therefore begins no transaction: it
+  // drains no buffered history and, durable, reopens no repository --
+  // with 20 stored trees that reopen alone fetched dozens of pages.
+  test::FaultInjectionEnv env;
+  auto session = Crimson::Open(DropSessionOptions(&env));
+  ASSERT_TRUE(session.ok()) << session.status();
+  Rng rng(0x10AD);
+  YuleOptions yule;
+  yule.n_leaves = 200;
+  TreeRef ref;
+  for (int i = 0; i < 20; ++i) {
+    PhyloTree tree = std::move(SimulateYule(yule, &rng)).value();
+    auto loaded = (*session)->LoadTree("stored" + std::to_string(i), tree);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ref = loaded->ref;
+  }
+  // Two buffered history entries a drain would carry.
+  ASSERT_TRUE((*session)->Execute(ref, SampleUniformQuery{3}).ok());
+  ASSERT_TRUE((*session)->Execute(ref, SampleUniformQuery{4}).ok());
+  auto stored_before = (*session)->ListTrees();
+  ASSERT_TRUE(stored_before.ok());
+  auto history_counters = [&] {
+    std::map<std::string, uint64_t> out;
+    for (const auto& [key, value] :
+         (*session)->SnapshotMetrics().counters) {
+      if (key.rfind("history.", 0) == 0) out[key] = value;
+    }
+    return out;
+  };
+  const auto counters_before = history_counters();
+
+  const uint64_t before = PoolFetches(**session);
+  EXPECT_TRUE((*session)->LoadNewick("bad", "((A,B);").status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE((*session)
+                  ->LoadNewick("append", "(A,B);", LoadMode::kAppendSpeciesData)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_FALSE((*session)->LoadNexus("nexus", "#NEXUS\nBEGIN TREES;").ok());
+  EXPECT_EQ(PoolFetches(**session) - before, 0u);
+
+  EXPECT_EQ(history_counters(), counters_before);
+  auto stored_after = (*session)->ListTrees();
+  ASSERT_TRUE(stored_after.ok());
+  ASSERT_EQ(stored_after->size(), stored_before->size());
+  for (size_t i = 0; i < stored_after->size(); ++i) {
+    EXPECT_EQ((*stored_after)[i].tree_id, (*stored_before)[i].tree_id);
+    EXPECT_EQ((*stored_after)[i].name, (*stored_before)[i].name);
+  }
+  Database::ReadTxn read = (*session)->database()->BeginRead();
+  auto queries = (*session)->database()->OpenTable("queries");
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  EXPECT_EQ(queries->row_count(), 0u) << "a rejected load drained history";
+  read.End();
+  auto history = (*session)->QueryHistory(10);
+  ASSERT_TRUE(history.ok()) << history.status();
+  EXPECT_EQ(history->size(), 2u);
+}
+
 TEST(DropCostTest, SpeciesLessDropFetchesEachBlobPageOnce) {
   // labels and tree_blobs each have one index, which DeleteWhere
   // removes as a run: a drop frees their overflow pages without first

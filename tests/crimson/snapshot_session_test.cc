@@ -35,6 +35,7 @@
 #include "storage/file.h"
 #include "storage/wal.h"
 #include "wal_sync_latch.h"
+#include "../storage/fault_injection.h"
 
 namespace crimson {
 namespace {
@@ -355,7 +356,10 @@ TEST(SnapshotSessionTest, ColdMissesFromTwoThreadsOverlapInThePager) {
 // Query-history buffering
 // ---------------------------------------------------------------------------
 
+/// Committed rows of the queries table. Reads through a snapshot, so
+/// it is safe while the history flusher writes.
 uint64_t PersistedHistoryRows(Crimson* session) {
+  Database::ReadTxn read = session->database()->BeginRead();
   auto table = session->database()->OpenTable("queries");
   EXPECT_TRUE(table.ok());
   return table.ok() ? table->row_count() : 0;
@@ -421,7 +425,19 @@ TEST(SnapshotSessionTest, WriterPathDrainsHistoryBuffer) {
   EXPECT_EQ((*hist)[1].kind, "lca");
 }
 
-TEST(SnapshotSessionTest, BufferCapTriggersOpportunisticFlush) {
+/// Polls (up to a minute) until `done` holds; the flusher runs on its
+/// own thread, so its effects are waited for, never slept on.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SnapshotSessionTest, BufferCapWakesTheHistoryFlusher) {
   CrimsonOptions opts;
   opts.history_buffer_cap = 4;
   auto session = std::move(Crimson::Open(opts)).value();
@@ -432,8 +448,12 @@ TEST(SnapshotSessionTest, BufferCapTriggersOpportunisticFlush) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(session->Execute(load->ref, LcaQuery{"S1", "S3"}).ok());
   }
-  // Two cap crossings flushed synchronously (the writer lock was free).
-  EXPECT_GE(PersistedHistoryRows(session.get()), 8u);
+  // Reaching the cap woke the flusher, which drains off the query
+  // thread with no write to carry the rows, until fewer than the cap
+  // stay buffered. It swaps the buffer out whenever it gets to run, so
+  // at least 10 - 3 rows land.
+  EXPECT_TRUE(WaitFor([&] { return PersistedHistoryRows(session.get()) >= 7; }))
+      << PersistedHistoryRows(session.get()) << " rows persisted";
 
   auto hist = session->QueryHistory(20);
   ASSERT_TRUE(hist.ok());
@@ -514,6 +534,153 @@ TEST(SnapshotSessionTest, StressHistoryKeepsOrderUnderConcurrentQueries) {
     EXPECT_EQ((*hist)[i].query_id,
               static_cast<int64_t>(hist->size() - i));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The history flusher: drains off the query thread through a swapped-out,
+// still readable in-flight batch
+// ---------------------------------------------------------------------------
+
+/// Every id in `history` exactly once, newest first: n, n-1, ..., 1.
+void ExpectIdsOnceNewestFirst(const std::vector<QueryRepository::Entry>& history,
+                              int64_t n) {
+  ASSERT_EQ(history.size(), static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(history[i].query_id, n - i);
+  }
+}
+
+/// A durable session over `env` whose WAL syncs pass through `latch`,
+/// with one 32-leaf tree "t" loaded.
+std::unique_ptr<Crimson> OpenFlusherSession(test::FaultInjectionEnv* env,
+                                            test::WalSyncLatch* latch,
+                                            TreeRef* ref) {
+  CrimsonOptions opts;
+  opts.db_path = "history_flusher.db";
+  opts.durability = Durability::kCommit;
+  opts.storage_env = latch->Wrap(env->env());
+  opts.history_buffer_cap = 4;
+  auto session = Crimson::Open(opts);
+  EXPECT_TRUE(session.ok()) << session.status();
+  if (!session.ok()) return nullptr;
+  GoldTree gold = MakeGold(32, 0xFACE, /*with_sequences=*/false);
+  auto load = (*session)->LoadTree("t", gold.tree);
+  EXPECT_TRUE(load.ok()) << load.status();
+  if (load.ok()) *ref = load->ref;
+  return std::move(session).value();
+}
+
+TEST(HistoryFlusherTest, InFlightBatchIsReadableWhileItsSyncIsParked) {
+  // The flusher's commit is parked at its WAL sync with ids 1..4 in
+  // flight and id 5 buffered: history readers see each id once, and a
+  // rerun finds an id in the in-flight batch.
+  test::FaultInjectionEnv env;
+  test::WalSyncLatch latch;
+  TreeRef ref;
+  auto session = OpenFlusherSession(&env, &latch, &ref);
+  ASSERT_NE(session, nullptr);
+  const std::vector<QueryRequest> requests = {
+      LcaQuery{"S1", "S3"}, CladeQuery{{"S2", "S5"}},
+      ProjectQuery{{"S0", "S4", "S7"}}, LcaQuery{"S6", "S9"},
+      CladeQuery{{"S1", "S8"}}};
+  std::vector<std::string> rendered;
+  latch.Arm();
+  for (size_t i = 0; i < 4; ++i) {
+    auto r = session->Execute(ref, requests[i]);
+    ASSERT_TRUE(r.ok()) << r.status();
+    rendered.push_back(RenderResult(*r));
+  }
+  if (!latch.WaitParked()) {
+    latch.Release();
+    FAIL() << "the flusher never reached its WAL sync";
+  }
+  ASSERT_TRUE(session->Execute(ref, requests[4]).ok());
+  EXPECT_EQ(PersistedHistoryRows(session.get()), 0u);
+  auto parked = session->QueryHistory(100);
+  ASSERT_TRUE(parked.ok()) << parked.status();
+  ExpectIdsOnceNewestFirst(*parked, 5);
+  auto rerun = session->RerunQuery(2);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(*rerun, rendered[1]);
+
+  latch.Release();
+  EXPECT_TRUE(WaitFor([&] { return PersistedHistoryRows(session.get()) >= 4; }));
+  auto after = session->QueryHistory(100);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ExpectIdsOnceNewestFirst(*after, 6);  // the rerun recorded id 6
+}
+
+TEST(HistoryFlusherTest, FailedCommitPutsTheBatchBack) {
+  // The flusher's parked WAL sync fails once released. The batch goes
+  // back to the front of the buffer: every id stays readable exactly
+  // once, and a rerun finds a put-back id. A failed WAL sync leaves the
+  // log read-only, so every later drain in this session fails and says
+  // so; FailedDrainIsPersistedByTheNextDrain covers the retry.
+  test::FaultInjectionEnv env;
+  test::WalSyncLatch latch;
+  TreeRef ref;
+  auto session = OpenFlusherSession(&env, &latch, &ref);
+  ASSERT_NE(session, nullptr);
+  latch.Arm();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session->Execute(ref, LcaQuery{"S1", "S3"}).ok());
+  }
+  if (!latch.WaitParked()) {
+    latch.Release();
+    FAIL() << "the flusher never reached its WAL sync";
+  }
+  env.ResetOpCount();
+  env.ArmFailPoint(1);
+  latch.Release();
+  // Flush waits out the flusher's drain, then fails its own.
+  EXPECT_FALSE(session->Flush().ok());
+  EXPECT_TRUE(env.triggered());
+  auto history = session->QueryHistory(100);
+  ASSERT_TRUE(history.ok()) << history.status();
+  ExpectIdsOnceNewestFirst(*history, 4);
+  auto rerun = session->RerunQuery(3);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  auto after = session->QueryHistory(100);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ExpectIdsOnceNewestFirst(*after, 5);
+}
+
+TEST(HistoryFlusherTest, FailedDrainIsPersistedByTheNextDrain) {
+  // Without a WAL a failed write does not poison the session: the
+  // flusher's drain fails on a data-file write (the small pool must
+  // evict a dirty page to insert the batch), the batch goes back, and
+  // once the disk works again the next drain persists every id
+  // exactly once -- RecordBatch skips any row the failed one wrote.
+  test::FaultInjectionEnv env;
+  CrimsonOptions opts;
+  opts.db_path = "history_drain.db";
+  opts.storage_env = env.env();
+  opts.buffer_pool_pages = 8;
+  opts.history_buffer_cap = 4;
+  auto session = std::move(Crimson::Open(opts)).value();
+  GoldTree gold = MakeGold(256, 0xFACE, /*with_sequences=*/false);
+  auto load = session->LoadTree("t", gold.tree);
+  ASSERT_TRUE(load.ok()) << load.status();
+  env.ResetOpCount();
+  env.ArmFailPoint(1);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session->Execute(load->ref, LcaQuery{"S1", "S3"}).ok());
+  }
+  // Queries do no I/O, so the fault is the flusher's drain failing.
+  ASSERT_TRUE(WaitFor([&] { return env.triggered(); }))
+      << "the flusher's drain wrote nothing";
+  // Flush waits out that drain, then fails its own.
+  EXPECT_FALSE(session->Flush().ok());
+  env.Disarm();
+  auto history = session->QueryHistory(100);
+  ASSERT_TRUE(history.ok()) << history.status();
+  ExpectIdsOnceNewestFirst(*history, 4);
+
+  ASSERT_TRUE(session->Flush().ok());
+  EXPECT_EQ(PersistedHistoryRows(session.get()), 4u);
+  auto persisted = session->QueryHistory(100);
+  ASSERT_TRUE(persisted.ok()) << persisted.status();
+  ExpectIdsOnceNewestFirst(*persisted, 4);
 }
 
 }  // namespace

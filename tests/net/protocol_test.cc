@@ -710,12 +710,14 @@ TEST(StatsCodecTest, DecodedSnapshotReEncodesByteIdentically) {
   h.sum = 13;
   snapshot.histograms["net.op.ping_us"] = h;
   snapshot.histograms["query.stage.execute_us"] = h;
+  snapshot.histograms["history.backpressure_us"] = h;
 
   std::string bytes;
   EncodeMetricsSnapshot(&bytes, snapshot);
   Slice in(bytes);
   auto decoded = DecodeMetricsSnapshot(&in);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->histograms.size(), snapshot.histograms.size());
   std::string again;
   EncodeMetricsSnapshot(&again, *decoded);
   EXPECT_EQ(again, bytes);
