@@ -327,11 +327,30 @@ Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report) {
   return out;
 }
 
-// Loads parse and mode-check their input before WriteTree takes the
-// writer lock: a rejected load begins no transaction (so drains no
-// history and, durable, reopens no repository), and a good one does
-// not hold db_mu_ -- nor the history flusher behind it -- through its
-// parse.
+// Loads parse, mode-check, check and label their input before
+// WriteTree takes the writer lock: a rejected load begins no
+// transaction (so drains no history and, durable, reopens no
+// repository), and a good one does not hold db_mu_ -- nor the history
+// flusher behind it -- through its parse or labeling.
+
+Result<LayeredDeweyScheme> Crimson::PrepareLoad(const std::string& name,
+                                                const PhyloTree& tree) const {
+  {
+    // Only writers change tree_ids_, under db_mu_. With no writer in
+    // flight the map is the committed state and a refusal holds as of
+    // now. A writer in flight may be a drop of this very name, so then
+    // the store under the lock decides alone.
+    std::shared_lock<std::shared_mutex> no_writer(db_mu_, std::try_to_lock);
+    if (no_writer.owns_lock() && tree_ids_.count(name) > 0) {
+      return Status::AlreadyExists(
+          StrFormat("tree '%s' is already stored", name.c_str()));
+    }
+  }
+  CRIMSON_RETURN_IF_ERROR(TreeRepository::CheckStorable(name, tree));
+  LayeredDeweyScheme labels(options_.f);
+  CRIMSON_RETURN_IF_ERROR(labels.Build(tree));
+  return labels;
+}
 
 Result<SessionLoadReport> Crimson::LoadNewick(const std::string& name,
                                               const std::string& newick,
@@ -352,8 +371,10 @@ Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
     if (doc.trees.empty()) {
       return Status::InvalidArgument("NEXUS input has no TREES block");
     }
+    CRIMSON_ASSIGN_OR_RETURN(LayeredDeweyScheme labels,
+                             PrepareLoad(name, doc.trees[0].tree));
     return FinishLoad(WriteTree(
-        [&] { return Repos()->loader->LoadNexus(name, doc, mode); }));
+        [&] { return Repos()->loader->LoadNexus(name, doc, mode, labels); }));
   }
   if (doc.sequences.empty()) {
     return Status::InvalidArgument("NEXUS input has no CHARACTERS data");
@@ -368,8 +389,9 @@ Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
 
 Result<SessionLoadReport> Crimson::LoadTree(const std::string& name,
                                             const PhyloTree& tree) {
-  return FinishLoad(
-      WriteTree([&] { return Repos()->loader->LoadTree(name, tree); }));
+  CRIMSON_ASSIGN_OR_RETURN(LayeredDeweyScheme labels, PrepareLoad(name, tree));
+  return FinishLoad(WriteTree(
+      [&] { return Repos()->loader->LoadTree(name, tree, labels); }));
 }
 
 Result<LoadReport> Crimson::AppendSpeciesData(

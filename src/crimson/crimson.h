@@ -440,6 +440,13 @@ class Crimson {
   /// drops the tree's evaluation state, before db_mu_ is released.
   template <typename Fn>
   Result<LoadReport> WriteTree(Fn&& write);
+  /// What a load of `tree` as `name` can do before WriteTree: refuse a
+  /// stored name (AlreadyExists) while no writer is in flight, refuse a
+  /// tree StoreTree would refuse (TreeRepository::CheckStorable), and
+  /// build the tree's labels. The store under db_mu_ checks again and
+  /// stays the authority when a load races a write.
+  Result<LayeredDeweyScheme> PrepareLoad(const std::string& name,
+                                         const PhyloTree& tree) const;
   /// Rebuilds the repository handles (and the loader over them) from
   /// current storage and publishes them as a new generation, then
   /// re-seeds the name map from the stored trees; db_mu_ must be held

@@ -11,9 +11,18 @@ namespace crimson {
 Result<LoadReport> DataLoader::LoadTree(const std::string& name,
                                         const PhyloTree& tree) {
   WallTimer timer;
-  LayeredDeweyScheme scheme(f_);
-  CRIMSON_RETURN_IF_ERROR(scheme.Build(tree));
-  Result<int64_t> stored = trees_->StoreTree(name, tree, scheme);
+  LayeredDeweyScheme labels(f_);
+  CRIMSON_RETURN_IF_ERROR(labels.Build(tree));
+  Result<LoadReport> report = LoadTree(name, tree, labels);
+  if (report.ok()) report->seconds = timer.ElapsedSeconds();
+  return report;
+}
+
+Result<LoadReport> DataLoader::LoadTree(const std::string& name,
+                                        const PhyloTree& tree,
+                                        const LayeredDeweyScheme& labels) {
+  WallTimer timer;
+  Result<int64_t> stored = trees_->StoreTree(name, tree, labels);
   if (!stored.ok()) {
     CRIMSON_LOG(kError) << "loading tree '" << name
                         << "' failed: " << stored.status();
@@ -52,12 +61,17 @@ Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
     CRIMSON_LOG(kError) << "nexus parse error: " << parsed.status();
     return parsed.status();
   }
-  return LoadNexus(name, *parsed, mode);
+  LayeredDeweyScheme labels(f_);
+  if (!parsed->trees.empty()) {
+    CRIMSON_RETURN_IF_ERROR(labels.Build(parsed->trees[0].tree));
+  }
+  return LoadNexus(name, *parsed, mode, labels);
 }
 
 Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
                                          const NexusDocument& doc,
-                                         LoadMode mode) {
+                                         LoadMode mode,
+                                         const LayeredDeweyScheme& labels) {
   if (mode == LoadMode::kAppendSpeciesData) {
     return Status::InvalidArgument(
         "appending species data needs a bound tree (Crimson::LoadNexus)");
@@ -66,7 +80,7 @@ Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
     return Status::InvalidArgument("NEXUS input has no TREES block");
   }
   const PhyloTree& tree = doc.trees[0].tree;
-  CRIMSON_ASSIGN_OR_RETURN(LoadReport report, LoadTree(name, tree));
+  CRIMSON_ASSIGN_OR_RETURN(LoadReport report, LoadTree(name, tree, labels));
   if (mode == LoadMode::kTreeWithSpeciesData && !doc.sequences.empty()) {
     // The tree just stored is the one parsed: resolve against it
     // rather than reading it back.

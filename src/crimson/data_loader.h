@@ -18,6 +18,7 @@
 
 #include "common/result.h"
 #include "crimson/repositories.h"
+#include "labeling/layered_dewey.h"
 #include "tree/name_index.h"
 #include "tree/nexus.h"
 
@@ -59,13 +60,19 @@ class DataLoader {
   Result<LoadReport> LoadNexus(const std::string& name,
                                const std::string& nexus_text,
                                LoadMode mode = LoadMode::kTreeWithSpeciesData);
-  /// The same from an already-parsed document (the session parses
-  /// before it takes its writer lock).
+  /// The same from an already-parsed document whose first tree is
+  /// already labeled: the session parses and labels before it takes
+  /// its writer lock.
   Result<LoadReport> LoadNexus(const std::string& name,
-                               const NexusDocument& doc, LoadMode mode);
+                               const NexusDocument& doc, LoadMode mode,
+                               const LayeredDeweyScheme& labels);
 
   /// Loads an already-parsed tree (used by simulators / examples).
   Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree);
+  /// The same with its labeling already built (by the session, before
+  /// it takes its writer lock).
+  Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree,
+                              const LayeredDeweyScheme& labels);
 
   /// Appends sequences to stored tree `tree_id`, whose structure is
   /// `tree` with name index `names`. Every species must name a node of

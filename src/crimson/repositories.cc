@@ -103,25 +103,27 @@ Result<std::unique_ptr<TreeRepository>> TreeRepository::Open(Database* db) {
   return repo;
 }
 
-Result<int64_t> TreeRepository::StoreTree(const std::string& name,
-                                          const PhyloTree& tree,
-                                          const LayeredDeweyScheme& scheme) {
+Status TreeRepository::CheckStorable(const std::string& name,
+                                     const PhyloTree& tree) {
   if (tree.empty()) {
     return Status::InvalidArgument("cannot store an empty tree");
   }
-  // Duplicate leaf names would make every name-addressed query resolve
-  // silently to one arbitrary occurrence; no stored tree has them.
-  {
-    NameIndex names = NameIndex::Build(tree);
-    if (names.has_duplicate_leaf_names()) {
-      std::vector<std::string> dups = names.DuplicateLeafNames(tree);
-      return Status::InvalidArgument(StrFormat(
-          "tree '%s' has %zu duplicate leaf name%s (e.g. '%s'); leaf names "
-          "must be unique for name-addressed queries",
-          name.c_str(), dups.size(), dups.size() == 1 ? "" : "s",
-          dups[0].c_str()));
-    }
+  NameIndex names = NameIndex::Build(tree);
+  if (names.has_duplicate_leaf_names()) {
+    std::vector<std::string> dups = names.DuplicateLeafNames(tree);
+    return Status::InvalidArgument(StrFormat(
+        "tree '%s' has %zu duplicate leaf name%s (e.g. '%s'); leaf names "
+        "must be unique for name-addressed queries",
+        name.c_str(), dups.size(), dups.size() == 1 ? "" : "s",
+        dups[0].c_str()));
   }
+  return Status::OK();
+}
+
+Result<int64_t> TreeRepository::StoreTree(const std::string& name,
+                                          const PhyloTree& tree,
+                                          const LayeredDeweyScheme& scheme) {
+  CRIMSON_RETURN_IF_ERROR(CheckStorable(name, tree));
   // Take the next id and persist its successor first: the id is spent
   // even if a later insert fails, so it is never handed out twice.
   const int64_t tree_id = next_id_;

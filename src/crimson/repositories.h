@@ -100,9 +100,15 @@ class TreeRepository {
   /// three rows: trees metadata, the labels blob and the packed tree
   /// blob. Returns the assigned tree id, taken from the tree_ids
   /// counter (never one a dropped tree had). InvalidArgument for an
-  /// empty tree or duplicate leaf names.
+  /// empty tree or duplicate leaf names (CheckStorable).
   Result<int64_t> StoreTree(const std::string& name, const PhyloTree& tree,
                             const LayeredDeweyScheme& scheme);
+
+  /// The refusals StoreTree makes from the tree alone, without storage:
+  /// InvalidArgument for an empty tree or duplicate leaf names. Duplicate
+  /// leaf names would make every name-addressed query resolve silently
+  /// to one arbitrary occurrence; no stored tree has them.
+  static Status CheckStorable(const std::string& name, const PhyloTree& tree);
 
   /// The serialized labeling persisted by StoreTree, decoded.
   /// Corruption when the tree's labels row is missing.

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 namespace crimson {
 namespace {
@@ -105,6 +107,62 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(1000ull, 3ull),   // Floyd path
                       std::make_pair(1000ull, 900ull),  // dense path
                       std::make_pair(100000ull, 64ull)));
+
+// SampleWithoutReplacement as it was before small samples scanned
+// their draws: Floyd's algorithm with a hash set for k < n/4, a partial
+// Fisher-Yates shuffle otherwise. The oracle for the scanning path.
+std::vector<uint64_t> HashSetSampleWithoutReplacement(Rng* rng, uint64_t n,
+                                                      uint64_t k) {
+  std::vector<uint64_t> out;
+  out.reserve(k);
+  if (k == 0) return out;
+  if (k < n / 4) {
+    std::unordered_set<uint64_t> chosen;
+    chosen.reserve(static_cast<size_t>(k) * 2);
+    for (uint64_t j = n - k; j < n; ++j) {
+      uint64_t t = rng->Uniform(j + 1);
+      if (chosen.insert(t).second) {
+        out.push_back(t);
+      } else {
+        chosen.insert(j);
+        out.push_back(j);
+      }
+    }
+    return out;
+  }
+  std::vector<uint64_t> idx(n);
+  for (uint64_t i = 0; i < n; ++i) idx[i] = i;
+  for (uint64_t i = 0; i < k; ++i) {
+    uint64_t j = i + rng->Uniform(n - i);
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+// Four consecutive outputs determine the generator's 256-bit state.
+std::vector<uint64_t> RngState(Rng rng) {
+  return {rng.Next(), rng.Next(), rng.Next(), rng.Next()};
+}
+
+TEST(RngTest, SampleMatchesHashSetOracle) {
+  // take runs from 0 to 200, across the 64-draw scan threshold and the
+  // k < n/4 switch to the dense path; both generators carry over.
+  const uint64_t sizes[] = {1,   2,    3,    7,      64,      255,    256,
+                            257, 1000, 4096, 65537, 1000000};
+  Rng a(8), b(8);
+  for (uint64_t n : sizes) {
+    for (uint64_t take = 0; take <= std::min<uint64_t>(n, 200); ++take) {
+      for (int rep = 0; rep < 3; ++rep) {
+        std::vector<uint64_t> want =
+            HashSetSampleWithoutReplacement(&a, n, take);
+        ASSERT_EQ(b.SampleWithoutReplacement(n, take), want)
+            << "n=" << n << " take=" << take;
+        ASSERT_EQ(RngState(b), RngState(a)) << "n=" << n << " take=" << take;
+      }
+    }
+  }
+}
 
 TEST(RngTest, SampleCoversAllElementsEventually) {
   Rng rng(7);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -1120,11 +1121,11 @@ TEST(DropCostTest, DropFetchesDoNotGrowWithEarlierDrops) {
   EXPECT_LE(fetched[5] * 2, fetched[0] * 3) << "pages per drop: " << counts.str();
 }
 
-TEST(LoadCostTest, RejectedLoadFetchesNoPage) {
-  // A load is parsed and mode-checked before the session takes its
-  // writer lock. A rejected one therefore begins no transaction: it
-  // drains no buffered history and, durable, reopens no repository --
-  // with 20 stored trees that reopen alone fetched dozens of pages.
+/// Runs `refuse` (loads the session must reject) in a durable session
+/// holding 20 stored trees and two buffered history entries, and checks
+/// that the refusals fetched no page, drained no history, moved no
+/// history.* counter and left the stored trees as they were.
+void ExpectRefusalsFetchNoPage(const std::function<void(Crimson*)>& refuse) {
   test::FaultInjectionEnv env;
   auto session = Crimson::Open(DropSessionOptions(&env));
   ASSERT_TRUE(session.ok()) << session.status();
@@ -1154,13 +1155,7 @@ TEST(LoadCostTest, RejectedLoadFetchesNoPage) {
   const auto counters_before = history_counters();
 
   const uint64_t before = PoolFetches(**session);
-  EXPECT_TRUE((*session)->LoadNewick("bad", "((A,B);").status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE((*session)
-                  ->LoadNewick("append", "(A,B);", LoadMode::kAppendSpeciesData)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_FALSE((*session)->LoadNexus("nexus", "#NEXUS\nBEGIN TREES;").ok());
+  refuse(session->get());
   EXPECT_EQ(PoolFetches(**session) - before, 0u);
 
   EXPECT_EQ(history_counters(), counters_before);
@@ -1179,6 +1174,39 @@ TEST(LoadCostTest, RejectedLoadFetchesNoPage) {
   auto history = (*session)->QueryHistory(10);
   ASSERT_TRUE(history.ok()) << history.status();
   EXPECT_EQ(history->size(), 2u);
+}
+
+TEST(LoadCostTest, RejectedLoadFetchesNoPage) {
+  // A load is parsed and mode-checked before the session takes its
+  // writer lock. A rejected one therefore begins no transaction: it
+  // drains no buffered history and, durable, reopens no repository --
+  // with 20 stored trees that reopen alone fetched dozens of pages.
+  ExpectRefusalsFetchNoPage([](Crimson* session) {
+    EXPECT_TRUE(session->LoadNewick("bad", "((A,B);").status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(session
+                    ->LoadNewick("append", "(A,B);",
+                                 LoadMode::kAppendSpeciesData)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_FALSE(session->LoadNexus("nexus", "#NEXUS\nBEGIN TREES;").ok());
+  });
+}
+
+TEST(LoadCostTest, DuplicateLeafNamesAndStoredNameFetchNoPage) {
+  // Duplicate leaf names and a name already stored are refused before
+  // the writer lock too, so neither begins (and aborts) a transaction.
+  ExpectRefusalsFetchNoPage([](Crimson* session) {
+    auto duplicates = session->LoadNewick("dupes", "((A:1,B:1):1,A:2);");
+    EXPECT_TRUE(duplicates.status().IsInvalidArgument()) << duplicates.status();
+    auto stored = session->LoadNewick("stored3", "(C:1,D:1);");
+    EXPECT_TRUE(stored.status().IsAlreadyExists()) << stored.status();
+    auto nexus = session->LoadNexus(
+        "stored7",
+        "#NEXUS\nBEGIN TREES;\n  TREE t = (C:1,D:1);\nEND;\n",
+        LoadMode::kTreeStructureOnly);
+    EXPECT_TRUE(nexus.status().IsAlreadyExists()) << nexus.status();
+  });
 }
 
 TEST(DropCostTest, SpeciesLessDropFetchesEachBlobPageOnce) {

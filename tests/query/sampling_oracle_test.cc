@@ -1,13 +1,17 @@
-// Differential suite: Sampler (leaf ranges, pre-order frontier DFS,
-// index-mapped refill) against ReferenceSampler (the O(n)-per-call
-// code it replaced). Every call must return the same leaves in the same
-// order, the same Status text, and leave the Rng in the same state, so
-// stored sample_time history rows rerun to the same answer. *Stress*
-// cases run larger trees and a concurrent shared-Sampler check.
+// Differential suite: Sampler (leaf ranges, checkpointed time index,
+// popcount-selected pools, index-mapped refill) against
+// ReferenceSampler (the O(n)-per-call code it replaced). Every call
+// must return the same leaves in the same order, the same Status text,
+// and leave the Rng in the same state, so stored sample_time history
+// rows rerun to the same answer. *Stress* cases run larger trees and a
+// concurrent shared-Sampler check; *Race* cases race the index build.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +42,15 @@ double MaxRootPathWeight(const PhyloTree& tree) {
   return *std::max_element(w.begin(), w.end());
 }
 
+// The deepest finite root-path weight (0 if none is).
+double MaxFiniteWeight(const std::vector<double>& w) {
+  double max_w = 0;
+  for (double x : w) {
+    if (std::isfinite(x)) max_w = std::max(max_w, x);
+  }
+  return max_w;
+}
+
 enum class Shape { kYule, kBirthDeathPruned, kBirthDeathUnpruned };
 
 PhyloTree MakeTree(Shape shape, uint32_t n_leaves, Rng* rng) {
@@ -59,27 +72,38 @@ struct Tally {
   size_t not_found = 0;
 };
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 // Runs `cases` randomized calls on one tree: t from -5% to 110% of the
-// deepest root-path weight (a quarter of them exactly on a node's
-// weight, where `>` decides), k from 1 to leaves+3. Both samplers draw
-// from their own Rng, seeded alike and carried across calls.
+// deepest finite root-path weight (a quarter of them exactly on a
+// node's weight, where `>` decides; one in eight NaN, +-inf, 0 or -0),
+// k from 1 to leaves+3 (one in sixteen 0). Both samplers draw from
+// their own Rng, seeded alike and carried across calls.
 void RunDifferential(const PhyloTree& tree, size_t cases, uint64_t seed,
                      Tally* tally) {
   Sampler sampler(&tree);
   ReferenceSampler reference(&tree);
   ASSERT_EQ(sampler.leaves(), reference.leaves());
   const std::vector<double> w = tree.RootPathWeights();
-  const double max_w = MaxRootPathWeight(tree);
+  const double max_w = MaxFiniteWeight(w);
   const size_t n_leaves = reference.leaves().size();
+  const double special[] = {kNaN, kInf, -kInf, 0.0, -0.0};
   Rng params(seed);
   Rng a(seed ^ 0x5eed), b(seed ^ 0x5eed);
   for (size_t c = 0; c < cases; ++c) {
-    double time = params.OneIn(4)
-                      ? w[params.Uniform(w.size())]
-                      : max_w * (-0.05 + 1.15 * params.NextDouble());
+    double time;
+    if (params.OneIn(8)) {
+      time = special[params.Uniform(5)];
+    } else if (params.OneIn(4)) {
+      time = w[params.Uniform(w.size())];
+    } else {
+      time = max_w * (-0.05 + 1.15 * params.NextDouble());
+    }
     size_t k = params.OneIn(2)
                    ? 1 + params.Uniform(n_leaves + 3)
                    : 1 + params.Uniform(std::min<size_t>(n_leaves + 3, 12));
+    if (params.OneIn(16)) k = 0;
     auto want = reference.SampleWithRespectToTime(k, time, &a);
     auto got = sampler.SampleWithRespectToTime(k, time, &b);
     ASSERT_EQ(Render(got), Render(want))
@@ -91,7 +115,8 @@ void RunDifferential(const PhyloTree& tree, size_t cases, uint64_t seed,
     }
     ++tally->cases;
     if (c % 16 == 0) {
-      ASSERT_EQ(sampler.TimeFrontier(time), reference.TimeFrontier(time));
+      ASSERT_EQ(sampler.TimeFrontier(time), reference.TimeFrontier(time))
+          << "t=" << time;
       NodeId node = static_cast<NodeId>(params.Uniform(tree.size()));
       ASSERT_EQ(sampler.LeavesUnder(node), reference.LeavesUnder(node));
       size_t ku = params.Uniform(n_leaves + 1);
@@ -136,6 +161,61 @@ TEST(SamplingOracle, FixedShapesMatchReference) {
   RunDifferential(MakePaperFigure1Tree(), 500, 8, &tally);
   RunDifferential(MakeCaterpillar(40), 500, 9, &tally);
   RunDifferential(MakeBalancedBinary(7), 500, 10, &tally);
+  // A multifurcating star (60 leaves under the root, lengths tied in
+  // sevens), and stars hung under a star (each sub-hub's event lets
+  // nine children enter at once).
+  PhyloTree star;
+  NodeId hub = star.AddRoot("hub");
+  for (int i = 0; i < 60; ++i) star.AddChild(hub, "", 0.25 * (i % 7));
+  RunDifferential(star, 500, 11, &tally);
+  PhyloTree stars;
+  hub = stars.AddRoot("hub");
+  for (int i = 0; i < 8; ++i) {
+    NodeId sub = stars.AddChild(hub, "", 1.0 + (i % 3));
+    for (int j = 0; j < 9; ++j) stars.AddChild(sub, "", 0.5 * (j % 4));
+  }
+  RunDifferential(stars, 500, 12, &tally);
+}
+
+TEST(SamplingOracle, EdgeLengthsOfEveryKindMatchReference) {
+  // Negative, zero, tied, NaN, +inf and -inf edge lengths: root-path
+  // weights go up, down and to NaN along a path, and an infinite
+  // weight meets one of the other sign.
+  Rng trees(4040);
+  Tally tally;
+  for (int rep = 0; rep < 60; ++rep) {
+    uint32_t n_leaves = 1 + static_cast<uint32_t>(trees.Uniform(200));
+    PhyloTree tree = MakeTree(
+        rep % 2 == 0 ? Shape::kYule : Shape::kBirthDeathUnpruned, n_leaves,
+        &trees);
+    for (NodeId v = 1; v < tree.size(); ++v) {
+      switch (trees.Uniform(12)) {
+        case 0:
+          tree.set_edge_length(v, -tree.edge_length(v));
+          break;
+        case 1:
+          tree.set_edge_length(v, 0.0);
+          break;
+        case 2:  // tied with the parent's edge
+          tree.set_edge_length(v, tree.edge_length(tree.parent(v)));
+          break;
+        case 3:
+          tree.set_edge_length(v, kNaN);
+          break;
+        case 4:
+          if (trees.OneIn(2)) tree.set_edge_length(v, -kInf);
+          break;
+        case 5:
+          if (trees.OneIn(3)) tree.set_edge_length(v, kInf);
+          break;
+        default:
+          break;
+      }
+    }
+    RunDifferential(tree, 200, 300 + rep, &tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(tally.cases, 12000u);
 }
 
 // Golden answers for a fixed tree and seeds, computed by the sampler
@@ -362,6 +442,73 @@ TEST(SamplingOracle, ConcurrentSharedSamplerStress) {
       ASSERT_EQ(got[t][i], want[t][i]) << "thread " << t << " call " << i;
     }
   }
+}
+
+TEST(SamplingOracle, FirstCallsRaceTheIndexBuild) {
+  // Four threads make their first calls on a fresh Sampler together,
+  // so they race the lazy time-index build; every answer must equal
+  // the sequential answer from a second Sampler.
+  Rng gen(92);
+  YuleOptions options;
+  options.n_leaves = 2000;
+  PhyloTree tree = SimulateYule(options, &gen).value();
+  const double max_w = MaxRootPathWeight(tree);
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 40;
+  auto call = [&](const Sampler& sampler, int thread, int i,
+                  std::string* out) {
+    uint64_t ticket = static_cast<uint64_t>(thread) * kCallsPerThread + i;
+    Rng params(ticket);
+    double time = max_w * (-0.05 + 1.15 * params.NextDouble());
+    size_t k = 1 + params.Uniform(64);
+    Rng rng(0xFACE + ticket);
+    *out = Render(sampler.SampleWithRespectToTime(k, time, &rng));
+    for (uint64_t word : RngState(rng)) *out += ":" + std::to_string(word);
+    for (NodeId n : sampler.TimeFrontier(time)) {
+      *out += "/" + std::to_string(n);
+    }
+  };
+  const Sampler fresh(&tree);
+  std::vector<std::vector<std::string>> got(
+      kThreads, std::vector<std::string>(kCallsPerThread));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kCallsPerThread; ++i) call(fresh, t, i, &got[t][i]);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  const Sampler sequential(&tree);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kCallsPerThread; ++i) {
+      std::string want;
+      call(sequential, t, i, &want);
+      ASSERT_EQ(got[t][i], want) << "thread " << t << " call " << i;
+    }
+  }
+}
+
+TEST(SamplingOracle, TimeIndexFitsItsBytesPerNode) {
+  // The time index, checkpoints included, adds at most 24 B per node
+  // on a perfbench-sized (59,999-node) Yule tree, and only once a time
+  // query has built it.
+  Rng gen(93);
+  YuleOptions options;
+  options.n_leaves = 30000;
+  PhyloTree tree = SimulateYule(options, &gen).value();
+  const Sampler sampler(&tree);
+  const size_t before = sampler.MemoryFootprintBytes();
+  Rng rng(1);
+  ASSERT_TRUE(sampler.SampleUniform(10, &rng).ok());
+  EXPECT_EQ(sampler.MemoryFootprintBytes(), before);
+  ASSERT_FALSE(sampler.TimeFrontier(0.9 * MaxRootPathWeight(tree)).empty());
+  const size_t added = sampler.MemoryFootprintBytes() - before;
+  EXPECT_GT(added, 0u);
+  EXPECT_LE(static_cast<double>(added) / tree.size(), 24.0)
+      << added << " bytes for " << tree.size() << " nodes";
 }
 
 }  // namespace
