@@ -1,7 +1,8 @@
 // Experiment API throughput: a repeated NJ-vs-UPGMA evaluation sweep
-// through Crimson::RunExperiment (evaluation state built once, cached
-// against the TreeHandle, replicates fanned out on the worker pool)
-// versus the pre-Experiment-API per-call path (sequence fetch +
+// through Crimson::RunExperiment (the bound handle's sampler and
+// projector, one read of the sampled species' sequences per
+// experiment, replicates fanned out on the worker pool) versus the
+// pre-Experiment-API per-call path (full sequence fetch +
 // BenchmarkManager rebuild on every evaluation). Before any timing,
 // the gate verifies that a parallel run is byte-identical to a
 // single-worker run of the same spec -- the determinism contract the
@@ -110,9 +111,9 @@ bool VerifyParallelMatchesSequential() {
   return true;
 }
 
-/// The Experiment API path: evaluation state is built once and cached;
-/// every iteration reruns the whole sweep through the worker pool.
-void BM_ExperimentSweep_Cached(benchmark::State& state) {
+/// The Experiment API path: every iteration reruns the whole sweep
+/// through the session, which reads only the sampled species.
+void BM_ExperimentSweep_Session(benchmark::State& state) {
   Fixture fx = MakeFixture(static_cast<size_t>(state.range(0)));
   auto spec = SweepSpec();
   // Warm the cache so the loop measures steady-state repeated
@@ -137,7 +138,7 @@ void BM_ExperimentSweep_Cached(benchmark::State& state) {
 /// The pre-Experiment-API path: every evaluation refetches the
 /// sequence map from storage and rebuilds the BenchmarkManager
 /// (relabel + sampler init), one replicate at a time on one thread --
-/// the per-call cost before evaluation state was cached.
+/// the per-call cost before the Experiment API.
 void BM_ExperimentSweep_RebuildPerCall(benchmark::State& state) {
   Fixture fx = MakeFixture(/*workers=*/1);
   auto spec = SweepSpec();
@@ -184,7 +185,7 @@ void BM_ExperimentSweep_RebuildPerCall(benchmark::State& state) {
                           static_cast<int64_t>(spec.job_count()));
 }
 
-BENCHMARK(BM_ExperimentSweep_Cached)
+BENCHMARK(BM_ExperimentSweep_Session)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExperimentSweep_RebuildPerCall)->Unit(benchmark::kMillisecond);

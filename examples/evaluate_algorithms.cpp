@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
     auto sequences = Unwrap(evolver.EvolveLeaves(gold, &rng), "evolve");
 
     // One Crimson session per sweep: the gold standard is loaded once,
-    // its evaluation state (sequence map + benchmark manager) is built
-    // once and cached against the handle, and the whole grid runs as a
-    // single persisted experiment.
+    // and the whole grid runs as a single persisted experiment that
+    // reads only the sampled species' sequences.
     CrimsonOptions options;
     options.seed = 4711 + seq_len;
     auto crimson = Unwrap(Crimson::Open(options), "open");

@@ -7,7 +7,7 @@
 // six queries read only the structure. An entry therefore stays the
 // right answer for as long as it is resident; a dropped tree's
 // entries are simply never asked for again and age out through
-// replacement (see DESIGN.md "Adaptive caching & cracking").
+// replacement (see DESIGN.md "Adaptive result caching").
 //
 // Replacement is 2Q within a byte budget: new entries enter a
 // probation FIFO and are promoted to a protected LRU segment on their
@@ -84,7 +84,7 @@ class QueryCache {
   void NoteBypass();
 
   // Name-keyed spellings the perfbench replay still calls; ROADMAP
-  // item 8 ports it to the calls above and deletes this block.
+  // item 2 ports it to the calls above and deletes this block.
   struct ReadStamp {};
   static std::string KeyFor(const std::string& name, const QueryRequest& r) {
     return std::string(QueryKindName(r)) + '?' + EncodeQueryParams(name, r);

@@ -1,14 +1,13 @@
 #include "common/random.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace crimson {
 
 namespace {
 
 // Up to this many draws, Floyd's membership test scans the draws so
-// far: cheaper than building a hash set (one-leaf pool draws run on
+// far: cheaper than setting up a table (one-leaf pool draws run on
 // every time sample).
 constexpr uint64_t kScanDraws = 64;
 
@@ -30,15 +29,28 @@ std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
     return out;
   }
   if (k < n / 4) {
-    // The same steps with a hash set for membership.
-    std::unordered_set<uint64_t> chosen;
-    chosen.reserve(static_cast<size_t>(k) * 2);
+    // The same steps with a flat open-addressed table for membership:
+    // a power of two of at least 2k slots, each draw stored plus one so
+    // that 0 marks a free slot, found by multiplicative hashing.
+    int bits = 1;
+    while ((uint64_t{1} << bits) < 2 * k) ++bits;
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    std::vector<uint64_t> slots(mask + 1, 0);
+    // Adds v; false when it was already there.
+    auto insert = [&](uint64_t v) {
+      uint64_t h = (v * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+      for (; slots[h] != 0; h = (h + 1) & mask) {
+        if (slots[h] == v + 1) return false;
+      }
+      slots[h] = v + 1;
+      return true;
+    };
     for (uint64_t j = n - k; j < n; ++j) {
-      uint64_t t = Uniform(j + 1);
-      if (chosen.insert(t).second) {
+      const uint64_t t = Uniform(j + 1);
+      if (insert(t)) {
         out.push_back(t);
       } else {
-        chosen.insert(j);
+        insert(j);
         out.push_back(j);
       }
     }

@@ -9,55 +9,57 @@ BenchmarkManager::BenchmarkManager(
     const PhyloTree* gold_tree,
     const std::map<std::string, std::string>* sequences, uint32_t f)
     : tree_(gold_tree),
-      owned_source_(std::make_unique<cache::MapSequenceSource>(sequences)),
-      sequences_(owned_source_.get()),
-      owned_scheme_(std::make_unique<LayeredDeweyScheme>(f)),
-      scheme_(owned_scheme_.get()) {}
-
-BenchmarkManager::BenchmarkManager(
-    const PhyloTree* gold_tree,
-    const std::map<std::string, std::string>* sequences,
-    const LayeredDeweyScheme* scheme)
-    : tree_(gold_tree),
-      owned_source_(std::make_unique<cache::MapSequenceSource>(sequences)),
-      sequences_(owned_source_.get()),
-      scheme_(scheme) {}
+      sequences_(sequences),
+      owned_scheme_(std::make_unique<LayeredDeweyScheme>(f)) {}
 
 BenchmarkManager::BenchmarkManager(const PhyloTree* gold_tree,
-                                   const cache::SequenceSource* sequences,
-                                   const LayeredDeweyScheme* scheme)
-    : tree_(gold_tree), sequences_(sequences), scheme_(scheme) {}
+                                   const Sampler* sampler,
+                                   const TreeProjector* projector,
+                                   const NameIndex* names)
+    : tree_(gold_tree),
+      names_(names),
+      sampler_(sampler),
+      projector_(projector) {}
 
 Status BenchmarkManager::Init() {
   if (tree_ == nullptr || tree_->empty()) {
     return Status::InvalidArgument("benchmark manager needs a gold tree");
   }
-  if (owned_scheme_ != nullptr) {
-    CRIMSON_RETURN_IF_ERROR(owned_scheme_->Build(*tree_));
-  } else if (scheme_ == nullptr || scheme_->node_count() != tree_->size()) {
-    return Status::InvalidArgument(
-        "borrowed labeling scheme does not match the gold tree");
+  if (owned_scheme_ == nullptr) {
+    return Status::FailedPrecondition("the manager borrows its processors");
   }
-  if (names_ == nullptr) {
-    owned_names_ = std::make_unique<NameIndex>(NameIndex::Build(*tree_));
-    names_ = owned_names_.get();
-  }
-  sampler_ = std::make_unique<Sampler>(tree_);
-  projector_ = std::make_unique<TreeProjector>(tree_, scheme_);
+  CRIMSON_RETURN_IF_ERROR(owned_scheme_->Build(*tree_));
+  owned_names_ = std::make_unique<NameIndex>(NameIndex::Build(*tree_));
+  owned_sampler_ = std::make_unique<Sampler>(tree_);
+  owned_projector_ =
+      std::make_unique<TreeProjector>(tree_, owned_scheme_.get());
+  names_ = owned_names_.get();
+  sampler_ = owned_sampler_.get();
+  projector_ = owned_projector_.get();
   return Status::OK();
 }
 
-Result<std::vector<NodeId>> BenchmarkManager::SelectSpecies(
-    const SelectionSpec& selection, Rng* rng) const {
+Result<SpeciesSample> BenchmarkManager::Sample(const SelectionSpec& selection,
+                                               Rng* rng) const {
+  if (sampler_ == nullptr) {
+    return Status::FailedPrecondition("Init() not called");
+  }
+  WallTimer timer;
+  SpeciesSample sample;
   switch (selection.kind) {
-    case SelectionSpec::Kind::kUniform:
-      return sampler_->SampleUniform(selection.k, rng);
-    case SelectionSpec::Kind::kWithRespectToTime:
-      return sampler_->SampleWithRespectToTime(selection.k, selection.time,
-                                               rng);
+    case SelectionSpec::Kind::kUniform: {
+      CRIMSON_ASSIGN_OR_RETURN(sample.species,
+                               sampler_->SampleUniform(selection.k, rng));
+      break;
+    }
+    case SelectionSpec::Kind::kWithRespectToTime: {
+      CRIMSON_ASSIGN_OR_RETURN(
+          sample.species,
+          sampler_->SampleWithRespectToTime(selection.k, selection.time, rng));
+      break;
+    }
     case SelectionSpec::Kind::kUserList: {
-      std::vector<NodeId> out;
-      out.reserve(selection.species.size());
+      sample.species.reserve(selection.species.size());
       for (const std::string& s : selection.species) {
         NodeId n = names_->Find(*tree_, s);
         if (n == kNoNode || !tree_->is_leaf(n)) {
@@ -65,45 +67,42 @@ Result<std::vector<NodeId>> BenchmarkManager::SelectSpecies(
               StrFormat("species '%s' is not a leaf of the gold tree",
                         s.c_str()));
         }
-        out.push_back(n);
+        sample.species.push_back(n);
       }
-      return out;
+      break;
     }
   }
-  return Status::Internal("unknown selection kind");
+  sample.seconds = timer.ElapsedSeconds();
+  return sample;
 }
 
-Result<BenchmarkRun> BenchmarkManager::Evaluate(
-    const ReconstructionAlgorithm& algorithm, const SelectionSpec& selection,
-    Rng* rng, bool compute_triplets) const {
-  if (sampler_ == nullptr) {
-    return Status::FailedPrecondition("Init() not called");
-  }
+Result<BenchmarkRun> BenchmarkManager::Score(
+    const ReconstructionAlgorithm& algorithm, const SpeciesSample& sample,
+    const std::map<std::string, std::string>& sequences,
+    bool compute_triplets) const {
   BenchmarkRun run;
   run.algorithm = algorithm.name();
-
-  WallTimer timer;
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<NodeId> sample,
-                           SelectSpecies(selection, rng));
-  run.sample_seconds = timer.ElapsedSeconds();
-  run.sample_size = sample.size();
-  if (sample.size() < 3) {
+  run.sample_seconds = sample.seconds;
+  run.sample_size = sample.species.size();
+  if (sample.species.size() < 3) {
     return Status::InvalidArgument(
         "need at least 3 sampled species to benchmark");
   }
 
-  timer.Restart();
-  CRIMSON_ASSIGN_OR_RETURN(run.reference, projector_->Project(sample));
+  WallTimer timer;
+  CRIMSON_ASSIGN_OR_RETURN(run.reference, projector_->Project(sample.species));
   run.project_seconds = timer.ElapsedSeconds();
 
-  // Collect the sampled species' sequences through the source (a
-  // cracked store materializes only this slice; a map source just
-  // copies). Missing species surface as NotFound from the source.
-  std::vector<std::string> wanted;
-  wanted.reserve(sample.size());
-  for (NodeId n : sample) wanted.emplace_back(tree_->name(n));
-  using SequenceMap = std::map<std::string, std::string>;
-  CRIMSON_ASSIGN_OR_RETURN(SequenceMap seqs, sequences_->GetBatch(wanted));
+  std::map<std::string, std::string> seqs;
+  for (NodeId n : sample.species) {
+    auto it = sequences.find(std::string(tree_->name(n)));
+    if (it == sequences.end()) {
+      return Status::NotFound(
+          StrFormat("no sequence for sampled species '%s'",
+                    std::string(tree_->name(n)).c_str()));
+    }
+    seqs.emplace(it->first, it->second);
+  }
 
   timer.Restart();
   CRIMSON_ASSIGN_OR_RETURN(run.reconstructed, algorithm.Reconstruct(seqs));
@@ -118,6 +117,17 @@ Result<BenchmarkRun> BenchmarkManager::Evaluate(
   }
   run.compare_seconds = timer.ElapsedSeconds();
   return run;
+}
+
+Result<BenchmarkRun> BenchmarkManager::Evaluate(
+    const ReconstructionAlgorithm& algorithm, const SelectionSpec& selection,
+    Rng* rng, bool compute_triplets) const {
+  if (sequences_ == nullptr) {
+    return Status::FailedPrecondition(
+        "no sequence map: run Sample, fetch, then Score");
+  }
+  CRIMSON_ASSIGN_OR_RETURN(SpeciesSample sample, Sample(selection, rng));
+  return Score(algorithm, sample, *sequences_, compute_triplets);
 }
 
 }  // namespace crimson

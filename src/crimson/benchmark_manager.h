@@ -2,8 +2,8 @@
 // tree inference algorithm by comparing its output to projection trees
 // derived from the gold-standard simulation tree. The pipeline is:
 //   sample species -> project the true tree over the sample ->
-//   fetch/simulate sequences -> run the algorithm -> score against the
-//   projection (Robinson-Foulds, triplets).
+//   fetch the sampled species' sequences -> run the algorithm -> score
+//   against the projection (Robinson-Foulds, triplets).
 
 #ifndef CRIMSON_CRIMSON_BENCHMARK_MANAGER_H_
 #define CRIMSON_CRIMSON_BENCHMARK_MANAGER_H_
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cracked_store.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "labeling/layered_dewey.h"
@@ -50,11 +49,20 @@ struct BenchmarkRun {
   double compare_seconds = 0;
 };
 
-/// Evaluates algorithms against one gold-standard tree held in memory
-/// (the Crimson facade wires this to the repositories). Immutable
-/// after Init(): Evaluate is const and randomness comes from the
-/// caller's Rng, so one manager may be shared across threads (each
-/// with its own Rng).
+/// One job's species draw: what the sample step hands the score step.
+struct SpeciesSample {
+  std::vector<NodeId> species;
+  double seconds = 0;  // the draw's wall time (BenchmarkRun::sample_seconds)
+};
+
+/// Evaluates algorithms against one gold-standard tree held in memory.
+/// An evaluation is two steps: Sample draws the species, and Score
+/// projects the gold tree over them, runs the algorithm on their
+/// sequences and scores its output. The session fetches the sampled
+/// sequences between the two; Evaluate runs both over the manager's
+/// own map. Immutable once built: the steps are const and randomness
+/// comes from the caller's Rng, so one manager may be shared across
+/// threads (each with its own Rng).
 class BenchmarkManager {
  public:
   /// The tree and sequences must outlive the manager. `sequences` maps
@@ -63,53 +71,51 @@ class BenchmarkManager {
                    const std::map<std::string, std::string>* sequences,
                    uint32_t f = 8);
 
-  /// Borrows an already-built labeling of `gold_tree` (which must
-  /// outlive the manager): Init() skips the O(n) relabel.
-  BenchmarkManager(const PhyloTree* gold_tree,
-                   const std::map<std::string, std::string>* sequences,
-                   const LayeredDeweyScheme* scheme);
+  /// Borrows the query processors of a bound gold tree (the session's
+  /// tree handle), which must outlive the manager. Needs no Init() and
+  /// holds no sequences: the caller fetches what Sample draws and
+  /// passes it to Score.
+  BenchmarkManager(const PhyloTree* gold_tree, const Sampler* sampler,
+                   const TreeProjector* projector, const NameIndex* names);
 
-  /// Borrows a labeling plus an abstract sequence source (which must
-  /// both outlive the manager). This is the constructor the session's
-  /// cached evaluation state uses: the TreeHandle's scheme is reused
-  /// instead of rebuilt, and sequences come through the cracked store
-  /// so only the sampled slices are ever materialized.
-  BenchmarkManager(const PhyloTree* gold_tree,
-                   const cache::SequenceSource* sequences,
-                   const LayeredDeweyScheme* scheme);
-
-  /// Borrows a pre-built name index over the gold tree (the session
-  /// passes the TreeHandle's); must outlive the manager. Without one,
-  /// Init() builds a private index. Call before Init().
-  void set_name_index(const NameIndex* names) { names_ = names; }
-
+  /// Builds the labeling, name index, sampler and projector of the
+  /// manager built over a sequence map.
   Status Init();
 
-  /// Runs one evaluation.
+  /// The sample step: draws the selection's species. A user list names
+  /// leaves of the gold tree (NotFound otherwise).
+  Result<SpeciesSample> Sample(const SelectionSpec& selection,
+                               Rng* rng) const;
+
+  /// The score step. `sequences` holds at least the sequences of the
+  /// sampled species that have one; the first sampled species it lacks,
+  /// in sample order, fails the run with NotFound. Fewer than 3 sampled
+  /// species fail with InvalidArgument.
+  Result<BenchmarkRun> Score(
+      const ReconstructionAlgorithm& algorithm, const SpeciesSample& sample,
+      const std::map<std::string, std::string>& sequences,
+      bool compute_triplets = false) const;
+
+  /// Runs one evaluation: Sample, then Score over the manager's map.
   Result<BenchmarkRun> Evaluate(const ReconstructionAlgorithm& algorithm,
                                 const SelectionSpec& selection, Rng* rng,
                                 bool compute_triplets = false) const;
 
-  const Sampler& sampler() const { return *sampler_; }
   const TreeProjector& projector() const { return *projector_; }
-  const LayeredDeweyScheme& scheme() const { return *scheme_; }
 
  private:
-  Result<std::vector<NodeId>> SelectSpecies(const SelectionSpec& selection,
-                                            Rng* rng) const;
-
   const PhyloTree* tree_;
-  /// Wraps the map-constructor maps; null when a source is borrowed.
-  std::unique_ptr<cache::MapSequenceSource> owned_source_;
-  const cache::SequenceSource* sequences_;
-  /// Built by Init() when owned; pre-built and borrowed otherwise.
+  /// The map constructor's sequences; null when the processors are
+  /// borrowed.
+  const std::map<std::string, std::string>* sequences_ = nullptr;
+  /// Built by Init() for the map constructor.
   std::unique_ptr<LayeredDeweyScheme> owned_scheme_;
-  const LayeredDeweyScheme* scheme_ = nullptr;
-  /// Built by Init() when not borrowed via set_name_index().
   std::unique_ptr<NameIndex> owned_names_;
+  std::unique_ptr<Sampler> owned_sampler_;
+  std::unique_ptr<TreeProjector> owned_projector_;
   const NameIndex* names_ = nullptr;
-  std::unique_ptr<Sampler> sampler_;
-  std::unique_ptr<TreeProjector> projector_;
+  const Sampler* sampler_ = nullptr;
+  const TreeProjector* projector_ = nullptr;
 };
 
 }  // namespace crimson

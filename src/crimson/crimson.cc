@@ -18,12 +18,6 @@ namespace crimson {
 
 namespace {
 
-/// Cracking granularity for per-tree evaluation state: sequence slices
-/// are faulted in from storage in aligned runs of at least this many
-/// leaf ordinals, refining the piece map with the observed sample mix
-/// instead of materializing every sequence up front.
-constexpr size_t kCrackMinPiece = 16;
-
 /// Derives the seed for one query's private Rng from the session seed
 /// and the query's ticket. Sequential and batched execution assign the
 /// same tickets in request order, so sampling results are identical in
@@ -166,8 +160,6 @@ Result<LoadReport> Crimson::WriteTree(Fn&& write) {
     // the next writer and every later OpenTree see the committed tree.
     std::lock_guard<std::shared_mutex> handles_lock(handles_mu_);
     tree_ids_[report->tree_name] = report->tree_id;
-    auto it = bound_.find(report->tree_id);
-    if (it != bound_.end()) it->second.ForgetEval();  // species may differ
   }
   return report;
 }
@@ -288,20 +280,8 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
   c->history_flush_waits_ = c->metrics_->GetCounter("history.flush_waits");
   c->history_backpressure_ =
       c->metrics_->GetHistogram("history.backpressure_us");
-  // The cracked stores resolve their cumulative counters only when the
-  // first evaluation state is built; resolving them here too keeps the
-  // key set of a fresh session's snapshot stable.
+  c->sequences_read_ = c->metrics_->GetCounter("experiment.sequences_read");
   obs::MetricsRegistry* reg = c->metrics_.get();
-  for (const char* name : {"crack.fetches", "crack.batches",
-                           "crack.piece_hits", "crack.sequences_loaded"}) {
-    reg->GetCounter(name);
-  }
-  c->live_.crack_stores = reg->GetGauge("crack.stores");
-  c->live_.crack_pieces = reg->GetGauge("crack.pieces");
-  c->live_.crack_loaded_pieces = reg->GetGauge("crack.loaded_pieces");
-  c->live_.crack_sequences_resident =
-      reg->GetGauge("crack.sequences_resident");
-  c->live_.crack_sequences_total = reg->GetGauge("crack.sequences_total");
   c->live_.pages_live_versions = reg->GetGauge("pages.live_versions");
   c->live_.pages_active_snapshots = reg->GetGauge("pages.active_snapshots");
   c->live_.pages_committed_epoch = reg->GetGauge("pages.committed_epoch");
@@ -404,7 +384,8 @@ Result<LoadReport> Crimson::AppendSpeciesData(
     CRIMSON_ASSIGN_OR_RETURN(
         LoadReport report,
         Repos()->loader->AppendSpecies(handle->info.tree_id, handle->tree,
-                                       handle->names, sequences));
+                                       handle->names, handle->ordinals(),
+                                       sequences));
     report.tree_name = handle->info.name;
     return report;
   });
@@ -440,10 +421,7 @@ Status Crimson::DropTree(const std::string& name) {
   std::lock_guard<std::shared_mutex> handles_lock(handles_mu_);
   tree_ids_.erase(name);
   auto it = bound_.find(id);
-  if (it != bound_.end()) {
-    it->second.handle = nullptr;
-    it->second.ForgetEval();
-  }
+  if (it != bound_.end()) it->second = nullptr;
   return Status::OK();
 }
 
@@ -471,7 +449,7 @@ Result<TreeRef> Crimson::BindTree(const std::string& name, int64_t id) {
     std::shared_lock<std::shared_mutex> lock(handles_mu_);
     auto it = bound_.find(id);
     if (it != bound_.end()) {
-      if (it->second.handle == nullptr) {
+      if (it->second == nullptr) {
         return Status::NotFound(StrFormat("tree '%s' was dropped",
                                           name.c_str()));
       }
@@ -525,28 +503,29 @@ Result<TreeRef> Crimson::BindTree(const std::string& name, int64_t id) {
   if (named == tree_ids_.end() || named->second != id) {
     return Status::NotFound(StrFormat("tree '%s' was dropped", name.c_str()));
   }
-  auto [it, fresh] = bound_.try_emplace(id);
-  if (fresh) it->second.handle = std::move(*handle);
+  bound_.try_emplace(id, std::move(*handle));
   return ref;
 }
 
-Result<const Crimson::BoundTree*> Crimson::BoundLocked(TreeRef tree) const {
-  auto it = bound_.find(static_cast<int64_t>(tree.id()));
-  if (!tree.valid() || it == bound_.end()) {
-    return Status::InvalidArgument(
-        "invalid TreeRef (not issued by this session)");
-  }
-  if (it->second.handle == nullptr) {
-    return Status::NotFound("stale TreeRef (the tree was dropped)");
-  }
-  return &it->second;
+const SpeciesOrdinals& Crimson::TreeHandle::ordinals() const {
+  std::call_once(ordinals_once_, [this] {
+    ordinals_ = std::make_unique<const SpeciesOrdinals>(tree, sampler.get());
+  });
+  return *ordinals_;
 }
 
 Result<std::shared_ptr<const Crimson::TreeHandle>> Crimson::HandleFor(
     TreeRef tree) const {
   std::shared_lock<std::shared_mutex> lock(handles_mu_);
-  CRIMSON_ASSIGN_OR_RETURN(const BoundTree* bound, BoundLocked(tree));
-  return bound->handle;
+  auto it = bound_.find(static_cast<int64_t>(tree.id()));
+  if (!tree.valid() || it == bound_.end()) {
+    return Status::InvalidArgument(
+        "invalid TreeRef (not issued by this session)");
+  }
+  if (it->second == nullptr) {
+    return Status::NotFound("stale TreeRef (the tree was dropped)");
+  }
+  return it->second;
 }
 
 Result<TreeInfo> Crimson::GetTreeInfo(TreeRef tree) const {
@@ -818,119 +797,63 @@ std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
 
 // -- the Experiment API -----------------------------------------------------
 
-/// Cached per-tree evaluation state. Sequences are NOT materialized
-/// up front: the cracked store (src/cache) keeps the tree's sorted
-/// leaf-name domain and faults in only the ordinal slices that
-/// experiment samples actually touch, refining its piece map with the
-/// observed mix. The manager borrows the handle's tree and
-/// layered-Dewey scheme (no relabel) and is shared, immutable, across
-/// all experiment workers; the store's internal mutex serializes its
-/// lazy loads. The handle shared_ptr keeps the borrowed tree/scheme
-/// alive.
-struct Crimson::EvalState {
-  std::shared_ptr<const TreeHandle> handle;
-  std::unique_ptr<cache::CrackedSequenceStore> store;
-  BenchmarkManager manager;
-
-  EvalState(std::shared_ptr<const TreeHandle> h,
-            std::unique_ptr<cache::CrackedSequenceStore> s)
-      : handle(std::move(h)),
-        store(std::move(s)),
-        manager(&handle->tree, store.get(), &handle->scheme) {
-    manager.set_name_index(&handle->names);
-  }
-};
-
-Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
-    TreeRef tree) {
-  const auto id = static_cast<int64_t>(tree.id());
-  for (;;) {
-    std::shared_ptr<const TreeHandle> handle;
-    uint64_t generation;
-    {
-      std::shared_lock<std::shared_mutex> lock(handles_mu_);
-      CRIMSON_ASSIGN_OR_RETURN(const BoundTree* bound, BoundLocked(tree));
-      if (bound->eval != nullptr) return bound->eval;
-      handle = bound->handle;
-      generation = bound->eval_generation;
-    }
-    // Build outside the lock; a racing build may duplicate the work
-    // and the insertion keeps one state. Only an index probe touches
-    // storage here -- sequence bytes load lazily through the cracked
-    // store as samples touch them.
-    obs::SpanTimer build_span(obs::Stage::kEvalBuild);
-    {
-      StorageReadGuard read = AcquireStorageRead();
-      CRIMSON_ASSIGN_OR_RETURN(bool has_species,
-                               read.repos->species->HasSpecies(id));
-      if (!has_species) {
-        return Status::FailedPrecondition(
-            StrFormat("tree '%s' has no species data loaded",
-                      handle->info.name.c_str()));
-      }
-    }
-    // The ordinal domain species data is stored by (in-memory; no
-    // storage reads).
-    std::vector<std::string> domain =
-        handle->names.SortedLeafNames(handle->tree);
-    // The store's fetch callback revalidates the eval generation: once
-    // this state is dropped, a retained reference can no longer fault
-    // in rows written after it -- it reports Unavailable and the
-    // experiment loop rebuilds.
-    auto fetch = [this, id, generation](
-                     size_t lo, size_t hi,
-                     const cache::CrackedSequenceStore::SinkFn& sink)
-        -> Status {
-      {
-        std::shared_lock<std::shared_mutex> lock(handles_mu_);
-        auto it = bound_.find(id);
-        if (it == bound_.end() || it->second.eval_generation != generation) {
-          return Status::Unavailable(
-              "evaluation state invalidated by a concurrent write; "
-              "rebuild and retry");
-        }
-      }
-      StorageReadGuard read = AcquireStorageRead();
-      return read.repos->species->ForEachInRange(
-          id, static_cast<uint32_t>(lo), static_cast<uint32_t>(hi), sink);
-    };
-    auto state = std::make_shared<EvalState>(
-        handle, std::make_unique<cache::CrackedSequenceStore>(
-                    std::move(domain), kCrackMinPiece,
-                    std::move(fetch), metrics_.get()));
-    CRIMSON_RETURN_IF_ERROR(state->manager.Init());
-    std::lock_guard<std::shared_mutex> lock(handles_mu_);
-    BoundTree& bound = bound_.at(id);
-    // An append or drop landed while this state was being built:
-    // rebuild (or fail, once dropped) against the new storage state.
-    if (bound.eval_generation != generation) continue;
-    if (bound.eval == nullptr) bound.eval = std::move(state);
-    return bound.eval;
-  }
-}
-
 Result<ExperimentReport> Crimson::RunExperimentJobs(
-    const EvalState& eval, const ExperimentSpec& spec,
-    const std::vector<const ReconstructionAlgorithm*>& instances,
+    const TreeHandle& handle, const ExperimentSpec& spec,
+    const std::vector<std::unique_ptr<ReconstructionAlgorithm>>& instances,
     uint64_t seed, uint64_t base_ticket) const {
   const size_t jobs = spec.job_count();
   const size_t per_algorithm = spec.selections.size() * spec.replicates;
-  std::vector<Result<BenchmarkRun>> results(
-      jobs, Result<BenchmarkRun>(Status::Internal("run not executed")));
+  const BenchmarkManager manager(&handle.tree, handle.sampler.get(),
+                                 handle.projector.get(), &handle.names);
   WallTimer timer;
   // Tickets were assigned to jobs in spec order before dispatch, so
   // every replicate draws exactly what it would draw walking the grid
-  // sequentially -- any worker count produces byte-identical runs.
+  // sequentially.
+  std::vector<Result<SpeciesSample>> samples;
+  samples.reserve(jobs);
+  std::map<std::string, std::string> sequences;
+  {
+    obs::SpanTimer span(obs::Stage::kEvalBuild);
+    std::vector<uint32_t> ordinals;
+    for (size_t i = 0; i < jobs; ++i) {
+      Rng rng(QuerySeed(seed, base_ticket + i));
+      samples.push_back(manager.Sample(
+          spec.selections[(i % per_algorithm) / spec.replicates], &rng));
+      if (!samples.back().ok()) continue;
+      for (NodeId leaf : samples.back()->species) {
+        ordinals.push_back(handle.ordinals().Of(leaf));
+      }
+    }
+    std::sort(ordinals.begin(), ordinals.end());
+    ordinals.erase(std::unique(ordinals.begin(), ordinals.end()),
+                   ordinals.end());
+    // One snapshot: a write that commits from here on is not seen.
+    StorageReadGuard read = AcquireStorageRead();
+    const int64_t id = handle.info.tree_id;
+    CRIMSON_ASSIGN_OR_RETURN(bool has_species,
+                             read.repos->species->HasSpecies(id));
+    if (!has_species) {
+      return Status::FailedPrecondition(StrFormat(
+          "tree '%s' has no species data loaded", handle.info.name.c_str()));
+    }
+    CRIMSON_RETURN_IF_ERROR(read.repos->species->ForEachOrdinal(
+        id, ordinals, [&](uint32_t, Slice name, Slice sequence) {
+          sequences.emplace(name.ToString(), sequence.ToString());
+        }));
+    sequences_read_->Add(sequences.size());
+  }
+  std::vector<Result<BenchmarkRun>> results(
+      jobs, Result<BenchmarkRun>(Status::Internal("run not executed")));
   pool_->ParallelFor(jobs, [&](size_t i) {
-    const size_t algorithm = i / per_algorithm;
-    const size_t selection = (i % per_algorithm) / spec.replicates;
-    Rng rng(QuerySeed(seed, base_ticket + i));
-    results[i] = eval.manager.Evaluate(*instances[algorithm],
-                                       spec.selections[selection], &rng,
-                                       spec.compute_triplets);
+    if (!samples[i].ok()) {
+      results[i] = samples[i].status();
+      return;
+    }
+    results[i] = manager.Score(*instances[i / per_algorithm], *samples[i],
+                               sequences, spec.compute_triplets);
   });
   ExperimentReport report;
-  report.tree_name = eval.handle->info.name;
+  report.tree_name = handle.info.name;
   report.spec = spec;
   report.seed = seed;
   report.base_ticket = base_ticket;
@@ -1018,28 +941,6 @@ Crimson::InstantiateAlgorithms(const ExperimentSpec& spec) {
   return owned;
 }
 
-namespace {
-
-std::vector<const ReconstructionAlgorithm*> RawPointers(
-    const std::vector<std::unique_ptr<ReconstructionAlgorithm>>& owned) {
-  std::vector<const ReconstructionAlgorithm*> instances;
-  instances.reserve(owned.size());
-  for (const auto& alg : owned) instances.push_back(alg.get());
-  return instances;
-}
-
-}  // namespace
-
-namespace {
-
-/// Bound on rebuild-and-replay rounds when a concurrent write
-/// invalidates the evaluation state mid-experiment (each round needs
-/// another racing write to fail again, so 4 only trips under a
-/// sustained write storm -- the Unavailable then surfaces).
-constexpr int kMaxEvalRetries = 4;
-
-}  // namespace
-
 Result<ExperimentReport> Crimson::RunExperiment(TreeRef tree,
                                                 const ExperimentSpec& spec) {
   CRIMSON_RETURN_IF_ERROR(ValidateExperimentSpec(spec));
@@ -1048,19 +949,11 @@ Result<ExperimentReport> Crimson::RunExperiment(TreeRef tree,
       InstantiateAlgorithms(spec));
   const uint64_t base =
       ticket_.fetch_add(spec.job_count(), std::memory_order_relaxed);
-  Result<ExperimentReport> ran = Status::Internal("experiment not executed");
-  for (int attempt = 0; attempt < kMaxEvalRetries; ++attempt) {
-    CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const EvalState> eval,
-                             EvalStateFor(tree));
-    ran = RunExperimentJobs(*eval, spec, RawPointers(owned), options_.seed,
-                            base);
-    // Unavailable = the state was invalidated while jobs ran; rebuild
-    // and replay with the same tickets (jobs reseed from (seed,
-    // base + i), so the retry is byte-identical to an unraced run).
-    if (ran.ok() || !ran.status().IsUnavailable()) break;
-  }
-  if (!ran.ok()) return ran.status();
-  ExperimentReport report = std::move(*ran);
+  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
+                           HandleFor(tree));
+  CRIMSON_ASSIGN_OR_RETURN(
+      ExperimentReport report,
+      RunExperimentJobs(*handle, spec, owned, options_.seed, base));
   CRIMSON_RETURN_IF_ERROR(PersistExperiment(&report));
   RecordQuery("experiment",
               StrFormat("tree=%s&id=%lld&spec=%s",
@@ -1084,19 +977,14 @@ Result<ExperimentReport> Crimson::RerunExperiment(int64_t experiment_id) {
   CRIMSON_ASSIGN_OR_RETURN(
       std::vector<std::unique_ptr<ReconstructionAlgorithm>> owned,
       InstantiateAlgorithms(spec));
+  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
+                           HandleFor(ref));
   // Replay with the *stored* RNG provenance: the session ticket
   // counter is not consulted, so the replay reproduces the original
   // rows on any session over this database.
-  Result<ExperimentReport> ran = Status::Internal("experiment not executed");
-  for (int attempt = 0; attempt < kMaxEvalRetries; ++attempt) {
-    CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const EvalState> eval,
-                             EvalStateFor(ref));
-    ran = RunExperimentJobs(*eval, spec, RawPointers(owned), row.seed,
-                            row.base_ticket);
-    if (ran.ok() || !ran.status().IsUnavailable()) break;
-  }
-  if (!ran.ok()) return ran.status();
-  ExperimentReport report = std::move(*ran);
+  CRIMSON_ASSIGN_OR_RETURN(
+      ExperimentReport report,
+      RunExperimentJobs(*handle, spec, owned, row.seed, row.base_ticket));
   report.experiment_id = experiment_id;
   return report;
 }
@@ -1249,30 +1137,7 @@ Status Crimson::Checkpoint() {
 
 obs::MetricsSnapshot Crimson::SnapshotMetrics() const {
   // Refresh the live gauges first. Counters need no refresh; they are
-  // written at the event sites. The live states are copied under
-  // handles_mu_ and their stores read outside it (the stores take
-  // their own mutex; holding handles_mu_ across that would invert the
-  // fetch callback's store -> handles_mu_ order).
-  std::vector<std::shared_ptr<const EvalState>> states;
-  {
-    std::shared_lock<std::shared_mutex> lock(handles_mu_);
-    for (const auto& [id, bound] : bound_) {
-      if (bound.eval != nullptr) states.push_back(bound.eval);
-    }
-  }
-  cache::CrackedStoreStats sum;
-  for (const auto& state : states) {
-    const cache::CrackedStoreStats s = state->store->stats();
-    sum.pieces += s.pieces;
-    sum.loaded_pieces += s.loaded_pieces;
-    sum.sequences_resident += s.sequences_resident;
-    sum.sequences_total += s.sequences_total;
-  }
-  live_.crack_stores->Set(states.size());
-  live_.crack_pieces->Set(sum.pieces);
-  live_.crack_loaded_pieces->Set(sum.loaded_pieces);
-  live_.crack_sequences_resident->Set(sum.sequences_resident);
-  live_.crack_sequences_total->Set(sum.sequences_total);
+  // written at the event sites.
   live_.pages_live_versions->Set(db_->live_versions());
   live_.pages_active_snapshots->Set(db_->active_snapshots());
   live_.pages_committed_epoch->Set(db_->committed_epoch());

@@ -8,11 +8,11 @@
 // Session model: trees are bound once to an opaque TreeRef handle
 // (LoadNewick/LoadNexus/LoadTree/OpenTree), and queries, exports and
 // renders take that handle. A TreeRef carries the stored tree's id,
-// which is never reused: the session keys its handles, evaluation
-// state and result cache by it, and a name is resolved to an id only
-// at OpenTree. Writes reach a stored tree the same way: an append of
-// species data resolves the bound handle's tree and name index, never
-// the stored tree by name. Every structure query is a typed
+// which is never reused: the session keys its handles and result
+// cache by it, and a name is resolved to an id only at OpenTree.
+// Writes reach a stored tree the same way: an append of species data
+// resolves the bound handle's tree and name index, never the stored
+// tree by name. Every structure query is a typed
 // QueryRequest run through one private per-query pipeline:
 // (tree id, canonical request) key -> cache probe -> execute -> cache
 // insert -> trace publish. Execute runs it on the calling thread and
@@ -20,9 +20,10 @@
 // it per request on the worker pool and appends the rows in request
 // order after the barrier. Evaluation follows the same shape:
 // RunExperiment executes a serializable ExperimentSpec (algorithm
-// registry names x selection grid x replicates) on the worker pool
-// against per-tree cached evaluation state, persists the spec and
-// scores, and RerunExperiment replays stored workloads
+// registry names x selection grid x replicates): it draws every job's
+// sample, reads the sampled species' sequences under one read
+// snapshot, fans reconstruction out on the worker pool, and persists
+// the spec and scores; RerunExperiment replays stored workloads
 // byte-identically.
 //
 // The session is thread-safe AND read-concurrent:
@@ -115,7 +116,7 @@ struct CrimsonOptions {
   /// idempotent query kinds (LCA, projection, clade, pattern match --
   /// never sampling). Results are keyed by the never-reused tree id of
   /// an unchanging stored structure, so a hit is always byte-identical
-  /// to re-executing (see DESIGN.md "Adaptive caching & cracking"). 0
+  /// to re-executing (see DESIGN.md "Adaptive result caching"). 0
   /// disables the cache (bench baseline).
   uint64_t query_cache_bytes = 8ull << 20;
   /// Slow-query threshold in microseconds; 0 (the default) disables
@@ -167,7 +168,7 @@ class Crimson {
   /// back). The ref is resolved under the writer lock, so a dropped
   /// tree gives NotFound and nothing is written. Every species must
   /// name a node of the tree; one already stored keeps its first
-  /// sequence. Drops the tree's cached evaluation state.
+  /// sequence.
   [[nodiscard]] Result<LoadReport> AppendSpeciesData(
       TreeRef tree, const std::map<std::string, std::string>& sequences);
   /// OpenTree(tree_name), then the ref append above.
@@ -181,11 +182,11 @@ class Crimson {
 
   /// Drops a stored tree: structural rows, labels, AND species rows
   /// are deleted in one write transaction; before the writer lock is
-  /// released the name is unmapped and the bound handle and evaluation
-  /// state are freed, so stale TreeRefs fail with NotFound instead of
-  /// serving deleted state. A tree re-stored under the same name gets
-  /// a new id and so starts fresh; the dropped id's cached results
-  /// are never asked for again and age out of the cache.
+  /// released the name is unmapped and the bound handle is freed, so
+  /// stale TreeRefs fail with NotFound instead of serving deleted
+  /// state. A tree re-stored under the same name gets a new id and so
+  /// starts fresh; the dropped id's cached results are never asked for
+  /// again and age out of the cache.
   [[nodiscard]] Status DropTree(const std::string& name);
 
   [[nodiscard]] Result<std::vector<TreeInfo>> ListTrees() const;
@@ -219,12 +220,13 @@ class Crimson {
   /// selection grid x replicates -- against a bound gold tree.
   /// Replicates fan out on the session worker pool with ticketed
   /// (seed, ticket) RNGs, so results are byte-identical to running the
-  /// grid sequentially (the ExecuteBatch contract). The gold tree's
-  /// evaluation state (sequence map + BenchmarkManager) is built once
-  /// and cached against the handle, not per call. The spec, every
-  /// BenchmarkRun's scores, and per-cell aggregates are persisted in
-  /// the Experiment Repository; the returned report carries the
-  /// assigned experiment id.
+  /// grid sequentially (the ExecuteBatch contract). Every job's sample
+  /// is drawn first, and the sequences of all sampled species are read
+  /// by ordinal under one read snapshot before reconstruction starts,
+  /// so an append that commits mid-experiment is not seen by it. The
+  /// spec, every BenchmarkRun's scores, and per-cell aggregates are
+  /// persisted in the Experiment Repository; the returned report
+  /// carries the assigned experiment id.
   [[nodiscard]] Result<ExperimentReport> RunExperiment(
       TreeRef tree, const ExperimentSpec& spec);
 
@@ -233,8 +235,8 @@ class Crimson {
   /// As long as the tree's stored species data is unchanged since the
   /// experiment ran, the replay reproduces the original report
   /// byte-for-byte (scores and topologies; timings differ) on any
-  /// session over the same database; evaluation state is rebuilt from
-  /// current storage, so later sequence changes flow into the replay.
+  /// session over the same database; sequences are read from current
+  /// storage, so later sequence changes flow into the replay.
   /// Nothing new is persisted.
   [[nodiscard]] Result<ExperimentReport> RerunExperiment(
       int64_t experiment_id);
@@ -276,15 +278,14 @@ class Crimson {
   Status Checkpoint();
 
   /// The session's metrics registry. Every layer under this session --
-  /// storage engine, result cache, cracked stores, query dispatch, and
-  /// any server front door -- writes into it. Valid for the session's
+  /// storage engine, result cache, query dispatch, experiments, and any
+  /// server front door -- writes into it. Valid for the session's
   /// lifetime; callers may resolve and cache cells.
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
-  /// Point-in-time copy of every session metric, with the live gauges
-  /// (cracked-store residency summed over the live evaluation states,
-  /// MVCC chain levels) refreshed first. The wire stats frame carries
-  /// exactly this snapshot.
+  /// Point-in-time copy of every session metric, with the live MVCC
+  /// gauges refreshed first. The wire stats frame carries exactly this
+  /// snapshot.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
   Database* database() { return db_.get(); }
@@ -296,48 +297,34 @@ class Crimson {
  private:
   Crimson() = default;
 
-  /// Immutable per-tree state: built once per bind, then shared
-  /// (read-only) by any number of query threads.
+  /// Immutable per-tree state: built once per bind (the species
+  /// ordinals on first use), then shared (read-only) by any number of
+  /// query threads.
   struct TreeHandle {
     TreeInfo info;
     PhyloTree tree;
     LayeredDeweyScheme scheme;
     /// Interned name -> NodeId index built once per bind; shared by
-    /// species resolution, the pattern matcher, the cracked store's
-    /// leaf domain, and NEXUS export.
+    /// species resolution, the pattern matcher, user-list experiment
+    /// samples, and NEXUS export.
     NameIndex names;
     /// "tree=<escaped name>", the prefix of every history row's params.
     std::string params_prefix;
     std::unique_ptr<Sampler> sampler;
     std::unique_ptr<TreeProjector> projector;
     std::unique_ptr<PatternMatcher> matcher;
+
+    /// The species ordinal domain, built by the handle's first append
+    /// or experiment (never at bind: queries do not need it).
+    const SpeciesOrdinals& ordinals() const;
+
+   private:
+    mutable std::once_flag ordinals_once_;
+    mutable std::unique_ptr<const SpeciesOrdinals> ordinals_;
   };
 
-  /// Cached evaluation state for one gold tree: the sequence map plus
-  /// a BenchmarkManager borrowing the handle's tree and labeling.
-  /// Immutable once built and shared across experiment workers;
-  /// dropped when a load or AppendSpeciesData commits to the tree.
-  struct EvalState;
-
-  /// One tree this session has bound, by tree id. The slot outlives a
-  /// DropTree (handle null) so the dropped tree's refs fail NotFound.
-  struct BoundTree {
-    std::shared_ptr<const TreeHandle> handle;
-    std::shared_ptr<const EvalState> eval;
-    /// Bumped whenever `eval` is dropped, so a build or a cracked-store
-    /// fetch that started earlier cannot serve the old species data.
-    uint64_t eval_generation = 0;
-
-    void ForgetEval() {
-      eval = nullptr;
-      ++eval_generation;
-    }
-  };
-
-  /// The bound slot of a live ref; handles_mu_ must be held.
-  /// InvalidArgument for a ref this session never issued, NotFound
-  /// once its tree is dropped.
-  Result<const BoundTree*> BoundLocked(TreeRef tree) const;
+  /// The handle of a live ref: InvalidArgument for a ref this session
+  /// never issued, NotFound once its tree is dropped.
   Result<std::shared_ptr<const TreeHandle>> HandleFor(TreeRef tree) const;
   /// Binds stored tree `id` (named `name`): returns the bound ref, or
   /// materializes the handle from a read snapshot and publishes it if
@@ -358,19 +345,19 @@ class Crimson {
   Result<QueryResult> RunQuery(const TreeHandle& handle,
                                const QueryRequest& request, uint64_t ticket,
                                std::string* deferred_params);
-  /// Cached-or-built evaluation state for a bound tree;
-  /// FailedPrecondition when the tree has no species data.
-  Result<std::shared_ptr<const EvalState>> EvalStateFor(TreeRef tree);
   /// One instance per spec algorithm name, resolved from the global
   /// registry (shared by the run and replay paths).
   static Result<std::vector<std::unique_ptr<ReconstructionAlgorithm>>>
   InstantiateAlgorithms(const ExperimentSpec& spec);
-  /// Fans the spec's jobs out on the worker pool. Job i draws from
-  /// Rng(QuerySeed(seed, base_ticket + i)), so any worker count
-  /// produces the sequential byte stream.
+  /// Runs the spec's jobs against a bound gold tree. Job i draws from
+  /// Rng(QuerySeed(seed, base_ticket + i)); the union of the samples is
+  /// read under one read snapshot, then scoring fans out on the worker
+  /// pool, so any worker count produces the sequential byte stream. A
+  /// failure is the first failing job's, in spec order;
+  /// FailedPrecondition when the tree has no species data.
   Result<ExperimentReport> RunExperimentJobs(
-      const EvalState& eval, const ExperimentSpec& spec,
-      const std::vector<const ReconstructionAlgorithm*>& instances,
+      const TreeHandle& handle, const ExperimentSpec& spec,
+      const std::vector<std::unique_ptr<ReconstructionAlgorithm>>& instances,
       uint64_t seed, uint64_t base_ticket) const;
   /// Persists report rows and records the history entry; fills in the
   /// assigned experiment id.
@@ -436,8 +423,8 @@ class Crimson {
   template <typename Fn>
   auto TransactLocked(Fn&& fn) -> decltype(fn());
   /// Runs a load (one DataLoader call) in a write transaction under
-  /// db_mu_; once it commits, maps the report's name to its tree id and
-  /// drops the tree's evaluation state, before db_mu_ is released.
+  /// db_mu_; once it commits, maps the report's name to its tree id,
+  /// before db_mu_ is released.
   template <typename Fn>
   Result<LoadReport> WriteTree(Fn&& write);
   /// What a load of `tree` as `name` can do before WriteTree: refuse a
@@ -460,8 +447,8 @@ class Crimson {
   void RunHistoryFlusher();
 
   /// The session metrics registry. Declared first: every other member
-  /// (database, cache, eval states) may hold resolved cell pointers,
-  /// so the registry must be destroyed last.
+  /// (database, cache) may hold resolved cell pointers, so the registry
+  /// must be destroyed last.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
 
   CrimsonOptions options_;
@@ -486,14 +473,11 @@ class Crimson {
   obs::Counter* history_buffer_full_ = nullptr;  // history.buffer_full
   obs::Counter* history_flush_waits_ = nullptr;  // history.flush_waits
   obs::Histogram* history_backpressure_ = nullptr;  // history.backpressure_us
+  /// Sequences decoded for experiments, cumulative.
+  obs::Counter* sequences_read_ = nullptr;  // experiment.sequences_read
   /// Live-level gauges SnapshotMetrics refreshes; resolved at Open so
   /// a fresh session's snapshot already carries every key.
   struct LiveGauges {
-    obs::Gauge* crack_stores = nullptr;
-    obs::Gauge* crack_pieces = nullptr;
-    obs::Gauge* crack_loaded_pieces = nullptr;
-    obs::Gauge* crack_sequences_resident = nullptr;
-    obs::Gauge* crack_sequences_total = nullptr;
     obs::Gauge* pages_live_versions = nullptr;
     obs::Gauge* pages_active_snapshots = nullptr;
     obs::Gauge* pages_committed_epoch = nullptr;
@@ -544,15 +528,17 @@ class Crimson {
   std::atomic<int64_t> next_query_id_{1};
 
   /// Guards tree_ids_ and bound_. Shared on the query path; exclusive
-  /// for publishing a bound handle or evaluation state, and for the
-  /// writer path's post-commit updates. Lock order: db_mu_ ->
+  /// for publishing a bound handle, and for the writer path's
+  /// post-commit updates. Lock order: db_mu_ ->
   /// handles_mu_; never held while materializing or evaluating.
   mutable std::shared_mutex handles_mu_;
   /// Name -> id of every stored tree. Seeded from storage when the
   /// repositories (re)open; changed only by writers, under db_mu_,
   /// after their commit.
   std::map<std::string, int64_t, std::less<>> tree_ids_;
-  std::map<int64_t, BoundTree> bound_;
+  /// Every tree this session has bound, by tree id. The slot outlives a
+  /// DropTree (handle null) so the dropped tree's refs fail NotFound.
+  std::map<int64_t, std::shared_ptr<const TreeHandle>> bound_;
 
   /// Monotone query ticket; combined with options_.seed to derive the
   /// per-query Rng (see QuerySeed in crimson.cc). Cache hits still

@@ -84,10 +84,11 @@ Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
   if (mode == LoadMode::kTreeWithSpeciesData && !doc.sequences.empty()) {
     // The tree just stored is the one parsed: resolve against it
     // rather than reading it back.
+    const Sampler sampler(&tree);
     CRIMSON_ASSIGN_OR_RETURN(
-        LoadReport append, AppendSpecies(report.tree_id, tree,
-                                         NameIndex::Build(tree),
-                                         doc.sequences));
+        LoadReport append,
+        AppendSpecies(report.tree_id, tree, NameIndex::Build(tree),
+                      SpeciesOrdinals(tree, &sampler), doc.sequences));
     report.species_loaded = append.species_loaded;
   }
   return report;
@@ -95,22 +96,21 @@ Result<LoadReport> DataLoader::LoadNexus(const std::string& name,
 
 Result<LoadReport> DataLoader::AppendSpecies(
     int64_t tree_id, const PhyloTree& tree, const NameIndex& names,
+    const SpeciesOrdinals& ordinals,
     const std::map<std::string, std::string>& sequences) {
   WallTimer timer;
   // Resolve every species against the tree first (errors surface
   // before any write), then store the whole batch. A leaf name is
-  // addressed by its ordinal in the tree's sorted leaf-name domain,
-  // which the sorted input walks in step; a name found only on
-  // internal nodes goes past the domain.
-  const std::vector<std::string> domain = names.SortedLeafNames(tree);
-  const auto domain_size = static_cast<uint32_t>(domain.size());
+  // addressed by its ordinal, which grows with the name, so the sorted
+  // input yields sorted ordinals; a name found only on internal nodes
+  // goes past the domain.
+  const uint32_t domain_size = ordinals.domain_size();
   std::vector<SpeciesRepository::Entry> leaves, internal;
   leaves.reserve(sequences.size());
-  size_t ordinal = 0;
   for (const auto& [species, seq] : sequences) {
-    while (ordinal < domain.size() && domain[ordinal] < species) ++ordinal;
-    if (ordinal < domain.size() && domain[ordinal] == species) {
-      leaves.push_back({static_cast<uint32_t>(ordinal), species, seq});
+    const NodeId leaf = names.FindLeaf(tree, species);
+    if (leaf != kNoNode) {
+      leaves.push_back({ordinals.Of(leaf), species, seq});
     } else if (names.Find(tree, species) != kNoNode) {
       internal.push_back({domain_size, species, seq});
     } else {

@@ -5,9 +5,9 @@
 //
 // The loader never looks a tree up by name. Appending species data to
 // a stored tree takes the tree as the caller already holds it: the
-// session passes its bound handle's tree and name index
-// (Crimson::AppendSpeciesData), and a NEXUS load with species passes
-// the tree it just parsed and stored.
+// session passes its bound handle's tree, name index and species
+// ordinals (Crimson::AppendSpeciesData), and a NEXUS load with species
+// passes the tree it just parsed and stored.
 
 #ifndef CRIMSON_CRIMSON_DATA_LOADER_H_
 #define CRIMSON_CRIMSON_DATA_LOADER_H_
@@ -75,12 +75,14 @@ class DataLoader {
                               const LayeredDeweyScheme& labels);
 
   /// Appends sequences to stored tree `tree_id`, whose structure is
-  /// `tree` with name index `names`. Every species must name a node of
-  /// that tree (NotFound before any write otherwise); a species
-  /// already stored keeps its first sequence. The report's tree_name
-  /// is left empty: the caller knows it.
+  /// `tree` with name index `names` and species domain `ordinals`.
+  /// Every species must name a node of that tree (NotFound before any
+  /// write otherwise); a species already stored keeps its first
+  /// sequence. The report's tree_name is left empty: the caller knows
+  /// it.
   Result<LoadReport> AppendSpecies(
       int64_t tree_id, const PhyloTree& tree, const NameIndex& names,
+      const SpeciesOrdinals& ordinals,
       const std::map<std::string, std::string>& sequences);
 
  private:

@@ -1,6 +1,7 @@
 #include "crimson/repositories.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 
@@ -243,6 +244,8 @@ namespace {
 
 constexpr const char* kChunksByKey = "species_chunks_by_key";
 
+std::atomic<uint64_t> ordinal_builds{0};
+
 // A chunk covering ordinals [first, first + count) is
 //   count (fixed32) | end offsets (fixed32 x count) | entry bytes
 // where entry i spans bytes [end[i-1], end[i]) with the high bit
@@ -280,33 +283,55 @@ std::string EncodeChunk(const SpeciesRepository::Entry* begin,
   return out;
 }
 
+/// A chunk's parts: its entry count, its end offsets and its entry
+/// bytes.
+struct ChunkView {
+  uint32_t count = 0;
+  const char* ends = nullptr;
+  Slice bytes;
+};
+
+Status ParseChunk(Slice chunk, ChunkView* view) {
+  if (!GetFixed32(&chunk, &view->count) || chunk.size() / 4 < view->count) {
+    return Status::Corruption("species chunk: bad count");
+  }
+  const size_t table = 4 * size_t{view->count};
+  view->ends = chunk.data();
+  view->bytes = Slice(chunk.data() + table, chunk.size() - table);
+  return Status::OK();
+}
+
+/// Entry i (< count) of a chunk: sets *present, and the entry's name
+/// and sequence when it is.
+Status ChunkEntry(const ChunkView& view, uint32_t i, bool* present,
+                  Slice* name, Slice* sequence) {
+  const uint32_t begin =
+      i == 0 ? 0 : DecodeFixed32(view.ends + 4 * size_t{i - 1}) & ~kNoSpecies;
+  const uint32_t raw = DecodeFixed32(view.ends + 4 * size_t{i});
+  const uint32_t end = raw & ~kNoSpecies;
+  if (end < begin || end > view.bytes.size()) {
+    return Status::Corruption("species chunk: bad end offset");
+  }
+  *present = (raw & kNoSpecies) == 0;
+  if (!*present) return Status::OK();
+  *sequence = Slice(view.bytes.data() + begin, end - begin);
+  if (!GetLengthPrefixedSlice(sequence, name)) {
+    return Status::Corruption("species chunk: bad name");
+  }
+  return Status::OK();
+}
+
 /// Calls fn(ordinal, name, sequence) for each species of a chunk whose
 /// first ordinal is `first`.
 template <typename Fn>
 Status DecodeChunk(Slice chunk, uint32_t first, Fn&& fn) {
-  uint32_t count = 0;
-  if (!GetFixed32(&chunk, &count) || chunk.size() / 4 < count) {
-    return Status::Corruption("species chunk: bad count");
-  }
-  const char* ends = chunk.data();
-  const Slice bytes(chunk.data() + 4 * size_t{count},
-                    chunk.size() - 4 * size_t{count});
-  uint32_t begin = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t raw = DecodeFixed32(ends + 4 * size_t{i});
-    const uint32_t end = raw & ~kNoSpecies;
-    if (end < begin || end > bytes.size()) {
-      return Status::Corruption("species chunk: bad end offset");
-    }
-    if ((raw & kNoSpecies) == 0) {
-      Slice entry(bytes.data() + begin, end - begin);
-      Slice name;
-      if (!GetLengthPrefixedSlice(&entry, &name)) {
-        return Status::Corruption("species chunk: bad name");
-      }
-      fn(first + i, name, entry);
-    }
-    begin = end;
+  ChunkView view;
+  CRIMSON_RETURN_IF_ERROR(ParseChunk(chunk, &view));
+  for (uint32_t i = 0; i < view.count; ++i) {
+    bool present = false;
+    Slice name, sequence;
+    CRIMSON_RETURN_IF_ERROR(ChunkEntry(view, i, &present, &name, &sequence));
+    if (present) fn(first + i, name, sequence);
   }
   return Status::OK();
 }
@@ -340,6 +365,32 @@ Status CutChunks(const std::vector<SpeciesRepository::Entry>& entries,
 }
 
 }  // namespace
+
+SpeciesOrdinals::SpeciesOrdinals(const PhyloTree& tree,
+                                 const Sampler* sampler)
+    : sampler_(sampler) {
+  ordinal_builds.fetch_add(1, std::memory_order_relaxed);
+  // Leaf positions sorted by name (one comparison per step: ties need
+  // no order); equal names take one rank, and "" sorts first.
+  const std::vector<NodeId>& leaves = sampler->leaves();
+  std::vector<std::pair<std::string_view, uint32_t>> by_name;
+  by_name.reserve(leaves.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    by_name.emplace_back(tree.name(leaves[i]), static_cast<uint32_t>(i));
+  }
+  std::sort(by_name.begin(), by_name.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ranks_.resize(by_name.size());
+  for (size_t i = 0; i < by_name.size(); ++i) {
+    if (i > 0 && by_name[i].first != by_name[i - 1].first) ++domain_size_;
+    ranks_[by_name[i].second] = domain_size_;
+  }
+  if (!by_name.empty()) ++domain_size_;
+}
+
+uint64_t SpeciesOrdinals::builds() {
+  return ordinal_builds.load(std::memory_order_relaxed);
+}
 
 Result<std::unique_ptr<SpeciesRepository>> SpeciesRepository::Open(
     Database* db) {
@@ -383,10 +434,12 @@ Status SpeciesRepository::ChunkKeyRange(int64_t tree_id, uint64_t end,
       kChunksByKey, PackKey(tree_id, 0) + static_cast<int64_t>(end), upper);
 }
 
-Result<std::string> SpeciesRepository::LoadChunk(const ChunkRef& chunk) const {
+Status SpeciesRepository::LoadChunk(const ChunkRef& chunk,
+                                     std::string* bytes) const {
   Row row;
   CRIMSON_RETURN_IF_ERROR(chunks_->Get(chunk.rid, &row));
-  return std::move(std::get<std::string>(row[1]));
+  *bytes = std::move(std::get<std::string>(row[1]));
+  return Status::OK();
 }
 
 Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
@@ -416,7 +469,7 @@ Status SpeciesRepository::Append(int64_t tree_id, uint32_t domain_size,
     if (stored == nullptr) {
       merged.assign(batch_begin, batch_end);
     } else {
-      CRIMSON_ASSIGN_OR_RETURN(chunk, LoadChunk(*stored));
+      CRIMSON_RETURN_IF_ERROR(LoadChunk(*stored, &chunk));
       std::vector<Entry> old;
       CRIMSON_RETURN_IF_ERROR(DecodeChunk(
           chunk, stored->first,
@@ -458,8 +511,9 @@ SpeciesRepository::SequencesForTree(int64_t tree_id) const {
   CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> chunks,
                            ChunksBelow(tree_id, kAllChunks));
   std::map<std::string, std::string> out;
+  std::string chunk;
   for (const ChunkRef& ref : chunks) {
-    CRIMSON_ASSIGN_OR_RETURN(std::string chunk, LoadChunk(ref));
+    CRIMSON_RETURN_IF_ERROR(LoadChunk(ref, &chunk));
     CRIMSON_RETURN_IF_ERROR(
         DecodeChunk(chunk, ref.first, [&](uint32_t, Slice name, Slice sequence) {
           out.emplace(name.ToString(), sequence.ToString());
@@ -468,23 +522,35 @@ SpeciesRepository::SequencesForTree(int64_t tree_id) const {
   return out;
 }
 
-Status SpeciesRepository::ForEachInRange(
-    int64_t tree_id, uint32_t lo, uint32_t hi,
-    const std::function<void(size_t, Slice)>& fn) const {
-  if (lo >= hi) return Status::OK();
-  // Chunk keys below hi; the last one starting at or before lo covers
-  // lo, and the ones after it cover the rest of the range.
-  CRIMSON_ASSIGN_OR_RETURN(std::vector<ChunkRef> chunks,
-                           ChunksBelow(tree_id, hi));
-  size_t c = chunks.size();
-  while (c > 0 && chunks[c - 1].first > lo) --c;
-  if (c > 0) --c;
-  for (; c < chunks.size(); ++c) {
-    CRIMSON_ASSIGN_OR_RETURN(std::string chunk, LoadChunk(chunks[c]));
-    CRIMSON_RETURN_IF_ERROR(DecodeChunk(
-        chunk, chunks[c].first, [&](uint32_t ordinal, Slice, Slice sequence) {
-          if (ordinal >= lo && ordinal < hi) fn(ordinal, sequence);
-        }));
+Status SpeciesRepository::ForEachOrdinal(
+    int64_t tree_id, const std::vector<uint32_t>& ordinals,
+    const std::function<void(uint32_t, Slice, Slice)>& fn) const {
+  if (ordinals.empty()) return Status::OK();
+  // A wanted ordinal lies in the last chunk that starts at or before
+  // it, so the chunk keys up to the last one wanted cover them all.
+  CRIMSON_ASSIGN_OR_RETURN(
+      std::vector<ChunkRef> chunks,
+      ChunksBelow(tree_id, uint64_t{ordinals.back()} + 1));
+  std::string chunk;
+  size_t w = 0;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    const uint64_t next =
+        c + 1 < chunks.size() ? chunks[c + 1].first : kAllChunks;
+    while (w < ordinals.size() && ordinals[w] < chunks[c].first) ++w;
+    if (w == ordinals.size()) break;
+    if (ordinals[w] >= next) continue;
+    CRIMSON_RETURN_IF_ERROR(LoadChunk(chunks[c], &chunk));
+    ChunkView view;
+    CRIMSON_RETURN_IF_ERROR(ParseChunk(chunk, &view));
+    for (; w < ordinals.size() && ordinals[w] < next; ++w) {
+      const uint32_t i = ordinals[w] - chunks[c].first;
+      if (i >= view.count) continue;
+      bool present = false;
+      Slice name, sequence;
+      CRIMSON_RETURN_IF_ERROR(
+          ChunkEntry(view, i, &present, &name, &sequence));
+      if (present) fn(ordinals[w], name, sequence);
+    }
   }
   return Status::OK();
 }

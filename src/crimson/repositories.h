@@ -69,6 +69,7 @@
 
 #include "common/result.h"
 #include "labeling/layered_dewey.h"
+#include "query/sampling.h"
 #include "storage/database.h"
 #include "tree/phylo_tree.h"
 
@@ -155,10 +156,35 @@ class TreeRepository {
   int64_t next_id_ = 1;
 };
 
+/// A tree's species ordinal domain: its sorted, unique leaf names, ""
+/// first when a leaf is unnamed. Keeps each leaf's ordinal -- the rank
+/// of its name in the domain, shared by leaves that share a name -- in
+/// 4 B per leaf, by the leaf's position in the sampler's leaves().
+/// Built by one sort of the leaf names; immutable after.
+class SpeciesOrdinals {
+ public:
+  /// `sampler` must be bound to `tree` and outlive this object.
+  SpeciesOrdinals(const PhyloTree& tree, const Sampler* sampler);
+
+  /// The ordinal of leaf `leaf`.
+  uint32_t Of(NodeId leaf) const { return ranks_[sampler_->LeafIndex(leaf)]; }
+
+  /// The number of names in the domain: the ordinal that species naming
+  /// only internal nodes are stored at.
+  uint32_t domain_size() const { return domain_size_; }
+
+  /// How many have been built in this process (each is one sort).
+  static uint64_t builds();
+
+ private:
+  const Sampler* sampler_;
+  std::vector<uint32_t> ranks_;
+  uint32_t domain_size_ = 0;
+};
+
 /// Stores a tree's species data (gene sequences) as chunk rows. A
-/// species is addressed by its tree's ordinal domain
-/// (NameIndex::SortedLeafNames): the sorted leaf names, "" first when
-/// a leaf is unnamed. A chunk row holds the species of a run of
+/// species is addressed by its ordinal in the tree's domain
+/// (SpeciesOrdinals). A chunk row holds the species of a run of
 /// consecutive ordinals, packed with end offsets and cut so the row
 /// fills the pages it takes; species that name only internal nodes
 /// share one trailing chunk at ordinal domain_size. A species stored
@@ -187,11 +213,15 @@ class SpeciesRepository {
   Result<std::map<std::string, std::string>> SequencesForTree(
       int64_t tree_id) const;
 
-  /// Calls fn(ordinal, sequence) for each species of the tree whose
-  /// ordinal is in [lo, hi), in ordinal order, reading only the chunks
-  /// that cover the range (the cracked store's fetch path).
-  Status ForEachInRange(int64_t tree_id, uint32_t lo, uint32_t hi,
-                        const std::function<void(size_t, Slice)>& fn) const;
+  /// Calls fn(ordinal, name, sequence) for each of `ordinals` (sorted
+  /// and unique) that has a species, in ordinal order (the
+  /// experiment's fetch path). Reads each chunk that covers a wanted
+  /// ordinal once and decodes only the wanted entries. Species naming
+  /// only internal nodes are reached past the domain: the trailing
+  /// chunk's i-th species, in name order, at ordinal domain_size + i.
+  Status ForEachOrdinal(
+      int64_t tree_id, const std::vector<uint32_t>& ordinals,
+      const std::function<void(uint32_t, Slice, Slice)>& fn) const;
 
   /// True if the tree has any species data (reads no chunk).
   Result<bool> HasSpecies(int64_t tree_id) const;
@@ -223,8 +253,8 @@ class SpeciesRepository {
   Status ChunkKeyRange(int64_t tree_id, uint64_t end, std::string* lower,
                        std::string* upper) const;
 
-  /// The chunk column of a chunk row.
-  Result<std::string> LoadChunk(const ChunkRef& chunk) const;
+  /// Reads the chunk column of a chunk row into *bytes.
+  Status LoadChunk(const ChunkRef& chunk, std::string* bytes) const;
 
   Database* db_;
   std::unique_ptr<Table> chunks_;

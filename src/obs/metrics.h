@@ -20,9 +20,8 @@
 // concurrent sessions in one process -- the unit-test norm -- never
 // contaminate each other's counters. Components constructed without a
 // registry own a private one (QueryCache, Database) or fall back to the
-// process-wide MetricsRegistry::Default() (BufferPool,
-// CrackedSequenceStore); either way the cells are the only copy of a
-// count.
+// process-wide MetricsRegistry::Default() (BufferPool); either way the
+// cells are the only copy of a count.
 //
 // The Noop* twins mirror the update API with empty inline bodies;
 // bench_metrics compiles its hot loop against both to gate the

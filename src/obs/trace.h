@@ -32,7 +32,7 @@ namespace obs {
 enum class Stage : uint8_t {
   kAdmissionWait = 0,  // server: waiting for an execution slot
   kCacheLookup,        // result-cache probe (hit or miss)
-  kEvalBuild,          // EvalState materialization / cracked fetch
+  kEvalBuild,          // an experiment's sample draws + sequence fetch
   kStorageRead,        // storage-read section (snapshot reads)
   kLabelDecode,        // persisted layered-Dewey label decode
   kHistoryEnqueue,     // history-buffer append (+ backpressure wait)

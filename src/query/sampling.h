@@ -65,6 +65,9 @@ class Sampler {
 
   const std::vector<NodeId>& leaves() const { return leaves_; }
 
+  /// The position of `leaf` in leaves().
+  uint32_t LeafIndex(NodeId leaf) const { return first_leaf_[leaf]; }
+
   /// Allocated bytes (vector capacities): the leaf ranges, plus the
   /// time index once a time query has built it.
   size_t MemoryFootprintBytes() const;

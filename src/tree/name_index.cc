@@ -127,23 +127,4 @@ std::vector<std::string> NameIndex::DuplicateLeafNames(
   return out;
 }
 
-std::vector<std::string> NameIndex::SortedLeafNames(
-    const PhyloTree& tree) const {
-  // Sort views into the arena, then copy each name once.
-  std::vector<std::string_view> views;
-  views.reserve(used_);
-  const char* arena = tree.name_arena().c_str();
-  for (const Slot& slot : slots_) {
-    if (slot.first_node != kNoNode && slot.first_leaf != kNoNode) {
-      views.emplace_back(arena + slot.offset, slot.len);
-    }
-  }
-  std::sort(views.begin(), views.end());
-  std::vector<std::string> out;
-  out.reserve(views.size() + 1);
-  if (has_unnamed_leaf_) out.emplace_back();
-  for (std::string_view name : views) out.emplace_back(name);
-  return out;
-}
-
 }  // namespace crimson

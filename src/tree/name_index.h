@@ -1,7 +1,7 @@
 // NameIndex: interned name -> NodeId open-addressing hash built once
 // over a PhyloTree's packed name arena. Replaces the O(n) FindByName
 // scan on every name-addressed query (ResolveSpecies, pattern leaf
-// anchoring, NEXUS taxa export, the cracked store's leaf domain).
+// anchoring, NEXUS taxa export, species resolution on append).
 //
 // The index stores (offset, len) spans into the tree's name arena, not
 // string copies, so building it allocates only the slot table. Lookups
@@ -51,12 +51,6 @@ class NameIndex {
 
   /// Sorted unique list of leaf names that occur on more than one leaf.
   std::vector<std::string> DuplicateLeafNames(const PhyloTree& tree) const;
-
-  /// Sorted unique leaf names, with "" first when a leaf is unnamed:
-  /// the species ordinal domain that species data is stored by and the
-  /// cracked store cracks. Identical to sorting-and-uniquing Leaves()
-  /// names.
-  std::vector<std::string> SortedLeafNames(const PhyloTree& tree) const;
 
   /// Number of distinct non-empty names in the tree.
   size_t distinct_names() const { return used_; }

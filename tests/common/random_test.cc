@@ -109,8 +109,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(100000ull, 64ull)));
 
 // SampleWithoutReplacement as it was before small samples scanned
-// their draws: Floyd's algorithm with a hash set for k < n/4, a partial
-// Fisher-Yates shuffle otherwise. The oracle for the scanning path.
+// their draws and larger ones probed a flat table: Floyd's algorithm
+// with a hash set for k < n/4, a partial Fisher-Yates shuffle
+// otherwise. The oracle for the scanning and flat-table paths.
 std::vector<uint64_t> HashSetSampleWithoutReplacement(Rng* rng, uint64_t n,
                                                       uint64_t k) {
   std::vector<uint64_t> out;
@@ -161,6 +162,14 @@ TEST(RngTest, SampleMatchesHashSetOracle) {
         ASSERT_EQ(RngState(b), RngState(a)) << "n=" << n << " take=" << take;
       }
     }
+  }
+  // Larger takes probe a fuller table.
+  for (uint64_t take : {255, 256, 257, 1000, 1200}) {
+    std::vector<uint64_t> want = HashSetSampleWithoutReplacement(&a, 1000000,
+                                                                 take);
+    ASSERT_EQ(b.SampleWithoutReplacement(1000000, take), want)
+        << "take=" << take;
+    ASSERT_EQ(RngState(b), RngState(a)) << "take=" << take;
   }
 }
 

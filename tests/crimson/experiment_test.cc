@@ -1,17 +1,22 @@
 // Tests for the typed, handle-based Experiment API: spec round-trips,
 // the algorithm registry, worker-count byte identity,
-// persistence + exact replay on a reopened database, evaluation-state
-// caching, and replay of "experiment" history entries.
+// persistence + exact replay on a reopened database, one read snapshot
+// per experiment (an append racing it is not seen), one leaf-name sort
+// per bound tree, and replay of "experiment" history entries.
 
 #include "crimson/experiment_spec.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crimson/crimson.h"
@@ -405,7 +410,7 @@ TEST(ExperimentTest, ReplayedTripletScoresMatchPinnedValues) {
   RemoveFile(path);
 }
 
-TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
+TEST(ExperimentTest, AppendSpeciesDataIsSeenByTheNextExperiment) {
   CrimsonOptions opts;
   opts.seed = 21;
   auto session = std::move(Crimson::Open(opts)).value();
@@ -415,7 +420,7 @@ TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
   ASSERT_TRUE(ref.ok());
 
   // No species data yet: the experiment cannot run (and the failure
-  // must not be cached).
+  // must not outlive the data's arrival).
   ExperimentSpec spec = GridSpec();
   EXPECT_TRUE(
       session->RunExperiment(*ref, spec).status().IsFailedPrecondition());
@@ -439,11 +444,173 @@ TEST(ExperimentTest, EvalStateIsInvalidatedByAppendSpeciesData) {
   EXPECT_TRUE(
       session->RunExperiment(*ref, missing_spec).status().IsNotFound());
 
-  // Appending the other half must invalidate the cached sequence map:
-  // the same spec now succeeds.
+  // Once the other half is appended, the next experiment reads it: the
+  // same spec now succeeds.
   ASSERT_TRUE(session->AppendSpeciesData("gold", second_half).ok());
   auto rerun = session->RunExperiment(*ref, missing_spec);
   EXPECT_TRUE(rerun.ok()) << rerun.status();
+}
+
+/// Parks the first `n` Reconstructs after Arm(n) until Release().
+struct ReconstructLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  int to_park = 0;
+  int parked = 0;
+  bool released = false;
+
+  void Arm(int n) {
+    std::lock_guard<std::mutex> lock(mu);
+    to_park = n;
+    parked = 0;
+    released = false;
+  }
+  /// Waits (up to a minute) until every armed Reconstruct is parked.
+  bool WaitParked() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(60),
+                       [&] { return to_park == 0 && parked > 0; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
+ReconstructLatch& Latch() {
+  static ReconstructLatch* latch = new ReconstructLatch();
+  return *latch;
+}
+
+/// NJ whose first reconstructions after the latch is armed park there.
+class ParkingNj final : public ReconstructionAlgorithm {
+ public:
+  std::string name() const override { return "parking_nj"; }
+  Result<PhyloTree> Reconstruct(
+      const std::map<std::string, std::string>& sequences) const override {
+    ReconstructLatch& latch = Latch();
+    {
+      std::unique_lock<std::mutex> lock(latch.mu);
+      if (latch.to_park > 0) {
+        --latch.to_park;
+        ++latch.parked;
+        latch.cv.notify_all();
+        latch.cv.wait(lock, [&] { return latch.released; });
+      }
+    }
+    return nj_->Reconstruct(sequences);
+  }
+
+ private:
+  std::unique_ptr<ReconstructionAlgorithm> nj_ = MakeNjAlgorithm();
+};
+
+TEST(ExperimentTest, AppendRaceIsNotSeenByTheRunningExperiment) {
+  // Registered once per process (the test may repeat).
+  static const bool registered = [] {
+    Status s = AlgorithmRegistry::Global().Register(
+        "parking_nj", [] { return std::make_unique<ParkingNj>(); });
+    return s.ok() || s.IsAlreadyExists();
+  }();
+  ASSERT_TRUE(registered);
+  // Every species but `late`, the last by name, has data. One worker
+  // plus the calling thread run the jobs: jobs 0 and 1 sample the first
+  // species by name and both park in reconstruction, so job 2, which
+  // samples `late` and its neighbours, runs only after the append below
+  // has committed.
+  const Gold& gold = SharedGold();
+  const auto first = gold.sequences.begin();
+  const auto last = std::prev(gold.sequences.end());
+  const std::string late = last->first;
+  std::map<std::string, std::string> early = gold.sequences;
+  early.erase(late);
+  ExperimentSpec spec;
+  spec.algorithms = {"parking_nj"};
+  SelectionSpec present, more_present, with_late;
+  present.kind = more_present.kind = with_late.kind =
+      SelectionSpec::Kind::kUserList;
+  present.species = {first->first, std::next(first)->first,
+                     std::next(first, 2)->first};
+  more_present.species = {std::next(first, 3)->first,
+                          std::next(first, 4)->first,
+                          std::next(first, 5)->first};
+  with_late.species = {std::prev(last, 2)->first, late,
+                       std::prev(last)->first};
+  spec.selections = {present, more_present, with_late};
+  spec.replicates = 1;
+  auto open = [&]() -> std::pair<std::unique_ptr<Crimson>, TreeRef> {
+    CrimsonOptions opts;
+    opts.seed = 17;
+    opts.batch_workers = 1;
+    auto session = std::move(Crimson::Open(opts)).value();
+    TreeRef ref = session->LoadTree("gold", gold.tree).value().ref;
+    EXPECT_TRUE(session->AppendSpeciesData(ref, early).ok());
+    return {std::move(session), ref};
+  };
+
+  // The pre-append twin: the same spec over the same data, unraced, in
+  // a session of its own.
+  auto [twin_session, twin_ref] = open();
+  const Result<ExperimentReport> twin =
+      twin_session->RunExperiment(twin_ref, spec);
+  ASSERT_TRUE(twin.status().IsNotFound()) << twin.status();
+
+  auto [session, ref] = open();
+  Latch().Arm(2);
+  Result<ExperimentReport> raced = Status::Internal("not run");
+  std::thread experiment([&, ref = ref, session = session.get()] {
+    raced = session->RunExperiment(ref, spec);
+  });
+  const bool parked = Latch().WaitParked();
+  Status appended =
+      session->AppendSpeciesData(ref, {{late, gold.sequences.at(late)}})
+          .status();
+  Latch().Release();
+  experiment.join();
+  ASSERT_TRUE(parked);
+  ASSERT_TRUE(appended.ok()) << appended;
+  EXPECT_EQ(raced.status().ToString(), twin.status().ToString());
+
+  // The next experiment reads the appended species.
+  auto rerun = session->RunExperiment(ref, spec);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  ASSERT_EQ(rerun->runs.size(), 3u);
+  EXPECT_EQ(rerun->runs[2].sample_size, 3u);
+}
+
+TEST(ExperimentTest, LeafNamesAreSortedOncePerBoundTree) {
+  auto session = std::move(Crimson::Open(CrimsonOptions())).value();
+  const Gold& gold = SharedGold();
+  const uint64_t before = SpeciesOrdinals::builds();
+  auto loaded = session->LoadTree("gold", gold.tree);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(session->OpenTree("gold").ok());
+  ASSERT_TRUE(session->Execute(loaded->ref, SampleUniformQuery{4}).ok());
+  EXPECT_EQ(SpeciesOrdinals::builds(), before) << "bind and queries sort";
+
+  std::vector<std::map<std::string, std::string>> thirds(3);
+  size_t i = 0;
+  for (const auto& [name, sequence] : gold.sequences) {
+    thirds[i++ % 3][name] = sequence;
+  }
+  // A user list over the first third, which the first append stores.
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
+  SelectionSpec listed;
+  listed.kind = SelectionSpec::Kind::kUserList;
+  for (auto it = thirds[0].begin(); listed.species.size() < 4; ++it) {
+    listed.species.push_back(it->first);
+  }
+  spec.selections = {listed};
+  for (const auto& third : thirds) {
+    ASSERT_TRUE(session->AppendSpeciesData(loaded->ref, third).ok());
+    auto ran = session->RunExperiment(loaded->ref, spec);
+    ASSERT_TRUE(ran.ok()) << ran.status();
+  }
+  EXPECT_EQ(SpeciesOrdinals::builds(), before + 1);
 }
 
 // -- history replay ---------------------------------------------------------

@@ -111,8 +111,10 @@ TEST_F(LoaderTest, AppendSpeciesDataToExistingTree) {
   const NexusDocument doc = std::move(ParseNexus(kNexusWithData)).value();
   auto tree = trees_->LoadTree(loaded->tree_id);
   ASSERT_TRUE(tree.ok()) << tree.status();
-  auto report = loader_->AppendSpecies(loaded->tree_id, *tree,
-                                       NameIndex::Build(*tree), doc.sequences);
+  const Sampler sampler(&*tree);
+  auto report = loader_->AppendSpecies(
+      loaded->tree_id, *tree, NameIndex::Build(*tree),
+      SpeciesOrdinals(*tree, &sampler), doc.sequences);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->species_loaded, 3u);
   EXPECT_EQ(report->tree_id, loaded->tree_id);
@@ -147,9 +149,11 @@ TEST_F(LoaderTest, AppendUnknownSpeciesFails) {
   ASSERT_TRUE(report.ok());
   const PhyloTree tree = std::move(ParseNewick("(A:1,B:1);")).value();
   std::map<std::string, std::string> seqs = {{"A", "ACGT"}, {"Z", "ACGT"}};
+  const Sampler sampler(&tree);
   EXPECT_TRUE(loader_
                   ->AppendSpecies(report->tree_id, tree,
-                                  NameIndex::Build(tree), seqs)
+                                  NameIndex::Build(tree),
+                                  SpeciesOrdinals(tree, &sampler), seqs)
                   .status()
                   .IsNotFound());
   EXPECT_FALSE(*species_->HasSpecies(report->tree_id));

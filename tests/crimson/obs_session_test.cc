@@ -10,7 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,9 +94,10 @@ TEST(ObsSessionTest, SnapshotPopulatesEveryLayer) {
   EXPECT_GT(snap.counter("cache.hits"), 0u);
   EXPECT_GT(snap.counter("cache.misses"), 0u);
 
-  // MVCC + crack gauges are refreshed at snapshot time.
+  // MVCC gauges are refreshed at snapshot time; the experiment counter
+  // is there before any experiment ran.
   EXPECT_EQ(snap.counters.count("pages.committed_epoch"), 1u);
-  EXPECT_EQ(snap.counters.count("crack.stores"), 1u);
+  EXPECT_EQ(snap.counters.count("experiment.sequences_read"), 1u);
 }
 
 TEST(ObsSessionTest, ResultBytesGrowWithResults) {
@@ -263,21 +267,19 @@ TEST(ObsSessionTest, SessionsDoNotShareCounters) {
 }
 
 TEST(ObsSessionTest, FreshSessionSnapshotCarriesEveryStableKey) {
-  // The cache, cracked-store and MVCC keys are resolved at Open, so a
-  // session that has served nothing (and built no evaluation state)
-  // already reports every one of them -- the kStats key set does not
-  // depend on the traffic a server has seen.
+  // The cache, experiment and MVCC keys are resolved at Open, so a
+  // session that has served nothing (and run no experiment) already
+  // reports every one of them -- the kStats key set does not depend on
+  // the traffic a server has seen.
   CrimsonOptions opts;
   opts.query_cache_bytes = 1 << 20;
   auto crimson = OpenSession(opts);
   const obs::MetricsSnapshot m = crimson->SnapshotMetrics();
   for (const char* key :
        {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
-        "cache.bypassed", "cache.entries", "cache.bytes_used", "crack.stores",
-        "crack.pieces", "crack.loaded_pieces", "crack.sequences_loaded",
-        "crack.sequences_resident", "crack.sequences_total",
-        "crack.fetches", "crack.batches", "crack.piece_hits",
-        "history.buffer_full", "history.flush_waits"}) {
+        "cache.bypassed", "cache.entries", "cache.bytes_used",
+        "experiment.sequences_read", "history.buffer_full",
+        "history.flush_waits"}) {
     ASSERT_EQ(m.counters.count(key), 1u) << key;
     EXPECT_EQ(m.counter(key), 0u) << key;
   }
@@ -357,10 +359,10 @@ TEST(ObsSessionTest, HistoryCountersCountFullBufferAndBackpressure) {
   EXPECT_EQ(history->size(), 8u);
 }
 
-TEST(ObsSessionTest, CrackCountersStayCumulativeResidencyIsLive) {
-  // One name, one meaning: crack.fetches / crack.sequences_loaded
-  // count every fetch ever made, while crack.sequences_resident and
-  // crack.stores describe the evaluation states alive right now.
+TEST(ObsSessionTest, SequencesReadCountsDistinctSampledSpeciesWithData) {
+  // experiment.sequences_read counts the sequences experiments decode:
+  // one per distinct sampled species that has one, per experiment. It
+  // is cumulative, so it outlives the tree whose reads it counted.
   auto crimson = OpenSession();
   Rng rng(0xC0FFEE);
   YuleOptions yule;
@@ -375,34 +377,58 @@ TEST(ObsSessionTest, CrackCountersStayCumulativeResidencyIsLive) {
   auto loaded = crimson->LoadTree("gold", *gold);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_TRUE(crimson->AppendSpeciesData("gold", *sequences).ok());
+  auto read = [&] {
+    return crimson->SnapshotMetrics().counter("experiment.sequences_read");
+  };
+  EXPECT_EQ(read(), 0u);
+
   ExperimentSpec spec;
-  spec.algorithms = {"nj"};
+  spec.algorithms = {"nj", "upgma"};
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
   sel.k = 8;
   spec.selections = {sel};
-  spec.replicates = 2;
+  spec.replicates = 3;
   spec.compute_triplets = false;
-  ASSERT_TRUE(crimson->RunExperiment(loaded->ref, spec).ok());
-
-  const obs::MetricsSnapshot live = crimson->SnapshotMetrics();
-  EXPECT_EQ(live.counter("crack.stores"), 1u);
-  EXPECT_GT(live.counter("crack.fetches"), 0u);
-  EXPECT_GT(live.counter("crack.sequences_resident"), 0u);
-  EXPECT_EQ(live.counter("crack.sequences_resident"),
-            live.counter("crack.sequences_loaded"))
-      << "one state, never dropped: resident == ever loaded";
-  EXPECT_EQ(live.counter("crack.sequences_total"), 24u);
-
-  ASSERT_TRUE(crimson->DropTree("gold").ok());
-  const obs::MetricsSnapshot dropped = crimson->SnapshotMetrics();
-  EXPECT_EQ(dropped.counter("crack.stores"), 0u);
-  EXPECT_EQ(dropped.counter("crack.sequences_resident"), 0u);
-  EXPECT_EQ(dropped.counter("crack.sequences_total"), 0u);
-  for (const char* key : {"crack.fetches", "crack.batches",
-                          "crack.piece_hits", "crack.sequences_loaded"}) {
-    EXPECT_EQ(dropped.counter(key), live.counter(key)) << key;
+  auto ran = crimson->RunExperiment(loaded->ref, spec);
+  ASSERT_TRUE(ran.ok()) << ran.status();
+  std::set<std::string> sampled;
+  for (const BenchmarkRun& run : ran->runs) {
+    for (NodeId leaf : run.reference.Leaves()) {
+      sampled.emplace(run.reference.name(leaf));
+    }
   }
+  EXPECT_GT(sampled.size(), 8u);
+  EXPECT_EQ(read(), sampled.size());
+
+  // A user list repeating a name, and one species without data on a
+  // second copy of the tree: only the distinct species with data count.
+  auto names = sequences->begin();
+  const std::string a = names->first, b = std::next(names)->first,
+                    c = std::next(names, 2)->first;
+  SelectionSpec listed;
+  listed.kind = SelectionSpec::Kind::kUserList;
+  listed.species = {a, b, a, c};
+  spec.selections = {listed};
+  spec.replicates = 1;
+  uint64_t before = read();
+  ASSERT_TRUE(crimson->RunExperiment(loaded->ref, spec).ok());
+  EXPECT_EQ(read(), before + 3);
+
+  auto partial = crimson->LoadTree("partial", *gold);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  ASSERT_TRUE(crimson
+                  ->AppendSpeciesData(partial->ref, {{a, sequences->at(a)},
+                                                     {c, sequences->at(c)}})
+                  .ok());
+  before = read();
+  EXPECT_TRUE(
+      crimson->RunExperiment(partial->ref, spec).status().IsNotFound());
+  EXPECT_EQ(read(), before + 2);
+
+  before = read();
+  ASSERT_TRUE(crimson->DropTree("gold").ok());
+  EXPECT_EQ(read(), before);
 }
 
 TEST(ObsSessionStress, BatchesRaceSnapshotsWithoutLosingCounts) {

@@ -40,14 +40,14 @@ std::vector<std::string> LeafNames(const PhyloTree& tree) {
   return out;
 }
 
-/// The tree's sequences by ordinal, through the cracked store's range
-/// read over the whole domain.
-std::map<size_t, std::string> StoredByOrdinal(const SpeciesRepository& species,
-                                              int64_t tree_id,
-                                              uint32_t domain_size) {
+/// The sequences stored at `ordinals` (sorted, unique), through the
+/// experiment's ordinal read.
+std::map<size_t, std::string> StoredAt(const SpeciesRepository& species,
+                                       int64_t tree_id,
+                                       const std::vector<uint32_t>& ordinals) {
   std::map<size_t, std::string> out;
-  Status s = species.ForEachInRange(
-      tree_id, 0, domain_size, [&](size_t ordinal, Slice sequence) {
+  Status s = species.ForEachOrdinal(
+      tree_id, ordinals, [&](uint32_t ordinal, Slice, Slice sequence) {
         EXPECT_TRUE(out.emplace(ordinal, sequence.ToString()).second)
             << "ordinal " << ordinal << " reported twice";
       });
@@ -55,12 +55,28 @@ std::map<size_t, std::string> StoredByOrdinal(const SpeciesRepository& species,
   return out;
 }
 
+/// The tree's sequences by ordinal, read over the whole domain.
+std::map<size_t, std::string> StoredByOrdinal(const SpeciesRepository& species,
+                                              int64_t tree_id,
+                                              uint32_t domain_size) {
+  std::vector<uint32_t> all(domain_size);
+  for (uint32_t i = 0; i < domain_size; ++i) all[i] = i;
+  return StoredAt(species, tree_id, all);
+}
+
+/// The ordinal domain's oracle: sorting and uniquing the leaf names.
+std::vector<std::string> SortedLeafNames(const PhyloTree& tree) {
+  std::vector<std::string> names = LeafNames(tree);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  return names;
+}
+
 /// What StoredByOrdinal must return: each species of `sequences` that
 /// names a leaf, at its position in the tree's domain.
 std::map<size_t, std::string> ByDomainOrdinal(
     const PhyloTree& tree, const std::map<std::string, std::string>& sequences) {
-  const std::vector<std::string> domain =
-      NameIndex::Build(tree).SortedLeafNames(tree);
+  const std::vector<std::string> domain = SortedLeafNames(tree);
   std::map<size_t, std::string> out;
   for (size_t i = 0; i < domain.size(); ++i) {
     auto it = sequences.find(domain[i]);
@@ -70,8 +86,7 @@ std::map<size_t, std::string> ByDomainOrdinal(
 }
 
 uint32_t DomainSize(const PhyloTree& tree) {
-  return static_cast<uint32_t>(
-      NameIndex::Build(tree).SortedLeafNames(tree).size());
+  return static_cast<uint32_t>(SortedLeafNames(tree).size());
 }
 
 /// The stored tree named `name`, found through ListTrees; NotFound
@@ -91,7 +106,9 @@ Result<LoadReport> AppendTo(DataLoader& loader, const TreeRepository& trees,
                             int64_t id,
                             const std::map<std::string, std::string>& seqs) {
   CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, trees.LoadTree(id));
-  return loader.AppendSpecies(id, tree, NameIndex::Build(tree), seqs);
+  const Sampler sampler(&tree);
+  return loader.AppendSpecies(id, tree, NameIndex::Build(tree),
+                              SpeciesOrdinals(tree, &sampler), seqs);
 }
 
 class RepositoriesTest : public ::testing::Test {
@@ -320,6 +337,29 @@ TEST_F(RepositoriesTest, DropTreeRemovesEverything) {
   EXPECT_EQ(RowsForTree(db_.get(), kept), whole);
 }
 
+TEST(SpeciesOrdinalsTest, RankMatchesTheSortedLeafNameOracle) {
+  Rng rng(0x1EAF);
+  BirthDeathOptions bd;
+  bd.n_leaves = 200;
+  auto t = SimulateBirthDeath(bd, &rng);
+  ASSERT_TRUE(t.ok());
+  const std::vector<NodeId> leaves = t->Leaves();
+  t->set_name(leaves[3], "");  // one unnamed leaf
+  t->set_name(leaves[7], std::string(t->name(leaves[9])));  // a shared name
+  const std::vector<std::string> domain = SortedLeafNames(*t);
+  ASSERT_EQ(domain.front(), "");
+  const Sampler sampler(&*t);
+  const SpeciesOrdinals ordinals(*t, &sampler);
+  EXPECT_EQ(ordinals.domain_size(), domain.size());
+  for (NodeId leaf : leaves) {
+    const auto at = std::lower_bound(domain.begin(), domain.end(),
+                                     std::string(t->name(leaf)));
+    EXPECT_EQ(ordinals.Of(leaf), static_cast<uint32_t>(at - domain.begin()))
+        << "leaf " << leaf;
+  }
+  EXPECT_EQ(ordinals.Of(leaves[7]), ordinals.Of(leaves[9]));
+}
+
 TEST_F(RepositoriesTest, SpeciesRepositoryRoundTrip) {
   int64_t id = StoreFig1();
   EXPECT_FALSE(*species_->HasSpecies(id));
@@ -338,14 +378,12 @@ TEST_F(RepositoriesTest, SpeciesRepositoryRoundTrip) {
                                                     {2, ""}};
   EXPECT_EQ(StoredByOrdinal(*species_, id, 5), by_ordinal);
   const std::map<size_t, std::string> middle = {{2, ""}};
-  std::map<size_t, std::string> got;
-  ASSERT_TRUE(species_
-                  ->ForEachInRange(id, 1, 3,
-                                   [&](size_t ordinal, Slice sequence) {
-                                     got[ordinal] = sequence.ToString();
-                                   })
-                  .ok());
-  EXPECT_EQ(got, middle);
+  EXPECT_EQ(StoredAt(*species_, id, {1, 2}), middle);
+  // Past the domain: the trailing chunk's species, in name order.
+  const std::map<size_t, std::string> trailing = {{0, "ACGTACGT"},
+                                                  {5, "GG"}};
+  EXPECT_EQ(StoredAt(*species_, id, {0, 3, 5, 6}), trailing);
+  EXPECT_TRUE(StoredAt(*species_, id, {}).empty());
 
   // Stored species keep their sequence; new ones join them.
   ASSERT_TRUE(

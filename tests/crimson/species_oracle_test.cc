@@ -5,10 +5,10 @@
 // round the session must answer exactly what the model says:
 //   - ExportNexus bytes, built from the model with WriteNexus;
 //   - SpeciesRepository::SequencesForTree;
-//   - the cracked store's GetBatch, reached through user-list
-//     experiments whose RF and triplet scores must equal a
-//     BenchmarkManager's over the model map, and whose missing-species
-//     error must name the same species;
+//   - the experiment's ordinal read of the sampled species, reached
+//     through user-list experiments whose RF and triplet scores must
+//     equal a BenchmarkManager's over the model map, and whose
+//     missing-species error must name the same species;
 //   - RerunExperiment, which must replay those scores.
 // A species appended twice keeps its first sequence, and a batch with
 // an unknown species changes nothing.

@@ -591,10 +591,8 @@ TEST(StatsCodecTest, EveryCounterRoundTrips) {
        {"cache.hits", "cache.misses", "cache.insertions", "cache.evictions",
         "cache.bypassed", "cache.entries", "cache.bytes_used",
         "cache.budget_bytes",
-        "crack.stores", "crack.pieces", "crack.loaded_pieces",
-        "crack.sequences_loaded", "crack.sequences_resident",
-        "crack.sequences_total", "crack.fetches", "crack.batches",
-        "crack.piece_hits", "history.buffer_full", "history.flush_waits",
+        "experiment.sequences_read", "history.buffer_full",
+        "history.flush_waits",
         "pages.captured_pages", "pages.version_hits",
         "pages.versions_dropped", "pages.live_versions",
         "pages.active_snapshots", "pages.committed_epoch"}) {

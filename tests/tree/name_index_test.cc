@@ -115,23 +115,6 @@ TEST(NameIndex, EmptyNamesFallBackToLinearScanSemantics) {
   EXPECT_EQ(unnamed_leaf, 2u);
 }
 
-TEST(NameIndex, SortedLeafNamesMatchesManualScan) {
-  Rng rng(0x1EAF);
-  BirthDeathOptions bd;
-  bd.n_leaves = 200;
-  auto t = SimulateBirthDeath(bd, &rng);
-  ASSERT_TRUE(t.ok());
-  t->set_name(t->Leaves()[3], "");  // one unnamed leaf
-  NameIndex index = NameIndex::Build(*t);
-
-  std::set<std::string> manual;
-  for (NodeId leaf : t->Leaves()) manual.insert(std::string(t->name(leaf)));
-  std::vector<std::string> want(manual.begin(), manual.end());
-  ASSERT_EQ(want.front(), "");
-  EXPECT_EQ(index.SortedLeafNames(*t), want);
-  EXPECT_TRUE(index.has_unnamed_leaf());
-}
-
 TEST(NameIndex, DistinctNamesCountsUniqueNonEmpty) {
   PhyloTree t;
   t.AddRoot("");

@@ -187,13 +187,11 @@ int main(int argc, char** argv) {
          v("net.queries_rejected"),
          drained.ok() ? "ok" : drained.ToString().c_str());
   printf("cache: %llu hits / %llu misses (%llu entries, %llu bytes); "
-         "crack: %llu/%llu sequences resident across %llu stores; mvcc: "
-         "epoch %llu, %llu live versions\n",
+         "experiments: %llu sequences read; mvcc: epoch %llu, %llu live "
+         "versions\n",
          v("cache.hits"), v("cache.misses"), v("cache.entries"),
-         v("cache.bytes_used"), v("crack.sequences_resident"),
-         v("crack.sequences_total"),
-         v("crack.stores"), v("pages.committed_epoch"),
-         v("pages.live_versions"));
+         v("cache.bytes_used"), v("experiment.sequences_read"),
+         v("pages.committed_epoch"), v("pages.live_versions"));
   fflush(stdout);
   return drained.ok() ? 0 : 1;
 }
